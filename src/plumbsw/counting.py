@@ -20,10 +20,7 @@ def _prepare(g: PlumbingGraph, h: HClass, subset, x):
     active = live_indices(g, subset)
     if class_of(g, x) != h:
         raise LatticeError("cut vector does not represent the requested class")
-    d = lat.h_order
-    sx = lat.scaled(x)
-    hkey = tuple(int(c * d) for c in h.rep)
-    return lat, active, sx, hkey
+    return lat, active, lat.scaled(x), lat.class_to_key(h)
 
 
 def Q(g: PlumbingGraph, h: HClass, subset, x) -> int:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import PlumbingGraph
-from .lattice import HClass, Lattice, Vec, format_vec, lattice_of
-from .series import RatFunc, equivariant_split, live_indices, reduce, zeta
+from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
+from .series import (RatFunc, _cone_visit, equivariant_split, live_indices,
+                     reduce, zeta)
 
 
 class DivisionError(ValueError):
@@ -177,52 +178,59 @@ def f_h(g: PlumbingGraph, h: HClass, subset) -> RatFunc:
     return equivariant_split(reduce(zeta(g), subset))[h]
 
 
-def polypart_dual(g: PlumbingGraph, h: HClass, subset, with_neg: bool = False) -> Decomposition:
-    """Polynomial part of the h-component via the expansion at infinity.
+def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
+    """Polynomial part of every h-component via the expansion at infinity,
+    from one enumeration.
 
-    Enumerates l' in the Lipman cone with class [Z_K] - h that stay at or
-    below Z_K - E somewhere on the live coordinates; the term at exponent
-    Z_K - E - l' receives z(l').  The complement of the polynomial part is
-    the negative degree part, returned only when ``with_neg`` is set.
+    Enumerates l' in the Lipman cone that stay at or below Z_K - E somewhere
+    on the live coordinates; the term at exponent Z_K - E - l' receives
+    z(l') in the component of its own class, which is [Z_K] - [l'].
     """
-    from .series import _cone_visit
     lat = lattice_of(g)
     active = live_indices(g, subset)
     d = lat.h_order
-    szk = lat.scaled(lat.z_k)
-    hkey = tuple(int(x * d) for x in h.rep)
-    want = tuple((zk - hk) % d for zk, hk in zip(szk, hkey))
     szkme = lat.scaled(lat.z_k_me)
 
     def alive(cur):
         return any(cur[i] <= szkme[i] for i in active)
 
-    poly_scaled: dict[tuple[int, ...], int] = {}
+    buckets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     def visit(w, e):
-        if lat.class_key(e) != want:
-            return
         reflected = tuple(zm - x for zm, x in zip(szkme, e))
-        poly_scaled[reflected] = poly_scaled.get(reflected, 0) + w
+        bucket = buckets.setdefault(lat.class_key(reflected), {})
+        bucket[reflected] = bucket.get(reflected, 0) + w
 
     _cone_visit(lat, alive, visit)
-    poly = {tuple(Fraction(x, d) for x in e): c for e, c in poly_scaled.items() if c}
+    out = {}
+    for h in all_classes(g):
+        bucket = buckets.get(lat.class_to_key(h), {})
+        poly = {tuple(Fraction(x, d) for x in e): c for e, c in bucket.items() if c}
+        out[h] = Decomposition(lat, active, poly, None, None, ())
+    return out
 
-    neg = None
-    denom: tuple[Vec, ...] = ()
-    if with_neg:
-        fh = f_h(g, h, subset)
-        denom = fh.denominator
-        num: dict[Vec, int] = {}
-        for b, c in fh.numerator.items():
-            key = _canon_vec(lat, active, b)
-            num[key] = num.get(key, 0) + c
-        for e, c in poly.items():
-            for exp, cc in _expand_product(e, -c, list(denom)):
-                key = _canon_vec(lat, active, exp)
-                num[key] = num.get(key, 0) + cc
-        neg = RatFunc(lat, {e: c for e, c in num.items() if c}, denom, active, htag=h)
-    return Decomposition(lat, active, poly, neg, None, denom)
+
+def polypart_dual(g: PlumbingGraph, h: HClass, subset, with_neg: bool = False) -> Decomposition:
+    """Polynomial part of the h-component via the expansion at infinity,
+    read from ``polypart_dual_all``.  The complement of the polynomial part
+    is the negative degree part, returned only when ``with_neg`` is set.
+    """
+    dec = polypart_dual_all(g, subset)[h]
+    if not with_neg:
+        return dec
+    lat, active = dec.lat, dec.active
+    fh = f_h(g, h, subset)
+    denom = fh.denominator
+    num: dict[Vec, int] = {}
+    for b, c in fh.numerator.items():
+        key = _canon_vec(lat, active, b)
+        num[key] = num.get(key, 0) + c
+    for e, c in dec.poly.items():
+        for exp, cc in _expand_product(e, -c, list(denom)):
+            key = _canon_vec(lat, active, exp)
+            num[key] = num.get(key, 0) + cc
+    neg = RatFunc(lat, {e: c for e, c in num.items() if c}, denom, active, htag=h)
+    return Decomposition(lat, active, dec.poly, neg, None, denom)
 
 
 def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:
@@ -230,12 +238,11 @@ def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:
     [Z_K] - h at exponents not above Z_K - E everywhere on the live
     coordinates, as a map on live exponents.  Asserts the reflection
     identity against ``polypart_dual`` term by term."""
-    from .series import _cone_visit
     lat = lattice_of(g)
     active = live_indices(g, subset)
     d = lat.h_order
     szk = lat.scaled(lat.z_k)
-    hkey = tuple(int(x * d) for x in h.rep)
+    hkey = lat.class_to_key(h)
     want = tuple((zk - hk) % d for zk, hk in zip(szk, hkey))
     szkme = lat.scaled(lat.z_k_me)
 

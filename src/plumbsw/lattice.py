@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graph import PlumbingGraph, classify_vertices, intersection_matrix
+from .graph import (PlumbingGraph, _minors_all_positive, classify_vertices,
+                    intersection_matrix)
 
 Vec = tuple[Fraction, ...]
 
@@ -114,9 +115,10 @@ class Lattice:
         self.idx = {v: i for i, v in enumerate(g.ids)}
         self.imat = intersection_matrix(g)
         neg = [[-x for x in row] for row in self.imat]
+        definite, detail = _minors_all_positive(neg)
+        if not definite:
+            raise LatticeError(f"intersection matrix is not negative definite: {detail}")
         self.h_order = _det(neg)
-        if self.h_order <= 0:
-            raise LatticeError("intersection matrix is not negative definite")
         self.neg_inv = _invert(neg)
         # e_star[i] is column i of -I^{-1}; the matrix is symmetric but we
         # read columns to match the defining property (E*_v, E_w) = -delta.
@@ -125,6 +127,11 @@ class Lattice:
         )
         d = self.h_order
         self.sestar = tuple(tuple(int(x * d) for x in col) for col in self.estar)
+        # Every enumeration terminates only because these entries are
+        # strictly positive; a disconnected graph has zero entries here.
+        if any(x <= 0 for col in self.sestar for x in col):
+            raise LatticeError("anti-dual entries are not all strictly positive "
+                               "(the graph is not connected)")
         nodes, ends, val = classify_vertices(g)
         self.node_idx = tuple(self.idx[v] for v in nodes)
         self.end_idx = tuple(self.idx[v] for v in ends)
@@ -160,6 +167,11 @@ class Lattice:
     def class_key(self, scaled) -> tuple[int, ...]:
         d = self.h_order
         return tuple(c % d for c in scaled)
+
+    def class_to_key(self, h: HClass) -> tuple[int, ...]:
+        """Scaled class key of h; inverse of ``key_to_class``."""
+        d = self.h_order
+        return tuple(int(x * d) for x in h.rep)
 
     def key_to_class(self, key) -> HClass:
         d = self.h_order

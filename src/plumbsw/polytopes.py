@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import PlumbingGraph, adjacency
-from .lattice import (HClass, LatticeError, Vec, class_add, class_neg,
-                      class_of, lattice_of)
+from .lattice import (HClass, LatticeError, Vec, all_classes, class_add,
+                      class_neg, class_of, lattice_of)
 from .series import live_indices
 
 SHAPES = ("convex", "concave")
@@ -62,10 +62,11 @@ def linear_form(g: PlumbingGraph, v: str, x) -> Fraction:
     return sum((c * lat.estar[e][vi] for c, e in zip(xs, lat.end_idx)), Fraction(0))
 
 
-def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
-    """Exact number of integer points satisfying the query.  Enumeration is
-    complete because every anti-dual entry is strictly positive, which caps
-    each end coordinate by the dilation."""
+def fiber_counts(g: PlumbingGraph, query: PolytopeQuery) -> dict[tuple[int, ...], int]:
+    """Exact numbers of integer points satisfying the query, tallied by the
+    class key of sum_e x_e E*_e; the query's fiber is not used.  Enumeration
+    is complete because every anti-dual entry is strictly positive, which
+    caps each end coordinate by the dilation."""
     lat = lattice_of(g)
     active = live_indices(g, query.subset)
     d = lat.h_order
@@ -76,9 +77,6 @@ def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
     lo = 1 if query.positivity == "positive" else 0
     closed = query.boundary == "closed"
     convex = query.shape == "convex"
-    want = None
-    if query.fiber is not None:
-        want = tuple(int(c * d) for c in query.fiber.rep)
 
     npos = len(active)
     cur = [0] * npos
@@ -93,13 +91,12 @@ def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
             return any(cur[j] <= sdil[i] for j, i in enumerate(active))
         return any(cur[j] < sdil[i] for j, i in enumerate(active))
 
-    total = 0
+    tally: dict[tuple[int, ...], int] = {}
 
     def rec(ei: int):
-        nonlocal total
         if ei == len(ends):
-            if want is None or tuple(k % d for k in key) == want:
-                total += 1
+            fk = tuple(k % d for k in key)
+            tally[fk] = tally.get(fk, 0) + 1
             return
         cl = cols_live[ei]
         cf = cols_full[ei]
@@ -132,12 +129,19 @@ def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
     if not ends:
         # No end vertices (single vertex graph): the only candidate is the
         # empty point, subject to the zero-dilation conditions.
-        if lo == 0 and alive() and (want is None or all(k == 0 for k in want)):
-            return 1
-        return 0
+        return {tuple(key): 1} if lo == 0 and alive() else {}
     if alive():
         rec(0)
-    return total
+    return tally
+
+
+def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
+    """Exact number of integer points satisfying the query: the sum of
+    ``fiber_counts``, or its entry for the query's fiber."""
+    tally = fiber_counts(g, query)
+    if query.fiber is None:
+        return sum(tally.values())
+    return tally.get(lattice_of(g).class_to_key(query.fiber), 0)
 
 
 def node_multiset(g: PlumbingGraph) -> tuple[tuple[str, int], ...]:
@@ -163,18 +167,20 @@ def _sub_multisets(mults):
     yield from rec(0, [])
 
 
-def sw_via_lattice(g: PlumbingGraph, h: HClass) -> int:
-    """Normalized Seiberg-Witten invariant (with opposite sign) as the
-    alternating sum, over non-empty sub-multisets of the node multiset, of
-    strictly positive lattice point counts in the closed concave polytopes
-    dilated by the corresponding anti-dual combinations, fibered over the
-    class of the dilation minus h."""
+def sw_via_lattice_all(g: PlumbingGraph) -> dict[HClass, int]:
+    """Normalized Seiberg-Witten invariant (with opposite sign) of every
+    class h, as the alternating sum, over non-empty sub-multisets of the
+    node multiset, of strictly positive lattice point counts in the closed
+    concave polytopes dilated by the corresponding anti-dual combinations,
+    fibered over the class of the dilation minus h.  Each polytope is
+    enumerated once and its fiber tally answers every h."""
     lat = lattice_of(g)
     nm = node_multiset(g)
     if not nm:
         raise PolytopeError("graph has no nodes; use the duality route")
+    d = lat.h_order
     n_ends = len(lat.end_idx)
-    total = 0
+    totals = dict.fromkeys(all_classes(g), 0)
     for ks in _sub_multisets(nm):
         ids = tuple(v for (v, _), k in zip(nm, ks) if k)
         dil = [Fraction(0)] * lat.n
@@ -183,11 +189,19 @@ def sw_via_lattice(g: PlumbingGraph, h: HClass) -> int:
                 col = lat.estar[g.index(v)]
                 for r in range(lat.n):
                     dil[r] += k * col[r]
-        fiber = class_add(class_of(g, dil), class_neg(h))
-        r_count = count(g, PolytopeQuery("concave", ids, tuple(dil),
-                                         "closed", "positive", fiber))
-        total += (-1) ** (n_ends - sum(ks)) * r_count
-    return total
+        sdil = lat.scaled(dil)
+        sign = (-1) ** (n_ends - sum(ks))
+        tally = fiber_counts(g, PolytopeQuery("concave", ids, tuple(dil),
+                                              "closed", "positive"))
+        for fk, r_count in tally.items():
+            h = lat.key_to_class(tuple((s - k) % d for s, k in zip(sdil, fk)))
+            totals[h] += sign * r_count
+    return totals
+
+
+def sw_via_lattice(g: PlumbingGraph, h: HClass) -> int:
+    """The class h entry of ``sw_via_lattice_all``."""
+    return sw_via_lattice_all(g)[h]
 
 
 def sw_via_topological_polytope(g: PlumbingGraph, h: HClass) -> int:

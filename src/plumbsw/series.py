@@ -326,8 +326,7 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
     out: dict[HClass, RatFunc] = {}
     from .lattice import all_classes
     for h in all_classes(lat.graph):
-        ck = tuple(int(x * d) for x in h.rep)
-        num = by_class.get(ck, {})
+        num = by_class.get(lat.class_to_key(h), {})
         out[h] = RatFunc(lat, num, tuple(new_denom), R.active, htag=h)
     return out
 

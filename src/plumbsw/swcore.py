@@ -22,11 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Q
-from .decomp import evaluate_at_one, euclid_divide, f_h, polypart_dual
+from .decomp import (evaluate_at_one, euclid_divide, f_h, polypart_dual,
+                     polypart_dual_all)
 from .graph import PlumbingGraph
 from .lattice import (HClass, all_classes, class_add, class_neg, class_of,
-                      lattice_of, pairing, vec_add, vec_scale, vec_sub)
-from .polytopes import PolytopeError, sw_via_lattice
+                      lattice_of, pairing, vec_add, vec_scale)
+from .polytopes import PolytopeError, sw_via_lattice_all
+from .series import _cone_visit, live_indices
 
 
 class RouteDisagreement(RuntimeError):
@@ -46,11 +48,41 @@ def dual_class(g: PlumbingGraph, h: HClass) -> HClass:
     return class_add(class_of(g, lattice_of(g).z_k), class_neg(h))
 
 
-def sw_norm_via_duality(g: PlumbingGraph, h: HClass) -> int:
-    """-sw^norm_h as the counting function of the dual class at Z_K - r_h."""
+def sw_norm_via_duality_all(g: PlumbingGraph) -> dict[HClass, int]:
+    """-sw^norm_h of every class h as the counting function Q of the dual
+    class [Z_K] - h at the cut Z_K - r_h, from one walk of the cone at the
+    loosest cut Z_K: a term at l' counts for the class h with
+    [l'] = [Z_K] - h, and only when l' fails that class's cut somewhere on
+    the cut vertices."""
     lat = lattice_of(g)
-    cut = vec_sub(lat.z_k, h.rep)
-    return Q(g, dual_class(g, h), duality_cut_vertices(g), cut)
+    active = live_indices(g, duality_cut_vertices(g))
+    szk = lat.scaled(lat.z_k)
+    classes = all_classes(g)
+    cuts = {}
+    for h in classes:
+        cut = tuple(z - k for z, k in zip(szk, lat.class_to_key(h)))
+        cuts[lat.class_key(cut)] = (h, cut)
+    totals = dict.fromkeys(classes, 0)
+
+    def alive(cur):
+        return any(cur[i] < szk[i] for i in active)
+
+    def visit(w, e):
+        h, cut = cuts[lat.class_key(e)]
+        if any(e[i] < cut[i] for i in active):
+            totals[h] += w
+
+    _cone_visit(lat, alive, visit)
+    return totals
+
+
+def sw_norm_via_duality(g: PlumbingGraph, h: HClass) -> int:
+    """-sw^norm_h as the counting function of the dual class at Z_K - r_h;
+    the class h entry of ``sw_norm_via_duality_all``."""
+    return sw_norm_via_duality_all(g)[h]
+
+
+_POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
 def sw_norm_via_polypart(g: PlumbingGraph, h: HClass, check_division: bool = True) -> int:
@@ -61,8 +93,7 @@ def sw_norm_via_polypart(g: PlumbingGraph, h: HClass, check_division: bool = Tru
     if check_division:
         div = euclid_divide(f_h(g, h, subset))
         if div.poly_live() != dec.poly_live():
-            raise RouteDisagreement(
-                "division and duality produced different polynomial parts")
+            raise RouteDisagreement(_POLYPART_MISMATCH)
     return evaluate_at_one(dec.poly)
 
 
@@ -110,25 +141,40 @@ class SWReport:
 
 def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     """Run the requested routes for every class of H, sorted by
-    representative; refuse to normalize when the routes disagree."""
+    representative; refuse to normalize when the routes disagree.
+
+    Duality, polypart and lattice each enumerate once for the whole graph.
+    Euclidean division runs once per class, one class at a time, and its
+    polynomial part serves both the division route and polypart's
+    cross-check."""
+    subset = duality_cut_vertices(g)
+    duality = sw_norm_via_duality_all(g) if "duality" in methods else None
+    polys = polypart_dual_all(g, subset) if "polypart" in methods else None
+    lattice, lattice_error = None, None
+    if "lattice" in methods:
+        try:
+            lattice = sw_via_lattice_all(g)
+        except PolytopeError as exc:
+            lattice_error = "not applicable: " + str(exc)
     entries = []
     for h in all_classes(g):
         values: dict[str, int] = {}
         errors: dict[str, str] = {}
-        if "duality" in methods:
-            values["duality"] = sw_norm_via_duality(g, h)
-        if "polypart" in methods:
-            try:
-                values["polypart"] = sw_norm_via_polypart(g, h)
-            except RouteDisagreement as exc:
-                errors["polypart"] = str(exc)
+        if duality is not None:
+            values["duality"] = duality[h]
+        if "polypart" in methods or "division" in methods:
+            div = euclid_divide(f_h(g, h, subset)).poly_live()
+        if polys is not None:
+            if div != polys[h].poly_live():
+                errors["polypart"] = _POLYPART_MISMATCH
+            else:
+                values["polypart"] = evaluate_at_one(polys[h].poly)
         if "division" in methods:
-            values["division"] = sw_norm_via_division(g, h)
-        if "lattice" in methods:
-            try:
-                values["lattice"] = sw_via_lattice(g, h)
-            except PolytopeError as exc:
-                errors["lattice"] = "not applicable: " + str(exc)
+            values["division"] = evaluate_at_one(div)
+        if lattice is not None:
+            values["lattice"] = lattice[h]
+        elif lattice_error is not None:
+            errors["lattice"] = lattice_error
         agree = len(set(values.values())) == 1 and not any(
             route != "lattice" for route in errors)
         norm = next(iter(values.values())) if agree and values else None

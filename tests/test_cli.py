@@ -119,3 +119,27 @@ def test_bad_graph_file(capsys, tmp_path):
     bad.write_text("vertex a -2\nedge a ghost\n")
     code, _, err = run(capsys, "sw", bad)
     assert code == 2 and "unknown vertex" in err
+
+
+def test_non_definite_graph_is_rejected(capsys, tmp_path):
+    # det(-I) = 3 > 0, but -I is not positive definite
+    bad = tmp_path / "indefinite.graph"
+    bad.write_text("vertex a 2\nvertex b 2\nedge a b\n")
+    for command in ("sw", "invariants"):
+        code, out, err = run(capsys, command, bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not negative definite" in err
+
+
+def test_reduce_unknown_vertex(capsys):
+    code, _, err = run(capsys, "zeta", GRAPHS / "two_nodes_h3.graph", "--reduce", "ZZ")
+    assert code == 2
+    assert err.startswith("error:") and "'ZZ'" in err and "Traceback" not in err
+
+
+def test_verify_rejects_no_samples(capsys):
+    for samples in ("0", "-1"):
+        code, out, err = run(capsys, "verify", GRAPHS / "sigma_2_5_7.graph",
+                             "--samples", samples)
+        assert code == 2 and out == ""
+        assert "--samples" in err

@@ -246,3 +246,11 @@ def test_class_rep_in_unit_box(xs):
     h = class_of(g, x)
     assert all(0 <= c < 1 for c in h.rep)
     assert class_of(g, h.rep) == h
+
+
+def test_lattice_rejects_indefinite_and_disconnected():
+    # det(-I) = 3 > 0 without -I being positive definite, and two
+    # components whose anti-duals vanish on each other
+    for text in ("vertex a 2\nvertex b 2\nedge a b\n", "vertex a -2\nvertex b -2\n"):
+        with pytest.raises(LatticeError):
+            lattice_of(parse_graph(text))

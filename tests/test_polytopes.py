@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -126,12 +127,16 @@ def test_count_monotone_in_dilation(two_nodes):
 
 
 def test_fiber_partition(two_nodes):
-    dil = _estar_sum(two_nodes, ("v1", "v2"))
-    whole = count(two_nodes, PolytopeQuery("concave", ("v1", "v2"), dil))
-    split = sum(count(two_nodes, PolytopeQuery("concave", ("v1", "v2"), dil,
-                                               fiber=h))
-                for h in all_classes(two_nodes))
-    assert whole == split
+    star = support.star(-2, (-3, -5, -7))
+    cases = [(two_nodes, ("v1", "v2"), _estar_sum(two_nodes, ("v1", "v2"))),
+             (star, ("c",), e_star(star, "c"))]
+    for g, live, dil in cases:
+        for shape in ("convex", "concave"):
+            for boundary, positivity in (("closed", "nonneg"), ("open", "positive")):
+                query = PolytopeQuery(shape, live, dil, boundary, positivity)
+                whole = count(g, query)
+                split = sum(count(g, replace(query, fiber=h)) for h in all_classes(g))
+                assert whole == split > 0
 
 
 def test_inclusion_property(three_nodes):

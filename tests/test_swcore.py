@@ -7,11 +7,12 @@ import support
 from plumbsw import swcore
 from plumbsw.counting import Q
 from plumbsw.lattice import (all_classes, class_of, e_star, lattice_of,
-                             pairing, vec_add, vec_scale)
-from plumbsw.swcore import (QuadraticReport, RouteDisagreement,
+                             pairing, vec_add, vec_scale, vec_sub)
+from plumbsw.polytopes import sw_via_lattice_all
+from plumbsw.swcore import (QuadraticReport, RouteDisagreement, dual_class,
                             duality_cut_vertices, quadratic_check, sw_norm_via_division,
-                            sw_norm_via_duality, sw_norm_via_polypart, sw_raw,
-                            sw_report, sw_shift)
+                            sw_norm_via_duality, sw_norm_via_duality_all,
+                            sw_norm_via_polypart, sw_raw, sw_report, sw_shift)
 
 
 def test_duality_route_values(sigma257, two_nodes):
@@ -116,11 +117,39 @@ def test_report_marks_lattice_not_applicable():
 
 
 def test_report_refuses_contested_value(monkeypatch, sigma257):
-    monkeypatch.setattr(swcore, "sw_norm_via_duality", lambda g, h: 17)
+    monkeypatch.setattr(swcore, "sw_norm_via_duality_all",
+                        lambda g: dict.fromkeys(all_classes(g), 17))
     rep = sw_report(sigma257)
     assert not rep.agree
     assert rep.entries[0].sw_norm_neg is None
     assert rep.entries[0].raw is None
+
+
+def test_batched_routes_match_per_class_counts():
+    # one node, |H| = 139: one walk answers every class
+    g = support.star(-2, (-3, -5, -7))
+    lat = lattice_of(g)
+    assert 50 <= lat.h_order <= 200
+    cut = duality_cut_vertices(g)
+    duality = sw_norm_via_duality_all(g)
+    lattice = sw_via_lattice_all(g)
+    assert list(duality) == list(lattice) == list(all_classes(g))
+    for h in all_classes(g):
+        want = Q(g, dual_class(g, h), cut, vec_sub(lat.z_k, h.rep))
+        assert duality[h] == want == lattice[h]
+
+
+def test_report_divides_once_per_class(monkeypatch, two_nodes):
+    real = swcore.euclid_divide
+    tags = []
+
+    def counted(R):
+        tags.append(R.htag)
+        return real(R)
+
+    monkeypatch.setattr(swcore, "euclid_divide", counted)
+    assert sw_report(two_nodes).agree
+    assert tags == list(all_classes(two_nodes))
 
 
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
@@ -137,6 +166,9 @@ def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     monkeypatch.setattr(swcore, "euclid_divide", crooked)
     with pytest.raises(RouteDisagreement):
         sw_norm_via_polypart(sigma257, h0)
+    entry, = sw_report(sigma257).entries
+    assert "polypart" in entry.errors and "polypart" not in entry.values
+    assert not entry.agree
 
 
 def test_route_agreement_on_corpus(corpus30):
