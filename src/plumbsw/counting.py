@@ -15,46 +15,36 @@ from .lattice import HClass, LatticeError, class_of, lattice_of
 from .series import _cone_visit, live_indices
 
 
-def _prepare(g: PlumbingGraph, h: HClass, subset, x):
+def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
+    """Sum of z(l') over [l'] = h with l'_v < x_v for ``quantifier`` (any
+    or all) of the live v."""
     lat = lattice_of(g)
     active = live_indices(g, subset)
     if class_of(g, x) != h:
         raise LatticeError("cut vector does not represent the requested class")
-    return lat, active, lat.scaled(x), lat.class_to_key(h)
+    sx, hkey = lat.scaled(x), lat.class_to_key(h)
+    total = 0
+
+    def alive(cur):
+        return quantifier(cur[i] < sx[i] for i in active)
+
+    def visit(w, e):
+        nonlocal total
+        if lat.class_key(e) == hkey:
+            total += w
+
+    _cone_visit(lat, alive, visit)
+    return total
 
 
 def Q(g: PlumbingGraph, h: HClass, subset, x) -> int:
     """Sum of z(l') over [l'] = h with l'_v < x_v for at least one live v."""
-    lat, active, sx, hkey = _prepare(g, h, subset, x)
-    total = 0
-
-    def alive(cur):
-        return any(cur[i] < sx[i] for i in active)
-
-    def visit(w, e):
-        nonlocal total
-        if lat.class_key(e) == hkey:
-            total += w
-
-    _cone_visit(lat, alive, visit)
-    return total
+    return _cut_sum(g, h, subset, x, any)
 
 
 def q(g: PlumbingGraph, h: HClass, subset, x) -> int:
     """Sum of z(l') over [l'] = h with l'_v < x_v for every live v."""
-    lat, active, sx, hkey = _prepare(g, h, subset, x)
-    total = 0
-
-    def alive(cur):
-        return all(cur[i] < sx[i] for i in active)
-
-    def visit(w, e):
-        nonlocal total
-        if lat.class_key(e) == hkey:
-            total += w
-
-    _cone_visit(lat, alive, visit)
-    return total
+    return _cut_sum(g, h, subset, x, all)
 
 
 def inclusion_exclusion_check(g: PlumbingGraph, h: HClass, subset, x) -> bool:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
 from .series import (RatFunc, _cone_visit, equivariant_split, live_indices,
-                     reduce, zeta)
+                     off_live_canon, reduce, zeta)
 
 
 class DivisionError(ValueError):
@@ -79,16 +79,8 @@ def euclid_divide(R: RatFunc) -> Decomposition:
     sa = [lat.scaled(a) for a in denom]
     n = len(denom)
     full = frozenset(range(n))
-    off_live = [i for i in range(lat.n) if i not in set(active)]
-
-    def canon(scaled):
-        # Exponents matter only through their live coordinates and their
-        # class; reducing the off-live coordinates to [0,1) merges terms
-        # that differ by a lattice shift invisible to the live variables.
-        out = list(scaled)
-        for i in off_live:
-            out[i] %= d
-        return tuple(out)
+    # Exponents matter only through their live coordinates and their class.
+    canon = off_live_canon(lat, active)
 
     terms: dict[tuple[frozenset, tuple[int, ...]], int] = {}
     for b, c in R.numerator.items():
@@ -125,52 +117,45 @@ def euclid_divide(R: RatFunc) -> Decomposition:
         if not progressed:
             break
 
-    by_s: dict[frozenset[int], dict[Vec, int]] = {}
+    scaled_by_s: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
     for (S, sb), c in terms.items():
-        e = tuple(Fraction(x, d) for x in sb)
-        by_s.setdefault(S, {})[e] = c
-    for S, bucket in by_s.items():
-        for e, c in bucket.items():
-            se = lat.scaled(e)
-            if all(se[i] < 0 for i in active):
-                raise DivisionError(f"certificate exponent {format_vec(e)} strictly negative")
-            if S and any(not _strictly_less_on(se, sa[i], active) for i in S):
-                raise DivisionError("division left a reducible term")
-
-    poly = dict(by_s.get(frozenset(), {}))
-    neg_num: dict[Vec, int] = {}
-    for S, bucket in by_s.items():
-        if not S:
-            continue
-        rest = [denom[i] for i in range(n) if i not in S]
-        for e, c in bucket.items():
-            for exp, cc in _expand_product(e, c, rest):
-                key = _canon_vec(lat, active, exp)
-                neg_num[key] = neg_num.get(key, 0) + cc
-    neg = RatFunc(lat, {e: c for e, c in neg_num.items() if c}, denom, active, htag=R.htag)
-    return Decomposition(lat, active, poly, neg, by_s, denom)
+        scaled_by_s.setdefault(S, {})[sb] = c
+    neg_num: dict[tuple[int, ...], int] = {}
+    for S, bucket in scaled_by_s.items():
+        rest = [sa[i] for i in range(n) if i not in S]
+        for sb, c in bucket.items():
+            if all(sb[i] < 0 for i in active):
+                raise DivisionError("certificate exponent "
+                                    f"{format_vec(_unscale(sb, d))} strictly negative")
+            if S:
+                if any(not _strictly_less_on(sb, sa[i], active) for i in S):
+                    raise DivisionError("division left a reducible term")
+                _expand_product(neg_num, canon, sb, c, rest)
+    by_s = {S: {_unscale(sb, d): c for sb, c in bucket.items()}
+            for S, bucket in scaled_by_s.items()}
+    neg = RatFunc(lat, {_unscale(e, d): c for e, c in neg_num.items()}, denom, active,
+                  htag=R.htag)
+    return Decomposition(lat, active, dict(by_s.get(frozenset(), {})), neg, by_s, denom)
 
 
-def _expand_product(e: Vec, c: int, factors):
-    """Terms of c * t^e * prod (1 - t^a) over the given factors."""
-    acc = {e: c}
+def _unscale(se, d) -> Vec:
+    return tuple(Fraction(x, d) for x in se)
+
+
+def _expand_product(acc, canon, se, c, factors) -> None:
+    """Add the terms of c * t^se * prod (1 - t^a) over the given scaled
+    factors to ``acc``, keyed by their off-live representatives."""
+    part = {se: c}
     for a in factors:
-        new: dict[Vec, int] = {}
-        for b, cb in acc.items():
+        new: dict[tuple[int, ...], int] = {}
+        for b, cb in part.items():
             new[b] = new.get(b, 0) + cb
             shifted = tuple(x + y for x, y in zip(b, a))
             new[shifted] = new.get(shifted, 0) - cb
-        acc = new
-    return acc.items()
-
-
-def _canon_vec(lat: Lattice, active, v: Vec) -> Vec:
-    """Reduce the off-live coordinates to [0,1); a lattice shift invisible
-    to the live variables, so terms equal as reduced monomials of one class
-    get a single representative and can cancel."""
-    live = set(active)
-    return tuple(x if i in live else x - (x.numerator // x.denominator)
-                 for i, x in enumerate(v))
+        part = new
+    for e, ce in part.items():
+        key = canon(e)
+        acc[key] = acc.get(key, 0) + ce
 
 
 def f_h(g: PlumbingGraph, h: HClass, subset) -> RatFunc:
@@ -219,17 +204,18 @@ def polypart_dual(g: PlumbingGraph, h: HClass, subset, with_neg: bool = False) -
     if not with_neg:
         return dec
     lat, active = dec.lat, dec.active
+    canon = off_live_canon(lat, active)
     fh = f_h(g, h, subset)
     denom = fh.denominator
-    num: dict[Vec, int] = {}
+    sdenom = [lat.scaled(a) for a in denom]
+    num: dict[tuple[int, ...], int] = {}
     for b, c in fh.numerator.items():
-        key = _canon_vec(lat, active, b)
+        key = canon(lat.scaled(b))
         num[key] = num.get(key, 0) + c
     for e, c in dec.poly.items():
-        for exp, cc in _expand_product(e, -c, list(denom)):
-            key = _canon_vec(lat, active, exp)
-            num[key] = num.get(key, 0) + cc
-    neg = RatFunc(lat, {e: c for e, c in num.items() if c}, denom, active, htag=h)
+        _expand_product(num, canon, lat.scaled(e), -c, sdenom)
+    neg = RatFunc(lat, {_unscale(e, lat.h_order): c for e, c in num.items()}, denom,
+                  active, htag=h)
     return Decomposition(lat, active, dec.poly, neg, None, denom)
 
 

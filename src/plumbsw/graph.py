@@ -159,20 +159,30 @@ def _connected(g: PlumbingGraph) -> bool:
     return len(reached) == g.n
 
 
-def _minors_all_positive(m) -> tuple[bool, str]:
-    # Fraction-free (Bareiss) elimination over the big integers; the pivot
-    # after step k equals the k-th leading principal minor.
+def definite_adjugate(m):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [m | 1] over the
+    big integers.  The pivot of step k is the (k+1)-th leading principal
+    minor of m, and every entry stays an integer minor of [m | 1], so the
+    elimination ends at [det(m) 1 | adj(m)].
+
+    Returns (det(m), adj(m)) when every leading principal minor is positive
+    (m is positive definite), else the message naming the first that is not.
+    """
     n = len(m)
-    a = [list(row) for row in m]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     prev = 1
     for k in range(n):
-        if a[k][k] <= 0:
-            return False, f"leading principal minor {k + 1} is not positive"
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return True, ""
+        pivot_row = a[k]
+        p = pivot_row[k]
+        if p <= 0:
+            return f"leading principal minor {k + 1} is not positive"
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in a)
 
 
 def validate(g: PlumbingGraph) -> ValidationReport:
@@ -185,8 +195,9 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     checks.append(("tree", tree and connected,
                    "" if tree else f"{len(g.edges)} edges for {g.n} vertices"))
     neg = [[-x for x in row] for row in intersection_matrix(g)]
-    definite, detail = _minors_all_positive(neg)
-    checks.append(("negative definite", definite, detail))
+    elim = definite_adjugate(neg)
+    definite = not isinstance(elim, str)
+    checks.append(("negative definite", definite, "" if definite else elim))
     return ValidationReport(tuple(checks))
 
 

@@ -1,7 +1,9 @@
 """Exact lattice invariants of a plumbing tree.
 
-Everything is computed over the rationals with ``fractions.Fraction``;
-no floating point is used anywhere.  The lattice L is freely generated by
+The form data comes from one fraction-free elimination over the big
+integers: det(-I) and the adjugate of -I, whose columns are the anti-duals
+scaled by det(-I).  Values are handed out as ``fractions.Fraction``; no
+floating point is used anywhere.  The lattice L is freely generated by
 the vertex classes with the (negative definite) intersection form, L' is
 its dual generated by the anti-dual classes, and H = L'/L is the finite
 first homology of the link, of order det(-I).
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graph import (PlumbingGraph, _minors_all_positive, classify_vertices,
+from .graph import (PlumbingGraph, classify_vertices, definite_adjugate,
                     intersection_matrix)
 
 Vec = tuple[Fraction, ...]
@@ -58,47 +60,6 @@ class HClass:
         return format_vec(self.rep)
 
 
-def _invert(matrix):
-    """Exact inverse by Gauss-Jordan over Fraction."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise LatticeError("intersection matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
-def _det(matrix) -> int:
-    # Bareiss fraction-free elimination; exact over the big integers.
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 class Lattice:
     """Cached per-graph bundle: intersection matrix, -I^{-1}, anti-dual
     basis, canonical cycle and scaled integer copies used by enumerations.
@@ -115,18 +76,17 @@ class Lattice:
         self.idx = {v: i for i, v in enumerate(g.ids)}
         self.imat = intersection_matrix(g)
         neg = [[-x for x in row] for row in self.imat]
-        definite, detail = _minors_all_positive(neg)
-        if not definite:
-            raise LatticeError(f"intersection matrix is not negative definite: {detail}")
-        self.h_order = _det(neg)
-        self.neg_inv = _invert(neg)
+        elim = definite_adjugate(neg)
+        if isinstance(elim, str):
+            raise LatticeError(f"intersection matrix is not negative definite: {elim}")
+        d, adj = elim
+        self.h_order = d
+        self.neg_inv = tuple(tuple(Fraction(x, d) for x in row) for row in adj)
         # e_star[i] is column i of -I^{-1}; the matrix is symmetric but we
         # read columns to match the defining property (E*_v, E_w) = -delta.
+        self.sestar = tuple(tuple(adj[r][i] for r in range(self.n)) for i in range(self.n))
         self.estar: tuple[Vec, ...] = tuple(
-            tuple(self.neg_inv[r][i] for r in range(self.n)) for i in range(self.n)
-        )
-        d = self.h_order
-        self.sestar = tuple(tuple(int(x * d) for x in col) for col in self.estar)
+            tuple(Fraction(x, d) for x in col) for col in self.sestar)
         # Every enumeration terminates only because these entries are
         # strictly positive; a disconnected graph has zero entries here.
         if any(x <= 0 for col in self.sestar for x in col):
@@ -137,21 +97,13 @@ class Lattice:
         self.end_idx = tuple(self.idx[v] for v in ends)
         self.deltas = tuple(val[v] for v in g.ids)
         self.mults = tuple(dv - 2 for dv in self.deltas)
-        zk = self._solve_adjunction()
-        self.z_k = zk
-        self.z_k_me: Vec = tuple(x - 1 for x in zk)
+        # (Z_K, E_v) = e_v + 2 for all v, i.e. Z_K = -(-I)^{-1} (euler + 2).
+        rhs = [e + 2 for e in g.eulers]
+        self.z_k = tuple(Fraction(-sum(x * y for x, y in zip(row, rhs)), d) for row in adj)
+        self.z_k_me: Vec = tuple(x - 1 for x in self.z_k)
         self.l_top: Vec = vec_add(self.z_k_me,
                                   _sum_cols(self.estar, self.end_idx, self.n))
         self.zero_class = HClass(tuple(Fraction(0) for _ in range(self.n)))
-
-    def _solve_adjunction(self) -> Vec:
-        # (Z_K, E_v) = e_v + 2 for all v, i.e. I * z = euler + 2.
-        rhs = [e + 2 for e in self.graph.eulers]
-        z = [Fraction(0)] * self.n
-        inv = _invert(self.imat)
-        for i in range(self.n):
-            z[i] = sum((inv[i][j] * rhs[j] for j in range(self.n)), Fraction(0))
-        return tuple(z)
 
     # -- scaled helpers ----------------------------------------------------
     def scaled(self, x) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .graph import PlumbingGraph, adjacency
 from .lattice import (HClass, LatticeError, Vec, all_classes, class_add,
                       class_neg, class_of, lattice_of)
-from .series import live_indices
+from .series import _walk, live_indices
 
 SHAPES = ("convex", "concave")
 BOUNDARIES = ("closed", "open")
@@ -69,69 +69,35 @@ def fiber_counts(g: PlumbingGraph, query: PolytopeQuery) -> dict[tuple[int, ...]
     caps each end coordinate by the dilation."""
     lat = lattice_of(g)
     active = live_indices(g, query.subset)
-    d = lat.h_order
     sdil = lat.scaled(query.dilation)
-    ends = lat.end_idx
-    cols_live = [tuple(lat.sestar[e][i] for i in active) for e in ends]
-    cols_full = [lat.sestar[e] for e in ends]
-    lo = 1 if query.positivity == "positive" else 0
-    closed = query.boundary == "closed"
-    convex = query.shape == "convex"
+    cols = [lat.sestar[e] for e in lat.end_idx]
+    if query.positivity == "positive":
+        if not cols:
+            # No end vertices (single vertex graph): the empty point is the
+            # only candidate, and it is not strictly positive.
+            return {}
+        start = tuple(map(sum, zip(*cols)))
+    else:
+        start = (0,) * lat.n
+    # Scaled values are integers, so the open "< dilation" is "<= dilation - 1".
+    slack = 0 if query.boundary == "closed" else 1
+    caps = [(i, sdil[i] - slack) for i in active]
+    if query.shape == "convex":
+        def alive(cur):
+            return all(cur[i] <= c for i, c in caps)
+    else:
+        def alive(cur):
+            return any(cur[i] <= c for i, c in caps)
 
-    npos = len(active)
-    cur = [0] * npos
-    key = [0] * lat.n
-
-    def alive():
-        if convex:
-            if closed:
-                return all(cur[j] <= sdil[i] for j, i in enumerate(active))
-            return all(cur[j] < sdil[i] for j, i in enumerate(active))
-        if closed:
-            return any(cur[j] <= sdil[i] for j, i in enumerate(active))
-        return any(cur[j] < sdil[i] for j, i in enumerate(active))
-
+    d = lat.h_order
     tally: dict[tuple[int, ...], int] = {}
 
-    def rec(ei: int):
-        if ei == len(ends):
-            fk = tuple(k % d for k in key)
-            tally[fk] = tally.get(fk, 0) + 1
-            return
-        cl = cols_live[ei]
-        cf = cols_full[ei]
-        added = 0
-        ok = True
-        for _ in range(lo):
-            for j in range(npos):
-                cur[j] += cl[j]
-            for r in range(lat.n):
-                key[r] += cf[r]
-            added += 1
-            if not alive():
-                ok = False
-                break
-        if ok:
-            while True:
-                rec(ei + 1)
-                for j in range(npos):
-                    cur[j] += cl[j]
-                for r in range(lat.n):
-                    key[r] += cf[r]
-                added += 1
-                if not alive():
-                    break
-        for j in range(npos):
-            cur[j] -= added * cl[j]
-        for r in range(lat.n):
-            key[r] -= added * cf[r]
+    def visit(_, e):
+        # lat.class_key inlined: this runs once per lattice point
+        fk = tuple(c % d for c in e)
+        tally[fk] = tally.get(fk, 0) + 1
 
-    if not ends:
-        # No end vertices (single vertex graph): the only candidate is the
-        # empty point, subject to the zero-dilation conditions.
-        return {tuple(key): 1} if lo == 0 and alive() else {}
-    if alive():
-        rec(0)
+    _walk(start, [(col, 1) for col in cols], alive, visit)
     return tally
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 
 from .graph import PlumbingGraph
 from .lattice import (HClass, Lattice, Vec, format_vec, lattice_of, vec)
@@ -167,78 +168,74 @@ def reduce(F: FactoredRatFunc, subset) -> RatFunc:
 # enumeration engine
 
 def _zeta_factors(lat: Lattice):
-    bounded, unbounded = [], []
+    """Walker factors of the zeta product, the finite ones first."""
+    finite, series = [], []
     for i, mu in enumerate(lat.mults):
         if mu > 0:
             weights = tuple((-1) ** k * comb(mu, k) for k in range(mu + 1))
-            bounded.append((lat.sestar[i], weights))
+            finite.append((lat.sestar[i], weights))
         elif mu < 0:
-            unbounded.append((lat.sestar[i], -mu))
-    return bounded, unbounded
+            series.append((lat.sestar[i], -mu))
+    return finite + series
 
 
-def _cone_visit(lat: Lattice, alive, visit):
-    """Walk the monomial expansion of the zeta product, calling
+def _walk(start, factors, alive, visit):
+    """Walk the monomial expansion of t^start * prod factors, calling
     visit(weight, scaled_exponent) for every term that satisfies ``alive``.
-    ``alive`` must be antitone along coordinatewise growth; it is rechecked
-    after every elementary increment, which bounds the search."""
-    bounded, unbounded = _zeta_factors(lat)
-    n = lat.n
-    cur = [0] * n
-    if not alive(cur):
-        return
-    factors = [(col, weights, True) for col, weights in bounded]
-    factors += [(col, mult, False) for col, mult in unbounded]
 
-    def rec(fi: int, weight: int):
-        if fi == len(factors):
-            visit(weight, tuple(cur))
+    A factor (a, weights) with a tuple of weights is the polynomial
+    sum_k weights[k] t^{k a}, e.g. (1 - t^a)^mu; a factor (a, m) with an
+    integer m is the series 1/(1 - t^a)^m.  ``alive`` must be antitone along
+    growth by the factor exponents; it is rechecked after every elementary
+    increment, which bounds the search."""
+    if not alive(start):
+        return
+    factors = [(a, info, isinstance(info, tuple)) for a, info in factors]
+    last = len(factors)
+
+    def rec(fi: int, cur: tuple, weight: int):
+        if fi == last:
+            visit(weight, cur)
             return
-        col, info, is_bounded = factors[fi]
+        col, info, finite = factors[fi]
         k = 0
         while True:
-            if is_bounded:
+            if finite:
                 w = info[k]
             else:
                 w = 1 if info == 1 else comb(k + info - 1, info - 1)
-            rec(fi + 1, weight * w)
-            if is_bounded and k + 1 == len(info):
+            rec(fi + 1, cur, weight * w)
+            if finite and k + 1 == len(info):
                 break
-            for r in range(n):
-                cur[r] += col[r]
+            cur = tuple(map(add, cur, col))
             k += 1
             if not alive(cur):
                 break
-        for r in range(n):
-            cur[r] -= k * col[r]
 
-    rec(0, 1)
+    rec(0, start, 1)
 
 
-def _combo_visit(n: int, cols, start, alive, visit):
-    """Nonnegative integer combinations of ``cols`` added to ``start``,
-    pruned by the antitone predicate ``alive``."""
-    cur = list(start)
-    if not alive(cur):
-        return
+def _cone_visit(lat: Lattice, alive, visit):
+    """``_walk`` over the zeta product from the origin."""
+    _walk((0,) * lat.n, _zeta_factors(lat), alive, visit)
 
-    def rec(ci: int):
-        if ci == len(cols):
-            visit(tuple(cur))
-            return
-        col = cols[ci]
-        k = 0
-        while True:
-            rec(ci + 1)
-            for r in range(n):
-                cur[r] += col[r]
-            k += 1
-            if not alive(cur):
-                break
-        for r in range(n):
-            cur[r] -= k * col[r]
 
-    rec(0)
+def off_live_canon(lat: Lattice, active):
+    """The map sending a scaled exponent to its representative with the
+    off-live coordinates reduced to [0,1) (to [0, d) scaled).  This is a
+    lattice shift invisible to the live variables, so terms equal as reduced
+    monomials of one class get one representative and can cancel."""
+    d = lat.h_order
+    live = set(active)
+    off_live = [i for i in range(lat.n) if i not in live]
+
+    def representative(scaled) -> tuple[int, ...]:
+        out = list(scaled)
+        for i in off_live:
+            out[i] %= d
+        return tuple(out)
+
+    return representative
 
 
 def coeff(g: PlumbingGraph, lprime) -> int:
@@ -280,18 +277,9 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
         raise ValueError("function is already tagged with a class")
     lat = R.lat
     d = lat.h_order
-    live = set(R.active)
-    off_live = [i for i in range(lat.n) if i not in live]
-
-    def canon(scaled) -> tuple[int, ...]:
-        # Representative full exponent: off-live coordinates reduced to
-        # [0,1).  Terms with equal live part and equal class collapse to
-        # the same representative, which is what makes the product below
-        # stay small.
-        out = list(scaled)
-        for i in off_live:
-            out[i] %= d
-        return tuple(out)
+    # Equal live part and equal class collapse to one representative, which
+    # is what makes the product below stay small.
+    canon = off_live_canon(lat, R.active)
 
     terms: dict[tuple[int, ...], int] = {}
     for b, c in R.numerator.items():
@@ -360,16 +348,14 @@ def taylor(obj, window: Box) -> TruncatedSeries:
         terms[live] = terms.get(live, 0) + weight
 
     if isinstance(obj, FactoredRatFunc):
+        factors = _zeta_factors(lat)
         for p, pc in obj.prefactor.items():
-            sp = lat.scaled(p)
-            _cone_visit(lat, lambda cur, sp=sp: alive([c + o for c, o in zip(cur, sp)]),
-                        lambda w, e, sp=sp, pc=pc: add(pc * w, tuple(c + o for c, o in zip(e, sp))))
+            _walk(lat.scaled(p), factors, alive, lambda w, e, pc=pc: add(pc * w, e))
         htag = None
     else:
-        cols = [lat.scaled(a) for a in obj.denominator]
+        factors = [(lat.scaled(a), 1) for a in obj.denominator]
         for b, c in obj.numerator.items():
-            _combo_visit(lat.n, cols, lat.scaled(b), alive,
-                         lambda e, c=c: add(c, e))
+            _walk(lat.scaled(b), factors, alive, lambda w, e, c=c: add(c, e))
         htag = obj.htag
     terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(terms, window, "origin", active, htag)
@@ -421,6 +407,7 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
         htag = None
     else:
         cols = [tuple(-x for x in lat.scaled(a)) for a in obj.denominator]
+        factors = [(col, 1) for col in cols]
         caps = dict(zip(active, sbound))
         sign = (-1) ** len(cols)
         base_shift = [0] * lat.n
@@ -434,8 +421,8 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
         for b, c in obj.numerator.items():
             sb = lat.scaled(b)
             start = tuple(x + s for x, s in zip(sb, base_shift))
-            _combo_visit(lat.n, cols, start, alive,
-                         lambda e, c=c: add(sign * c, tuple(e[i] for i in active)))
+            _walk(start, factors, alive,
+                  lambda w, e, c=c: add(sign * c, tuple(e[i] for i in active)))
         htag = obj.htag
     terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(terms, window, "infinity", active, htag)

@@ -204,6 +204,7 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
     ((K + 2 l')^2 + |V|)/8 + raw invariant of the matching class."""
     lat = lattice_of(g)
     rng = random.Random(seed)
+    duality = sw_norm_via_duality_all(g)
     out = []
     for _ in range(samples):
         lp = list(lat.z_k)
@@ -216,6 +217,6 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
         h = class_of(g, lp)
         lhs = -Q(g, h, g.ids, lp)
         v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, lp))
-        rhs = (pairing(g, v, v) + lat.n) / 8 + sw_raw(g, h, sw_norm_via_duality(g, h))
+        rhs = (pairing(g, v, v) + lat.n) / 8 + sw_raw(g, h, duality[h])
         out.append(QuadraticSample(lp, lhs == rhs))
     return QuadraticReport(tuple(out))

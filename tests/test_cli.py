@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import support
 from plumbsw.cli import main
 
 GRAPHS = support.GRAPH_DIR
+
+# Exact stdout and exit code of the printing commands on the shipped graphs,
+# in both formats.  Regenerate, only for an intended output change, with
+# ``PYTHONPATH=src python tests/test_cli.py``.
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.txt"
+GOLDEN_COMMANDS = (("invariants",), ("zeta",), ("zeta", "--box", "30"),
+                   ("polypart",), ("sw",))
 
 
 def run(capsys, *argv):
@@ -143,3 +153,37 @@ def test_verify_rejects_no_samples(capsys):
                              "--samples", samples)
         assert code == 2 and out == ""
         assert "--samples" in err
+
+
+def test_count_without_ends(capsys, tmp_path):
+    # A one-vertex graph has no end coordinates: the empty point is the only
+    # candidate, and it is not strictly positive.
+    single = tmp_path / "single.graph"
+    single.write_text("vertex a -2\n")
+    for positivity, want in (("nonneg", 1), ("positive", 0)):
+        code, out, _ = run(capsys, "count", single, "--reduce", "a",
+                           "--dilation", "2", "--positivity", positivity)
+        assert code == 0 and out == f"count = {want}\n"
+
+
+def golden_transcript() -> str:
+    blocks = []
+    for name in ("sigma_2_5_7.graph", "two_nodes_h3.graph", "three_nodes_h1.graph"):
+        for fmt in ("text", "json-lines"):
+            for command, *options in GOLDEN_COMMANDS:
+                argv = [command, name, *options, "--format", fmt]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main([command, str(GRAPHS / name), *options, "--format", fmt])
+                blocks.append(f"$ plumbsw {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
+    return "".join(blocks)
+
+
+def test_golden_cli_output():
+    want = GOLDEN.read_text(encoding="utf-8")
+    assert golden_transcript().splitlines() == want.splitlines()
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(golden_transcript(), encoding="utf-8")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from plumbsw.graph import parse_graph
+from plumbsw.graph import definite_adjugate, parse_graph, validate
 from plumbsw.lattice import (LatticeError, all_classes,
                              canonical_cycle, class_add, class_neg, class_of,
                              e_star, intersection_data, l_top, lattice_of,
@@ -32,6 +32,49 @@ def _det_oracle(m):
             minor = [row[:j] + row[j + 1:] for row in m[1:]]
             total += (-1) ** j * m[0][j] * _det_oracle(minor)
     return total
+
+
+def _random_symmetric(rng, n, definite):
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if not definite:
+        return [[b[i][j] + b[j][i] for j in range(n)] for i in range(n)]
+    return [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+def test_definite_adjugate_on_positive_definite_matrices():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = _random_symmetric(rng, n, definite=True)
+        det, adj = definite_adjugate(m)
+        assert det == _det_oracle(m)
+        for i in range(n):
+            for j in range(n):
+                assert sum(m[i][k] * adj[k][j] for k in range(n)) == (det if i == j else 0)
+
+
+def test_definite_adjugate_names_first_bad_minor():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = _random_symmetric(rng, n, definite=False)
+        minors = [_det_oracle([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        bad = next((k for k, minor in enumerate(minors, start=1) if minor <= 0), None)
+        result = definite_adjugate(m)
+        if bad is None:
+            assert result[0] == minors[-1]
+        else:
+            seen.add(bad)
+            assert result == f"leading principal minor {bad} is not positive"
+    assert len(seen) >= 3
+    # validate prints the same text for a graph whose -I fails at minor 1 or 2
+    for text, k in (("vertex a 2\nvertex b 2\nedge a b\n", 1),
+                    ("vertex a -1\nvertex b -1\nedge a b\n", 2)):
+        check = dict((name, (ok, detail)) for name, ok, detail in
+                     validate(parse_graph(text)).checks)["negative definite"]
+        assert check == (False, f"leading principal minor {k} is not positive")
 
 
 def test_neg_inverse_matches_printed_matrix(sigma257):
