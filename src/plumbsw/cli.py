@@ -156,6 +156,22 @@ def cmd_polypart(g, args) -> int:
     return 0 if agree else 1
 
 
+def _routes_text(entry) -> str:
+    """An sw entry's route values and route errors, in route order."""
+    parts = []
+    for route in swcore.ROUTES:
+        if route in entry.values:
+            parts.append(f"{route}={entry.values[route]}")
+        elif route in entry.errors:
+            parts.append(f"{route}=? ({entry.errors[route]})")
+    return " ".join(parts)
+
+
+def _witness(entry) -> str:
+    """The class and route values of an sw entry, or "" for no entry."""
+    return "" if entry is None else f"h={entry.h} {_routes_text(entry)}"
+
+
 def cmd_sw(g, args) -> int:
     methods = swcore.ROUTES if args.method == "all" else (args.method,)
     report = swcore.sw_report(g, methods)
@@ -163,6 +179,8 @@ def cmd_sw(g, args) -> int:
     for e in report.entries:
         text = (f"h={e.h} -sw_norm={e.sw_norm_neg if e.sw_norm_neg is not None else '?'}"
                 f" agree={'true' if e.agree else 'false'}")
+        if not e.agree:
+            text += " " + _routes_text(e)
         recs.append({"h": str(e.h), "sw_norm_neg": e.sw_norm_neg,
                      "agree": e.agree, "routes": e.values,
                      "raw": format_frac(e.raw) if e.raw is not None else None,
@@ -213,7 +231,7 @@ def cmd_verify(g, args) -> int:
         sym_ok = sym_ok and a.terms == b.terms
     record("gorenstein-symmetry", sym_ok)
 
-    ie_ok = True
+    ie_fail = ""
     for _ in range(args.samples):
         size = rng.randint(1, min(3, g.n))
         subset = tuple(sorted(rng.sample(g.ids, size)))
@@ -221,15 +239,20 @@ def cmd_verify(g, args) -> int:
         for i in range(lat.n):
             x = vec_add(x, vec_scale(rng.randint(0, 2), lat.estar[i]))
         h = class_of(g, x)
-        ie_ok = ie_ok and counting.inclusion_exclusion_check(g, h, subset, x)
-    record("inclusion-exclusion", ie_ok)
+        if not ie_fail and not counting.inclusion_exclusion_check(g, h, subset, x):
+            ie_fail = f"subset={','.join(subset)} x={format_vec(x)}"
+    record("inclusion-exclusion", not ie_fail, ie_fail)
 
-    report = swcore.sw_report(g)
-    record("division-vs-duality", not any("polypart" in e.errors for e in report.entries))
-    record("route-agreement", report.agree)
+    entries = swcore.sw_report(g).entries
+    mismatch = next((e for e in entries if "polypart" in e.errors), None)
+    record("division-vs-duality", mismatch is None, _witness(mismatch))
+    disagree = next((e for e in entries if not e.agree), None)
+    record("route-agreement", disagree is None, _witness(disagree))
 
-    record("quadratic-consistency",
-           swcore.quadratic_check(g, samples=args.samples, seed=args.seed).ok)
+    quadratic = swcore.quadratic_check(g, samples=args.samples, seed=args.seed)
+    bad = next((s for s in quadratic.samples if not s.ok), None)
+    record("quadratic-consistency", bad is None,
+           "" if bad is None else f"l'={format_vec(bad.lprime)}")
 
     recs = [{"check": name, "pass": ok, "detail": detail,
              "_text": ("ok " if ok else "FAIL ") + name + (f": {detail}" if detail else "")}

@@ -20,8 +20,10 @@ contains all nodes.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
@@ -38,9 +40,9 @@ class Decomposition:
     lat: Lattice
     active: tuple[int, ...]
     poly: dict[Vec, int]
-    neg: RatFunc | None
     by_s: dict[frozenset[int], dict[Vec, int]] | None
     denominator: tuple[Vec, ...]
+    htag: HClass | None = None
 
     def poly_live(self) -> dict[Vec, int]:
         """Polynomial part as a map on live exponents, merged."""
@@ -49,6 +51,22 @@ class Decomposition:
             live = tuple(Fraction(e[i]) for i in self.active)
             out[live] = out.get(live, 0) + c
         return {e: c for e, c in out.items() if c}
+
+    @cached_property
+    def neg(self) -> RatFunc | None:
+        """Negative degree part: the non-empty S of ``by_s`` over the full denominator."""
+        if self.by_s is None:
+            return None
+        lat = self.lat
+        canon = off_live_canon(lat, self.active)
+        sa = [lat.scaled(a) for a in self.denominator]
+        num: dict[tuple[int, ...], int] = {}
+        for S in filter(None, self.by_s):
+            rest = [a for i, a in enumerate(sa) if i not in S]
+            for b, c in self.by_s[S].items():
+                _expand_product(num, canon, lat.scaled(b), c, rest)
+        return RatFunc(lat, {_unscale(e, lat.h_order): c for e, c in num.items()},
+                       self.denominator, self.active, htag=self.htag)
 
 
 def evaluate_at_one(poly: dict) -> int:
@@ -66,76 +84,58 @@ def euclid_divide(R: RatFunc) -> Decomposition:
 
     One step picks the smallest applicable denominator index i0 and replaces
     the fraction by -t^{b-a_{i0}} over S minus i0 plus t^{b-a_{i0}} over S.
-    Each step subtracts a strictly positive vector from an exponent whose
-    positive live part is nonzero, so the multiset of measures
-    sum_v max(b_v, 0) strictly decreases and the loop terminates.
+    Both new exponents have a smaller live-coordinate sum, a_{i0} being
+    strictly positive on the live coordinates, so one pass in decreasing
+    order of that sum pops each key (S, b) after every key that feeds it and
+    rewrites it once, with its final coefficient.  Steps are linear and
+    depend only on their key, so ``by_s`` does not depend on their order.
+    The pass ends: a step needs some live b_v >= a_{i0,v} > 0, so the
+    measure sum_v max(b_v, 0) strictly decreases.
+
+    Both certificate checks run here.  ``neg``, built on first read, cannot
+    fail its own: its denominators are those of R, and its exponents add
+    live-positive vectors to a b not strictly negative on the live coordinates.
     """
-    lat = R.lat
-    active = R.active
-    d = lat.h_order
+    lat, active, d = R.lat, R.active, R.lat.h_order
     order = sorted(range(len(R.denominator)),
                    key=lambda i: (R.project(R.denominator[i]), R.denominator[i]))
     denom = tuple(R.denominator[i] for i in order)
     sa = [lat.scaled(a) for a in denom]
-    n = len(denom)
-    full = frozenset(range(n))
     # Exponents matter only through their live coordinates and their class.
     canon = off_live_canon(lat, active)
 
     terms: dict[tuple[frozenset, tuple[int, ...]], int] = {}
+    heap: list = []
+
+    def add(S, sb, c):
+        if (S, sb) not in terms:
+            terms[S, sb] = 0
+            heapq.heappush(heap, (-sum(sb[i] for i in active), sorted(S), sb, S))
+        terms[S, sb] += c
+
     for b, c in R.numerator.items():
-        key = (full, canon(lat.scaled(b)))
-        terms[key] = terms.get(key, 0) + c
+        add(frozenset(range(len(denom))), canon(lat.scaled(b)), c)
 
-    def first_applicable(S, sb):
-        for i in sorted(S):
-            if not _strictly_less_on(sb, sa[i], active):
-                return i
-        return None
-
-    while True:
-        snapshot = sorted(terms, key=lambda k: (tuple(k[1][i] for i in active),
-                                                tuple(sorted(k[0])), k[1]))
-        progressed = False
-        for key in snapshot:
-            c = terms.get(key)
-            if not c:
-                continue
-            S, sb = key
-            if not S:
-                continue
-            i0 = first_applicable(S, sb)
-            if i0 is None:
-                continue
-            progressed = True
-            del terms[key]
+    while heap:
+        _, _, sb, S = heapq.heappop(heap)
+        i0 = next((i for i in sorted(S) if not _strictly_less_on(sb, sa[i], active)), None)
+        c = 0 if i0 is None else terms.pop((S, sb))
+        if c:
             shifted = canon(tuple(x - y for x, y in zip(sb, sa[i0])))
-            for nk, nc in (((S - {i0}, shifted), -c), ((S, shifted), c)):
-                terms[nk] = terms.get(nk, 0) + nc
-                if not terms[nk]:
-                    del terms[nk]
-        if not progressed:
-            break
+            add(S - {i0}, shifted, -c)
+            add(S, shifted, c)
 
-    scaled_by_s: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
+    by_s: dict[frozenset[int], dict[Vec, int]] = {}
     for (S, sb), c in terms.items():
-        scaled_by_s.setdefault(S, {})[sb] = c
-    neg_num: dict[tuple[int, ...], int] = {}
-    for S, bucket in scaled_by_s.items():
-        rest = [sa[i] for i in range(n) if i not in S]
-        for sb, c in bucket.items():
-            if all(sb[i] < 0 for i in active):
-                raise DivisionError("certificate exponent "
-                                    f"{format_vec(_unscale(sb, d))} strictly negative")
-            if S:
-                if any(not _strictly_less_on(sb, sa[i], active) for i in S):
-                    raise DivisionError("division left a reducible term")
-                _expand_product(neg_num, canon, sb, c, rest)
-    by_s = {S: {_unscale(sb, d): c for sb, c in bucket.items()}
-            for S, bucket in scaled_by_s.items()}
-    neg = RatFunc(lat, {_unscale(e, d): c for e, c in neg_num.items()}, denom, active,
-                  htag=R.htag)
-    return Decomposition(lat, active, dict(by_s.get(frozenset(), {})), neg, by_s, denom)
+        if not c:
+            continue
+        if all(sb[i] < 0 for i in active):
+            raise DivisionError("certificate exponent "
+                                f"{format_vec(_unscale(sb, d))} strictly negative")
+        if any(not _strictly_less_on(sb, sa[i], active) for i in S):
+            raise DivisionError("division left a reducible term")
+        by_s.setdefault(S, {})[_unscale(sb, d)] = c
+    return Decomposition(lat, active, dict(by_s.get(frozenset(), {})), by_s, denom, R.htag)
 
 
 def _unscale(se, d) -> Vec:
@@ -191,7 +191,7 @@ def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
     for h in all_classes(g):
         bucket = buckets.get(lat.class_to_key(h), {})
         poly = {tuple(Fraction(x, d) for x in e): c for e, c in bucket.items() if c}
-        out[h] = Decomposition(lat, active, poly, None, None, ())
+        out[h] = Decomposition(lat, active, poly, None, ())
     return out
 
 
@@ -214,9 +214,10 @@ def polypart_dual(g: PlumbingGraph, h: HClass, subset, with_neg: bool = False) -
         num[key] = num.get(key, 0) + c
     for e, c in dec.poly.items():
         _expand_product(num, canon, lat.scaled(e), -c, sdenom)
-    neg = RatFunc(lat, {_unscale(e, lat.h_order): c for e, c in num.items()}, denom,
-                  active, htag=h)
-    return Decomposition(lat, active, dec.poly, neg, None, denom)
+    out = Decomposition(lat, active, dec.poly, None, denom, h)
+    out.neg = RatFunc(lat, {_unscale(e, lat.h_order): c for e, c in num.items()}, denom,
+                      active, htag=h)
+    return out
 
 
 def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:

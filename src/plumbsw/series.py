@@ -26,7 +26,7 @@ from math import comb, lcm
 from operator import add
 
 from .graph import PlumbingGraph
-from .lattice import (HClass, Lattice, Vec, format_vec, lattice_of, vec)
+from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of, vec
 
 
 class WindowError(ValueError):
@@ -312,7 +312,6 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
         by_class.setdefault(ck, {})[tuple(Fraction(x, d) for x in e)] = c
 
     out: dict[HClass, RatFunc] = {}
-    from .lattice import all_classes
     for h in all_classes(lat.graph):
         num = by_class.get(lat.class_to_key(h), {})
         out[h] = RatFunc(lat, num, tuple(new_denom), R.active, htag=h)

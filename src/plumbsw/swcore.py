@@ -28,7 +28,7 @@ from .graph import PlumbingGraph
 from .lattice import (HClass, all_classes, class_add, class_neg, class_of,
                       lattice_of, pairing, vec_add, vec_scale)
 from .polytopes import PolytopeError, sw_via_lattice_all
-from .series import _cone_visit, live_indices
+from .series import _cone_visit, equivariant_split, live_indices, reduce, zeta
 
 
 class RouteDisagreement(RuntimeError):
@@ -85,15 +85,13 @@ def sw_norm_via_duality(g: PlumbingGraph, h: HClass) -> int:
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
-def sw_norm_via_polypart(g: PlumbingGraph, h: HClass, check_division: bool = True) -> int:
-    """-sw^norm_h as the coefficient sum of the polynomial part; optionally
-    verified against the Euclidean-division construction."""
+def sw_norm_via_polypart(g: PlumbingGraph, h: HClass) -> int:
+    """-sw^norm_h as the coefficient sum of the polynomial part, verified
+    against the Euclidean-division construction."""
     subset = duality_cut_vertices(g)
     dec = polypart_dual(g, h, subset)
-    if check_division:
-        div = euclid_divide(f_h(g, h, subset))
-        if div.poly_live() != dec.poly_live():
-            raise RouteDisagreement(_POLYPART_MISMATCH)
+    if euclid_divide(f_h(g, h, subset)).poly_live() != dec.poly_live():
+        raise RouteDisagreement(_POLYPART_MISMATCH)
     return evaluate_at_one(dec.poly)
 
 
@@ -144,12 +142,14 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     representative; refuse to normalize when the routes disagree.
 
     Duality, polypart and lattice each enumerate once for the whole graph.
-    Euclidean division runs once per class, one class at a time, and its
-    polynomial part serves both the division route and polypart's
-    cross-check."""
+    The reduced zeta function is split once, and Euclidean division runs once
+    per class on its H-component; that polynomial part serves both the
+    division route and polypart's cross-check."""
     subset = duality_cut_vertices(g)
     duality = sw_norm_via_duality_all(g) if "duality" in methods else None
     polys = polypart_dual_all(g, subset) if "polypart" in methods else None
+    split = (equivariant_split(reduce(zeta(g), subset))
+             if "polypart" in methods or "division" in methods else None)
     lattice, lattice_error = None, None
     if "lattice" in methods:
         try:
@@ -162,8 +162,8 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
         errors: dict[str, str] = {}
         if duality is not None:
             values["duality"] = duality[h]
-        if "polypart" in methods or "division" in methods:
-            div = euclid_divide(f_h(g, h, subset)).poly_live()
+        if split is not None:
+            div = euclid_divide(split[h]).poly_live()
         if polys is not None:
             if div != polys[h].poly_live():
                 errors["polypart"] = _POLYPART_MISMATCH

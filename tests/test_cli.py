@@ -14,6 +14,13 @@ GRAPHS = support.GRAPH_DIR
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.txt"
 GOLDEN_COMMANDS = (("invariants",), ("zeta",), ("zeta", "--box", "30"),
                    ("polypart",), ("sw",))
+# Division certificates of two_nodes_h3 beyond the default polypart run: its
+# two non-zero classes, and the reduction to every vertex.
+GOLDEN_EXTRA = (
+    ("polypart", "two_nodes_h3.graph", "--h", "0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3"),
+    ("polypart", "two_nodes_h3.graph", "--h", "0,0,2/3,2/3,1/3,1/3,0,0,1/3,2/3"),
+    ("polypart", "two_nodes_h3.graph", "--reduce", "w1,v1,a1,a2,a3,a4,v2,w2,w3,w4"),
+)
 
 
 def run(capsys, *argv):
@@ -166,16 +173,81 @@ def test_count_without_ends(capsys, tmp_path):
         assert code == 0 and out == f"count = {want}\n"
 
 
+# star(-1; -3,-4,-5,-5): |H| = 5, and the lattice route is off by one on
+# class 0 (a node of valency 4).
+STAR4 = "vertex c -1\n" + "".join(
+    f"vertex l{i} {e}\nedge c l{i}\n" for i, e in enumerate((-3, -4, -5, -5)))
+STAR4_ROUTES = "h=(0,0,0,0,0) duality=17 polypart=17 division=17 lattice=18"
+
+
+def test_sw_disagreement_names_route_values(capsys, tmp_path):
+    star = tmp_path / "star4.graph"
+    star.write_text(STAR4)
+    code, out, _ = run(capsys, "sw", star)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("h=(0,0,0,0,0) -sw_norm=? agree=false"
+                        " duality=17 polypart=17 division=17 lattice=18")
+    assert lines[1:] == [f"h=(0,0,0,{a},{b}) -sw_norm={v} agree=true" for a, b, v in
+                         (("1/5", "4/5", 10), ("2/5", "3/5", 12), ("3/5", "2/5", 12),
+                          ("4/5", "1/5", 10))]
+    code, out, _ = run(capsys, "sw", star, "--format", "json-lines")
+    rec = json.loads(out.splitlines()[0])
+    assert code == 1 and rec["sw_norm_neg"] is None and rec["errors"] == {}
+    assert rec["routes"] == {"duality": 17, "polypart": 17, "division": 17, "lattice": 18}
+
+
+def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
+    star = tmp_path / "star4.graph"
+    star.write_text(STAR4)
+    code, out, _ = run(capsys, "verify", star, "--samples", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        "ok canonical-cycle-identity", "ok gorenstein-symmetry", "ok inclusion-exclusion",
+        "ok division-vs-duality", "FAIL route-agreement: " + STAR4_ROUTES,
+        "ok quadratic-consistency"]
+    code, out, _ = run(capsys, "verify", star, "--samples", "1", "--format", "json-lines")
+    rec = json.loads(out.splitlines()[4])
+    assert rec == {"check": "route-agreement", "detail": STAR4_ROUTES, "pass": False}
+
+    from plumbsw import counting, decomp, swcore
+    real = decomp.euclid_divide
+
+    def crooked(R):
+        dec = real(R)
+        dec.poly = {}
+        return dec
+
+    monkeypatch.setattr(swcore, "euclid_divide", crooked)
+    monkeypatch.setattr(counting, "inclusion_exclusion_check", lambda *args: False)
+    monkeypatch.setattr(swcore, "Q", lambda *args: 10 ** 6)
+    code, out, _ = run(capsys, "verify", star, "--samples", "2", "--seed", "3")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[2].startswith("FAIL inclusion-exclusion: subset=")
+    assert " x=(" in lines[2] and lines[2].endswith(")")
+    mismatch = ("h=(0,0,0,0,0) duality=17 polypart=? "
+                f"({swcore._POLYPART_MISMATCH}) division=0 lattice=18")
+    assert lines[3] == "FAIL division-vs-duality: " + mismatch
+    assert lines[4] == "FAIL route-agreement: " + mismatch
+    assert lines[5].startswith("FAIL quadratic-consistency: l'=(")
+
+
 def golden_transcript() -> str:
+    runs = [(command, name, fmt, options)
+            for name in ("sigma_2_5_7.graph", "two_nodes_h3.graph", "three_nodes_h1.graph")
+            for fmt in ("text", "json-lines")
+            for command, *options in GOLDEN_COMMANDS]
+    runs += [(command, name, fmt, options)
+             for command, name, *options in GOLDEN_EXTRA
+             for fmt in ("text", "json-lines")]
     blocks = []
-    for name in ("sigma_2_5_7.graph", "two_nodes_h3.graph", "three_nodes_h1.graph"):
-        for fmt in ("text", "json-lines"):
-            for command, *options in GOLDEN_COMMANDS:
-                argv = [command, name, *options, "--format", fmt]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = main([command, str(GRAPHS / name), *options, "--format", fmt])
-                blocks.append(f"$ plumbsw {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
+    for command, name, fmt, options in runs:
+        argv = [command, name, *options, "--format", fmt]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, str(GRAPHS / name), *options, "--format", fmt])
+        blocks.append(f"$ plumbsw {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
     return "".join(blocks)
 
 

@@ -8,7 +8,8 @@ from plumbsw.decomp import (dual_polypart, euclid_divide, evaluate_at_one,
                             f_h, polypart_dual)
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, lattice_of
-from plumbsw.series import Box, RatFunc, taylor
+from plumbsw.series import (Box, RatFunc, equivariant_split, off_live_canon, reduce,
+                            taylor, zeta)
 from plumbsw.swcore import duality_cut_vertices
 
 
@@ -177,3 +178,34 @@ def test_resummation_on_window(two_nodes):
             if box.contains(e):
                 acc[e] = acc.get(e, 0) + c
         assert {e: c for e, c in acc.items() if c} == whole
+
+
+def test_division_resums_exactly_on_corpus(corpus30):
+    # poly * prod (1 - t^a) + neg.numerator is the numerator of the split
+    # component, on scaled integers up to the off-live lattice shift.
+    for g in corpus30:
+        lat = lattice_of(g)
+        live = duality_cut_vertices(g)
+        split = equivariant_split(reduce(zeta(g), live))
+        for h in all_classes(g):
+            R = split[h]
+            dec = euclid_divide(R)
+            assert "neg" not in vars(dec)
+            assert sorted(dec.neg.denominator) == sorted(R.denominator)
+            canon = off_live_canon(lat, dec.active)
+            total, want = {}, {}
+            for e, c in dec.poly.items():
+                part = {lat.scaled(e): c}
+                for a in map(lat.scaled, dec.denominator):
+                    grown = dict(part)
+                    for b, cb in part.items():
+                        key = tuple(x + y for x, y in zip(b, a))
+                        grown[key] = grown.get(key, 0) - cb
+                    part = grown
+                for b, cb in part.items():
+                    total[canon(b)] = total.get(canon(b), 0) + cb
+            for acc, numerator in ((total, dec.neg.numerator), (want, R.numerator)):
+                for b, c in numerator.items():
+                    key = canon(lat.scaled(b))
+                    acc[key] = acc.get(key, 0) + c
+            assert {b: c for b, c in total.items() if c} == {b: c for b, c in want.items() if c}

@@ -152,6 +152,22 @@ def test_report_divides_once_per_class(monkeypatch, two_nodes):
     assert tags == list(all_classes(two_nodes))
 
 
+def test_report_splits_once_per_graph(monkeypatch, two_nodes):
+    real = swcore.equivariant_split
+    calls = []
+
+    def counted(R):
+        calls.append(R.active)
+        return real(R)
+
+    monkeypatch.setattr(swcore, "equivariant_split", counted)
+    assert sw_report(two_nodes).agree
+    assert len(calls) == 1
+    for method in ("duality", "lattice"):
+        assert sw_report(two_nodes, (method,)).agree
+    assert len(calls) == 1
+
+
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     from plumbsw import decomp
     h0 = lattice_of(sigma257).zero_class
