@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import (RatFunc, _cone_visit, equivariant_split, live_indices,
+from .series import (RatFunc, _component, _cone_visit, _split_terms, live_indices,
                      off_live_canon, reduce, zeta)
 
 
@@ -159,8 +159,10 @@ def _expand_product(acc, canon, se, c, factors) -> None:
 
 
 def f_h(g: PlumbingGraph, h: HClass, subset) -> RatFunc:
-    """The h-component of the zeta function reduced to ``subset``."""
-    return equivariant_split(reduce(zeta(g), subset))[h]
+    """The h-component of the zeta function reduced to ``subset``; only this
+    component is converted and checked."""
+    R = reduce(zeta(g), subset)
+    return _component(R, h, *_split_terms(R))
 
 
 def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
@@ -175,10 +177,6 @@ def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
     active = live_indices(g, subset)
     d = lat.h_order
     szkme = lat.scaled(lat.z_k_me)
-
-    def alive(cur):
-        return any(cur[i] <= szkme[i] for i in active)
-
     buckets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     def visit(w, e):
@@ -186,7 +184,7 @@ def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
         bucket = buckets.setdefault(lat.class_key(reflected), {})
         bucket[reflected] = bucket.get(reflected, 0) + w
 
-    _cone_visit(lat, alive, visit)
+    _cone_visit(lat, (tuple((i, szkme[i] + 1) for i in active), any), visit)
     out = {}
     for h in all_classes(g):
         bucket = buckets.get(lat.class_to_key(h), {})
@@ -228,14 +226,10 @@ def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:
     lat = lattice_of(g)
     active = live_indices(g, subset)
     d = lat.h_order
-    szk = lat.scaled(lat.z_k)
+    szk = lat.sz_k
     hkey = lat.class_to_key(h)
     want = tuple((zk - hk) % d for zk, hk in zip(szk, hkey))
     szkme = lat.scaled(lat.z_k_me)
-
-    def alive(cur):
-        return any(cur[i] <= szkme[i] for i in active)
-
     check: dict[Vec, int] = {}
 
     def visit(w, e):
@@ -244,7 +238,7 @@ def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:
         live = tuple(Fraction(e[i], d) for i in active)
         check[live] = check.get(live, 0) + w
 
-    _cone_visit(lat, alive, visit)
+    _cone_visit(lat, (tuple((i, szkme[i] + 1) for i in active), any), visit)
     check = {e: c for e, c in check.items() if c}
 
     mirror = polypart_dual(g, h, subset).poly_live()

@@ -99,7 +99,8 @@ class Lattice:
         self.mults = tuple(dv - 2 for dv in self.deltas)
         # (Z_K, E_v) = e_v + 2 for all v, i.e. Z_K = -(-I)^{-1} (euler + 2).
         rhs = [e + 2 for e in g.eulers]
-        self.z_k = tuple(Fraction(-sum(x * y for x, y in zip(row, rhs)), d) for row in adj)
+        self.sz_k = tuple(-sum(x * y for x, y in zip(row, rhs)) for row in adj)
+        self.z_k = tuple(Fraction(x, d) for x in self.sz_k)
         self.z_k_me: Vec = tuple(x - 1 for x in self.z_k)
         self.l_top: Vec = vec_add(self.z_k_me,
                                   _sum_cols(self.estar, self.end_idx, self.n))
@@ -231,8 +232,10 @@ def rho(g: PlumbingGraph, x) -> HClass:
     return lat.key_to_class(lat.class_key(tuple(key)))
 
 
+@lru_cache(maxsize=None)
 def all_classes(g: PlumbingGraph) -> tuple[HClass, ...]:
-    """All of H, reached from the anti-dual generators; sorted by rep."""
+    """All of H, reached from the anti-dual generators; sorted by rep.
+    Enumerated once per graph and cached, as ``lattice_of`` is."""
     lat = lattice_of(g)
     gens = [lat.class_key(col) for col in lat.sestar]
     d = lat.h_order

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .graph import PlumbingGraph, adjacency
 from .lattice import (HClass, LatticeError, Vec, all_classes, class_add,
                       class_neg, class_of, lattice_of)
-from .series import _walk, live_indices
+from .series import _pointwise, _walk, live_indices
 
 SHAPES = ("convex", "concave")
 BOUNDARIES = ("closed", "open")
@@ -79,15 +79,10 @@ def fiber_counts(g: PlumbingGraph, query: PolytopeQuery) -> dict[tuple[int, ...]
         start = tuple(map(sum, zip(*cols)))
     else:
         start = (0,) * lat.n
-    # Scaled values are integers, so the open "< dilation" is "<= dilation - 1".
-    slack = 0 if query.boundary == "closed" else 1
-    caps = [(i, sdil[i] - slack) for i in active]
-    if query.shape == "convex":
-        def alive(cur):
-            return all(cur[i] <= c for i, c in caps)
-    else:
-        def alive(cur):
-            return any(cur[i] <= c for i, c in caps)
+    # Scaled values are integers, so the closed "<= dilation" is "< dilation + 1".
+    slack = 1 if query.boundary == "closed" else 0
+    cut = (tuple((i, sdil[i] + slack) for i in active),
+           all if query.shape == "convex" else any)
 
     d = lat.h_order
     tally: dict[tuple[int, ...], int] = {}
@@ -97,7 +92,8 @@ def fiber_counts(g: PlumbingGraph, query: PolytopeQuery) -> dict[tuple[int, ...]
         fk = tuple(c % d for c in e)
         tally[fk] = tally.get(fk, 0) + 1
 
-    _walk(start, [(col, 1) for col in cols], alive, visit)
+    factors = [(col, 1) for col in cols]
+    _walk(start, factors, cut, _pointwise(factors, visit))
     return tally
 
 

@@ -14,9 +14,16 @@ Windows are explicit values carried by every truncated series; asking for
 a coefficient outside the window raises instead of returning 0.
 
 All enumerations run over scaled integer vectors (coordinates times
-det(-I)) and prune with predicates that are antitone along coordinatewise
-growth, which makes every loop provably finite: all anti-dual entries are
-strictly positive.
+det(-I)) in one walker, ``_walk``, and prune with a coordinate cut: strict
+upper bounds on some coordinates, passed on any or on all of them.  Passing
+is antitone along coordinatewise growth, which makes every loop provably
+finite: all anti-dual entries are strictly positive.  A last walker factor
+that is a series 1/(1 - t^a) of multiplicity 1 is not stepped (the zeta
+walks put the one of smallest column sum last): from a point e that passes,
+the points e + k a that pass are exactly those with k < run, where run is
+the max (any) or min (all) over the bounds of ceil((c_i - e_i)/a_i), a
+ceiling division by a strictly positive anti-dual entry.  One visit stands
+for the whole run.
 """
 from __future__ import annotations
 
@@ -168,7 +175,9 @@ def reduce(F: FactoredRatFunc, subset) -> RatFunc:
 # enumeration engine
 
 def _zeta_factors(lat: Lattice):
-    """Walker factors of the zeta product, the finite ones first."""
+    """Walker factors of the zeta product: the finite ones first, then the
+    series ones, ending with the series factor 1/(1 - t^a) of smallest column
+    sum, whose runs are the longest."""
     finite, series = [], []
     for i, mu in enumerate(lat.mults):
         if mu > 0:
@@ -176,28 +185,52 @@ def _zeta_factors(lat: Lattice):
             finite.append((lat.sestar[i], weights))
         elif mu < 0:
             series.append((lat.sestar[i], -mu))
+    series.sort(key=lambda f: (f[1] == 1, -sum(f[0])))
     return finite + series
 
 
-def _walk(start, factors, alive, visit):
-    """Walk the monomial expansion of t^start * prod factors, calling
-    visit(weight, scaled_exponent) for every term that satisfies ``alive``.
+def _walk(start, factors, cut, visit):
+    """Walk the monomial expansion of t^start * prod factors over the points
+    that pass ``cut``, calling visit(weight, scaled_exponent, run).
 
     A factor (a, weights) with a tuple of weights is the polynomial
     sum_k weights[k] t^{k a}, e.g. (1 - t^a)^mu; a factor (a, m) with an
-    integer m is the series 1/(1 - t^a)^m.  ``alive`` must be antitone along
-    growth by the factor exponents; it is rechecked after every elementary
-    increment, which bounds the search."""
+    integer m is the series 1/(1 - t^a)^m.  ``cut`` is (bounds, quantifier):
+    a tuple of (index, strict upper bound) pairs and ``any`` or ``all``; a
+    point p passes when quantifier(p[i] < c for i, c in bounds).  Passing
+    is antitone along growth by the factor exponents, so it is rechecked
+    after every elementary increment, which bounds the search.
+
+    Run rule: when the last factor is a series factor 1/(1 - t^a) of
+    multiplicity 1, it is not stepped.  From a point e that passes, the
+    points e + k a with 0 <= k < run pass and no later one does, where run
+    is the max (any) or min (all) over the bounds of ceil((c_i - e_i)/a_i);
+    visit(weight, e, run) stands for all of them, each with weight
+    ``weight``.  Otherwise every visit has run 1.  Every walk is finite
+    because the factor exponents are strictly positive on the bounded
+    coordinates (``Lattice`` checks the anti-dual entries), which also makes
+    each run a finite ceiling division."""
+    bounds, quantifier = cut
+
+    def alive(cur):
+        return quantifier(cur[i] < c for i, c in bounds)
+
     if not alive(start):
         return
     factors = [(a, info, isinstance(info, tuple)) for a, info in factors]
+    col = None
+    if factors and factors[-1][1] == 1:
+        col = factors.pop()[0]
+        widest = max if quantifier is any else min
     last = len(factors)
 
     def rec(fi: int, cur: tuple, weight: int):
         if fi == last:
-            visit(weight, cur)
+            run = 1 if col is None else widest(
+                [-((cur[i] - c) // col[i]) for i, c in bounds])
+            visit(weight, cur, run)
             return
-        col, info, finite = factors[fi]
+        a, info, finite = factors[fi]
         k = 0
         while True:
             if finite:
@@ -207,7 +240,7 @@ def _walk(start, factors, alive, visit):
             rec(fi + 1, cur, weight * w)
             if finite and k + 1 == len(info):
                 break
-            cur = tuple(map(add, cur, col))
+            cur = tuple(map(add, cur, a))
             k += 1
             if not alive(cur):
                 break
@@ -215,9 +248,25 @@ def _walk(start, factors, alive, visit):
     rec(0, start, 1)
 
 
-def _cone_visit(lat: Lattice, alive, visit):
-    """``_walk`` over the zeta product from the origin."""
-    _walk((0,) * lat.n, _zeta_factors(lat), alive, visit)
+def _pointwise(factors, visit):
+    """A ``_walk`` visitor that calls visit(weight, e) at every point of each
+    run, stepping by the last factor's exponent."""
+    col = factors[-1][0] if factors else None
+
+    def visit_run(weight, e, run):
+        visit(weight, e)
+        for _ in range(run - 1):
+            e = tuple(map(add, e, col))
+            visit(weight, e)
+
+    return visit_run
+
+
+def _cone_visit(lat: Lattice, cut, visit):
+    """``_walk`` over the zeta product from the origin, calling
+    visit(weight, e) at every point that passes ``cut``."""
+    factors = _zeta_factors(lat)
+    _walk((0,) * lat.n, factors, cut, _pointwise(factors, visit))
 
 
 def off_live_canon(lat: Lattice, active):
@@ -246,15 +295,12 @@ def coeff(g: PlumbingGraph, lprime) -> int:
     target = lat.scaled(lprime)
     total = 0
 
-    def alive(cur):
-        return all(c <= t for c, t in zip(cur, target))
-
     def visit(w, e):
         nonlocal total
         if e == target:
             total += w
 
-    _cone_visit(lat, alive, visit)
+    _cone_visit(lat, (tuple((i, t + 1) for i, t in enumerate(target)), all), visit)
     return total
 
 
@@ -273,10 +319,25 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
     numerator terms are then grouped by the class of their exponent.  The
     components sum back to the input as reduced rational functions.
     """
+    by_class, denom = _split_terms(R)
+    return {h: _component(R, h, by_class, denom) for h in all_classes(R.lat.graph)}
+
+
+def _component(R: RatFunc, h: HClass, by_class, denom) -> RatFunc:
+    """The h-component of R from the scaled terms of ``_split_terms``."""
+    lat = R.lat
+    d = lat.h_order
+    num = {tuple(Fraction(x, d) for x in e): c
+           for e, c in by_class.get(lat.class_to_key(h), {}).items()}
+    return RatFunc(lat, num, denom, R.active, htag=h)
+
+
+def _split_terms(R: RatFunc):
+    """The numerator terms of every H-component of R as scaled exponents,
+    keyed by class key, and their class-trivial denominator."""
     if R.htag is not None:
         raise ValueError("function is already tagged with a class")
     lat = R.lat
-    d = lat.h_order
     # Equal live part and equal class collapse to one representative, which
     # is what makes the product below stay small.
     canon = off_live_canon(lat, R.active)
@@ -304,18 +365,11 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
                 grown[key] = grown.get(key, 0) + c
         terms = {e: c for e, c in grown.items() if c}
 
-    by_class: dict[tuple[int, ...], dict[Vec, int]] = {}
+    by_class: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for e, c in terms.items():
-        if not c:
-            continue
-        ck = lat.class_key(e)
-        by_class.setdefault(ck, {})[tuple(Fraction(x, d) for x in e)] = c
-
-    out: dict[HClass, RatFunc] = {}
-    for h in all_classes(lat.graph):
-        num = by_class.get(lat.class_to_key(h), {})
-        out[h] = RatFunc(lat, num, tuple(new_denom), R.active, htag=h)
-    return out
+        if c:
+            by_class.setdefault(lat.class_key(e), {})[e] = c
+    return by_class, tuple(new_denom)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +388,8 @@ def taylor(obj, window: Box) -> TruncatedSeries:
     sbound = [int(Fraction(b) * d) for b in window.bound]
     if len(sbound) != len(active):
         raise WindowError("window bound must match the live coordinate count")
-    caps = dict(zip(active, sbound))
+    cut = (tuple((i, b + 1) for i, b in zip(active, sbound)), all)
     terms: dict[Vec, int] = {}
-
-    def alive(cur):
-        return all(cur[i] <= caps[i] for i in active)
 
     def add(weight, scaled_exp):
         if not weight:
@@ -349,12 +400,13 @@ def taylor(obj, window: Box) -> TruncatedSeries:
     if isinstance(obj, FactoredRatFunc):
         factors = _zeta_factors(lat)
         for p, pc in obj.prefactor.items():
-            _walk(lat.scaled(p), factors, alive, lambda w, e, pc=pc: add(pc * w, e))
+            _walk(lat.scaled(p), factors, cut,
+                  _pointwise(factors, lambda w, e, pc=pc: add(pc * w, e)))
         htag = None
     else:
         factors = [(lat.scaled(a), 1) for a in obj.denominator]
         for b, c in obj.numerator.items():
-            _walk(lat.scaled(b), factors, alive, lambda w, e, c=c: add(c, e))
+            _walk(lat.scaled(b), factors, cut, _pointwise(factors, lambda w, e, c=c: add(c, e)))
         htag = obj.htag
     terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(terms, window, "origin", active, htag)
@@ -394,34 +446,25 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
         if obj.prefactor != {vec([0] * lat.n): 1}:
             raise ValueError("closed form expansion needs trivial prefactor")
         szkme = lat.scaled(lat.z_k_me)
-        caps = {i: szkme[i] - b for i, b in zip(active, sbound)}
-
-        def alive(cur):
-            return any(cur[i] <= caps[i] for i in active)
+        cut = (tuple((i, szkme[i] - b + 1) for i, b in zip(active, sbound)), any)
 
         def visit(w, e):
             add(w, tuple(szkme[i] - e[i] for i in active))
 
-        _cone_visit(lat, alive, visit)
+        _cone_visit(lat, cut, visit)
         htag = None
     else:
-        cols = [tuple(-x for x in lat.scaled(a)) for a in obj.denominator]
-        factors = [(col, 1) for col in cols]
-        caps = dict(zip(active, sbound))
-        sign = (-1) ** len(cols)
-        base_shift = [0] * lat.n
-        for c in cols:
-            for r in range(lat.n):
-                base_shift[r] += c[r]
-
-        def alive(cur):
-            return any(cur[i] >= caps[i] for i in active)
-
+        # Expanded downward from t^{b - sum a}; the walk runs on the negated
+        # exponent, upward by the a, and "some live e_i >= bound_i" becomes
+        # "some live -e_i < 1 - bound_i".
+        factors = [(lat.scaled(a), 1) for a in obj.denominator]
+        sign = (-1) ** len(factors)
+        shift = tuple(map(sum, zip((0,) * lat.n, *(a for a, _ in factors))))
+        cut = (tuple((i, 1 - b) for i, b in zip(active, sbound)), any)
         for b, c in obj.numerator.items():
-            sb = lat.scaled(b)
-            start = tuple(x + s for x, s in zip(sb, base_shift))
-            _walk(start, factors, alive,
-                  lambda w, e, c=c: add(sign * c, tuple(e[i] for i in active)))
+            start = tuple(s - x for x, s in zip(lat.scaled(b), shift))
+            _walk(start, factors, cut, _pointwise(
+                factors, lambda w, e, c=c: add(sign * c, tuple(-e[i] for i in active))))
         htag = obj.htag
     terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(terms, window, "infinity", active, htag)

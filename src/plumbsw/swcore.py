@@ -26,7 +26,7 @@ from .decomp import (evaluate_at_one, euclid_divide, f_h, polypart_dual,
                      polypart_dual_all)
 from .graph import PlumbingGraph
 from .lattice import (HClass, all_classes, class_add, class_neg, class_of,
-                      lattice_of, pairing, vec_add, vec_scale)
+                      lattice_of)
 from .polytopes import PolytopeError, sw_via_lattice_all
 from .series import _cone_visit, equivariant_split, live_indices, reduce, zeta
 
@@ -56,7 +56,7 @@ def sw_norm_via_duality_all(g: PlumbingGraph) -> dict[HClass, int]:
     the cut vertices."""
     lat = lattice_of(g)
     active = live_indices(g, duality_cut_vertices(g))
-    szk = lat.scaled(lat.z_k)
+    szk = lat.sz_k
     classes = all_classes(g)
     cuts = {}
     for h in classes:
@@ -64,15 +64,12 @@ def sw_norm_via_duality_all(g: PlumbingGraph) -> dict[HClass, int]:
         cuts[lat.class_key(cut)] = (h, cut)
     totals = dict.fromkeys(classes, 0)
 
-    def alive(cur):
-        return any(cur[i] < szk[i] for i in active)
-
     def visit(w, e):
         h, cut = cuts[lat.class_key(e)]
         if any(e[i] < cut[i] for i in active):
             totals[h] += w
 
-    _cone_visit(lat, alive, visit)
+    _cone_visit(lat, (tuple((i, szk[i]) for i in active), any), visit)
     return totals
 
 
@@ -102,11 +99,20 @@ def sw_norm_via_division(g: PlumbingGraph, h: HClass) -> int:
     return evaluate_at_one(euclid_divide(f_h(g, h, subset)).poly_live())
 
 
+def _quadratic_shift(lat, sv) -> Fraction:
+    """((v, v) + |V|)/8 for v = sv/d, from the scaled integer vector sv:
+    (sv, sv) sums the Euler numbers on the diagonal and 1 per tree edge."""
+    g, d = lat.graph, lat.h_order
+    square = sum(e * x * x for e, x in zip(g.eulers, sv))
+    square += 2 * sum(sv[lat.idx[a]] * sv[lat.idx[b]] for a, b in g.edges)
+    return Fraction(square + lat.n * d * d, 8 * d * d)
+
+
 def sw_shift(g: PlumbingGraph, h: HClass) -> Fraction:
     """((K + 2 r_h)^2 + |V|)/8 with K = -Z_K, computed exactly."""
     lat = lattice_of(g)
-    v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, h.rep))
-    return (pairing(g, v, v) + lat.n) / 8
+    return _quadratic_shift(lat, tuple(2 * k - z for k, z in
+                                       zip(lat.class_to_key(h), lat.sz_k)))
 
 
 def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> Fraction:
@@ -216,7 +222,7 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
         lp = tuple(lp)
         h = class_of(g, lp)
         lhs = -Q(g, h, g.ids, lp)
-        v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, lp))
-        rhs = (pairing(g, v, v) + lat.n) / 8 + sw_raw(g, h, duality[h])
+        sv = tuple(2 * x - z for x, z in zip(lat.scaled(lp), lat.sz_k))
+        rhs = _quadratic_shift(lat, sv) + sw_raw(g, h, duality[h])
         out.append(QuadraticSample(lp, lhs == rhs))
     return QuadraticReport(tuple(out))

@@ -14,12 +14,27 @@ GRAPHS = support.GRAPH_DIR
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.txt"
 GOLDEN_COMMANDS = (("invariants",), ("zeta",), ("zeta", "--box", "30"),
                    ("polypart",), ("sw",))
-# Division certificates of two_nodes_h3 beyond the default polypart run: its
-# two non-zero classes, and the reduction to every vertex.
+SHIPPED = ("sigma_2_5_7.graph", "two_nodes_h3.graph", "three_nodes_h1.graph")
+# Beyond GOLDEN_COMMANDS: division certificates of two_nodes_h3 (its two
+# non-zero classes, and the reduction to every vertex); verify with one sample
+# on each shipped graph; polytope counts at l_top, the lattice route's query
+# (concave, closed, positive; with a fiber on two_nodes_h3) and convex ones.
 GOLDEN_EXTRA = (
     ("polypart", "two_nodes_h3.graph", "--h", "0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3"),
     ("polypart", "two_nodes_h3.graph", "--h", "0,0,2/3,2/3,1/3,1/3,0,0,1/3,2/3"),
     ("polypart", "two_nodes_h3.graph", "--reduce", "w1,v1,a1,a2,a3,a4,v2,w2,w3,w4"),
+    *(("verify", name, "--samples", "1") for name in SHIPPED),
+    ("count", "sigma_2_5_7.graph", "--dilation", "70,35,14,20,10", "--positivity", "positive"),
+    ("count", "sigma_2_5_7.graph", "--shape", "convex", "--boundary", "open",
+     "--dilation", "70,35,14,20,10", "--reduce", "E1,E4"),
+    ("count", "two_nodes_h3.graph", "--dilation", "39,78,12,6,6,12,78,39,26,26",
+     "--positivity", "positive", "--h", "0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3"),
+    ("count", "two_nodes_h3.graph", "--shape", "convex",
+     "--dilation", "39,78,12,6,6,12,78,39,26,26"),
+    ("count", "three_nodes_h1.graph", "--dilation", "171,342,56,162,24,150,114,81,75,50",
+     "--positivity", "positive"),
+    ("count", "three_nodes_h1.graph", "--shape", "convex", "--boundary", "open",
+     "--dilation", "171,342,56,162,24,150,114,81,75,50"),
 )
 
 
@@ -235,7 +250,7 @@ def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
 
 def golden_transcript() -> str:
     runs = [(command, name, fmt, options)
-            for name in ("sigma_2_5_7.graph", "two_nodes_h3.graph", "three_nodes_h1.graph")
+            for name in SHIPPED
             for fmt in ("text", "json-lines")
             for command, *options in GOLDEN_COMMANDS]
     runs += [(command, name, fmt, options)

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
-from math import ceil
+from itertools import product
+from math import ceil, comb, gcd
 
 import pytest
 
+import support
 from plumbsw.counting import Q, inclusion_exclusion_check, q
-from plumbsw.lattice import (LatticeError, canonical_cycle, class_of,
-                             lattice_of, vec_add, vec_scale)
-from plumbsw.series import Box, equivariant_split, reduce, taylor, zeta
+from plumbsw.graph import parse_graph
+from plumbsw.lattice import (LatticeError, all_classes, canonical_cycle,
+                             class_of, lattice_of, vec_add, vec_scale)
+from plumbsw.series import (Box, _zeta_factors, equivariant_split, reduce,
+                            taylor, zeta)
+from plumbsw.swcore import duality_cut_vertices
 
 
 def _one_var_expansion_oracle(numer, denoms, degree):
@@ -200,3 +205,81 @@ def test_enumeration_bound_certificate(sigma257):
 
     walk(0, 0, tuple(Fraction(0) for _ in range(g.n)))
     assert hits and max(hits) <= bound
+
+
+def _brute_cut_sum(g, h, subset, x, quantifier):
+    """Sum of z(l') over [l'] = h passing the cut, from every exponent tuple
+    of the zeta product in a box, with no walk and no runs: a term passes on
+    a live coordinate j only if each k_v E*_v is below x there."""
+    lat = lattice_of(g)
+    d = lat.h_order
+    sx = [int(c * d) for c in x]
+    hkey = lat.class_to_key(h)
+    active = [g.index(v) for v in subset]
+    ranges = []
+    for mu, col in zip(lat.mults, lat.sestar):
+        if mu >= 0:
+            ranges.append([(k, (-1) ** k * comb(mu, k)) for k in range(mu + 1)])
+        else:
+            top = max(ceil(sx[j] / col[j]) for j in active)
+            ranges.append([(k, comb(k - mu - 1, -mu - 1)) for k in range(max(top, 0))])
+    total = 0
+    for combo in product(*ranges):
+        e = [sum(k * col[r] for (k, _), col in zip(combo, lat.sestar)) for r in range(g.n)]
+        if (quantifier(e[j] < sx[j] for j in active)
+                and all((a - b) % d == 0 for a, b in zip(e, hkey))):
+            weight = 1
+            for _, w in combo:
+                weight *= w
+            total += weight
+    return total
+
+
+def _check_against_brute(g, x):
+    """Q and q at x, on the duality cut and on every vertex, against the
+    brute-force sum; returns the cuts checked."""
+    h = class_of(g, x)
+    cuts = (duality_cut_vertices(g), g.ids)
+    for subset in cuts:
+        assert Q(g, h, subset, x) == _brute_cut_sum(g, h, subset, x, any)
+        assert q(g, h, subset, x) == _brute_cut_sum(g, h, subset, x, all)
+    return len(cuts)
+
+
+def test_run_collapsed_counts_match_brute_force_on_corpus(corpus30):
+    rng = random.Random(59)
+    for g in corpus30:
+        lat = lattice_of(g)
+        x = list(lat.z_k)
+        for i in range(g.n):
+            x = vec_add(x, vec_scale(rng.randint(0, 1), lat.estar[i]))
+        _check_against_brute(g, tuple(x))
+
+
+def test_run_collapsed_counts_match_brute_force_with_modular_runs(two_nodes):
+    # The run column's class has order > 1 and the runs from the origin are
+    # longer than that order, so a run meets the class of x more than once
+    # and the cyclic-subgroup count is exercised.
+    star = support.star(-1, (-3, -4, -5, -5))
+    for g in (two_nodes, star):
+        lat = lattice_of(g)
+        d = lat.h_order
+        col = _zeta_factors(lat)[-1][0]
+        order = d // gcd(d, *col)
+        assert d > 1 and order > 1
+        for c in (0, 1, 2):
+            x = tuple(z + c * e for z, e in zip(lat.z_k, lat.estar[-1]))
+            sx = lat.scaled(x)
+            assert max(ceil(sx[j] / col[j]) for j in range(g.n)) > order
+            _check_against_brute(g, x)
+
+
+def test_run_free_and_node_free_counts_match_brute_force():
+    # One vertex: the only series factor has multiplicity 2, so every run has
+    # length 1.  A chain has no nodes and cuts on every vertex.
+    for g in (parse_graph("vertex a -2"), support.chain((-2, -3, -2))):
+        lat = lattice_of(g)
+        for h in all_classes(g):
+            for c in range(3):
+                x = tuple(z + r + c * e for z, r, e in zip(lat.z_k, h.rep, lat.estar[0]))
+                _check_against_brute(g, x)

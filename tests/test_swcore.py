@@ -57,6 +57,11 @@ def test_sw_raw_shift_with_nontrivial_rep(two_nodes):
     expected = (pairing(two_nodes, v, v) + 10) / 8
     assert sw_shift(two_nodes, h1) == expected
     assert sw_raw(two_nodes, h1, 3) == -3 - expected
+    for g in (two_nodes, support.star(-2, (-3, -5, -7))):
+        lat = lattice_of(g)
+        for h in all_classes(g):
+            v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, h.rep))
+            assert sw_shift(g, h) == (pairing(g, v, v) + g.n) / 8
 
 
 def test_quadratic_check_examples(sigma257, two_nodes):
