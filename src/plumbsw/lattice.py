@@ -124,7 +124,7 @@ class Lattice:
     def class_to_key(self, h: HClass) -> tuple[int, ...]:
         """Scaled class key of h; inverse of ``key_to_class``."""
         d = self.h_order
-        return tuple(int(x * d) for x in h.rep)
+        return tuple(x.numerator * (d // x.denominator) for x in h.rep)
 
     def key_to_class(self, key) -> HClass:
         d = self.h_order

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .graph import PlumbingGraph, adjacency
 from .lattice import (HClass, LatticeError, Vec, all_classes, class_add,
@@ -107,7 +108,9 @@ def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
 
 
 def node_multiset(g: PlumbingGraph) -> tuple[tuple[str, int], ...]:
-    """Nodes with multiplicities valency - 2; carries |ends| - 2 symbols."""
+    """Nodes with multiplicities m_v = valency - 2: the exponents of the
+    zeta factors (1 - t^{E*_v})^{m_v}.  The multiplicities sum to
+    |ends| - 2."""
     lat = lattice_of(g)
     return tuple((g.ids[i], lat.mults[i]) for i in lat.node_idx)
 
@@ -131,11 +134,14 @@ def _sub_multisets(mults):
 
 def sw_via_lattice_all(g: PlumbingGraph) -> dict[HClass, int]:
     """Normalized Seiberg-Witten invariant (with opposite sign) of every
-    class h, as the alternating sum, over non-empty sub-multisets of the
+    class h, as the alternating sum, over non-empty sub-multisets k of the
     node multiset, of strictly positive lattice point counts in the closed
-    concave polytopes dilated by the corresponding anti-dual combinations,
-    fibered over the class of the dilation minus h.  Each polytope is
-    enumerated once and its fiber tally answers every h."""
+    concave polytopes dilated by sum_v k_v E*_v, fibered over the class of
+    the dilation minus h.  Sub-multiset k carries the sign
+    (-1)^(|ends| - sum k) times prod_v C(m_v, k_v), the coefficient of
+    t^{sum k_v E*_v} in prod_v (1 - t^{E*_v})^{m_v}; the binomials are 1 on
+    nodes of valency 3.  Each polytope is enumerated once and its fiber
+    tally answers every h."""
     lat = lattice_of(g)
     nm = node_multiset(g)
     if not nm:
@@ -153,6 +159,8 @@ def sw_via_lattice_all(g: PlumbingGraph) -> dict[HClass, int]:
                     dil[r] += k * col[r]
         sdil = lat.scaled(dil)
         sign = (-1) ** (n_ends - sum(ks))
+        for (_, m), k in zip(nm, ks):
+            sign *= comb(m, k)
         tally = fiber_counts(g, PolytopeQuery("concave", ids, tuple(dil),
                                               "closed", "positive"))
         for fk, r_count in tally.items():

@@ -24,6 +24,16 @@ the points e + k a that pass are exactly those with k < run, where run is
 the max (any) or min (all) over the bounds of ceil((c_i - e_i)/a_i), a
 ceiling division by a strictly positive anti-dual entry.  One visit stands
 for the whole run.
+
+The counting functions (``counting.Q`` and ``q``) go one factor further:
+they walk without the last factor a, so the run collapses the
+second-to-last series factor b, and they sum both in closed form.  At step
+k along b the run along a is the ceiling of an envelope of affine functions
+of k, falling since b is strictly positive; the count of one class in it
+is a floor of that envelope on each residue of k that meets the class, one
+``floor_sum`` per piece of the envelope.  That sum is finite for the same
+reason the run is: a and b are strictly positive on the bounded
+coordinates.
 """
 from __future__ import annotations
 

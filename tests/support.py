@@ -81,6 +81,49 @@ def chain(eulers) -> PlumbingGraph:
     return parse_graph("\n".join(lines + edges))
 
 
+# star(-1; -3,-4,-5,-5) and this 9-vertex tree (node v8 of valency 4,
+# |H| = 7) are the smallest known trees that need the binomial weights of
+# the lattice route.
+VALENCY4_TREE = """\
+vertex v0 -2
+vertex v1 -2
+vertex v2 -3
+vertex v3 -2
+vertex v4 -2
+vertex v5 -3
+vertex v6 -2
+vertex v7 -3
+vertex v8 -2
+edge v0 v5
+edge v1 v3
+edge v1 v5
+edge v2 v4
+edge v4 v8
+edge v5 v8
+edge v6 v8
+edge v7 v8
+"""
+
+
+def hub_tree(seed: int, max_h: int = 60) -> PlumbingGraph:
+    """A negative definite tree with at most 11 vertices and |H| <= max_h
+    whose vertex v0 is a node of valency 4 to 6, drawn from the seed: the
+    hub's neighbours v1..v_val, each further vertex hung from an earlier
+    non-hub one."""
+    rng = random.Random(seed)
+    while True:
+        val = rng.randint(4, 6)
+        n = rng.randint(val + 1, 11)
+        parent = [None] + [0] * val + [rng.randrange(1, i) for i in range(val + 1, n)]
+        eulers = [rng.choice([-1, -1, -2])]
+        eulers += [rng.choice([-2, -2, -2, -3, -3, -4, -5]) for _ in range(n - 1)]
+        ids = tuple(f"v{i}" for i in range(n))
+        g = PlumbingGraph(ids, tuple(eulers), frozenset(
+            (ids[p], ids[i]) for i, p in enumerate(parent) if p is not None))
+        if validate(g).ok and lattice_of(g).h_order <= max_h:
+            return g
+
+
 def _random_tree_edges(rng: random.Random, n: int) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
     if n < 2:

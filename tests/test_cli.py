@@ -188,14 +188,30 @@ def test_count_without_ends(capsys, tmp_path):
         assert code == 0 and out == f"count = {want}\n"
 
 
-# star(-1; -3,-4,-5,-5): |H| = 5, and the lattice route is off by one on
-# class 0 (a node of valency 4).
+# star(-1; -3,-4,-5,-5): |H| = 5, with a node of valency 4.  The tests below
+# put the lattice route off by one on class 0 to see how a route
+# disagreement is reported.
 STAR4 = "vertex c -1\n" + "".join(
     f"vertex l{i} {e}\nedge c l{i}\n" for i, e in enumerate((-3, -4, -5, -5)))
 STAR4_ROUTES = "h=(0,0,0,0,0) duality=17 polypart=17 division=17 lattice=18"
 
 
-def test_sw_disagreement_names_route_values(capsys, tmp_path):
+def lattice_off_by_one(monkeypatch):
+    """Make the lattice route answer 18 on class 0, where the others give 17."""
+    from plumbsw import swcore
+    from plumbsw.lattice import lattice_of
+    real = swcore.sw_via_lattice_all
+
+    def crooked(g):
+        values = real(g)
+        values[lattice_of(g).zero_class] = 18
+        return values
+
+    monkeypatch.setattr(swcore, "sw_via_lattice_all", crooked)
+
+
+def test_sw_disagreement_names_route_values(capsys, monkeypatch, tmp_path):
+    lattice_off_by_one(monkeypatch)
     star = tmp_path / "star4.graph"
     star.write_text(STAR4)
     code, out, _ = run(capsys, "sw", star)
@@ -213,6 +229,7 @@ def test_sw_disagreement_names_route_values(capsys, tmp_path):
 
 
 def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
+    lattice_off_by_one(monkeypatch)
     star = tmp_path / "star4.graph"
     star.write_text(STAR4)
     code, out, _ = run(capsys, "verify", star, "--samples", "1")

@@ -6,7 +6,8 @@ from math import ceil, comb, gcd
 import pytest
 
 import support
-from plumbsw.counting import Q, inclusion_exclusion_check, q
+from plumbsw.counting import (Q, envelope_floor_sum, floor_sum,
+                              inclusion_exclusion_check, q)
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (LatticeError, all_classes, canonical_cycle,
                              class_of, lattice_of, vec_add, vec_scale)
@@ -283,3 +284,84 @@ def test_run_free_and_node_free_counts_match_brute_force():
             for c in range(3):
                 x = tuple(z + r + c * e for z, r, e in zip(lat.z_k, h.rep, lat.estar[0]))
                 _check_against_brute(g, x)
+
+
+def test_counts_match_brute_force_when_b_leaves_the_subgroup_of_a():
+    # The walk stops before the last factor a and sums the steps k along the
+    # second-to-last factor b in closed form.  On these stars [b] is not a
+    # multiple of [a] (H = Z2 x Z2, and |H| = 27 with [a] of order 9), so a
+    # leaf's steps split into residues mod the order of [b] and only some of
+    # them meet the class; the cuts make steps along b longer than that order.
+    for g, shifts in ((support.star(-2, (-2, -2, -2)), (1, 3, 5)),
+                      (support.star(-2, (-3, -3, -3)), (1,))):
+        lat = lattice_of(g)
+        d = lat.h_order
+        factors = _zeta_factors(lat)
+        a, b = factors[-1][0], factors[-2][0]
+        multiples_of_a = {tuple(k * x % d for x in a) for k in range(d)}
+        assert tuple(x % d for x in b) not in multiples_of_a
+        order_b = next(k for k in range(1, d + 1) if all(k * x % d == 0 for x in b))
+        longest = 0
+        for h in all_classes(g):
+            for c in shifts:
+                x = tuple(z + r + c * e for z, r, e in zip(lat.z_k, h.rep, lat.estar[0]))
+                sx = lat.scaled(x)
+                longest = max(longest, *(ceil(sx[j] / b[j]) for j in range(g.n)))
+                _check_against_brute(g, x)
+        assert longest > order_b
+
+
+def test_floor_sum_matches_loop():
+    rng = random.Random(83)
+    cases = [(0, 5, 3, -7), (1, 1, 0, 0), (7, 1, -4, 9), (5, 3, 0, -1)]
+    cases += [(rng.randint(0, 40), rng.randint(1, 30), rng.randint(-60, 60),
+               rng.randint(-200, 200)) for _ in range(400)]
+    for n, m, a, b in cases:
+        assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def _envelope_loop(lines, n, widest):
+    return sum(widest([(A + k * S) // D for A, S, D in lines]) for k in range(n))
+
+
+def _pieces(lines, n, widest):
+    """Pieces of the exact envelope on 0..n-1: the widest line at each k,
+    ties going to the slope that stays widest, changes slope between
+    pieces."""
+    slopes = [widest((Fraction(A + k * S, D), Fraction(S, D)) for A, S, D in lines)[1]
+              for k in range(n)]
+    return 1 + sum(1 for k in range(1, n) if slopes[k] != slopes[k - 1])
+
+
+def test_envelope_floor_sum_matches_loop():
+    rng = random.Random(89)
+    multi_piece = {max: 0, min: 0}
+    for trial in range(600):
+        widest = max if trial % 2 else min
+        n = rng.choice([0, 1, 2, rng.randint(3, 40)])
+        lines = []
+        for _ in range(rng.randint(1, 6)):
+            D = rng.randint(1, 12)
+            S = rng.randint(-30, 30)
+            if lines and rng.random() < 0.4:
+                # through an integer point of an earlier line: a tie there
+                A0, S0, D0 = rng.choice(lines)
+                k0 = rng.randint(0, max(n, 1))
+                num = A0 + k0 * S0
+                lines.append((D * num - k0 * S * D0, S * D0, D * D0))
+            else:
+                lines.append((rng.randint(-300, 300), S, D))
+        assert envelope_floor_sum(lines, n, widest) == _envelope_loop(lines, n, widest)
+        if n and _pieces(lines, n, widest) >= 2:
+            multi_piece[widest] += 1
+    assert multi_piece[max] >= 30 and multi_piece[min] >= 30
+
+
+def test_envelope_floor_sum_ties_at_integer_breakpoints():
+    # Falling lines whose envelope changes line exactly at integers: at k = 3
+    # and k = 6 for max, at k = 5 for min.  The last line is the third one
+    # over another denominator.
+    lines = [(12, -4, 1), (9, -3, 1), (-3, -1, 1), (-6, -2, 2)]
+    for widest in (max, min):
+        for n in range(0, 12):
+            assert envelope_floor_sum(lines, n, widest) == _envelope_loop(lines, n, widest)

@@ -6,6 +6,7 @@ import pytest
 import support
 from plumbsw import swcore
 from plumbsw.counting import Q
+from plumbsw.graph import parse_graph
 from plumbsw.lattice import (all_classes, class_of, e_star, lattice_of,
                              pairing, vec_add, vec_scale, vec_sub)
 from plumbsw.polytopes import sw_via_lattice_all
@@ -202,6 +203,29 @@ def test_route_agreement_on_corpus(corpus30):
             if lat.node_idx:
                 from plumbsw.polytopes import sw_via_lattice
                 assert a == sw_via_lattice(g, h)
+
+
+# Seeds of ``support.hub_tree`` whose trees have a class on which the lattice
+# route, summed without the binomial weights of its nodes, disagrees with the
+# other routes: 14 with a hub of valency 4, 14 of valency 5, 8 of valency 6.
+HUB_SEEDS = (0, 3, 14, 34, 74, 113, 114, 146, 164, 168, 189, 191, 196, 210, 235, 246,
+             249, 258, 262, 275, 278, 281, 350, 371, 385, 395, 400, 421, 439, 493,
+             516, 527, 550, 572, 573, 586)
+
+
+def test_route_agreement_on_high_valency_nodes():
+    graphs = [parse_graph(support.VALENCY4_TREE), support.star(-1, (-3, -4, -5, -5))]
+    graphs += [support.hub_tree(seed) for seed in HUB_SEEDS]
+    valencies = set()
+    for g in graphs:
+        lat = lattice_of(g)
+        assert lat.h_order <= 60
+        valencies.add(max(lat.deltas))
+        rep = sw_report(g)
+        for e in rep.entries:
+            assert not e.errors, (g, e)
+            assert len(set(e.values.values())) == 1 and len(e.values) == 4, (g, e)
+    assert valencies == {4, 5, 6}
 
 
 def test_quadratic_check_deterministic(sigma257):
