@@ -1,0 +1,5 @@
+"""``python -m plumbsw``: the ``plumbsw`` command line."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -144,14 +144,14 @@ def cmd_polypart(g, args) -> int:
          "_text": f"agree = {'true' if agree else 'false'}  P+(1) = "
                   f"{decomp.evaluate_at_one(dual.poly_live())}"},
     ]
+    lat = div.lat
     for S in sorted((s for s in div.by_s if s), key=sorted):
-        names = ",".join(format_vec(tuple(div.denominator[i][j] for j in div.active))
-                         for i in sorted(S))
-        bucket = {tuple(b[j] for j in div.active): c for b, c in div.by_s[S].items()}
-        recs.append({"S": [format_vec(tuple(div.denominator[i][j] for j in div.active))
-                           for i in sorted(S)],
+        names = [format_vec(lat.unscaled(div.denominator[i][j] for j in div.active))
+                 for i in sorted(S)]
+        bucket = {lat.unscaled(b): c for b, c in div.by_s[S].items()}
+        recs.append({"S": names,
                      "numerator": {format_vec(e): c for e, c in sorted(bucket.items())},
-                     "_text": "S={" + names + "}: " + _poly_str(bucket)})
+                     "_text": "S={" + ",".join(names) + "}: " + _poly_str(bucket)})
     _emit(recs, args.format)
     return 0 if agree else 1
 

@@ -17,6 +17,15 @@ constructions are provided:
 The two must agree (projected to the live coordinates), and P+(1) is the
 normalized Seiberg-Witten invariant with opposite sign when the live set
 contains all nodes.
+
+Division runs per class, on the live coordinates of scaled integer
+exponents (coordinates times |H|).  That is exact: after the equivariant
+split every denominator exponent lies in L, so it is 0 mod |H| in every
+scaled coordinate, and all numerator exponents of one H-component agree
+off the live coordinates mod L.  No division step changes the off-live
+coordinates, so one residue per component rebuilds every full exponent.
+Both constructions key ``Decomposition.poly`` by live scaled tuples; values
+become ``Fraction`` only in ``poly_live`` and ``neg``.
 """
 from __future__ import annotations
 
@@ -24,11 +33,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import lt, sub
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import (RatFunc, _component, _cone_visit, _split_terms, live_indices,
-                     off_live_canon, reduce, zeta)
+from .series import (RatFunc, _component, _cone_visit, _split_terms, _zeta_terms,
+                     live_indices)
 
 
 class DivisionError(ValueError):
@@ -37,36 +47,40 @@ class DivisionError(ValueError):
 
 @dataclass
 class Decomposition:
+    """Polynomial part, and from division its certificate, of one
+    H-component.  Exponents are live scaled tuples: the live coordinates
+    times |H|.  ``residue`` is the scaled full vector that every exponent of
+    the component shares off the live coordinates, reduced to [0, |H|), with
+    zeros on the live coordinates; ``denominator`` holds scaled full
+    vectors, in the order the ``by_s`` index sets refer to."""
     lat: Lattice
     active: tuple[int, ...]
-    poly: dict[Vec, int]
-    by_s: dict[frozenset[int], dict[Vec, int]] | None
-    denominator: tuple[Vec, ...]
+    poly: dict[tuple[int, ...], int]
+    by_s: dict[frozenset[int], dict[tuple[int, ...], int]] | None
+    denominator: tuple[tuple[int, ...], ...]
+    residue: tuple[int, ...]
     htag: HClass | None = None
 
     def poly_live(self) -> dict[Vec, int]:
-        """Polynomial part as a map on live exponents, merged."""
-        out: dict[Vec, int] = {}
-        for e, c in self.poly.items():
-            live = tuple(Fraction(e[i]) for i in self.active)
-            out[live] = out.get(live, 0) + c
-        return {e: c for e, c in out.items() if c}
+        """Polynomial part as a map on live exponents."""
+        return {self.lat.unscaled(e): c for e, c in self.poly.items() if c}
 
     @cached_property
     def neg(self) -> RatFunc | None:
-        """Negative degree part: the non-empty S of ``by_s`` over the full denominator."""
+        """Negative degree part: the non-empty S of ``by_s`` over the full
+        denominator, its exponents rebuilt from live part and residue."""
         if self.by_s is None:
             return None
-        lat = self.lat
-        canon = off_live_canon(lat, self.active)
-        sa = [lat.scaled(a) for a in self.denominator]
+        lat, active = self.lat, self.active
+        live_denom = [_live(a, active) for a in self.denominator]
         num: dict[tuple[int, ...], int] = {}
         for S in filter(None, self.by_s):
-            rest = [a for i, a in enumerate(sa) if i not in S]
+            rest = [a for i, a in enumerate(live_denom) if i not in S]
             for b, c in self.by_s[S].items():
-                _expand_product(num, canon, lat.scaled(b), c, rest)
-        return RatFunc(lat, {_unscale(e, lat.h_order): c for e, c in num.items()},
-                       self.denominator, self.active, htag=self.htag)
+                _expand_product(num, b, c, rest)
+        return RatFunc(lat, {lat.unscaled(_full(self.residue, active, e)): c
+                             for e, c in num.items()},
+                       tuple(map(lat.unscaled, self.denominator)), active, htag=self.htag)
 
 
 def evaluate_at_one(poly: dict) -> int:
@@ -74,13 +88,32 @@ def evaluate_at_one(poly: dict) -> int:
     return sum(poly.values())
 
 
-def _strictly_less_on(sa, sb, active) -> bool:
-    return all(sa[i] < sb[i] for i in active)
+def _live(e, active) -> tuple[int, ...]:
+    return tuple(e[i] for i in active)
 
 
-def euclid_divide(R: RatFunc) -> Decomposition:
-    """Divide until every surviving fraction t^b / prod_{i in S}(1 - t^{a_i})
+def _full(residue, active, live) -> tuple[int, ...]:
+    out = list(residue)
+    for i, x in zip(active, live):
+        out[i] = x
+    return tuple(out)
+
+
+def _residue(e, active, d) -> tuple[int, ...]:
+    """The residue of a scaled vector: off-live coordinates mod d, zeros on
+    the live ones."""
+    return tuple(0 if i in active else x % d for i, x in enumerate(e))
+
+
+def divide_component(lat: Lattice, active, terms, denominator,
+                     htag: HClass | None = None) -> Decomposition:
+    """Euclidean division of one H-component, given by its scaled numerator
+    terms and scaled denominator exponents, on the live coordinates alone.
+
+    Divide until every surviving fraction t^b / prod_{i in S}(1 - t^{a_i})
     with S non-empty satisfies b < a_i on all live coordinates for all i in S.
+    The denominators are taken in order of their live part, then of the
+    full vector.
 
     One step picks the smallest applicable denominator index i0 and replaces
     the fraction by -t^{b-a_{i0}} over S minus i0 plus t^{b-a_{i0}} over S.
@@ -92,59 +125,85 @@ def euclid_divide(R: RatFunc) -> Decomposition:
     The pass ends: a step needs some live b_v >= a_{i0,v} > 0, so the
     measure sum_v max(b_v, 0) strictly decreases.
 
-    Both certificate checks run here.  ``neg``, built on first read, cannot
-    fail its own: its denominators are those of R, and its exponents add
-    live-positive vectors to a b not strictly negative on the live coordinates.
-    """
-    lat, active, d = R.lat, R.active, R.lat.h_order
-    order = sorted(range(len(R.denominator)),
-                   key=lambda i: (R.project(R.denominator[i]), R.denominator[i]))
-    denom = tuple(R.denominator[i] for i in order)
-    sa = [lat.scaled(a) for a in denom]
-    # Exponents matter only through their live coordinates and their class.
-    canon = off_live_canon(lat, active)
+    Working on the live coordinates is exact for one H-component (see the
+    module docstring): input with a denominator exponent outside L, or with
+    numerator exponents that differ off the live coordinates mod L, raises
+    ``DivisionError`` naming the exponent.
 
-    terms: dict[tuple[frozenset, tuple[int, ...]], int] = {}
+    Both certificate checks run here.  ``neg``, built on first read, cannot
+    fail its own: its denominators are those of the component, and its
+    exponents add live-positive vectors to a b not strictly negative on the
+    live coordinates.
+    """
+    d = lat.h_order
+    for a in denominator:
+        if any(x % d for x in a):
+            raise DivisionError(f"denominator exponent {format_vec(lat.unscaled(a))} "
+                                "is not in L")
+    residue, first = (0,) * lat.n, None
+    num: dict[tuple[int, ...], int] = {}
+    for b, c in terms.items():
+        if first is None:
+            residue, first = _residue(b, active, d), b
+        elif _residue(b, active, d) != residue:
+            raise DivisionError(f"numerator exponent {format_vec(lat.unscaled(b))} is off "
+                                f"the H-component of {format_vec(lat.unscaled(first))}")
+        key = _live(b, active)
+        num[key] = num.get(key, 0) + c
+
+    denom = tuple(sorted(denominator, key=lambda a: (_live(a, active), a)))
+    la = [_live(a, active) for a in denom]
+
+    cert: dict[tuple[frozenset, tuple[int, ...]], int] = {}
     heap: list = []
 
     def add(S, sb, c):
-        if (S, sb) not in terms:
-            terms[S, sb] = 0
-            heapq.heappush(heap, (-sum(sb[i] for i in active), sorted(S), sb, S))
-        terms[S, sb] += c
+        old = cert.get((S, sb))
+        if old is None:
+            heapq.heappush(heap, (-sum(sb), sorted(S), sb, S))
+            old = 0
+        cert[S, sb] = old + c
 
-    for b, c in R.numerator.items():
-        add(frozenset(range(len(denom))), canon(lat.scaled(b)), c)
+    for b, c in num.items():
+        add(frozenset(range(len(denom))), b, c)
 
     while heap:
-        _, _, sb, S = heapq.heappop(heap)
-        i0 = next((i for i in sorted(S) if not _strictly_less_on(sb, sa[i], active)), None)
-        c = 0 if i0 is None else terms.pop((S, sb))
+        _, order, sb, S = heapq.heappop(heap)
+        for i0 in order:
+            if not all(map(lt, sb, la[i0])):
+                break
+        else:
+            continue
+        c = cert.pop((S, sb))
         if c:
-            shifted = canon(tuple(x - y for x, y in zip(sb, sa[i0])))
+            shifted = tuple(map(sub, sb, la[i0]))
             add(S - {i0}, shifted, -c)
             add(S, shifted, c)
 
-    by_s: dict[frozenset[int], dict[Vec, int]] = {}
-    for (S, sb), c in terms.items():
+    by_s: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
+    for (S, sb), c in cert.items():
         if not c:
             continue
-        if all(sb[i] < 0 for i in active):
-            raise DivisionError("certificate exponent "
-                                f"{format_vec(_unscale(sb, d))} strictly negative")
-        if any(not _strictly_less_on(sb, sa[i], active) for i in S):
+        if all(x < 0 for x in sb):
+            full = lat.unscaled(_full(residue, active, sb))
+            raise DivisionError(f"certificate exponent {format_vec(full)} strictly negative")
+        if any(not all(map(lt, sb, la[i])) for i in S):
             raise DivisionError("division left a reducible term")
-        by_s.setdefault(S, {})[_unscale(sb, d)] = c
-    return Decomposition(lat, active, dict(by_s.get(frozenset(), {})), by_s, denom, R.htag)
+        by_s.setdefault(S, {})[sb] = c
+    return Decomposition(lat, active, dict(by_s.get(frozenset(), {})), by_s, denom,
+                         residue, htag)
 
 
-def _unscale(se, d) -> Vec:
-    return tuple(Fraction(x, d) for x in se)
+def euclid_divide(R: RatFunc) -> Decomposition:
+    """Euclidean division of R, which must be one H-component: the output of
+    ``f_h`` or ``equivariant_split``.  R is scaled once and divided by
+    ``divide_component``."""
+    return divide_component(R.lat, R.active, *R.scaled(), R.htag)
 
 
-def _expand_product(acc, canon, se, c, factors) -> None:
-    """Add the terms of c * t^se * prod (1 - t^a) over the given scaled
-    factors to ``acc``, keyed by their off-live representatives."""
+def _expand_product(acc, se, c, factors) -> None:
+    """Add the terms of c * t^se * prod (1 - t^a) over the given factors to
+    ``acc``."""
     part = {se: c}
     for a in factors:
         new: dict[tuple[int, ...], int] = {}
@@ -154,15 +213,15 @@ def _expand_product(acc, canon, se, c, factors) -> None:
             new[shifted] = new.get(shifted, 0) - cb
         part = new
     for e, ce in part.items():
-        key = canon(e)
-        acc[key] = acc.get(key, 0) + ce
+        acc[e] = acc.get(e, 0) + ce
 
 
 def f_h(g: PlumbingGraph, h: HClass, subset) -> RatFunc:
     """The h-component of the zeta function reduced to ``subset``; only this
     component is converted and checked."""
-    R = reduce(zeta(g), subset)
-    return _component(R, h, *_split_terms(R))
+    lat = lattice_of(g)
+    active = live_indices(g, subset)
+    return _component(lat, active, h, *_split_terms(lat, active, *_zeta_terms(lat)))
 
 
 def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
@@ -182,40 +241,22 @@ def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
     def visit(w, e):
         reflected = tuple(zm - x for zm, x in zip(szkme, e))
         bucket = buckets.setdefault(lat.class_key(reflected), {})
-        bucket[reflected] = bucket.get(reflected, 0) + w
+        live = _live(reflected, active)
+        bucket[live] = bucket.get(live, 0) + w
 
     _cone_visit(lat, (tuple((i, szkme[i] + 1) for i in active), any), visit)
     out = {}
     for h in all_classes(g):
-        bucket = buckets.get(lat.class_to_key(h), {})
-        poly = {tuple(Fraction(x, d) for x in e): c for e, c in bucket.items() if c}
-        out[h] = Decomposition(lat, active, poly, None, ())
+        key = lat.class_to_key(h)
+        poly = {e: c for e, c in buckets.get(key, {}).items() if c}
+        out[h] = Decomposition(lat, active, poly, None, (), _residue(key, active, d))
     return out
 
 
-def polypart_dual(g: PlumbingGraph, h: HClass, subset, with_neg: bool = False) -> Decomposition:
+def polypart_dual(g: PlumbingGraph, h: HClass, subset) -> Decomposition:
     """Polynomial part of the h-component via the expansion at infinity,
-    read from ``polypart_dual_all``.  The complement of the polynomial part
-    is the negative degree part, returned only when ``with_neg`` is set.
-    """
-    dec = polypart_dual_all(g, subset)[h]
-    if not with_neg:
-        return dec
-    lat, active = dec.lat, dec.active
-    canon = off_live_canon(lat, active)
-    fh = f_h(g, h, subset)
-    denom = fh.denominator
-    sdenom = [lat.scaled(a) for a in denom]
-    num: dict[tuple[int, ...], int] = {}
-    for b, c in fh.numerator.items():
-        key = canon(lat.scaled(b))
-        num[key] = num.get(key, 0) + c
-    for e, c in dec.poly.items():
-        _expand_product(num, canon, lat.scaled(e), -c, sdenom)
-    out = Decomposition(lat, active, dec.poly, None, denom, h)
-    out.neg = RatFunc(lat, {_unscale(e, lat.h_order): c for e, c in num.items()}, denom,
-                      active, htag=h)
-    return out
+    read from ``polypart_dual_all``."""
+    return polypart_dual_all(g, subset)[h]
 
 
 def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:

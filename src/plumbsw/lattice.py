@@ -117,6 +117,11 @@ class Lattice:
             out.append(s.numerator)
         return tuple(out)
 
+    def unscaled(self, scaled) -> Vec:
+        """The vector whose scaled copy is ``scaled``; inverse of ``scaled``."""
+        d = self.h_order
+        return tuple(Fraction(x, d) for x in scaled)
+
     def class_key(self, scaled) -> tuple[int, ...]:
         d = self.h_order
         return tuple(c % d for c in scaled)

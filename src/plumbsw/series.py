@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
 from operator import add
 
 from .graph import PlumbingGraph
@@ -119,6 +119,12 @@ class RatFunc:
     def project(self, x) -> Vec:
         return tuple(Fraction(x[i]) for i in self.active)
 
+    def scaled(self):
+        """Numerator and denominator with scaled integer exponents."""
+        lat = self.lat
+        return ({lat.scaled(b): c for b, c in self.numerator.items()},
+                [lat.scaled(a) for a in self.denominator])
+
 
 @dataclass
 class TruncatedSeries:
@@ -163,22 +169,36 @@ def live_indices(g: PlumbingGraph, subset) -> tuple[int, ...]:
 def reduce(F: FactoredRatFunc, subset) -> RatFunc:
     """Reduce to the variables of ``subset``: positive factors expand into
     the numerator, negative factors become denominator entries."""
-    lat = F.lat
-    active = live_indices(lat.graph, subset)
-    num: dict[Vec, int] = dict(F.prefactor)
-    denom: list[Vec] = []
-    for a, mu in F.factors:
+    active = live_indices(F.lat.graph, subset)
+    return RatFunc(F.lat, *_expand_factors(F.prefactor, F.factors), active)
+
+
+def _expand_factors(prefactor, factors):
+    """Numerator and denominator exponents of prefactor * prod (1 - t^a)^mu:
+    each positive mu multiplies out into the numerator, each negative mu
+    repeats a in the denominator.  Exponents may be ``Fraction`` or scaled
+    integer vectors alike."""
+    num = dict(prefactor)
+    denom = []
+    for a, mu in factors:
         if mu < 0:
             denom.extend([a] * (-mu))
             continue
         for _ in range(mu):
-            new: dict[Vec, int] = {}
+            new = {}
             for b, c in num.items():
                 new[b] = new.get(b, 0) + c
                 shifted = tuple(x + y for x, y in zip(b, a))
                 new[shifted] = new.get(shifted, 0) - c
             num = {e: c for e, c in new.items() if c}
-    return RatFunc(lat, num, tuple(denom), active)
+    return num, tuple(denom)
+
+
+def _zeta_terms(lat: Lattice):
+    """Numerator and denominator of the zeta function as ``reduce`` expands
+    them, on scaled integer exponents; reduction keeps every exponent."""
+    factors = [(lat.sestar[i], mu) for i, mu in enumerate(lat.mults) if mu]
+    return _expand_factors({(0,) * lat.n: 1}, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +337,6 @@ def coeff(g: PlumbingGraph, lprime) -> int:
 # ---------------------------------------------------------------------------
 # equivariant splitting
 
-def _class_order(a: Vec) -> int:
-    return lcm(*(Fraction(x).denominator for x in a))
-
-
 def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
     """Split an untagged reduced function into its H-components.
 
@@ -329,41 +345,41 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
     numerator terms are then grouped by the class of their exponent.  The
     components sum back to the input as reduced rational functions.
     """
-    by_class, denom = _split_terms(R)
-    return {h: _component(R, h, by_class, denom) for h in all_classes(R.lat.graph)}
-
-
-def _component(R: RatFunc, h: HClass, by_class, denom) -> RatFunc:
-    """The h-component of R from the scaled terms of ``_split_terms``."""
-    lat = R.lat
-    d = lat.h_order
-    num = {tuple(Fraction(x, d) for x in e): c
-           for e, c in by_class.get(lat.class_to_key(h), {}).items()}
-    return RatFunc(lat, num, denom, R.active, htag=h)
-
-
-def _split_terms(R: RatFunc):
-    """The numerator terms of every H-component of R as scaled exponents,
-    keyed by class key, and their class-trivial denominator."""
     if R.htag is not None:
         raise ValueError("function is already tagged with a class")
-    lat = R.lat
+    split = _split_terms(R.lat, R.active, *R.scaled())
+    return {h: _component(R.lat, R.active, h, *split) for h in all_classes(R.lat.graph)}
+
+
+def _component(lat: Lattice, active, h: HClass, by_class, denom) -> RatFunc:
+    """The h-component, as a ``RatFunc``, from the scaled terms of
+    ``_split_terms``."""
+    num = {lat.unscaled(e): c for e, c in by_class.get(lat.class_to_key(h), {}).items()}
+    return RatFunc(lat, num, tuple(map(lat.unscaled, denom)), active, htag=h)
+
+
+def _split_terms(lat: Lattice, active, num, denom):
+    """Split the reduced function num / prod (1 - t^a) over a in ``denom``,
+    all on scaled exponents: the numerator terms of every H-component keyed
+    by class key, and their class-trivial denominator.  For a scaled
+    denominator exponent sa, the order of [a] in H is d / gcd(d, *sa),
+    d = |H|."""
+    d = lat.h_order
     # Equal live part and equal class collapse to one representative, which
     # is what makes the product below stay small.
-    canon = off_live_canon(lat, R.active)
+    canon = off_live_canon(lat, active)
 
     terms: dict[tuple[int, ...], int] = {}
-    for b, c in R.numerator.items():
-        key = canon(lat.scaled(b))
+    for b, c in num.items():
+        key = canon(b)
         terms[key] = terms.get(key, 0) + c
 
-    new_denom: list[Vec] = []
-    for a in R.denominator:
-        k = _class_order(a)
-        new_denom.append(tuple(Fraction(x) * k for x in a))
+    new_denom: list[tuple[int, ...]] = []
+    for sa in denom:
+        k = d // gcd(d, *sa)
+        new_denom.append(tuple(k * x for x in sa))
         if k == 1:
             continue
-        sa = lat.scaled(a)
         grown: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             shifted = list(e)

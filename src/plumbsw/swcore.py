@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Q
-from .decomp import (evaluate_at_one, euclid_divide, f_h, polypart_dual,
-                     polypart_dual_all)
+from .decomp import (divide_component, evaluate_at_one, euclid_divide, f_h,
+                     polypart_dual, polypart_dual_all)
 from .graph import PlumbingGraph
 from .lattice import (HClass, all_classes, class_add, class_neg, class_of,
                       lattice_of)
 from .polytopes import PolytopeError, sw_via_lattice_all
-from .series import _cone_visit, equivariant_split, live_indices, reduce, zeta
+from .series import _cone_visit, _split_terms, _zeta_terms, live_indices
 
 
 class RouteDisagreement(RuntimeError):
@@ -148,13 +148,16 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     representative; refuse to normalize when the routes disagree.
 
     Duality, polypart and lattice each enumerate once for the whole graph.
-    The reduced zeta function is split once, and Euclidean division runs once
-    per class on its H-component; that polynomial part serves both the
-    division route and polypart's cross-check."""
+    The reduced zeta function is split once on scaled exponents, and
+    Euclidean division runs once per class on the terms of its H-component;
+    that polynomial part serves both the division route and polypart's
+    cross-check."""
+    lat = lattice_of(g)
     subset = duality_cut_vertices(g)
+    active = live_indices(g, subset)
     duality = sw_norm_via_duality_all(g) if "duality" in methods else None
     polys = polypart_dual_all(g, subset) if "polypart" in methods else None
-    split = (equivariant_split(reduce(zeta(g), subset))
+    split = (_split_terms(lat, active, *_zeta_terms(lat))
              if "polypart" in methods or "division" in methods else None)
     lattice, lattice_error = None, None
     if "lattice" in methods:
@@ -169,9 +172,11 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
         if duality is not None:
             values["duality"] = duality[h]
         if split is not None:
-            div = euclid_divide(split[h]).poly_live()
+            by_class, denom = split
+            div = divide_component(lat, active, by_class.get(lat.class_to_key(h), {}),
+                                   denom, h).poly
         if polys is not None:
-            if div != polys[h].poly_live():
+            if div != polys[h].poly:
                 errors["polypart"] = _POLYPART_MISMATCH
             else:
                 values["polypart"] = evaluate_at_one(polys[h].poly)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from plumbsw.graph import PlumbingGraph, parse_graph, validate
@@ -187,3 +188,53 @@ def corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE, max_n: int = 8,
         elif not lat.node_idx and len(without) < count - node_quota:
             without.append(g)
     return with_nodes + without
+
+
+def reference_divide(R):
+    """Euclidean division of a reduced function R on full exponent vectors,
+    as the package did it before dividing on the live coordinates: every
+    exponent is scaled to integers, its off-live coordinates are reduced mod
+    |H| after each step, and the certificate comes back as ``Fraction``
+    vectors.  Returns the sorted denominator and ``by_s``; the S = {} bucket
+    is the polynomial part."""
+    lat, active, d = R.lat, R.active, R.lat.h_order
+    off_live = [i for i in range(lat.n) if i not in active]
+
+    def canon(scaled):
+        out = list(scaled)
+        for i in off_live:
+            out[i] %= d
+        return tuple(out)
+
+    def less(sb, sa):
+        return all(sb[i] < sa[i] for i in active)
+
+    def project(a):
+        return tuple(a[i] for i in active)
+
+    denom = tuple(sorted(R.denominator, key=lambda a: (project(a), a)))
+    sa = [lat.scaled(a) for a in denom]
+    terms: dict = {}
+    heap: list = []
+
+    def add(S, sb, c):
+        if (S, sb) not in terms:
+            terms[S, sb] = 0
+            heapq.heappush(heap, (-sum(sb[i] for i in active), sorted(S), sb, S))
+        terms[S, sb] += c
+
+    for b, c in R.numerator.items():
+        add(frozenset(range(len(denom))), canon(lat.scaled(b)), c)
+    while heap:
+        _, _, sb, S = heapq.heappop(heap)
+        i0 = next((i for i in sorted(S) if not less(sb, sa[i])), None)
+        c = 0 if i0 is None else terms.pop((S, sb))
+        if c:
+            shifted = canon(tuple(x - y for x, y in zip(sb, sa[i0])))
+            add(S - {i0}, shifted, -c)
+            add(S, shifted, c)
+    by_s: dict = {}
+    for (S, sb), c in terms.items():
+        if c:
+            by_s.setdefault(S, {})[tuple(Fraction(x, d) for x in sb)] = c
+    return denom, by_s

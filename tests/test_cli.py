@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import runpy
+import sys
 from pathlib import Path
+
+import pytest
 
 import support
 from plumbsw.cli import main
@@ -243,14 +247,14 @@ def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
     assert rec == {"check": "route-agreement", "detail": STAR4_ROUTES, "pass": False}
 
     from plumbsw import counting, decomp, swcore
-    real = decomp.euclid_divide
+    real = decomp.divide_component
 
-    def crooked(R):
-        dec = real(R)
+    def crooked(*args):
+        dec = real(*args)
         dec.poly = {}
         return dec
 
-    monkeypatch.setattr(swcore, "euclid_divide", crooked)
+    monkeypatch.setattr(swcore, "divide_component", crooked)
     monkeypatch.setattr(counting, "inclusion_exclusion_check", lambda *args: False)
     monkeypatch.setattr(swcore, "Q", lambda *args: 10 ** 6)
     code, out, _ = run(capsys, "verify", star, "--samples", "2", "--seed", "3")
@@ -263,6 +267,16 @@ def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
     assert lines[3] == "FAIL division-vs-duality: " + mismatch
     assert lines[4] == "FAIL route-agreement: " + mismatch
     assert lines[5].startswith("FAIL quadratic-consistency: l'=(")
+
+
+def test_python_m_plumbsw_exits_with_the_cli_code(capsys, monkeypatch, tmp_path):
+    for argv, want in ((["sw", str(GRAPHS / "sigma_2_5_7.graph")], 0),
+                       (["sw", str(tmp_path / "missing.graph")], 2)):
+        assert main(argv) == want
+        monkeypatch.setattr(sys, "argv", ["plumbsw", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("plumbsw", run_name="__main__")
+        assert exit_info.value.code == want
 
 
 def golden_transcript() -> str:

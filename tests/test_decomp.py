@@ -1,15 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import support
-from plumbsw.decomp import (dual_polypart, euclid_divide, evaluate_at_one,
-                            f_h, polypart_dual)
-from plumbsw.graph import parse_graph
-from plumbsw.lattice import all_classes, class_of, e_star, lattice_of
-from plumbsw.series import (Box, RatFunc, equivariant_split, off_live_canon, reduce,
-                            taylor, zeta)
+from plumbsw.decomp import (DivisionError, divide_component, dual_polypart,
+                            euclid_divide, evaluate_at_one, f_h, polypart_dual)
+from plumbsw.graph import PlumbingGraph, parse_graph
+from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
+from plumbsw.series import (Box, RatFunc, _split_terms, _zeta_terms, equivariant_split,
+                            off_live_canon, reduce, taylor, zeta)
 from plumbsw.swcore import duality_cut_vertices
 
 
@@ -75,18 +76,12 @@ def test_certificate_side_conditions(sigma257, two_nodes):
     for g, live in ((sigma257, ("E1",)), (two_nodes, ("v1", "v2"))):
         for h in all_classes(g):
             dec = euclid_divide(f_h(g, h, live))
-            active = dec.active
-            sa = [lat_scaled(dec, a) for a in dec.denominator]
+            sa = [tuple(a[i] for i in dec.active) for a in dec.denominator]
             for S, bucket in dec.by_s.items():
-                for b in bucket:
-                    sb = lat_scaled(dec, b)
-                    assert not all(sb[i] < 0 for i in active)
+                for sb in bucket:
+                    assert not all(x < 0 for x in sb)
                     for i in S:
-                        assert all(sb[j] < sa[i][j] for j in active)
-
-
-def lat_scaled(dec, v):
-    return dec.lat.scaled(v)
+                        assert all(x < y for x, y in zip(sb, sa[i]))
 
 
 def test_polypart_dual_sigma257(sigma257):
@@ -111,7 +106,7 @@ def test_polypart_exponents_never_strictly_negative(corpus30):
         for h in all_classes(g):
             dec = polypart_dual(g, h, live)
             for e in dec.poly:
-                assert any(e[i] >= 0 for i in active)
+                assert len(e) == len(active) and any(x >= 0 for x in e)
 
 
 def test_dual_polypart_two_nodes_all_classes(two_nodes):
@@ -157,13 +152,12 @@ def test_negative_part_has_negative_degree(sigma257, two_nodes, corpus30):
     for g, live in picks:
         lat = lattice_of(g)
         for h in all_classes(g):
-            for dec in (euclid_divide(f_h(g, h, live)),
-                        polypart_dual(g, h, live, with_neg=True)):
-                if not dec.neg.numerator:
-                    continue
-                for i in dec.active:
-                    top = max(b[i] for b in dec.neg.numerator)
-                    assert top < sum(a[i] for a in dec.neg.denominator)
+            dec = euclid_divide(f_h(g, h, live))
+            if not dec.neg.numerator:
+                continue
+            for i in dec.active:
+                top = max(b[i] for b in dec.neg.numerator)
+                assert top < sum(a[i] for a in dec.neg.denominator)
 
 
 def test_resummation_on_window(two_nodes):
@@ -172,17 +166,18 @@ def test_resummation_on_window(two_nodes):
     fh = f_h(two_nodes, h0, live)
     box = Box((Fraction(30), Fraction(30)))
     whole = taylor(fh, box).terms
-    for dec in (euclid_divide(fh), polypart_dual(two_nodes, h0, live, with_neg=True)):
-        acc = dict(taylor(dec.neg, box).terms)
-        for e, c in dec.poly_live().items():
-            if box.contains(e):
-                acc[e] = acc.get(e, 0) + c
-        assert {e: c for e, c in acc.items() if c} == whole
+    dec = euclid_divide(fh)
+    acc = dict(taylor(dec.neg, box).terms)
+    for e, c in dec.poly_live().items():
+        if box.contains(e):
+            acc[e] = acc.get(e, 0) + c
+    assert {e: c for e, c in acc.items() if c} == whole
 
 
 def test_division_resums_exactly_on_corpus(corpus30):
     # poly * prod (1 - t^a) + neg.numerator is the numerator of the split
-    # component, on scaled integers up to the off-live lattice shift.
+    # component, on scaled integers up to the off-live lattice shift; the
+    # full exponents of poly are its live keys plus the residue.
     for g in corpus30:
         lat = lattice_of(g)
         live = duality_cut_vertices(g)
@@ -195,8 +190,11 @@ def test_division_resums_exactly_on_corpus(corpus30):
             canon = off_live_canon(lat, dec.active)
             total, want = {}, {}
             for e, c in dec.poly.items():
-                part = {lat.scaled(e): c}
-                for a in map(lat.scaled, dec.denominator):
+                full = list(dec.residue)
+                for i, x in zip(dec.active, e):
+                    full[i] = x
+                part = {tuple(full): c}
+                for a in dec.denominator:
                     grown = dict(part)
                     for b, cb in part.items():
                         key = tuple(x + y for x, y in zip(b, a))
@@ -209,3 +207,59 @@ def test_division_resums_exactly_on_corpus(corpus30):
                     key = canon(lat.scaled(b))
                     acc[key] = acc.get(key, 0) + c
             assert {b: c for b, c in total.items() if c} == {b: c for b, c in want.items() if c}
+
+
+def test_live_division_matches_full_vector_reference(corpus30):
+    # The kernel, fed as sw_report feeds it and through euclid_divide, against
+    # the division on full Fraction vectors: same denominator order, same
+    # buckets on the live coordinates, and the residue rebuilds the full ones.
+    graphs = list(corpus30) + [support.sigma257(), support.two_nodes(),
+                               support.three_nodes(), parse_graph(support.VALENCY4_TREE)]
+    # two_nodes declared with an end first, so that sorting the denominators
+    # by full vector alone would give another order than live part first
+    g = support.two_nodes()
+    ids = ("a2", "w4", "v2", "v1", "a3", "w3", "a1", "w1", "w2", "a4")
+    graphs.append(PlumbingGraph(ids, tuple(g.eulers[g.index(v)] for v in ids), g.edges))
+    for g in graphs:
+        lat = lattice_of(g)
+        live = duality_cut_vertices(g)
+        active = tuple(sorted(g.index(v) for v in live))
+        by_class, denom = _split_terms(lat, active, *_zeta_terms(lat))
+        for h in all_classes(g):
+            R = f_h(g, h, live)
+            want_denom, want = support.reference_divide(R)
+            want_live = {S: {tuple(b[i] for i in active): c for b, c in bucket.items()}
+                         for S, bucket in want.items()}
+            for dec in (divide_component(lat, active, by_class.get(lat.class_to_key(h), {}),
+                                         denom, h),
+                        euclid_divide(R)):
+                assert tuple(map(lat.unscaled, dec.denominator)) == want_denom
+                got = {S: {lat.unscaled(b): c for b, c in bucket.items()}
+                       for S, bucket in dec.by_s.items()}
+                assert got == want_live
+                assert dec.poly_live() == want_live.get(frozenset(), {})
+                full = {}
+                for S, bucket in dec.by_s.items():
+                    full[S] = {}
+                    for b, c in bucket.items():
+                        e = list(dec.residue)
+                        for i, x in zip(active, b):
+                            e[i] = x
+                        full[S][lat.unscaled(e)] = c
+                assert full == want
+
+
+def test_division_needs_one_component(two_nodes):
+    live = ("v1", "v2")
+    R = reduce(zeta(two_nodes), live)
+    bad = next(a for a in R.denominator if any(x.denominator != 1 for x in a))
+    with pytest.raises(DivisionError, match=re.escape(format_vec(bad)) + " is not in L"):
+        euclid_divide(R)
+    parts = equivariant_split(R)
+    zero, h1, _ = all_classes(two_nodes)
+    b0, b1 = next(iter(parts[zero].numerator)), next(iter(parts[h1].numerator))
+    mixed = RatFunc(R.lat, {b0: 1, b1: 1}, parts[zero].denominator, R.active)
+    with pytest.raises(DivisionError, match=re.escape(format_vec(b1)) + " is off"):
+        euclid_divide(mixed)
+    for b in (b0, b1):
+        euclid_divide(RatFunc(R.lat, {b: 1}, parts[zero].denominator, R.active))

@@ -10,6 +10,7 @@ from plumbsw.graph import parse_graph
 from plumbsw.lattice import (all_classes, class_of, e_star, lattice_of,
                              pairing, vec_add, vec_scale, vec_sub)
 from plumbsw.polytopes import sw_via_lattice_all
+from plumbsw.series import RatFunc
 from plumbsw.swcore import (QuadraticReport, RouteDisagreement, dual_class,
                             duality_cut_vertices, quadratic_check, sw_norm_via_division,
                             sw_norm_via_duality, sw_norm_via_duality_all,
@@ -146,27 +147,27 @@ def test_batched_routes_match_per_class_counts():
 
 
 def test_report_divides_once_per_class(monkeypatch, two_nodes):
-    real = swcore.euclid_divide
+    real = swcore.divide_component
     tags = []
 
-    def counted(R):
-        tags.append(R.htag)
-        return real(R)
+    def counted(lat, active, terms, denominator, htag):
+        tags.append(htag)
+        return real(lat, active, terms, denominator, htag)
 
-    monkeypatch.setattr(swcore, "euclid_divide", counted)
+    monkeypatch.setattr(swcore, "divide_component", counted)
     assert sw_report(two_nodes).agree
     assert tags == list(all_classes(two_nodes))
 
 
 def test_report_splits_once_per_graph(monkeypatch, two_nodes):
-    real = swcore.equivariant_split
+    real = swcore._split_terms
     calls = []
 
-    def counted(R):
-        calls.append(R.active)
-        return real(R)
+    def counted(lat, active, num, denom):
+        calls.append(active)
+        return real(lat, active, num, denom)
 
-    monkeypatch.setattr(swcore, "equivariant_split", counted)
+    monkeypatch.setattr(swcore, "_split_terms", counted)
     assert sw_report(two_nodes).agree
     assert len(calls) == 1
     for method in ("duality", "lattice"):
@@ -174,18 +175,37 @@ def test_report_splits_once_per_graph(monkeypatch, two_nodes):
     assert len(calls) == 1
 
 
+def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
+    real = RatFunc.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self.htag)
+        real(self)
+
+    monkeypatch.setattr(RatFunc, "__post_init__", counted)
+    for g in (two_nodes, parse_graph(support.VALENCY4_TREE)):
+        assert sw_report(g).agree
+    assert built == []
+    zero = lattice_of(two_nodes).zero_class
+    sw_norm_via_division(two_nodes, zero)
+    assert built == [zero]
+
+
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     from plumbsw import decomp
     h0 = lattice_of(sigma257).zero_class
-    real = decomp.euclid_divide
+    real = decomp.divide_component
 
-    def crooked(R):
-        dec = real(R)
+    def crooked(*args):
+        dec = real(*args)
         dec.poly = {}
         dec.by_s = {k: v for k, v in dec.by_s.items() if k}
         return dec
 
-    monkeypatch.setattr(swcore, "euclid_divide", crooked)
+    # euclid_divide reaches the kernel through decomp, sw_report through swcore
+    monkeypatch.setattr(decomp, "divide_component", crooked)
+    monkeypatch.setattr(swcore, "divide_component", crooked)
     with pytest.raises(RouteDisagreement):
         sw_norm_via_polypart(sigma257, h0)
     entry, = sw_report(sigma257).entries
