@@ -35,7 +35,10 @@ def _parse_vector(text: str, n: int, what: str):
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{what} needs {n} comma separated rationals")
-    return tuple(Fraction(p.strip()) for p in parts)
+    try:
+        return tuple(Fraction(p.strip()) for p in parts)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator") from None
 
 
 def _emit(records, fmt: str):
@@ -177,11 +180,12 @@ def cmd_sw(g, args) -> int:
     report = swcore.sw_report(g, methods)
     recs = []
     for e in report.entries:
-        text = (f"h={e.h} -sw_norm={e.sw_norm_neg if e.sw_norm_neg is not None else '?'}"
+        h = str(e.h)
+        text = (f"h={h} -sw_norm={e.sw_norm_neg if e.sw_norm_neg is not None else '?'}"
                 f" agree={'true' if e.agree else 'false'}")
         if not e.agree:
             text += " " + _routes_text(e)
-        recs.append({"h": str(e.h), "sw_norm_neg": e.sw_norm_neg,
+        recs.append({"h": h, "sw_norm_neg": e.sw_norm_neg,
                      "agree": e.agree, "routes": e.values,
                      "raw": format_frac(e.raw) if e.raw is not None else None,
                      "errors": e.errors, "_text": text})

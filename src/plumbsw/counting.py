@@ -96,7 +96,7 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     active = live_indices(g, subset)
     if class_of(g, x) != h:
         raise LatticeError("cut vector does not represent the requested class")
-    sx, hkey = lat.scaled(x), lat.class_to_key(h)
+    sx, hkey = lat.scaled(x), h.key
     d = lat.h_order
     factors = _zeta_factors(lat)
     a, mult = factors.pop()

@@ -247,7 +247,7 @@ def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
     _cone_visit(lat, (tuple((i, szkme[i] + 1) for i in active), any), visit)
     out = {}
     for h in all_classes(g):
-        key = lat.class_to_key(h)
+        key = h.key
         poly = {e: c for e, c in buckets.get(key, {}).items() if c}
         out[h] = Decomposition(lat, active, poly, None, (), _residue(key, active, d))
     return out
@@ -268,7 +268,7 @@ def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:
     active = live_indices(g, subset)
     d = lat.h_order
     szk = lat.sz_k
-    hkey = lat.class_to_key(h)
+    hkey = h.key
     want = tuple((zk - hk) % d for zk, hk in zip(szk, hkey))
     szkme = lat.scaled(lat.z_k_me)
     check: dict[Vec, int] = {}

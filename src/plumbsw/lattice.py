@@ -2,7 +2,9 @@
 
 The form data comes from one fraction-free elimination over the big
 integers: det(-I) and the adjugate of -I, whose columns are the anti-duals
-scaled by det(-I).  Values are handed out as ``fractions.Fraction``; no
+scaled by det(-I).  A class of H is held as a scaled integer key, its
+representative in [0,1) times |H|; ``fractions.Fraction`` appears only in
+``HClass.rep`` and the vector accessors (anti-duals, Z_K, pairings).  No
 floating point is used anywhere.  The lattice L is freely generated by
 the vertex classes with the (negative definite) intersection form, L' is
 its dual generated by the anti-dual classes, and H = L'/L is the finite
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .graph import (PlumbingGraph, classify_vertices, definite_adjugate,
                     intersection_matrix)
@@ -51,13 +54,25 @@ def format_vec(a) -> str:
 
 @dataclass(frozen=True)
 class HClass:
-    """Element of H = L'/L, held by its unique representative with all
-    coordinates in [0,1).  Equal classes have equal reps."""
+    """Element of H = L'/L, held by its scaled key: the unique
+    representative with all coordinates in [0,1), times d = |H|, so every
+    entry is an integer in [0, d).  Equal classes have equal keys, and keys
+    sort as representatives do."""
 
-    rep: Vec
+    key: tuple[int, ...]
+    d: int
+
+    @property
+    def rep(self) -> Vec:
+        """The representative in [0,1)^n, built on each read."""
+        return tuple(Fraction(k, self.d) for k in self.key)
 
     def __str__(self) -> str:
-        return format_vec(self.rep)
+        d, parts = self.d, []
+        for k in self.key:
+            c = gcd(k, d)
+            parts.append(str(k // c) if c == d else f"{k // c}/{d // c}")
+        return "(" + ",".join(parts) + ")"
 
 
 class Lattice:
@@ -104,7 +119,7 @@ class Lattice:
         self.z_k_me: Vec = tuple(x - 1 for x in self.z_k)
         self.l_top: Vec = vec_add(self.z_k_me,
                                   _sum_cols(self.estar, self.end_idx, self.n))
-        self.zero_class = HClass(tuple(Fraction(0) for _ in range(self.n)))
+        self.zero_class = HClass((0,) * self.n, d)
 
     # -- scaled helpers ----------------------------------------------------
     def scaled(self, x) -> tuple[int, ...]:
@@ -125,15 +140,6 @@ class Lattice:
     def class_key(self, scaled) -> tuple[int, ...]:
         d = self.h_order
         return tuple(c % d for c in scaled)
-
-    def class_to_key(self, h: HClass) -> tuple[int, ...]:
-        """Scaled class key of h; inverse of ``key_to_class``."""
-        d = self.h_order
-        return tuple(x.numerator * (d // x.denominator) for x in h.rep)
-
-    def key_to_class(self, key) -> HClass:
-        d = self.h_order
-        return HClass(tuple(Fraction(k, d) for k in key))
 
 
 def _sum_cols(cols, which, n) -> Vec:
@@ -189,24 +195,21 @@ def in_dual_lattice(g: PlumbingGraph, x) -> bool:
 
 
 def class_of(g: PlumbingGraph, x) -> HClass:
-    """Class [x] in H, as the fractional-part representative.  x must lie
-    in the dual lattice."""
+    """Class [x] in H.  x must lie in the dual lattice."""
     if not in_dual_lattice(g, x):
         raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
-    return HClass(tuple(Fraction(c) - (Fraction(c).numerator // Fraction(c).denominator)
-                        for c in x))
-
-
-def rep(c: HClass) -> Vec:
-    return c.rep
+    lat = lattice_of(g)
+    return HClass(lat.class_key(lat.scaled(x)), lat.h_order)
 
 
 def class_add(a: HClass, b: HClass) -> HClass:
-    return HClass(tuple(x + y - int(x + y) for x, y in zip(a.rep, b.rep)))
+    d = a.d
+    return HClass(tuple((x + y) % d for x, y in zip(a.key, b.key)), d)
 
 
 def class_neg(a: HClass) -> HClass:
-    return HClass(tuple(Fraction(0) if not x else 1 - x for x in a.rep))
+    d = a.d
+    return HClass(tuple(-x % d for x in a.key), d)
 
 
 def canonical_cycle(g: PlumbingGraph) -> Vec:
@@ -234,12 +237,12 @@ def rho(g: PlumbingGraph, x) -> HClass:
         col = lat.sestar[i]
         for r in range(lat.n):
             key[r] += c * col[r]
-    return lat.key_to_class(lat.class_key(tuple(key)))
+    return HClass(lat.class_key(key), lat.h_order)
 
 
 @lru_cache(maxsize=None)
 def all_classes(g: PlumbingGraph) -> tuple[HClass, ...]:
-    """All of H, reached from the anti-dual generators; sorted by rep.
+    """All of H, reached from the anti-dual generators; sorted by key.
     Enumerated once per graph and cached, as ``lattice_of`` is."""
     lat = lattice_of(g)
     gens = [lat.class_key(col) for col in lat.sestar]
@@ -255,4 +258,4 @@ def all_classes(g: PlumbingGraph) -> tuple[HClass, ...]:
                 frontier.append(nxt)
     if len(seen) != d:
         raise LatticeError(f"anti-duals span {len(seen)} classes, expected {d}")
-    return tuple(lat.key_to_class(k) for k in sorted(seen))
+    return tuple(HClass(k, d) for k in sorted(seen))

@@ -104,7 +104,7 @@ def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
     tally = fiber_counts(g, query)
     if query.fiber is None:
         return sum(tally.values())
-    return tally.get(lattice_of(g).class_to_key(query.fiber), 0)
+    return tally.get(query.fiber.key, 0)
 
 
 def node_multiset(g: PlumbingGraph) -> tuple[tuple[str, int], ...]:
@@ -164,7 +164,7 @@ def sw_via_lattice_all(g: PlumbingGraph) -> dict[HClass, int]:
         tally = fiber_counts(g, PolytopeQuery("concave", ids, tuple(dil),
                                               "closed", "positive"))
         for fk, r_count in tally.items():
-            h = lat.key_to_class(tuple((s - k) % d for s, k in zip(sdil, fk)))
+            h = HClass(tuple((s - k) % d for s, k in zip(sdil, fk)), d)
             totals[h] += sign * r_count
     return totals
 

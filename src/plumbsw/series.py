@@ -354,7 +354,7 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
 def _component(lat: Lattice, active, h: HClass, by_class, denom) -> RatFunc:
     """The h-component, as a ``RatFunc``, from the scaled terms of
     ``_split_terms``."""
-    num = {lat.unscaled(e): c for e, c in by_class.get(lat.class_to_key(h), {}).items()}
+    num = {lat.unscaled(e): c for e, c in by_class.get(h.key, {}).items()}
     return RatFunc(lat, num, tuple(map(lat.unscaled, denom)), active, htag=h)
 
 

@@ -60,7 +60,7 @@ def sw_norm_via_duality_all(g: PlumbingGraph) -> dict[HClass, int]:
     classes = all_classes(g)
     cuts = {}
     for h in classes:
-        cut = tuple(z - k for z, k in zip(szk, lat.class_to_key(h)))
+        cut = tuple(z - k for z, k in zip(szk, h.key))
         cuts[lat.class_key(cut)] = (h, cut)
     totals = dict.fromkeys(classes, 0)
 
@@ -99,26 +99,33 @@ def sw_norm_via_division(g: PlumbingGraph, h: HClass) -> int:
     return evaluate_at_one(euclid_divide(f_h(g, h, subset)).poly_live())
 
 
-def _quadratic_shift(lat, sv) -> Fraction:
-    """((v, v) + |V|)/8 for v = sv/d, from the scaled integer vector sv:
-    (sv, sv) sums the Euler numbers on the diagonal and 1 per tree edge."""
+def _eightfold_shift(lat, sv) -> int:
+    """8 d^2 ((v, v) + |V|)/8 for v = sv/d, from the scaled integer vector
+    sv: (sv, sv) sums the Euler numbers on the diagonal and 1 per tree edge."""
     g, d = lat.graph, lat.h_order
     square = sum(e * x * x for e, x in zip(g.eulers, sv))
     square += 2 * sum(sv[lat.idx[a]] * sv[lat.idx[b]] for a, b in g.edges)
-    return Fraction(square + lat.n * d * d, 8 * d * d)
+    return square + lat.n * d * d
+
+
+def _class_shift(lat, h: HClass) -> int:
+    """8 d^2 ((K + 2 r_h)^2 + |V|)/8 with K = -Z_K, from the class key."""
+    return _eightfold_shift(lat, tuple(2 * k - z for k, z in zip(h.key, lat.sz_k)))
 
 
 def sw_shift(g: PlumbingGraph, h: HClass) -> Fraction:
     """((K + 2 r_h)^2 + |V|)/8 with K = -Z_K, computed exactly."""
     lat = lattice_of(g)
-    return _quadratic_shift(lat, tuple(2 * k - z for k, z in
-                                       zip(lat.class_to_key(h), lat.sz_k)))
+    return Fraction(_class_shift(lat, h), 8 * lat.h_order ** 2)
 
 
 def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> Fraction:
     """Raw Seiberg-Witten invariant of the structure indexed by h, from the
-    agreed normalized value: sw_norm - ((K + 2 r_h)^2 + |V|)/8."""
-    return Fraction(-sw_norm_neg) - sw_shift(g, h)
+    agreed normalized value: sw_norm - ((K + 2 r_h)^2 + |V|)/8, built as
+    one ``Fraction`` from integers."""
+    lat = lattice_of(g)
+    den = 8 * lat.h_order ** 2
+    return Fraction(-(den * sw_norm_neg + _class_shift(lat, h)), den)
 
 
 ROUTES = ("duality", "polypart", "division", "lattice")
@@ -173,7 +180,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
             values["duality"] = duality[h]
         if split is not None:
             by_class, denom = split
-            div = divide_component(lat, active, by_class.get(lat.class_to_key(h), {}),
+            div = divide_component(lat, active, by_class.get(h.key, {}),
                                    denom, h).poly
         if polys is not None:
             if div != polys[h].poly:
@@ -228,6 +235,7 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
         h = class_of(g, lp)
         lhs = -Q(g, h, g.ids, lp)
         sv = tuple(2 * x - z for x, z in zip(lat.scaled(lp), lat.sz_k))
-        rhs = _quadratic_shift(lat, sv) + sw_raw(g, h, duality[h])
+        rhs = (Fraction(_eightfold_shift(lat, sv), 8 * lat.h_order ** 2)
+               + sw_raw(g, h, duality[h]))
         out.append(QuadraticSample(lp, lhs == rhs))
     return QuadraticReport(tuple(out))

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from plumbsw.graph import PlumbingGraph, parse_graph, validate
-from plumbsw.lattice import lattice_of
+from plumbsw.lattice import LatticeError, format_vec, in_dual_lattice, lattice_of
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -238,3 +238,23 @@ def reference_divide(R):
         if c:
             by_s.setdefault(S, {})[tuple(Fraction(x, d) for x in sb)] = c
     return denom, by_s
+
+
+# The class layer on ``Fraction`` vectors, as the package had it before
+# classes became scaled integer keys: the representative in [0,1) of a dual
+# lattice vector and the sum and negation of representatives.  A class was
+# printed as ``format_vec`` of its representative.
+
+def reference_class_rep(g, x):
+    if not in_dual_lattice(g, x):
+        raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
+    return tuple(Fraction(c) - (Fraction(c).numerator // Fraction(c).denominator)
+                 for c in x)
+
+
+def reference_class_add(a, b):
+    return tuple(x + y - int(x + y) for x, y in zip(a, b))
+
+
+def reference_class_neg(a):
+    return tuple(Fraction(0) if not x else 1 - x for x in a)

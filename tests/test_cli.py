@@ -131,6 +131,19 @@ def test_count_requires_dilation(capsys):
     assert code == 2 and "--dilation" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("polypart", "--h", "1/0,0,0,0,0"),
+    ("count", "--dilation", "1/0,0,0,0,0"),
+    ("count", "--dilation", "70,35,14,20,10", "--h", "1/0,0,0,0,0"),
+])
+def test_zero_denominator_in_a_vector_flag(capsys, argv):
+    code, _, err = run(capsys, argv[0], GRAPHS / "sigma_2_5_7.graph", *argv[1:])
+    flag = argv[-2]
+    assert code == 2
+    assert err.startswith(f"error: {flag} has a zero denominator")
+    assert "Traceback" not in err
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", GRAPHS / "sigma_2_5_7.graph",
                          "--samples", "3", "--seed", "11")

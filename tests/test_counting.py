@@ -215,7 +215,7 @@ def _brute_cut_sum(g, h, subset, x, quantifier):
     lat = lattice_of(g)
     d = lat.h_order
     sx = [int(c * d) for c in x]
-    hkey = lat.class_to_key(h)
+    hkey = h.key
     active = [g.index(v) for v in subset]
     ranges = []
     for mu, col in zip(lat.mults, lat.sestar):

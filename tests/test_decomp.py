@@ -230,7 +230,7 @@ def test_live_division_matches_full_vector_reference(corpus30):
             want_denom, want = support.reference_divide(R)
             want_live = {S: {tuple(b[i] for i in active): c for b, c in bucket.items()}
                          for S, bucket in want.items()}
-            for dec in (divide_component(lat, active, by_class.get(lat.class_to_key(h), {}),
+            for dec in (divide_component(lat, active, by_class.get(h.key, {}),
                                          denom, h),
                         euclid_divide(R)):
                 assert tuple(map(lat.unscaled, dec.denominator)) == want_denom

@@ -9,8 +9,8 @@ import support
 from plumbsw.graph import definite_adjugate, parse_graph, validate
 from plumbsw.lattice import (LatticeError, all_classes,
                              canonical_cycle, class_add, class_neg, class_of,
-                             e_star, intersection_data, l_top, lattice_of,
-                             pairing, rho, vec_add, vec_scale)
+                             e_star, format_vec, intersection_data, l_top,
+                             lattice_of, pairing, rho, vec_add, vec_scale)
 
 SIGMA257_NEG_INV = [
     [70, 35, 14, 20, 10],
@@ -297,3 +297,48 @@ def test_lattice_rejects_indefinite_and_disconnected():
     for text in ("vertex a 2\nvertex b 2\nedge a b\n", "vertex a -2\nvertex b -2\n"):
         with pytest.raises(LatticeError):
             lattice_of(parse_graph(text))
+
+
+def test_key_classes_match_fraction_reference(corpus30):
+    """The scaled key layer against the Fraction formulas it replaced, on
+    every class: the same order, reps, printed classes, sums and negations,
+    and class_of on shifted vectors and off L'."""
+    graphs = [*corpus30, support.sigma257(), support.two_nodes(), support.three_nodes(),
+              support.star(-2, (-6, -9, -13))]
+    rng = random.Random(8)
+    for g in graphs:
+        lat = lattice_of(g)
+        d = lat.h_order
+        zero = tuple(Fraction(0) for _ in range(g.n))
+        gens = [support.reference_class_rep(g, col) for col in lat.estar]
+        seen, frontier = {zero}, [zero]
+        while frontier:
+            r = frontier.pop()
+            for gen in gens:
+                nxt = support.reference_class_add(r, gen)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        classes = all_classes(g)
+        assert [h.rep for h in classes] == sorted(seen)
+        partners = classes if d <= 12 else rng.sample(classes, 3)
+        for h in classes:
+            assert str(h) == format_vec(h.rep)
+            assert class_neg(h).rep == support.reference_class_neg(h.rep)
+            for k in partners:
+                assert class_add(h, k).rep == support.reference_class_add(h.rep, k.rep)
+            shift = [rng.randint(-3, 3) for _ in range(g.n)]
+            shift[rng.randrange(g.n)] = -2
+            shift[rng.randrange(g.n)] = 2
+            x = vec_add(h.rep, shift)
+            assert support.reference_class_rep(g, x) == h.rep
+            assert class_of(g, x) == h
+        # Off L': a coordinate outside (1/d)Z, and (for d > 1, on a vertex
+        # with a neighbour) the coordinate 1/d, which only the L' check sees.
+        for offset in (Fraction(1, 2 * d), Fraction(1, d)):
+            if offset.denominator == 1:
+                continue
+            x = vec_add(classes[-1].rep, (offset,) + (0,) * (g.n - 1))
+            for classify in (class_of, support.reference_class_rep):
+                with pytest.raises(LatticeError, match="is not in the dual lattice"):
+                    classify(g, x)

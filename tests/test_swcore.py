@@ -192,6 +192,25 @@ def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
     assert built == [zero]
 
 
+def test_report_builds_one_fraction_per_class(monkeypatch):
+    # Classes are scaled integer keys; the raw invariant is the one Fraction
+    # each class needs.  |H| = 1155.
+    g = support.star(-2, (-6, -9, -13))
+    classes = all_classes(g)
+    real = Fraction.__new__
+    built = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert sw_report(g, ("duality",)).agree
+    monkeypatch.undo()
+    assert 0 < built <= len(classes)
+
+
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     from plumbsw import decomp
     h0 = lattice_of(sigma257).zero_class
