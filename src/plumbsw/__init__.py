@@ -7,7 +7,7 @@ polynomial part, lattice point counting), cross-verifying them.  All
 arithmetic is exact.
 """
 from .graph import (GraphFormatError, PlumbingGraph, classify_vertices,
-                    closure, parse_graph, validate)
+                    parse_graph, validate)
 from .lattice import (HClass, LatticeError, all_classes, canonical_cycle,
                       class_add, class_neg, class_of, e_star,
                       intersection_data, l_top, pairing, rho)
@@ -15,8 +15,8 @@ from .series import (Box, Cobox, FactoredRatFunc, RatFunc, TruncatedSeries,
                      WindowError, coeff, equivariant_split, reduce, taylor,
                      taylor_infinity, zeta)
 from .counting import Q, inclusion_exclusion_check, q
-from .decomp import (Decomposition, dual_polypart, euclid_divide,
-                     evaluate_at_one, polypart_dual)
+from .decomp import (Decomposition, euclid_divide, evaluate_at_one,
+                     polypart_dual)
 from .polytopes import (InapplicableError, PolytopeQuery, count, lambda_ratio,
                         linear_form, sw_via_lattice,
                         sw_via_topological_polytope)

@@ -105,17 +105,22 @@ def _live_set(g, args, default_nodes=True):
 
 def cmd_zeta(g, args) -> int:
     F = series.zeta(g)
-    recs = [{"factor": format_vec(a), "multiplicity": m,
-             "_text": f"factor (1 - t^{format_vec(a)})^{m}"} for a, m in F.factors]
+    lat = F.lat
+    recs = [{"factor": format_vec(lat.unscaled(a)), "multiplicity": m,
+             "_text": f"factor (1 - t^{format_vec(lat.unscaled(a))})^{m}"} for a, m in F.factors]
     live = _live_set(g, args)
     R = series.reduce(F, live)
+
+    def project(e):
+        return lat.unscaled(e[i] for i in R.active)
+
     recs.append({"live": list(live),
-                 "numerator": {format_vec(R.project(b)): c for b, c in sorted(R.numerator.items())},
-                 "denominator": [format_vec(R.project(a)) for a in sorted(R.denominator)],
+                 "numerator": {format_vec(project(b)): c for b, c in sorted(R.numerator.items())},
+                 "denominator": [format_vec(project(a)) for a in sorted(R.denominator)],
                  "_text": "reduced to {" + ",".join(live) + "}: numerator "
-                          + _poly_str({R.project(b): c for b, c in R.numerator.items()})
+                          + _poly_str({project(b): c for b, c in R.numerator.items()})
                           + "  denominator "
-                          + " ".join(f"(1 - t^{format_vec(R.project(a))})"
+                          + " ".join(f"(1 - t^{format_vec(project(a))})"
                                      for a in sorted(R.denominator))})
     if args.box is not None:
         ts = series.taylor(R, series.Box(tuple(Fraction(args.box) for _ in live)))

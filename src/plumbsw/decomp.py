@@ -14,31 +14,31 @@ constructions are provided:
   at Z_K - E - l' is z(l'), and P+ keeps the exponents that are not
   strictly negative on the live coordinates.
 
-The two must agree (projected to the live coordinates), and P+(1) is the
-normalized Seiberg-Witten invariant with opposite sign when the live set
-contains all nodes.
+The two must agree on the live coordinates, and P+(1) is the normalized
+Seiberg-Witten invariant with opposite sign when the live set contains all
+nodes.
 
-Division runs per class, on the live coordinates of scaled integer
-exponents (coordinates times |H|).  That is exact: after the equivariant
-split every denominator exponent lies in L, so it is 0 mod |H| in every
-scaled coordinate, and all numerator exponents of one H-component agree
-off the live coordinates mod L.  No division step changes the off-live
-coordinates, so one residue per component rebuilds every full exponent.
-Both constructions key ``Decomposition.poly`` by live scaled tuples; values
-become ``Fraction`` only in ``poly_live`` and ``neg``.
+Exponents are scaled integer vectors (coordinates times |H|), as in
+``series``.  Division runs per class on their live coordinates.  That is
+exact: after the equivariant split every denominator exponent lies in L,
+so it is 0 mod |H| in every scaled coordinate, and all numerator exponents
+of one H-component agree off the live coordinates mod L.  No division step
+changes the off-live coordinates, so one residue per component rebuilds
+every full exponent, as ``neg`` does.  Both constructions key
+``Decomposition.poly`` by live scaled tuples; exponents become ``Fraction``
+only in ``poly_live``.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import lt, sub
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import (RatFunc, _component, _cone_visit, _split_terms, _zeta_terms,
-                     live_indices)
+from .series import (RatFunc, _component, _cone_visit, _expand_factors, _split_terms,
+                     live_indices, zeta)
 
 
 class DivisionError(ValueError):
@@ -68,19 +68,20 @@ class Decomposition:
     @cached_property
     def neg(self) -> RatFunc | None:
         """Negative degree part: the non-empty S of ``by_s`` over the full
-        denominator, its exponents rebuilt from live part and residue."""
+        denominator, its scaled exponents rebuilt from live part and
+        residue."""
         if self.by_s is None:
             return None
-        lat, active = self.lat, self.active
+        active = self.active
         live_denom = [_live(a, active) for a in self.denominator]
         num: dict[tuple[int, ...], int] = {}
         for S in filter(None, self.by_s):
-            rest = [a for i, a in enumerate(live_denom) if i not in S]
+            rest = [(a, 1) for i, a in enumerate(live_denom) if i not in S]
             for b, c in self.by_s[S].items():
-                _expand_product(num, b, c, rest)
-        return RatFunc(lat, {lat.unscaled(_full(self.residue, active, e)): c
-                             for e, c in num.items()},
-                       tuple(map(lat.unscaled, self.denominator)), active, htag=self.htag)
+                for e, ce in _expand_factors({b: c}, rest)[0].items():
+                    num[e] = num.get(e, 0) + ce
+        return RatFunc(self.lat, {_full(self.residue, active, e): c for e, c in num.items()},
+                       self.denominator, active, htag=self.htag)
 
 
 def evaluate_at_one(poly: dict) -> int:
@@ -196,32 +197,19 @@ def divide_component(lat: Lattice, active, terms, denominator,
 
 def euclid_divide(R: RatFunc) -> Decomposition:
     """Euclidean division of R, which must be one H-component: the output of
-    ``f_h`` or ``equivariant_split``.  R is scaled once and divided by
-    ``divide_component``."""
-    return divide_component(R.lat, R.active, *R.scaled(), R.htag)
-
-
-def _expand_product(acc, se, c, factors) -> None:
-    """Add the terms of c * t^se * prod (1 - t^a) over the given factors to
-    ``acc``."""
-    part = {se: c}
-    for a in factors:
-        new: dict[tuple[int, ...], int] = {}
-        for b, cb in part.items():
-            new[b] = new.get(b, 0) + cb
-            shifted = tuple(x + y for x, y in zip(b, a))
-            new[shifted] = new.get(shifted, 0) - cb
-        part = new
-    for e, ce in part.items():
-        acc[e] = acc.get(e, 0) + ce
+    ``f_h`` or ``equivariant_split``."""
+    return divide_component(R.lat, R.active, R.numerator, R.denominator, R.htag)
 
 
 def f_h(g: PlumbingGraph, h: HClass, subset) -> RatFunc:
-    """The h-component of the zeta function reduced to ``subset``; only this
-    component is converted and checked."""
+    """The h-component of the zeta function reduced to ``subset``: the
+    numerator and denominator ``reduce`` expands, split; only this component
+    becomes a ``RatFunc``."""
     lat = lattice_of(g)
     active = live_indices(g, subset)
-    return _component(lat, active, h, *_split_terms(lat, active, *_zeta_terms(lat)))
+    F = zeta(g)
+    return _component(lat, active, h,
+                      *_split_terms(lat, active, *_expand_factors(F.prefactor, F.factors)))
 
 
 def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
@@ -235,7 +223,7 @@ def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
     lat = lattice_of(g)
     active = live_indices(g, subset)
     d = lat.h_order
-    szkme = lat.scaled(lat.z_k_me)
+    szkme = tuple(z - d for z in lat.sz_k)
     buckets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     def visit(w, e):
@@ -257,34 +245,3 @@ def polypart_dual(g: PlumbingGraph, h: HClass, subset) -> Decomposition:
     """Polynomial part of the h-component via the expansion at infinity,
     read from ``polypart_dual_all``."""
     return polypart_dual_all(g, subset)[h]
-
-
-def dual_polypart(g: PlumbingGraph, h: HClass, subset) -> dict[Vec, int]:
-    """Dual polynomial part: the truncation of the series of class
-    [Z_K] - h at exponents not above Z_K - E everywhere on the live
-    coordinates, as a map on live exponents.  Asserts the reflection
-    identity against ``polypart_dual`` term by term."""
-    lat = lattice_of(g)
-    active = live_indices(g, subset)
-    d = lat.h_order
-    szk = lat.sz_k
-    hkey = h.key
-    want = tuple((zk - hk) % d for zk, hk in zip(szk, hkey))
-    szkme = lat.scaled(lat.z_k_me)
-    check: dict[Vec, int] = {}
-
-    def visit(w, e):
-        if lat.class_key(e) != want:
-            return
-        live = tuple(Fraction(e[i], d) for i in active)
-        check[live] = check.get(live, 0) + w
-
-    _cone_visit(lat, (tuple((i, szkme[i] + 1) for i in active), any), visit)
-    check = {e: c for e, c in check.items() if c}
-
-    mirror = polypart_dual(g, h, subset).poly_live()
-    zkme_live = tuple(lat.z_k_me[i] for i in active)
-    reflected = {tuple(z - x for z, x in zip(zkme_live, e)): c for e, c in check.items()}
-    if reflected != mirror:
-        raise DivisionError("dual polynomial part does not reflect onto the polynomial part")
-    return check

@@ -210,43 +210,3 @@ def classify_vertices(g: PlumbingGraph):
     nodes = tuple(v for v in g.ids if val[v] >= 3)
     ends = tuple(v for v in g.ids if val[v] == 1)
     return nodes, ends, val
-
-
-def closure(g: PlumbingGraph, subset) -> tuple[tuple[str, ...], dict[str, int]]:
-    """Vertex set of the minimal connected full subgraph containing ``subset``
-    together with the valencies inside that subgraph."""
-    chosen = list(subset)
-    if not chosen:
-        raise ValueError("closure of the empty set is undefined")
-    for v in chosen:
-        g.index(v)
-    nbrs = adjacency(g)
-    root = chosen[0]
-    parent: dict[str, str | None] = {root: None}
-    order = [root]
-    for v in order:
-        for w in nbrs[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    closed: set[str] = set()
-    for v in chosen:
-        while v is not None and v not in closed:
-            closed.add(v)
-            v = parent[v]
-    # Trim: walking every chosen vertex up to the root may overshoot past the
-    # meeting points, so repeatedly drop leaves of the induced subgraph that
-    # were not asked for.
-    wanted = set(chosen)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(closed):
-            if v in wanted:
-                continue
-            if sum(1 for w in nbrs[v] if w in closed) <= 1:
-                closed.remove(v)
-                changed = True
-    members = tuple(v for v in g.ids if v in closed)
-    val = {v: sum(1 for w in nbrs[v] if w in closed) for v in members}
-    return members, val

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .graph import (PlumbingGraph, classify_vertices, definite_adjugate,
                     intersection_matrix)
@@ -187,11 +188,16 @@ def pairing(g: PlumbingGraph, x, y) -> Fraction:
 
 
 def in_dual_lattice(g: PlumbingGraph, x) -> bool:
+    """Whether x has one entry per vertex and (E_v, x) is an integer for
+    every vertex v.  L' lies in (1/d)Z^n, d = |H|, so x is in L' exactly
+    when sx = d x is integral and I sx = 0 mod d."""
     lat = lattice_of(g)
-    return all(
-        sum((Fraction(x[j]) * lat.imat[i][j] for j in range(lat.n)), Fraction(0)).denominator == 1
-        for i in range(lat.n)
-    )
+    d = lat.h_order
+    try:
+        sx = lat.scaled(x)
+    except LatticeError:
+        return False
+    return len(sx) == lat.n and all(sum(map(mul, row, sx)) % d == 0 for row in lat.imat)
 
 
 def class_of(g: PlumbingGraph, x) -> HClass:

@@ -13,17 +13,25 @@ function in exact factored / numerator-denominator form and provides
 Windows are explicit values carried by every truncated series; asking for
 a coefficient outside the window raises instead of returning 0.
 
-All enumerations run over scaled integer vectors (coordinates times
-det(-I)) in one walker, ``_walk``, and prune with a coordinate cut: strict
-upper bounds on some coordinates, passed on any or on all of them.  Passing
-is antitone along coordinatewise growth, which makes every loop provably
-finite: all anti-dual entries are strictly positive.  A last walker factor
-that is a series 1/(1 - t^a) of multiplicity 1 is not stepped (the zeta
-walks put the one of smallest column sum last): from a point e that passes,
-the points e + k a that pass are exactly those with k < run, where run is
-the max (any) or min (all) over the bounds of ceil((c_i - e_i)/a_i), a
-ceiling division by a strictly positive anti-dual entry.  One visit stands
-for the whole run.
+Every exponent in this module is a scaled integer vector: its coordinates
+times d = det(-I) = |H|, integers since L' lies in (1/d)Z^n.  That holds
+for the factors and prefactor of ``FactoredRatFunc``, the numerator and
+denominator of ``RatFunc`` and the keys of ``TruncatedSeries.terms``.  A
+window bound, given in coordinates, is scaled once per expansion (floor
+for a ``Box``, ceil for a ``Cobox``); ``fractions.Fraction`` appears only
+there, in ``TruncatedSeries.coeff_at`` and ``lines`` and in ``coeff``'s
+argument.
+
+All enumerations run in one walker, ``_walk``, and prune with a coordinate
+cut: strict upper bounds on some coordinates, passed on any or on all of
+them.  Passing is antitone along coordinatewise growth, which makes every
+loop provably finite: all anti-dual entries are strictly positive.  A last
+walker factor that is a series 1/(1 - t^a) of multiplicity 1 is not
+stepped (the zeta walks put the one of smallest column sum last): from a
+point e that passes, the points e + k a that pass are exactly those with
+k < run, where run is the max (any) or min (all) over the bounds of
+ceil((c_i - e_i)/a_i), a ceiling division by a strictly positive anti-dual
+entry.  One visit stands for the whole run.
 
 The counting functions (``counting.Q`` and ``q``) go one factor further:
 they walk without the last factor a, so the run collapses the
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import ceil, comb, floor, gcd
 from operator import add
 
 from .graph import PlumbingGraph
@@ -73,10 +81,11 @@ class Cobox:
 @dataclass
 class FactoredRatFunc:
     """Product prefactor(t) * prod (1 - t^a)^m over pairwise distinct
-    exponents a with strictly positive entries."""
+    exponents a with strictly positive entries; exponents are scaled
+    integer vectors."""
     lat: Lattice
-    factors: tuple[tuple[Vec, int], ...]
-    prefactor: dict[Vec, int]
+    factors: tuple[tuple[tuple[int, ...], int], ...]
+    prefactor: dict[tuple[int, ...], int]
 
     def __post_init__(self):
         seen = set()
@@ -91,15 +100,15 @@ class RatFunc:
     """sum_k iota_k t^{b_k} / prod_i (1 - t^{a_i}), reduced to the live
     coordinates listed in ``active`` (vertex indices, ascending).
 
-    Exponents stay full dual-lattice vectors; projection onto the live
-    coordinates happens only when comparing or printing, so the H-class of
-    every term remains available.  Invariants: a_i strictly positive on
-    the live coordinates, numerator exponents never strictly negative on
+    Exponents are full scaled vectors (dual lattice coordinates times
+    |H|); only the live coordinates count when comparing, and the off-live
+    ones keep the H-class of every term.  Invariants: a_i strictly positive
+    on the live coordinates, numerator exponents never strictly negative on
     all live coordinates.
     """
     lat: Lattice
-    numerator: dict[Vec, int]
-    denominator: tuple[Vec, ...]
+    numerator: dict[tuple[int, ...], int]
+    denominator: tuple[tuple[int, ...], ...]
     active: tuple[int, ...]
     htag: HClass | None = None
 
@@ -109,52 +118,48 @@ class RatFunc:
         self.numerator = {e: c for e, c in self.numerator.items() if c}
         for a in self.denominator:
             if not all(a[i] > 0 for i in self.active):
-                raise ValueError(
-                    f"denominator exponent {format_vec(a)} not strictly positive on live coordinates")
+                raise ValueError(f"denominator exponent {format_vec(self.lat.unscaled(a))} "
+                                 "not strictly positive on live coordinates")
         for b in self.numerator:
             if all(b[i] < 0 for i in self.active):
-                raise ValueError(
-                    f"numerator exponent {format_vec(b)} strictly negative on all live coordinates")
-
-    def project(self, x) -> Vec:
-        return tuple(Fraction(x[i]) for i in self.active)
-
-    def scaled(self):
-        """Numerator and denominator with scaled integer exponents."""
-        lat = self.lat
-        return ({lat.scaled(b): c for b, c in self.numerator.items()},
-                [lat.scaled(a) for a in self.denominator])
+                raise ValueError(f"numerator exponent {format_vec(self.lat.unscaled(b))} "
+                                 "strictly negative on all live coordinates")
 
 
 @dataclass
 class TruncatedSeries:
-    """Finite slab of a series: live exponent -> integer coefficient.
-    Terms outside the window are absent by construction, not zero."""
-    terms: dict[Vec, int]
+    """Finite slab of a series: live scaled exponent (the live coordinates
+    times d = |H|) -> integer coefficient.  Terms outside the window are
+    absent by construction, not zero."""
+    terms: dict[tuple[int, ...], int]
     window: Box | Cobox
     point: str                      # "origin" or "infinity"
     active: tuple[int, ...]
+    d: int
     htag: HClass | None = None
 
     def coeff_at(self, live_exp) -> int:
+        """Coefficient at a live exponent in coordinates; 0 off the 1/d
+        grid."""
         e = vec(live_exp)
         if not self.window.contains(e):
             raise WindowError(f"exponent {format_vec(e)} outside window")
-        return self.terms.get(e, 0)
+        # An integral Fraction equals and hashes as its integer.
+        return self.terms.get(tuple(x * self.d for x in e), 0)
 
     def lines(self) -> list[str]:
         out = []
         for e in sorted(self.terms):
-            out.append(f"{self.terms[e]} * t^{format_vec(e)}")
+            out.append(f"{self.terms[e]} * t^{format_vec(Fraction(x, self.d) for x in e)}")
         return out
 
 
 def zeta(g: PlumbingGraph) -> FactoredRatFunc:
-    """Factor (E*_v, valency(v) - 2) for every vertex of valency != 2."""
+    """Factor (E*_v, valency(v) - 2) for every vertex of valency != 2, with
+    E*_v scaled: column v of the adjugate of -I."""
     lat = lattice_of(g)
-    factors = tuple((lat.estar[i], mu) for i, mu in enumerate(lat.mults) if mu != 0)
-    zero = vec([0] * lat.n)
-    return FactoredRatFunc(lat, factors, {zero: 1})
+    factors = tuple((lat.sestar[i], mu) for i, mu in enumerate(lat.mults) if mu != 0)
+    return FactoredRatFunc(lat, factors, {(0,) * lat.n: 1})
 
 
 def live_indices(g: PlumbingGraph, subset) -> tuple[int, ...]:
@@ -176,8 +181,7 @@ def reduce(F: FactoredRatFunc, subset) -> RatFunc:
 def _expand_factors(prefactor, factors):
     """Numerator and denominator exponents of prefactor * prod (1 - t^a)^mu:
     each positive mu multiplies out into the numerator, each negative mu
-    repeats a in the denominator.  Exponents may be ``Fraction`` or scaled
-    integer vectors alike."""
+    repeats a in the denominator."""
     num = dict(prefactor)
     denom = []
     for a, mu in factors:
@@ -192,13 +196,6 @@ def _expand_factors(prefactor, factors):
                 new[shifted] = new.get(shifted, 0) - c
             num = {e: c for e, c in new.items() if c}
     return num, tuple(denom)
-
-
-def _zeta_terms(lat: Lattice):
-    """Numerator and denominator of the zeta function as ``reduce`` expands
-    them, on scaled integer exponents; reduction keeps every exponent."""
-    factors = [(lat.sestar[i], mu) for i, mu in enumerate(lat.mults) if mu]
-    return _expand_factors({(0,) * lat.n: 1}, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +344,14 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
     """
     if R.htag is not None:
         raise ValueError("function is already tagged with a class")
-    split = _split_terms(R.lat, R.active, *R.scaled())
+    split = _split_terms(R.lat, R.active, R.numerator, R.denominator)
     return {h: _component(R.lat, R.active, h, *split) for h in all_classes(R.lat.graph)}
 
 
 def _component(lat: Lattice, active, h: HClass, by_class, denom) -> RatFunc:
-    """The h-component, as a ``RatFunc``, from the scaled terms of
+    """The h-component, as a ``RatFunc``, from the terms of
     ``_split_terms``."""
-    num = {lat.unscaled(e): c for e, c in by_class.get(h.key, {}).items()}
-    return RatFunc(lat, num, tuple(map(lat.unscaled, denom)), active, htag=h)
+    return RatFunc(lat, by_class.get(h.key, {}), denom, active, htag=h)
 
 
 def _split_terms(lat: Lattice, active, num, denom):
@@ -401,41 +397,47 @@ def _split_terms(lat: Lattice, active, num, denom):
 # ---------------------------------------------------------------------------
 # Taylor expansions
 
+def _scaled_bound(window, d: int, active) -> tuple[int, ...]:
+    """The window bound times d, rounded onto the integers so that a scaled
+    exponent passes exactly when the exponent it stands for lies in the
+    window: floor for a ``Box`` (e <= b), ceil for a ``Cobox`` (e >= b)."""
+    if len(window.bound) != len(active):
+        raise WindowError("window bound must match the live coordinate count")
+    rounding = floor if isinstance(window, Box) else ceil
+    return tuple(rounding(Fraction(b) * d) for b in window.bound)
+
+
 def taylor(obj, window: Box) -> TruncatedSeries:
     """Expansion at the origin, complete for the given box window."""
     if not isinstance(window, Box):
         raise WindowError("origin expansion needs a box window")
     lat = obj.lat
-    d = lat.h_order
     if isinstance(obj, FactoredRatFunc):
         active = tuple(range(lat.n))
     else:
         active = obj.active
-    sbound = [int(Fraction(b) * d) for b in window.bound]
-    if len(sbound) != len(active):
-        raise WindowError("window bound must match the live coordinate count")
+    sbound = _scaled_bound(window, lat.h_order, active)
     cut = (tuple((i, b + 1) for i, b in zip(active, sbound)), all)
-    terms: dict[Vec, int] = {}
+    terms: dict[tuple[int, ...], int] = {}
 
     def add(weight, scaled_exp):
         if not weight:
             return
-        live = tuple(Fraction(scaled_exp[i], d) for i in active)
+        live = tuple(scaled_exp[i] for i in active)
         terms[live] = terms.get(live, 0) + weight
 
     if isinstance(obj, FactoredRatFunc):
         factors = _zeta_factors(lat)
         for p, pc in obj.prefactor.items():
-            _walk(lat.scaled(p), factors, cut,
-                  _pointwise(factors, lambda w, e, pc=pc: add(pc * w, e)))
+            _walk(p, factors, cut, _pointwise(factors, lambda w, e, pc=pc: add(pc * w, e)))
         htag = None
     else:
-        factors = [(lat.scaled(a), 1) for a in obj.denominator]
+        factors = [(a, 1) for a in obj.denominator]
         for b, c in obj.numerator.items():
-            _walk(lat.scaled(b), factors, cut, _pointwise(factors, lambda w, e, c=c: add(c, e)))
+            _walk(b, factors, cut, _pointwise(factors, lambda w, e, c=c: add(c, e)))
         htag = obj.htag
     terms = {e: c for e, c in terms.items() if c}
-    return TruncatedSeries(terms, window, "origin", active, htag)
+    return TruncatedSeries(terms, window, "origin", active, lat.h_order, htag)
 
 
 def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
@@ -457,21 +459,17 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
         if subset is not None:
             raise ValueError("reduced functions carry their own live set")
         active = obj.active
-    sbound = [int(Fraction(b) * d) for b in window.bound]
-    if len(sbound) != len(active):
-        raise WindowError("window bound must match the live coordinate count")
-    terms: dict[Vec, int] = {}
+    sbound = _scaled_bound(window, d, active)
+    terms: dict[tuple[int, ...], int] = {}
 
-    def add(weight, live_scaled):
-        if not weight:
-            return
-        live = tuple(Fraction(x, d) for x in live_scaled)
-        terms[live] = terms.get(live, 0) + weight
+    def add(weight, live):
+        if weight:
+            terms[live] = terms.get(live, 0) + weight
 
     if isinstance(obj, FactoredRatFunc):
-        if obj.prefactor != {vec([0] * lat.n): 1}:
+        if obj.prefactor != {(0,) * lat.n: 1}:
             raise ValueError("closed form expansion needs trivial prefactor")
-        szkme = lat.scaled(lat.z_k_me)
+        szkme = tuple(z - d for z in lat.sz_k)
         cut = (tuple((i, szkme[i] - b + 1) for i, b in zip(active, sbound)), any)
 
         def visit(w, e):
@@ -483,14 +481,14 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
         # Expanded downward from t^{b - sum a}; the walk runs on the negated
         # exponent, upward by the a, and "some live e_i >= bound_i" becomes
         # "some live -e_i < 1 - bound_i".
-        factors = [(lat.scaled(a), 1) for a in obj.denominator]
+        factors = [(a, 1) for a in obj.denominator]
         sign = (-1) ** len(factors)
-        shift = tuple(map(sum, zip((0,) * lat.n, *(a for a, _ in factors))))
+        shift = tuple(map(sum, zip((0,) * lat.n, *obj.denominator)))
         cut = (tuple((i, 1 - b) for i, b in zip(active, sbound)), any)
         for b, c in obj.numerator.items():
-            start = tuple(s - x for x, s in zip(lat.scaled(b), shift))
+            start = tuple(s - x for x, s in zip(b, shift))
             _walk(start, factors, cut, _pointwise(
                 factors, lambda w, e, c=c: add(sign * c, tuple(-e[i] for i in active))))
         htag = obj.htag
     terms = {e: c for e, c in terms.items() if c}
-    return TruncatedSeries(terms, window, "infinity", active, htag)
+    return TruncatedSeries(terms, window, "infinity", active, d, htag)

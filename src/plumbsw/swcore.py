@@ -28,7 +28,7 @@ from .graph import PlumbingGraph
 from .lattice import (HClass, all_classes, class_add, class_neg, class_of,
                       lattice_of)
 from .polytopes import PolytopeError, sw_via_lattice_all
-from .series import _cone_visit, _split_terms, _zeta_terms, live_indices
+from .series import _cone_visit, _expand_factors, _split_terms, live_indices, zeta
 
 
 class RouteDisagreement(RuntimeError):
@@ -155,16 +155,17 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     representative; refuse to normalize when the routes disagree.
 
     Duality, polypart and lattice each enumerate once for the whole graph.
-    The reduced zeta function is split once on scaled exponents, and
-    Euclidean division runs once per class on the terms of its H-component;
-    that polynomial part serves both the division route and polypart's
-    cross-check."""
+    The numerator and denominator of the zeta function, as ``reduce``
+    expands them, are split once, and Euclidean division runs once per class
+    on the terms of its H-component; that polynomial part serves both the
+    division route and polypart's cross-check."""
     lat = lattice_of(g)
     subset = duality_cut_vertices(g)
     active = live_indices(g, subset)
     duality = sw_norm_via_duality_all(g) if "duality" in methods else None
     polys = polypart_dual_all(g, subset) if "polypart" in methods else None
-    split = (_split_terms(lat, active, *_zeta_terms(lat))
+    F = zeta(g)
+    split = (_split_terms(lat, active, *_expand_factors(F.prefactor, F.factors))
              if "polypart" in methods or "division" in methods else None)
     lattice, lattice_error = None, None
     if "lattice" in methods:

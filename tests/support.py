@@ -9,8 +9,9 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from plumbsw.decomp import polypart_dual
 from plumbsw.graph import PlumbingGraph, parse_graph, validate
-from plumbsw.lattice import LatticeError, format_vec, in_dual_lattice, lattice_of
+from plumbsw.lattice import LatticeError, format_vec, lattice_of
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -190,14 +191,26 @@ def corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE, max_n: int = 8,
     return with_nodes + without
 
 
-def reference_divide(R):
-    """Euclidean division of a reduced function R on full exponent vectors,
-    as the package did it before dividing on the live coordinates: every
+def reflected_polypart(g, h, subset):
+    """The dual polynomial part of h: the truncation of the series of class
+    [Z_K] - h at exponents not above Z_K - E everywhere on the live
+    coordinates, read as P+_h of ``polypart_dual`` reflected through Z_K - E,
+    on live ``Fraction`` exponents."""
+    lat = lattice_of(g)
+    zkme = [lat.z_k_me[i] for i in sorted(g.index(v) for v in subset)]
+    return {tuple(z - x for z, x in zip(zkme, e)): c
+            for e, c in polypart_dual(g, h, subset).poly_live().items()}
+
+
+def reference_divide(lat, active, numerator, denominator):
+    """Euclidean division of the reduced function numerator / prod (1 - t^a)
+    over a in ``denominator``, all exponents full ``Fraction`` vectors, as
+    the package did it before dividing on the live coordinates: every
     exponent is scaled to integers, its off-live coordinates are reduced mod
     |H| after each step, and the certificate comes back as ``Fraction``
     vectors.  Returns the sorted denominator and ``by_s``; the S = {} bucket
     is the polynomial part."""
-    lat, active, d = R.lat, R.active, R.lat.h_order
+    d = lat.h_order
     off_live = [i for i in range(lat.n) if i not in active]
 
     def canon(scaled):
@@ -212,7 +225,7 @@ def reference_divide(R):
     def project(a):
         return tuple(a[i] for i in active)
 
-    denom = tuple(sorted(R.denominator, key=lambda a: (project(a), a)))
+    denom = tuple(sorted(denominator, key=lambda a: (project(a), a)))
     sa = [lat.scaled(a) for a in denom]
     terms: dict = {}
     heap: list = []
@@ -223,7 +236,7 @@ def reference_divide(R):
             heapq.heappush(heap, (-sum(sb[i] for i in active), sorted(S), sb, S))
         terms[S, sb] += c
 
-    for b, c in R.numerator.items():
+    for b, c in numerator.items():
         add(frozenset(range(len(denom))), canon(lat.scaled(b)), c)
     while heap:
         _, _, sb, S = heapq.heappop(heap)
@@ -241,12 +254,21 @@ def reference_divide(R):
 
 
 # The class layer on ``Fraction`` vectors, as the package had it before
-# classes became scaled integer keys: the representative in [0,1) of a dual
-# lattice vector and the sum and negation of representatives.  A class was
-# printed as ``format_vec`` of its representative.
+# classes became scaled integer keys: the L' test, the representative in
+# [0,1) of a dual lattice vector and the sum and negation of
+# representatives.  A class was printed as ``format_vec`` of its
+# representative.
+
+def reference_in_dual_lattice(g, x):
+    lat = lattice_of(g)
+    return all(
+        sum((Fraction(x[j]) * lat.imat[i][j] for j in range(lat.n)), Fraction(0)).denominator == 1
+        for i in range(lat.n)
+    )
+
 
 def reference_class_rep(g, x):
-    if not in_dual_lattice(g, x):
+    if not reference_in_dual_lattice(g, x):
         raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
     return tuple(Fraction(c) - (Fraction(c).numerator // Fraction(c).denominator)
                  for c in x)

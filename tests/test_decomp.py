@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 import support
-from plumbsw.decomp import (DivisionError, divide_component, dual_polypart,
-                            euclid_divide, evaluate_at_one, f_h, polypart_dual)
+from plumbsw.decomp import (DivisionError, divide_component, euclid_divide,
+                            evaluate_at_one, f_h, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
-from plumbsw.series import (Box, RatFunc, _split_terms, _zeta_terms, equivariant_split,
+from plumbsw.series import (Box, RatFunc, _split_terms, equivariant_split,
                             off_live_canon, reduce, taylor, zeta)
 from plumbsw.swcore import duality_cut_vertices
 
@@ -39,8 +39,9 @@ def test_divide_sigma257_matches_printed_decomposition(sigma257):
     # negative part equals (1 - t + t^15 + t^21)/((1-t^14)(1-t^10)):
     # cross multiply against our denominator (1-t^35)(1-t^14)(1-t^10)
     neg_live = {}
+    lat = lattice_of(sigma257)
     for b, c in dec.neg.numerator.items():
-        e = (int(b[0]),)
+        e = (int(lat.unscaled(b)[0]),)
         neg_live[e] = neg_live.get(e, 0) + c
     printed = {(0,): 1, (1,): -1, (15,): 1, (21,): 1}
     assert _poly_mul(neg_live, {(0,): 1}) == _poly_mul(printed, _one_minus((35,)))
@@ -49,16 +50,16 @@ def test_divide_sigma257_matches_printed_decomposition(sigma257):
 def test_divide_pure_denominator():
     g = parse_graph("vertex a -1")
     lat = lattice_of(g)
-    R = RatFunc(lat, {(Fraction(0),): 1}, ((Fraction(1),),), (0,))
+    R = RatFunc(lat, {lat.scaled((Fraction(0),)): 1}, (lat.scaled((Fraction(1),)),), (0,))
     dec = euclid_divide(R)
     assert dec.poly == {}
-    assert {tuple(b) for b in dec.neg.numerator} == {(Fraction(0),)}
+    assert {lat.unscaled(b) for b in dec.neg.numerator} == {(Fraction(0),)}
 
 
 def test_divide_pure_monomial():
     g = parse_graph("vertex a -2\nvertex b -2\nedge a b")
     lat = lattice_of(g)
-    R = RatFunc(lat, {(Fraction(2), Fraction(3)): 1}, (), (0, 1))
+    R = RatFunc(lat, {lat.scaled((Fraction(2), Fraction(3))): 1}, (), (0, 1))
     dec = euclid_divide(R)
     assert ilive(dec.poly_live()) == {(2, 3): 1}
     assert dec.neg.numerator == {}
@@ -68,8 +69,8 @@ def test_divide_rejects_bad_numerator():
     g = parse_graph("vertex a -2\nvertex b -2\nedge a b")
     lat = lattice_of(g)
     with pytest.raises(ValueError):
-        RatFunc(lat, {(Fraction(-1), Fraction(-1)): 1},
-                ((Fraction(1), Fraction(1)),), (0, 1))
+        RatFunc(lat, {lat.scaled((Fraction(-1), Fraction(-1))): 1},
+                (lat.scaled((Fraction(1), Fraction(1))),), (0, 1))
 
 
 def test_certificate_side_conditions(sigma257, two_nodes):
@@ -110,16 +111,19 @@ def test_polypart_exponents_never_strictly_negative(corpus30):
 
 
 def test_dual_polypart_two_nodes_all_classes(two_nodes):
+    # The dual polynomial part of h, the truncation of the series of class
+    # [Z_K] - h below Z_K - E somewhere on the nodes, is P+_h reflected
+    # through Z_K - E.
     zero = lattice_of(two_nodes).zero_class
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
     from plumbsw.lattice import class_add
     h2 = class_add(h1, h1)
     N = ("v1", "v2")
-    assert ilive(dual_polypart(two_nodes, zero, N)) == {
+    assert ilive(support.reflected_polypart(two_nodes, zero, N)) == {
         (0, 0): 1, (33, 6): 1, (6, 33): 1, (66, 12): 1, (12, 66): 1}
-    assert ilive(dual_polypart(two_nodes, h1, N)) == {
+    assert ilive(support.reflected_polypart(two_nodes, h1, N)) == {
         (4, 22): 1, (44, 8): 1, (10, 55): 1}
-    assert ilive(dual_polypart(two_nodes, h2, N)) == {
+    assert ilive(support.reflected_polypart(two_nodes, h2, N)) == {
         (22, 4): 1, (8, 44): 1, (55, 10): 1}
 
 
@@ -168,8 +172,8 @@ def test_resummation_on_window(two_nodes):
     whole = taylor(fh, box).terms
     dec = euclid_divide(fh)
     acc = dict(taylor(dec.neg, box).terms)
-    for e, c in dec.poly_live().items():
-        if box.contains(e):
+    for e, c in dec.poly.items():
+        if box.contains(fh.lat.unscaled(e)):
             acc[e] = acc.get(e, 0) + c
     assert {e: c for e, c in acc.items() if c} == whole
 
@@ -204,7 +208,7 @@ def test_division_resums_exactly_on_corpus(corpus30):
                     total[canon(b)] = total.get(canon(b), 0) + cb
             for acc, numerator in ((total, dec.neg.numerator), (want, R.numerator)):
                 for b, c in numerator.items():
-                    key = canon(lat.scaled(b))
+                    key = canon(b)
                     acc[key] = acc.get(key, 0) + c
             assert {b: c for b, c in total.items() if c} == {b: c for b, c in want.items() if c}
 
@@ -224,10 +228,13 @@ def test_live_division_matches_full_vector_reference(corpus30):
         lat = lattice_of(g)
         live = duality_cut_vertices(g)
         active = tuple(sorted(g.index(v) for v in live))
-        by_class, denom = _split_terms(lat, active, *_zeta_terms(lat))
+        reduced = reduce(zeta(g), live)
+        by_class, denom = _split_terms(lat, active, reduced.numerator, reduced.denominator)
         for h in all_classes(g):
             R = f_h(g, h, live)
-            want_denom, want = support.reference_divide(R)
+            want_denom, want = support.reference_divide(
+                lat, active, {lat.unscaled(b): c for b, c in R.numerator.items()},
+                tuple(map(lat.unscaled, R.denominator)))
             want_live = {S: {tuple(b[i] for i in active): c for b, c in bucket.items()}
                          for S, bucket in want.items()}
             for dec in (divide_component(lat, active, by_class.get(h.key, {}),
@@ -252,14 +259,16 @@ def test_live_division_matches_full_vector_reference(corpus30):
 def test_division_needs_one_component(two_nodes):
     live = ("v1", "v2")
     R = reduce(zeta(two_nodes), live)
-    bad = next(a for a in R.denominator if any(x.denominator != 1 for x in a))
-    with pytest.raises(DivisionError, match=re.escape(format_vec(bad)) + " is not in L"):
+    lat = R.lat
+    bad = next(a for a in R.denominator if any(x % lat.h_order for x in a))
+    with pytest.raises(DivisionError,
+                       match=re.escape(format_vec(lat.unscaled(bad))) + " is not in L"):
         euclid_divide(R)
     parts = equivariant_split(R)
     zero, h1, _ = all_classes(two_nodes)
     b0, b1 = next(iter(parts[zero].numerator)), next(iter(parts[h1].numerator))
     mixed = RatFunc(R.lat, {b0: 1, b1: 1}, parts[zero].denominator, R.active)
-    with pytest.raises(DivisionError, match=re.escape(format_vec(b1)) + " is off"):
+    with pytest.raises(DivisionError, match=re.escape(format_vec(lat.unscaled(b1))) + " is off"):
         euclid_divide(mixed)
     for b in (b0, b1):
         euclid_divide(RatFunc(R.lat, {b: 1}, parts[zero].denominator, R.active))

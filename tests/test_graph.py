@@ -3,7 +3,7 @@ import random
 import pytest
 
 from plumbsw.graph import (GraphFormatError, PlumbingGraph, classify_vertices,
-                           closure, parse_graph, validate)
+                           parse_graph, validate)
 
 SIGMA = """
 vertex E1 -1
@@ -107,61 +107,6 @@ def test_classify_two_node_example(two_nodes):
     nodes, ends, _ = classify_vertices(two_nodes)
     assert nodes == ("v1", "v2")
     assert ends == ("w1", "w2", "w3", "w4")
-
-
-def _path_oracle(g, a, b):
-    # shortest path in a tree by breadth first search
-    nbrs = {v: [] for v in g.ids}
-    for x, y in g.edges:
-        nbrs[x].append(y)
-        nbrs[y].append(x)
-    prev = {a: None}
-    queue = [a]
-    for v in queue:
-        for w in nbrs[v]:
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return set(path)
-
-
-def test_closure_singleton():
-    g = parse_graph(SIGMA)
-    members, val = closure(g, ["E1"])
-    assert members == ("E1",) and val["E1"] == 0
-
-
-def test_closure_path_through_middle():
-    g = parse_graph(SIGMA)
-    members, val = closure(g, ["E1", "E5"])
-    assert set(members) == _path_oracle(g, "E1", "E5") == {"E1", "E4", "E5"}
-    assert val == {"E1": 1, "E4": 2, "E5": 1}
-
-
-def test_closure_two_node_example(two_nodes):
-    members, _ = closure(two_nodes, ["v1", "v2"])
-    assert set(members) == _path_oracle(two_nodes, "v1", "v2")
-    assert members == ("v1", "a1", "a2", "a3", "a4", "v2")
-
-
-def test_closure_rejects_empty():
-    with pytest.raises(ValueError):
-        closure(parse_graph(SIGMA), [])
-
-
-def test_closure_properties_on_corpus(corpus30):
-    rng = random.Random(17)
-    for g in corpus30[:10]:
-        for _ in range(3):
-            size = rng.randint(1, g.n)
-            subset = rng.sample(g.ids, size)
-            members, _ = closure(g, subset)
-            assert set(subset) <= set(members)
-            again, _ = closure(g, members)
-            assert again == members
 
 
 def test_tree_valency_identity(corpus30, sigma257, two_nodes, three_nodes):

@@ -9,8 +9,8 @@ import support
 from plumbsw.graph import definite_adjugate, parse_graph, validate
 from plumbsw.lattice import (LatticeError, all_classes,
                              canonical_cycle, class_add, class_neg, class_of,
-                             e_star, format_vec, intersection_data, l_top,
-                             lattice_of, pairing, rho, vec_add, vec_scale)
+                             e_star, format_vec, in_dual_lattice, intersection_data,
+                             l_top, lattice_of, pairing, rho, vec_add, vec_scale)
 
 SIGMA257_NEG_INV = [
     [70, 35, 14, 20, 10],
@@ -342,3 +342,36 @@ def test_key_classes_match_fraction_reference(corpus30):
             for classify in (class_of, support.reference_class_rep):
                 with pytest.raises(LatticeError, match="is not in the dual lattice"):
                     classify(g, x)
+
+
+def test_in_dual_lattice_matches_fraction_reference(corpus30):
+    """The integer L' test against the Fraction formula it replaced, on
+    vectors on and off the 1/|H| grid: anti-dual combinations shifted by
+    integers (in L'), the same shifted by 1/|H| on one coordinate (on the
+    grid, mostly not in L'), and random entries with other denominators."""
+    graphs = [*corpus30, support.sigma257(), support.two_nodes(), support.three_nodes(),
+              support.star(-2, (-6, -9, -13))]
+    rng = random.Random(31)
+    verdicts = set()
+    for g in graphs:
+        lat = lattice_of(g)
+        d = lat.h_order
+        for _ in range(12):
+            x = [Fraction(rng.randint(-3, 3)) for _ in range(g.n)]
+            for col in lat.estar:
+                x = vec_add(x, vec_scale(rng.randint(-2, 2), col))
+            nudged = list(x)
+            nudged[rng.randrange(g.n)] += Fraction(1, d)
+            den = rng.choice([2, 3, 5, 7, 2 * d, d + 1])
+            loose = [Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(g.n)]
+            ints = [rng.randint(-9, 9) for _ in range(g.n)]
+            for y in (x, nudged, loose, ints):
+                want = support.reference_in_dual_lattice(g, y)
+                assert in_dual_lattice(g, y) == want
+                verdicts.add((want, all(c * d == int(c * d) for c in y)))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    g = support.sigma257()
+    for x in ((0,) * 4, (0,) * 6):
+        assert not in_dual_lattice(g, x)
+        with pytest.raises(LatticeError, match="is not in the dual lattice"):
+            class_of(g, x)

@@ -5,15 +5,23 @@ from math import comb
 import pytest
 
 import support
+from plumbsw.decomp import euclid_divide, f_h
 from plumbsw.graph import parse_graph
-from plumbsw.lattice import e_star, lattice_of, rho
+from plumbsw.lattice import all_classes, e_star, lattice_of, rho
 from plumbsw.series import (Box, Cobox, RatFunc, WindowError, coeff,
                             equivariant_split, reduce, taylor,
                             taylor_infinity, zeta)
+from plumbsw.swcore import duality_cut_vertices
 
 
 def live_map(ts):
-    return {tuple(int(x) for x in e): c for e, c in ts.terms.items()}
+    # terms are keyed by live scaled exponents; integral coordinates here
+    return {tuple(x // ts.d for x in e): c for e, c in ts.terms.items()}
+
+
+def live_ints(R, e):
+    """The live coordinates of a scaled exponent of R, as integers."""
+    return tuple(int(x) for x in R.lat.unscaled(e[i] for i in R.active))
 
 
 def test_zeta_factors_sigma257(sigma257):
@@ -34,13 +42,13 @@ def test_zeta_single_vertex():
     F = zeta(g)
     assert len(F.factors) == 1
     a, m = F.factors[0]
-    assert a == (Fraction(1, 2),) and m == -2
+    assert F.lat.unscaled(a) == (Fraction(1, 2),) and m == -2
 
 
 def test_zeta_two_nodes(two_nodes):
     F = zeta(two_nodes)
     lat = lattice_of(two_nodes)
-    got = {lat.estar.index(a): m for a, m in F.factors}
+    got = {lat.sestar.index(a): m for a, m in F.factors}
     assert got == {two_nodes.index("v1"): 1, two_nodes.index("v2"): 1,
                    two_nodes.index("w1"): -1, two_nodes.index("w2"): -1,
                    two_nodes.index("w3"): -1, two_nodes.index("w4"): -1}
@@ -48,22 +56,22 @@ def test_zeta_two_nodes(two_nodes):
 
 def test_reduce_sigma257_to_node(sigma257):
     R = reduce(zeta(sigma257), ["E1"])
-    num = {int(R.project(b)[0]): c for b, c in R.numerator.items()}
+    num = {live_ints(R, b)[0]: c for b, c in R.numerator.items()}
     assert num == {0: 1, 70: -1}
-    assert sorted(int(R.project(a)[0]) for a in R.denominator) == [10, 14, 35]
+    assert sorted(live_ints(R, a)[0] for a in R.denominator) == [10, 14, 35]
 
 
 def test_reduce_full_set_keeps_everything(sigma257):
     R = reduce(zeta(sigma257), sigma257.ids)
     assert R.active == tuple(range(5))
-    assert set(R.denominator) == {e_star(sigma257, v) for v in ("E2", "E3", "E5")}
+    assert set(R.denominator) == {R.lat.scaled(e_star(sigma257, v)) for v in ("E2", "E3", "E5")}
 
 
 def test_reduce_two_nodes(two_nodes):
     R = reduce(zeta(two_nodes), ["v1", "v2"])
-    num = {tuple(int(x) for x in R.project(b)): c for b, c in R.numerator.items()}
+    num = {live_ints(R, b): c for b, c in R.numerator.items()}
     assert num == {(0, 0): 1, (66, 12): -1, (12, 66): -1, (78, 78): 1}
-    dens = sorted(tuple(int(x) for x in R.project(a)) for a in R.denominator)
+    dens = sorted(live_ints(R, a) for a in R.denominator)
     assert dens == [(4, 22), (6, 33), (22, 4), (33, 6)]
 
 
@@ -108,7 +116,7 @@ def test_taylor_one_variable_example():
     # t^2/(1-t) at the origin and at infinity
     g = parse_graph("vertex a -1")
     lat = lattice_of(g)
-    R = RatFunc(lat, {(Fraction(2),): 1}, ((Fraction(1),),), (0,))
+    R = RatFunc(lat, {lat.scaled((Fraction(2),)): 1}, (lat.scaled((Fraction(1),)),), (0,))
     ts = taylor(R, Box((Fraction(5),)))
     assert live_map(ts) == {(2,): 1, (3,): 1, (4,): 1, (5,): 1}
     ti = taylor_infinity(R, Cobox((Fraction(-1),)))
@@ -145,7 +153,7 @@ def test_taylor_infinity_sigma257_both_routes(sigma257):
 def test_taylor_constant_term_is_one(corpus30):
     for g in corpus30[:6]:
         ts = taylor(zeta(g), Box(tuple(Fraction(0) for _ in range(g.n))))
-        assert ts.terms == {tuple(Fraction(0) for _ in range(g.n)): 1}
+        assert ts.terms == {(0,) * g.n: 1}
 
 
 def _naive_reduced_series(g, live_ids, bound):
@@ -187,14 +195,18 @@ def _naive_reduced_series(g, live_ids, bound):
 def test_taylor_matches_naive_multiplication(sigma257, live):
     bound = 24
     ts = taylor(reduce(zeta(sigma257), live), Box(tuple(Fraction(bound) for _ in live)))
-    assert ts.terms == _naive_reduced_series(sigma257, live, bound)
+    lat = lattice_of(sigma257)
+    assert {lat.unscaled(e): c for e, c in ts.terms.items()} == \
+        _naive_reduced_series(sigma257, live, bound)
 
 
 def test_taylor_matches_naive_on_corpus(corpus30):
     for g in corpus30[:4]:
         live = g.ids
         ts = taylor(reduce(zeta(g), live), Box(tuple(Fraction(8) for _ in live)))
-        assert ts.terms == _naive_reduced_series(g, live, 8)
+        lat = lattice_of(g)
+        assert {lat.unscaled(e): c for e, c in ts.terms.items()} == \
+            _naive_reduced_series(g, live, 8)
 
 
 def test_equivariant_split_trivial_group(sigma257):
@@ -205,7 +217,7 @@ def test_equivariant_split_trivial_group(sigma257):
     assert h.rep == (0, 0, 0, 0, 0)
     # identical as reduced rational functions: live numerator and denominator
     def live_num(S):
-        return {S.project(b): c for b, c in S.numerator.items()}
+        return {live_ints(S, b): c for b, c in S.numerator.items()}
     assert live_num(part) == live_num(R)
     assert part.denominator == R.denominator
 
@@ -287,5 +299,71 @@ def test_nonzero_coeff_lands_in_positive_cone(corpus30):
         lat = lattice_of(g)
         box = Box(tuple(Fraction(6) for _ in range(g.n)))
         for e, c in taylor(zeta(g), box).terms.items():
+            e = lat.unscaled(e)
             assert c == coeff(g, e)
             assert all(x == 0 for x in e) or all(x > 0 for x in e)
+
+
+def test_window_bound_off_the_grid_keeps_only_window_terms(two_nodes):
+    # |H| = 3, so 7/6 and -1/6 are off the 1/3 grid: a cobox bound rounds up
+    # and a box bound down, never toward zero.
+    lat = lattice_of(two_nodes)
+    live = ("v1", "v2")
+    w = Cobox((Fraction(7, 6), Fraction(7, 6)))
+    closed = taylor_infinity(zeta(two_nodes), w, subset=live)
+    rewritten = taylor_infinity(reduce(zeta(two_nodes), live), w)
+    assert closed.terms == rewritten.terms
+    assert len(closed.terms) == 9
+    neg = euclid_divide(f_h(two_nodes, lat.zero_class, live)).neg
+    origin = taylor(neg, Box((40, Fraction(-1, 6))))
+    assert {lat.unscaled(e): c for e, c in origin.terms.items()} == {(1, -53): -1, (7, -20): -1}
+    for ts in (closed, rewritten, origin):
+        for e, c in ts.terms.items():
+            assert ts.window.contains(lat.unscaled(e))
+            assert ts.coeff_at(lat.unscaled(e)) == c
+
+
+def test_expansions_and_division_build_no_fraction_per_term(monkeypatch):
+    # Exponents stay scaled integers from the zeta function to the series
+    # terms and the division certificate.  The only Fraction objects are
+    # those of the window bounds, two per live coordinate, however many terms
+    # the expansion has.
+    real = Fraction.__new__
+    built = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    def fractions_in(fn, *args, **kwargs):
+        nonlocal built
+        built = 0
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        try:
+            result = fn(*args, **kwargs)
+        finally:
+            monkeypatch.undo()
+        return built, result
+
+    for g in (support.sigma257(), support.two_nodes(), support.three_nodes()):
+        lat = lattice_of(g)
+        F = zeta(g)
+        for live in {tuple(g.ids), tuple(duality_cut_vertices(g))}:
+            n_live = len(live)
+            R = reduce(F, live)
+            box = Box(tuple(Fraction(30) for _ in live))
+            active = sorted(g.index(v) for v in live)
+            cobox = Cobox(tuple(lat.z_k_me[i] - 2 for i in active))
+            for run in ((taylor, R, box), (taylor_infinity, R, cobox)):
+                count, ts = fractions_in(*run)
+                assert count <= 2 * n_live
+                assert ts.terms
+            count, ts = fractions_in(taylor_infinity, F, cobox, subset=live)
+            assert count <= 2 * n_live
+            assert ts.terms
+        live = duality_cut_vertices(g)
+        for h in all_classes(g):
+            count, dec = fractions_in(lambda: euclid_divide(f_h(g, h, live)))
+            assert count == 0
+            assert dec.by_s
