@@ -17,8 +17,7 @@ from .series import (Box, Cobox, FactoredRatFunc, RatFunc, TruncatedSeries,
 from .counting import Q, inclusion_exclusion_check, q
 from .decomp import (Decomposition, euclid_divide, evaluate_at_one,
                      polypart_dual)
-from .polytopes import (InapplicableError, PolytopeQuery, count, lambda_ratio,
-                        linear_form, sw_via_lattice,
+from .polytopes import (InapplicableError, PolytopeQuery, count, sw_via_lattice,
                         sw_via_topological_polytope)
 from .swcore import (QuadraticReport, SWReport, quadratic_check, sw_norm_via_duality,
                      sw_norm_via_polypart, sw_raw, sw_report)

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import counting, decomp, polytopes, series, swcore
 from .graph import GraphFormatError, classify_vertices, parse_graph, validate
-from .lattice import (HClass, LatticeError, class_of, format_frac, format_vec,
-                      lattice_of, vec_add, vec_scale)
+from .lattice import (HClass, LatticeError, canonical_cycle, class_of, e_star,
+                      format_frac, format_vec, l_top, lattice_of)
 
 DEFAULT_SEED = 20240914
 
@@ -77,15 +77,16 @@ def cmd_validate(g, args) -> int:
 def cmd_invariants(g, args) -> int:
     lat = lattice_of(g)
     nodes, ends, _ = classify_vertices(g)
+    zk, top = format_vec(canonical_cycle(g)), format_vec(l_top(g))
     recs = [
         {"key": "hOrder", "value": lat.h_order, "_text": f"|H| = {lat.h_order}"},
-        {"key": "Z_K", "value": format_vec(lat.z_k), "_text": f"Z_K = {format_vec(lat.z_k)}"},
-        {"key": "l_top", "value": format_vec(lat.l_top), "_text": f"l_top = {format_vec(lat.l_top)}"},
+        {"key": "Z_K", "value": zk, "_text": f"Z_K = {zk}"},
+        {"key": "l_top", "value": top, "_text": f"l_top = {top}"},
         {"key": "nodes", "value": list(nodes), "_text": "nodes = " + (",".join(nodes) or "-")},
         {"key": "ends", "value": list(ends), "_text": "ends = " + (",".join(ends) or "-")},
     ]
     for v in g.ids:
-        col = format_vec(lat.estar[g.index(v)])
+        col = format_vec(e_star(g, v))
         recs.append({"key": f"E*[{v}]", "value": col, "_text": f"E*[{v}] = {col}"})
     _emit(recs, args.format)
     return 0
@@ -218,22 +219,23 @@ def cmd_verify(g, args) -> int:
     if args.samples < 1:
         return _fail_usage("--samples must be at least 1")
     lat = lattice_of(g)
+    d = lat.h_order
     rng = random.Random(args.seed)
     results: list[tuple[str, bool, str]] = []
 
     def record(name, ok, detail=""):
         results.append((name, ok, detail))
 
-    zk_sum = [Fraction(0)] * lat.n
-    for i, mu in enumerate(lat.mults):
-        zk_sum = vec_add(zk_sum, vec_scale(mu, lat.estar[i]))
-    record("canonical-cycle-identity", tuple(zk_sum) == tuple(lat.z_k_me))
+    # sum_v mu_v E*_v = Z_K - E, in scaled integers
+    zk_sum = tuple(sum(mu * col[r] for mu, col in zip(lat.mults, lat.sestar))
+                   for r in range(lat.n))
+    record("canonical-cycle-identity", zk_sum == tuple(z - d for z in lat.sz_k))
 
     cut = swcore.duality_cut_vertices(g)
     sym_ok = True
     for live in {tuple(g.ids), tuple(cut)}:
         active = sorted(g.index(v) for v in live)
-        bound = tuple(lat.z_k_me[i] - 2 for i in active)
+        bound = tuple(Fraction(lat.sz_k[i] - 3 * d, d) for i in active)
         w = series.Cobox(bound)
         a = series.taylor_infinity(series.reduce(series.zeta(g), live), w)
         b = series.taylor_infinity(series.zeta(g), w, subset=live)
@@ -244,10 +246,12 @@ def cmd_verify(g, args) -> int:
     for _ in range(args.samples):
         size = rng.randint(1, min(3, g.n))
         subset = tuple(sorted(rng.sample(g.ids, size)))
-        x = [Fraction(0)] * lat.n
-        for i in range(lat.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 2), lat.estar[i]))
-        h = class_of(g, x)
+        sx = [0] * lat.n
+        for col in lat.sestar:
+            c = rng.randint(0, 2)
+            for r in range(lat.n):
+                sx[r] += c * col[r]
+        h, x = lat.class_at(sx), lat.unscaled(sx)
         if not ie_fail and not counting.inclusion_exclusion_check(g, h, subset, x):
             ie_fail = f"subset={','.join(subset)} x={format_vec(x)}"
     record("inclusion-exclusion", not ie_fail, ie_fail)

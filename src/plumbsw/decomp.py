@@ -207,9 +207,7 @@ def f_h(g: PlumbingGraph, h: HClass, subset) -> RatFunc:
     becomes a ``RatFunc``."""
     lat = lattice_of(g)
     active = live_indices(g, subset)
-    F = zeta(g)
-    return _component(lat, active, h,
-                      *_split_terms(lat, active, *_expand_factors(F.prefactor, F.factors)))
+    return _component(lat, active, h, *_split_terms(lat, active, *zeta(g).expanded()))
 
 
 def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:

@@ -143,10 +143,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(passed for _, passed, _ in self.checks)
 
-    def lines(self) -> list[str]:
-        return [f"check {name}: {'pass' if p else 'FAIL'}{' (' + d + ')' if d else ''}"
-                for name, p, d in self.checks]
-
 
 def _connected(g: PlumbingGraph) -> bool:
     nbrs = adjacency(g)

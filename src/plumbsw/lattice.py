@@ -2,13 +2,18 @@
 
 The form data comes from one fraction-free elimination over the big
 integers: det(-I) and the adjugate of -I, whose columns are the anti-duals
-scaled by det(-I).  A class of H is held as a scaled integer key, its
-representative in [0,1) times |H|; ``fractions.Fraction`` appears only in
-``HClass.rep`` and the vector accessors (anti-duals, Z_K, pairings).  No
-floating point is used anywhere.  The lattice L is freely generated by
-the vertex classes with the (negative definite) intersection form, L' is
-its dual generated by the anti-dual classes, and H = L'/L is the finite
-first homology of the link, of order det(-I).
+scaled by det(-I).  ``Lattice`` holds integer data only: the intersection
+matrix, d = |H|, and every L' vector scaled by d (anti-duals, Z_K).  A
+class of H is held as a scaled integer key, its representative in [0,1)
+times d.  ``fractions.Fraction`` vectors are built on read, and only in the
+public accessors: ``e_star``, ``canonical_cycle``, ``l_top``,
+``intersection_data``, ``pairing``, ``HClass.rep`` and
+``Lattice.unscaled``.  No floating point is used anywhere.
+
+The lattice L is freely generated by the vertex classes with the
+(negative definite) intersection form, L' is its dual generated by the
+anti-dual classes, and H = L'/L is the finite first homology of the link,
+of order det(-I).
 """
 from __future__ import annotations
 
@@ -30,19 +35,6 @@ class LatticeError(ValueError):
 
 def vec(values) -> Vec:
     return tuple(Fraction(x) for x in values)
-
-
-def vec_add(a, b) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 
 def format_frac(x: Fraction) -> str:
@@ -77,12 +69,12 @@ class HClass:
 
 
 class Lattice:
-    """Cached per-graph bundle: intersection matrix, -I^{-1}, anti-dual
-    basis, canonical cycle and scaled integer copies used by enumerations.
+    """Cached per-graph bundle of integer data: intersection matrix,
+    d = det(-I) = |H|, anti-dual basis and canonical cycle.
 
-    Scaled data: every L' coordinate has denominator dividing d = det(-I),
-    so d*x is an integer vector; enumerations work on those to stay in
-    machine/big integer arithmetic.
+    Every L' coordinate has denominator dividing d, so an L' vector x is
+    held as the integer vector d*x: ``sestar[i]`` is the anti-dual of
+    vertex i (column i of the adjugate of -I) and ``sz_k`` is Z_K.
     """
 
     def __init__(self, g: PlumbingGraph):
@@ -97,12 +89,10 @@ class Lattice:
             raise LatticeError(f"intersection matrix is not negative definite: {elim}")
         d, adj = elim
         self.h_order = d
-        self.neg_inv = tuple(tuple(Fraction(x, d) for x in row) for row in adj)
-        # e_star[i] is column i of -I^{-1}; the matrix is symmetric but we
-        # read columns to match the defining property (E*_v, E_w) = -delta.
+        # sestar[i] is column i of adj(-I) = d (-I)^{-1}; the matrix is
+        # symmetric but we read columns to match the defining property
+        # (E*_v, E_w) = -delta.
         self.sestar = tuple(tuple(adj[r][i] for r in range(self.n)) for i in range(self.n))
-        self.estar: tuple[Vec, ...] = tuple(
-            tuple(Fraction(x, d) for x in col) for col in self.sestar)
         # Every enumeration terminates only because these entries are
         # strictly positive; a disconnected graph has zero entries here.
         if any(x <= 0 for col in self.sestar for x in col):
@@ -116,10 +106,6 @@ class Lattice:
         # (Z_K, E_v) = e_v + 2 for all v, i.e. Z_K = -(-I)^{-1} (euler + 2).
         rhs = [e + 2 for e in g.eulers]
         self.sz_k = tuple(-sum(x * y for x, y in zip(row, rhs)) for row in adj)
-        self.z_k = tuple(Fraction(x, d) for x in self.sz_k)
-        self.z_k_me: Vec = tuple(x - 1 for x in self.z_k)
-        self.l_top: Vec = vec_add(self.z_k_me,
-                                  _sum_cols(self.estar, self.end_idx, self.n))
         self.zero_class = HClass((0,) * self.n, d)
 
     # -- scaled helpers ----------------------------------------------------
@@ -142,13 +128,9 @@ class Lattice:
         d = self.h_order
         return tuple(c % d for c in scaled)
 
-
-def _sum_cols(cols, which, n) -> Vec:
-    total = [Fraction(0)] * n
-    for i in which:
-        for r in range(n):
-            total[r] += cols[i][r]
-    return tuple(total)
+    def class_at(self, scaled) -> HClass:
+        """The class in H of the L' vector whose scaled copy is ``scaled``."""
+        return HClass(self.class_key(scaled), self.h_order)
 
 
 @lru_cache(maxsize=None)
@@ -161,14 +143,14 @@ def lattice_of(g: PlumbingGraph) -> Lattice:
 def intersection_data(g: PlumbingGraph):
     """(I, -I^{-1}, det(-I)); the determinant is the order of H."""
     lat = lattice_of(g)
-    return lat.imat, lat.neg_inv, lat.h_order
+    return lat.imat, tuple(map(lat.unscaled, zip(*lat.sestar))), lat.h_order
 
 
 def e_star(g: PlumbingGraph, v: str) -> Vec:
     """Anti-dual class of a vertex: column v of -I^{-1}.  All entries are
     strictly positive for a negative definite tree."""
     lat = lattice_of(g)
-    return lat.estar[g.index(v)]
+    return lat.unscaled(lat.sestar[g.index(v)])
 
 
 def pairing(g: PlumbingGraph, x, y) -> Fraction:
@@ -205,7 +187,7 @@ def class_of(g: PlumbingGraph, x) -> HClass:
     if not in_dual_lattice(g, x):
         raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
     lat = lattice_of(g)
-    return HClass(lat.class_key(lat.scaled(x)), lat.h_order)
+    return lat.class_at(lat.scaled(x))
 
 
 def class_add(a: HClass, b: HClass) -> HClass:
@@ -220,13 +202,17 @@ def class_neg(a: HClass) -> HClass:
 
 def canonical_cycle(g: PlumbingGraph) -> Vec:
     """Z_K, the unique solution of the adjunction relations."""
-    return lattice_of(g).z_k
+    lat = lattice_of(g)
+    return lat.unscaled(lat.sz_k)
 
 
 def l_top(g: PlumbingGraph) -> Vec:
     """Z_K - E plus the sum of the end anti-duals; equivalently the
     node-supported combination sum_{nodes} (valency - 2) E*_v."""
-    return lattice_of(g).l_top
+    lat = lattice_of(g)
+    d = lat.h_order
+    ends = [lat.sestar[i] for i in lat.end_idx]
+    return lat.unscaled(z - d + sum(col) for z, *col in zip(lat.sz_k, *ends))
 
 
 def rho(g: PlumbingGraph, x) -> HClass:
@@ -243,7 +229,7 @@ def rho(g: PlumbingGraph, x) -> HClass:
         col = lat.sestar[i]
         for r in range(lat.n):
             key[r] += c * col[r]
-    return HClass(lat.class_key(key), lat.h_order)
+    return lat.class_at(key)
 
 
 @lru_cache(maxsize=None)

@@ -3,21 +3,24 @@
 Points live in the orthant indexed by the end vertices; the linear form of
 a vertex v sends x to sum_e x_e E*_e restricted to v.  A query fixes a
 convex (intersection) or concave (union) shape over a live vertex set,
-a dilation vector, boundary and positivity conventions and an optional
-homology class fiber.  The alternating sum of fibered counts over the
-sub-multisets of the node multiset is the normalized Seiberg-Witten
-invariant with opposite sign.
+a dilation vector of any rationals, boundary and positivity conventions
+and an optional homology class fiber.  The alternating sum of fibered
+counts over the sub-multisets of the node multiset is the normalized
+Seiberg-Witten invariant with opposite sign.
+
+Enumerations cut on scaled integers (coordinates times |H|): ``count``
+turns the query's dilation into that cut with ``series.strict_cut``, and
+the Seiberg-Witten routes build their dilations from the scaled
+anti-duals, making no ``Fraction``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .graph import PlumbingGraph, adjacency
-from .lattice import (HClass, LatticeError, Vec, all_classes, class_add,
-                      class_neg, class_of, lattice_of)
-from .series import _pointwise, _walk, live_indices
+from .graph import PlumbingGraph
+from .lattice import HClass, Vec, all_classes, lattice_of
+from .series import _pointwise, _walk, live_indices, strict_cut
 
 SHAPES = ("convex", "concave")
 BOUNDARIES = ("closed", "open")
@@ -53,26 +56,18 @@ class PolytopeQuery:
             raise PolytopeError(f"positivity must be one of {POSITIVITIES}")
 
 
-def linear_form(g: PlumbingGraph, v: str, x) -> Fraction:
-    """l_v(x) = sum over ends e of x_e * (E*_e restricted to v)."""
+def fiber_counts(g: PlumbingGraph, shape: str, cut, positivity: str
+                 ) -> dict[tuple[int, ...], int]:
+    """Exact numbers of integer points x >= 0 (>= 1 for "positive") with
+    the scaled vector s = sum_e x_e (scaled E*_e) below the cut, tallied by
+    the class key of s.  ``cut`` pairs each live vertex index i with a
+    strict bound c_i: a point is inside when s_i < c_i for every (convex)
+    or some (concave) live i.  Enumeration is complete because every
+    anti-dual entry is strictly positive, which caps each end coordinate by
+    the cut."""
     lat = lattice_of(g)
-    xs = [Fraction(c) for c in x]
-    if len(xs) != len(lat.end_idx):
-        raise LatticeError(f"expected {len(lat.end_idx)} end coordinates")
-    vi = g.index(v)
-    return sum((c * lat.estar[e][vi] for c, e in zip(xs, lat.end_idx)), Fraction(0))
-
-
-def fiber_counts(g: PlumbingGraph, query: PolytopeQuery) -> dict[tuple[int, ...], int]:
-    """Exact numbers of integer points satisfying the query, tallied by the
-    class key of sum_e x_e E*_e; the query's fiber is not used.  Enumeration
-    is complete because every anti-dual entry is strictly positive, which
-    caps each end coordinate by the dilation."""
-    lat = lattice_of(g)
-    active = live_indices(g, query.subset)
-    sdil = lat.scaled(query.dilation)
     cols = [lat.sestar[e] for e in lat.end_idx]
-    if query.positivity == "positive":
+    if positivity == "positive":
         if not cols:
             # No end vertices (single vertex graph): the empty point is the
             # only candidate, and it is not strictly positive.
@@ -80,11 +75,6 @@ def fiber_counts(g: PlumbingGraph, query: PolytopeQuery) -> dict[tuple[int, ...]
         start = tuple(map(sum, zip(*cols)))
     else:
         start = (0,) * lat.n
-    # Scaled values are integers, so the closed "<= dilation" is "< dilation + 1".
-    slack = 1 if query.boundary == "closed" else 0
-    cut = (tuple((i, sdil[i] + slack) for i in active),
-           all if query.shape == "convex" else any)
-
     d = lat.h_order
     tally: dict[tuple[int, ...], int] = {}
 
@@ -94,14 +84,20 @@ def fiber_counts(g: PlumbingGraph, query: PolytopeQuery) -> dict[tuple[int, ...]
         tally[fk] = tally.get(fk, 0) + 1
 
     factors = [(col, 1) for col in cols]
-    _walk(start, factors, cut, _pointwise(factors, visit))
+    _walk(start, factors, (cut, all if shape == "convex" else any),
+          _pointwise(factors, visit))
     return tally
 
 
 def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
     """Exact number of integer points satisfying the query: the sum of
-    ``fiber_counts``, or its entry for the query's fiber."""
-    tally = fiber_counts(g, query)
+    ``fiber_counts`` at the dilation's cut, or its entry for the query's
+    fiber."""
+    lat = lattice_of(g)
+    closed = query.boundary == "closed"
+    cut = [(i, strict_cut(query.dilation[i], lat.h_order, closed))
+           for i in live_indices(g, query.subset)]
+    tally = fiber_counts(g, query.shape, cut, query.positivity)
     if query.fiber is None:
         return sum(tally.values())
     return tally.get(query.fiber.key, 0)
@@ -146,26 +142,22 @@ def sw_via_lattice_all(g: PlumbingGraph) -> dict[HClass, int]:
     nm = node_multiset(g)
     if not nm:
         raise PolytopeError("graph has no nodes; use the duality route")
-    d = lat.h_order
     n_ends = len(lat.end_idx)
     totals = dict.fromkeys(all_classes(g), 0)
     for ks in _sub_multisets(nm):
-        ids = tuple(v for (v, _), k in zip(nm, ks) if k)
-        dil = [Fraction(0)] * lat.n
-        for (v, _), k in zip(nm, ks):
-            if k:
-                col = lat.estar[g.index(v)]
-                for r in range(lat.n):
-                    dil[r] += k * col[r]
-        sdil = lat.scaled(dil)
+        sdil = [0] * lat.n
+        for i, k in zip(lat.node_idx, ks):
+            col = lat.sestar[i]
+            for r in range(lat.n):
+                sdil[r] += k * col[r]
         sign = (-1) ** (n_ends - sum(ks))
         for (_, m), k in zip(nm, ks):
             sign *= comb(m, k)
-        tally = fiber_counts(g, PolytopeQuery("concave", ids, tuple(dil),
-                                              "closed", "positive"))
+        # closed: the scaled points at or below the dilation on some live node
+        cut = [(i, sdil[i] + 1) for i, k in zip(lat.node_idx, ks) if k]
+        tally = fiber_counts(g, "concave", cut, "positive")
         for fk, r_count in tally.items():
-            h = HClass(tuple((s - k) % d for s, k in zip(sdil, fk)), d)
-            totals[h] += sign * r_count
+            totals[lat.class_at([s - k for s, k in zip(sdil, fk)])] += sign * r_count
     return totals
 
 
@@ -186,56 +178,13 @@ def sw_via_topological_polytope(g: PlumbingGraph, h: HClass) -> int:
     if not lat.node_idx:
         raise PolytopeError("graph has no nodes; use the duality route")
     for v in lat.node_idx:
-        col = lat.estar[v]
-        if not all(lat.z_k[i] <= col[i] for i in lat.node_idx):
+        col = lat.sestar[v]
+        if not all(lat.sz_k[i] <= col[i] for i in lat.node_idx):
             raise InapplicableError(
                 "canonical cycle exceeds a node anti-dual on the node coordinates")
-    zk_class = class_of(g, lat.z_k)
-    fiber = class_add(zk_class, class_neg(h))
-    dil = tuple(zc - rc for zc, rc in zip(lat.z_k, h.rep))
-    ids = tuple(g.ids[i] for i in lat.node_idx)
-    return count(g, PolytopeQuery("concave", ids, dil, "open", "nonneg", fiber))
+    # scaled Z_K - r_h, whose class is the fiber [Z_K] - h; "open" cuts at
+    # the dilation itself
+    sdil = tuple(z - k for z, k in zip(lat.sz_k, h.key))
+    tally = fiber_counts(g, "concave", [(i, sdil[i]) for i in lat.node_idx], "nonneg")
+    return tally.get(lat.class_key(sdil), 0)
 
-
-def ends_through(g: PlumbingGraph, v: str) -> tuple[str, ...]:
-    """End vertices whose path to the node v passes through no other node."""
-    lat = lattice_of(g)
-    vi = g.index(v)
-    if vi not in lat.node_idx:
-        raise PolytopeError(f"{v!r} is not a node")
-    nbrs = adjacency(g)
-    parent = {v: None}
-    order = [v]
-    for u in order:
-        for w in nbrs[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    nodes = {g.ids[i] for i in lat.node_idx}
-    out = []
-    for e in (g.ids[i] for i in lat.end_idx):
-        w, clean = parent[e], True
-        while w != v:
-            if w in nodes:
-                clean = False
-                break
-            w = parent[w]
-        if clean:
-            out.append(e)
-    return tuple(out)
-
-
-def lambda_ratio(g: PlumbingGraph, v: str, vp: str) -> Fraction:
-    """Ratio constant between two nodes: (E*_v at v) / (E*_vp at v).
-    Agrees with (E*_w at v) / (E*_w at vp) for every end w hanging off v,
-    which is asserted."""
-    lat = lattice_of(g)
-    vi, pi = g.index(v), g.index(vp)
-    if vi not in lat.node_idx or pi not in lat.node_idx:
-        raise PolytopeError("both arguments must be nodes")
-    lam = lat.estar[vi][vi] / lat.estar[pi][vi]
-    for w in ends_through(g, v):
-        wi = g.index(w)
-        if lat.estar[wi][vi] / lat.estar[wi][pi] != lam:
-            raise PolytopeError("vertex ratio is not constant across the hanging ends")
-    return lam

@@ -15,12 +15,12 @@ a coefficient outside the window raises instead of returning 0.
 
 Every exponent in this module is a scaled integer vector: its coordinates
 times d = det(-I) = |H|, integers since L' lies in (1/d)Z^n.  That holds
-for the factors and prefactor of ``FactoredRatFunc``, the numerator and
-denominator of ``RatFunc`` and the keys of ``TruncatedSeries.terms``.  A
-window bound, given in coordinates, is scaled once per expansion (floor
-for a ``Box``, ceil for a ``Cobox``); ``fractions.Fraction`` appears only
-there, in ``TruncatedSeries.coeff_at`` and ``lines`` and in ``coeff``'s
-argument.
+for the factors of ``FactoredRatFunc``, the numerator and denominator of
+``RatFunc`` and the keys of ``TruncatedSeries.terms``.  A window bound,
+given in coordinates, is turned once per expansion into a cut on scaled
+exponents by ``strict_cut``, the rounding rule polytope dilations share;
+``fractions.Fraction`` appears only there, in ``TruncatedSeries.coeff_at``
+and ``lines`` and in ``coeff``'s argument.
 
 All enumerations run in one walker, ``_walk``, and prune with a coordinate
 cut: strict upper bounds on some coordinates, passed on any or on all of
@@ -58,13 +58,19 @@ class WindowError(ValueError):
     """A coefficient was requested outside a series' window."""
 
 
+def _paired(live_exp, bound):
+    if len(live_exp) != len(bound):
+        raise WindowError("exponent must match the live coordinate count")
+    return zip(live_exp, bound)
+
+
 @dataclass(frozen=True)
 class Box:
     """Origin window: keeps exponents <= bound on every live coordinate."""
     bound: Vec
 
     def contains(self, live_exp) -> bool:
-        return all(x <= b for x, b in zip(live_exp, self.bound))
+        return all(x <= b for x, b in _paired(live_exp, self.bound))
 
 
 @dataclass(frozen=True)
@@ -75,24 +81,27 @@ class Cobox:
     bound: Vec
 
     def contains(self, live_exp) -> bool:
-        return any(x >= b for x, b in zip(live_exp, self.bound))
+        return any(x >= b for x, b in _paired(live_exp, self.bound))
 
 
 @dataclass
 class FactoredRatFunc:
-    """Product prefactor(t) * prod (1 - t^a)^m over pairwise distinct
-    exponents a with strictly positive entries; exponents are scaled
-    integer vectors."""
+    """The zeta function of the graph of ``lat``, as built by ``zeta``:
+    the product of (1 - t^{E*_v})^{valency(v) - 2} over the vertices of
+    valency other than 2."""
     lat: Lattice
-    factors: tuple[tuple[tuple[int, ...], int], ...]
-    prefactor: dict[tuple[int, ...], int]
 
-    def __post_init__(self):
-        seen = set()
-        for a, m in self.factors:
-            if a in seen or m == 0:
-                raise ValueError("factors must have distinct exponents and nonzero multiplicity")
-            seen.add(a)
+    @property
+    def factors(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(E*_v, valency(v) - 2) for every vertex of valency != 2, with
+        E*_v scaled: column v of the adjugate of -I."""
+        lat = self.lat
+        return tuple((lat.sestar[i], mu) for i, mu in enumerate(lat.mults) if mu != 0)
+
+    def expanded(self):
+        """Numerator and denominator exponents of the product, as
+        ``reduce`` starts from."""
+        return _expand_factors({(0,) * self.lat.n: 1}, self.factors)
 
 
 @dataclass
@@ -140,7 +149,7 @@ class TruncatedSeries:
 
     def coeff_at(self, live_exp) -> int:
         """Coefficient at a live exponent in coordinates; 0 off the 1/d
-        grid."""
+        grid.  An exponent of the wrong length raises ``WindowError``."""
         e = vec(live_exp)
         if not self.window.contains(e):
             raise WindowError(f"exponent {format_vec(e)} outside window")
@@ -155,11 +164,9 @@ class TruncatedSeries:
 
 
 def zeta(g: PlumbingGraph) -> FactoredRatFunc:
-    """Factor (E*_v, valency(v) - 2) for every vertex of valency != 2, with
-    E*_v scaled: column v of the adjugate of -I."""
-    lat = lattice_of(g)
-    factors = tuple((lat.sestar[i], mu) for i, mu in enumerate(lat.mults) if mu != 0)
-    return FactoredRatFunc(lat, factors, {(0,) * lat.n: 1})
+    """The zeta function of g; the only way to build a
+    ``FactoredRatFunc``."""
+    return FactoredRatFunc(lattice_of(g))
 
 
 def live_indices(g: PlumbingGraph, subset) -> tuple[int, ...]:
@@ -175,14 +182,14 @@ def reduce(F: FactoredRatFunc, subset) -> RatFunc:
     """Reduce to the variables of ``subset``: positive factors expand into
     the numerator, negative factors become denominator entries."""
     active = live_indices(F.lat.graph, subset)
-    return RatFunc(F.lat, *_expand_factors(F.prefactor, F.factors), active)
+    return RatFunc(F.lat, *F.expanded(), active)
 
 
-def _expand_factors(prefactor, factors):
-    """Numerator and denominator exponents of prefactor * prod (1 - t^a)^mu:
-    each positive mu multiplies out into the numerator, each negative mu
-    repeats a in the denominator."""
-    num = dict(prefactor)
+def _expand_factors(start, factors):
+    """Numerator and denominator exponents of the polynomial ``start`` times
+    prod (1 - t^a)^mu: each positive mu multiplies out into the numerator,
+    each negative mu repeats a in the denominator."""
+    num = dict(start)
     denom = []
     for a, mu in factors:
         if mu < 0:
@@ -397,14 +404,23 @@ def _split_terms(lat: Lattice, active, num, denom):
 # ---------------------------------------------------------------------------
 # Taylor expansions
 
+def strict_cut(bound, d: int, closed: bool) -> int:
+    """The strict upper bound on scaled integers that matches a bound b in
+    coordinates, any rational: an integer s has s/d <= b (closed) or
+    s/d < b (open) exactly when s < strict_cut.  That is floor(d b) + 1
+    closed and ceil(d b) open."""
+    db = Fraction(bound) * d
+    return floor(db) + 1 if closed else ceil(db)
+
+
 def _scaled_bound(window, d: int, active) -> tuple[int, ...]:
-    """The window bound times d, rounded onto the integers so that a scaled
-    exponent passes exactly when the exponent it stands for lies in the
-    window: floor for a ``Box`` (e <= b), ceil for a ``Cobox`` (e >= b)."""
+    """The window bound as a cut on scaled exponents, by ``strict_cut``: a
+    scaled exponent lies in a ``Box`` (e <= b) when it is below the closed
+    cut, and in a ``Cobox`` (e >= b) when it is not below the open cut."""
     if len(window.bound) != len(active):
         raise WindowError("window bound must match the live coordinate count")
-    rounding = floor if isinstance(window, Box) else ceil
-    return tuple(rounding(Fraction(b) * d) for b in window.bound)
+    closed = isinstance(window, Box)
+    return tuple(strict_cut(b, d, closed) for b in window.bound)
 
 
 def taylor(obj, window: Box) -> TruncatedSeries:
@@ -417,7 +433,7 @@ def taylor(obj, window: Box) -> TruncatedSeries:
     else:
         active = obj.active
     sbound = _scaled_bound(window, lat.h_order, active)
-    cut = (tuple((i, b + 1) for i, b in zip(active, sbound)), all)
+    cut = (tuple(zip(active, sbound)), all)
     terms: dict[tuple[int, ...], int] = {}
 
     def add(weight, scaled_exp):
@@ -427,9 +443,7 @@ def taylor(obj, window: Box) -> TruncatedSeries:
         terms[live] = terms.get(live, 0) + weight
 
     if isinstance(obj, FactoredRatFunc):
-        factors = _zeta_factors(lat)
-        for p, pc in obj.prefactor.items():
-            _walk(p, factors, cut, _pointwise(factors, lambda w, e, pc=pc: add(pc * w, e)))
+        _cone_visit(lat, cut, add)
         htag = None
     else:
         factors = [(a, 1) for a in obj.denominator]
@@ -467,8 +481,6 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
             terms[live] = terms.get(live, 0) + weight
 
     if isinstance(obj, FactoredRatFunc):
-        if obj.prefactor != {(0,) * lat.n: 1}:
-            raise ValueError("closed form expansion needs trivial prefactor")
         szkme = tuple(z - d for z in lat.sz_k)
         cut = (tuple((i, szkme[i] - b + 1) for i, b in zip(active, sbound)), any)
 

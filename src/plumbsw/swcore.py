@@ -22,13 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Q
-from .decomp import (divide_component, evaluate_at_one, euclid_divide, f_h,
-                     polypart_dual, polypart_dual_all)
+from .decomp import divide_component, evaluate_at_one, polypart_dual_all
 from .graph import PlumbingGraph
-from .lattice import (HClass, all_classes, class_add, class_neg, class_of,
-                      lattice_of)
+from .lattice import HClass, all_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice_all
-from .series import _cone_visit, _expand_factors, _split_terms, live_indices, zeta
+from .series import _cone_visit, _split_terms, live_indices, zeta
 
 
 class RouteDisagreement(RuntimeError):
@@ -45,7 +43,9 @@ def duality_cut_vertices(g: PlumbingGraph) -> tuple[str, ...]:
 
 
 def dual_class(g: PlumbingGraph, h: HClass) -> HClass:
-    return class_add(class_of(g, lattice_of(g).z_k), class_neg(h))
+    """[Z_K] - h."""
+    lat = lattice_of(g)
+    return lat.class_at(tuple(z - k for z, k in zip(lat.sz_k, h.key)))
 
 
 def sw_norm_via_duality_all(g: PlumbingGraph) -> dict[HClass, int]:
@@ -82,21 +82,26 @@ def sw_norm_via_duality(g: PlumbingGraph, h: HClass) -> int:
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
+def _route_entry(g: PlumbingGraph, h: HClass, route: str) -> SWEntry:
+    """The class h entry of ``sw_report`` run on one route."""
+    return next(e for e in sw_report(g, (route,)).entries if e.h == h)
+
+
 def sw_norm_via_polypart(g: PlumbingGraph, h: HClass) -> int:
     """-sw^norm_h as the coefficient sum of the polynomial part, verified
-    against the Euclidean-division construction."""
-    subset = duality_cut_vertices(g)
-    dec = polypart_dual(g, h, subset)
-    if euclid_divide(f_h(g, h, subset)).poly_live() != dec.poly_live():
-        raise RouteDisagreement(_POLYPART_MISMATCH)
-    return evaluate_at_one(dec.poly)
+    against the Euclidean-division construction; the class h entry of
+    ``sw_report`` on the polypart route."""
+    entry = _route_entry(g, h, "polypart")
+    if "polypart" in entry.errors:
+        raise RouteDisagreement(entry.errors["polypart"])
+    return entry.values["polypart"]
 
 
 def sw_norm_via_division(g: PlumbingGraph, h: HClass) -> int:
     """-sw^norm_h as the coefficient sum of the Euclidean-division
-    polynomial part."""
-    subset = duality_cut_vertices(g)
-    return evaluate_at_one(euclid_divide(f_h(g, h, subset)).poly_live())
+    polynomial part; the class h entry of ``sw_report`` on the division
+    route."""
+    return _route_entry(g, h, "division").values["division"]
 
 
 def _eightfold_shift(lat, sv) -> int:
@@ -164,8 +169,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     active = live_indices(g, subset)
     duality = sw_norm_via_duality_all(g) if "duality" in methods else None
     polys = polypart_dual_all(g, subset) if "polypart" in methods else None
-    F = zeta(g)
-    split = (_split_terms(lat, active, *_expand_factors(F.prefactor, F.factors))
+    split = (_split_terms(lat, active, *zeta(g).expanded())
              if "polypart" in methods or "division" in methods else None)
     lattice, lattice_error = None, None
     if "lattice" in methods:
@@ -226,16 +230,14 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
     duality = sw_norm_via_duality_all(g)
     out = []
     for _ in range(samples):
-        lp = list(lat.z_k)
-        for i in range(lat.n):
+        slp = list(lat.sz_k)
+        for col in lat.sestar:
             c = rng.randint(1, 2)
-            col = lat.estar[i]
             for r in range(lat.n):
-                lp[r] += c * col[r]
-        lp = tuple(lp)
-        h = class_of(g, lp)
+                slp[r] += c * col[r]
+        h, lp = lat.class_at(slp), lat.unscaled(slp)
         lhs = -Q(g, h, g.ids, lp)
-        sv = tuple(2 * x - z for x, z in zip(lat.scaled(lp), lat.sz_k))
+        sv = tuple(2 * x - z for x, z in zip(slp, lat.sz_k))
         rhs = (Fraction(_eightfold_shift(lat, sv), 8 * lat.h_order ** 2)
                + sw_raw(g, h, duality[h]))
         out.append(QuadraticSample(lp, lhs == rhs))

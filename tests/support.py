@@ -11,7 +11,7 @@ from pathlib import Path
 
 from plumbsw.decomp import polypart_dual
 from plumbsw.graph import PlumbingGraph, parse_graph, validate
-from plumbsw.lattice import LatticeError, format_vec, lattice_of
+from plumbsw.lattice import LatticeError, canonical_cycle, e_star, format_vec, lattice_of
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -191,13 +191,38 @@ def corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE, max_n: int = 8,
     return with_nodes + without
 
 
+# ``Fraction`` vectors for the tests, read through the public accessors; the
+# package itself holds every lattice vector as a scaled integer tuple.
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(c, a):
+    c = Fraction(c)
+    return tuple(c * x for x in a)
+
+
+def anti_duals(g):
+    """E*_v of every vertex v, in vertex order."""
+    return tuple(e_star(g, v) for v in g.ids)
+
+
+def z_k_minus_e(g):
+    """Z_K - E: the canonical cycle minus 1 on every vertex."""
+    return tuple(z - 1 for z in canonical_cycle(g))
+
+
 def reflected_polypart(g, h, subset):
     """The dual polynomial part of h: the truncation of the series of class
     [Z_K] - h at exponents not above Z_K - E everywhere on the live
     coordinates, read as P+_h of ``polypart_dual`` reflected through Z_K - E,
     on live ``Fraction`` exponents."""
-    lat = lattice_of(g)
-    zkme = [lat.z_k_me[i] for i in sorted(g.index(v) for v in subset)]
+    zkme = [z_k_minus_e(g)[i] for i in sorted(g.index(v) for v in subset)]
     return {tuple(z - x for z, x in zip(zkme, e)): c
             for e, c in polypart_dual(g, h, subset).poly_live().items()}
 

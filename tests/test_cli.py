@@ -126,6 +126,21 @@ def test_count_command(capsys):
     assert out.strip() == "count = 2"
 
 
+def test_count_dilation_off_the_grid(capsys):
+    # |H| = 3: 274/7 is off the 1/3 grid and cuts where 39 does, closed or
+    # open, since floor(3 * 274/7) = 117 = 3 * 39
+    graph = GRAPHS / "two_nodes_h3.graph"
+    code, out, err = run(capsys, "count", graph, "--reduce", "v1,v2",
+                         "--dilation", ",".join(["1/7"] * 10))
+    assert (code, out, err) == (0, "count = 1\n", "")
+    _, want, _ = run(capsys, "count", graph, "--dilation", ",".join(["39"] * 10))
+    assert int(want.split("=")[1]) > 1
+    for boundary in ("closed", "open"):
+        code, out, _ = run(capsys, "count", graph, "--boundary", boundary,
+                           "--dilation", ",".join(["274/7"] * 10))
+        assert (code, out) == (0, want)
+
+
 def test_count_requires_dilation(capsys):
     code, _, err = run(capsys, "count", GRAPHS / "sigma_2_5_7.graph")
     assert code == 2 and "--dilation" in err

@@ -6,11 +6,12 @@ from math import ceil, comb, gcd
 import pytest
 
 import support
+from support import anti_duals, vec_add, vec_scale
 from plumbsw.counting import (Q, envelope_floor_sum, floor_sum,
                               inclusion_exclusion_check, q)
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (LatticeError, all_classes, canonical_cycle,
-                             class_of, lattice_of, vec_add, vec_scale)
+                             class_of, e_star, lattice_of)
 from plumbsw.series import (Box, _zeta_factors, equivariant_split, reduce,
                             taylor, zeta)
 from plumbsw.swcore import duality_cut_vertices
@@ -56,10 +57,10 @@ def test_Q_two_nodes_value(two_nodes):
 def test_q_equals_Q_for_single_coordinate(corpus30):
     rng = random.Random(31)
     for g in corpus30[:8]:
-        lat = lattice_of(g)
+        estar = anti_duals(g)
         x = [Fraction(0)] * g.n
         for i in range(g.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 2), lat.estar[i]))
+            x = vec_add(x, vec_scale(rng.randint(0, 2), estar[i]))
         h = class_of(g, x)
         v = rng.choice(g.ids)
         assert q(g, h, (v,), x) == Q(g, h, (v,), x)
@@ -85,10 +86,12 @@ def test_q_against_series_window_oracle(corpus30):
     graphs = [g for g in corpus30 if 3 <= g.n <= 5][:3]
     for g in graphs:
         lat = lattice_of(g)
+        zk = canonical_cycle(g)
+        estar = anti_duals(g)
         live = tuple(sorted(rng.sample(g.ids, 2)))
-        x = list(lat.z_k)
+        x = list(zk)
         for i in range(g.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 1), lat.estar[i]))
+            x = vec_add(x, vec_scale(rng.randint(0, 1), estar[i]))
         h = class_of(g, x)
         parts = equivariant_split(reduce(zeta(g), live))
         active = [g.index(v) for v in live]
@@ -101,7 +104,7 @@ def test_q_against_series_window_oracle(corpus30):
 
 
 def test_class_mismatch_raises(two_nodes):
-    h1 = class_of(two_nodes, lattice_of(two_nodes).estar[two_nodes.index("w3")])
+    h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
     zk = canonical_cycle(two_nodes)  # class 0, so h1 is a genuine mismatch
     with pytest.raises(LatticeError):
         Q(two_nodes, h1, ("v1",), zk)
@@ -112,10 +115,10 @@ def test_class_mismatch_raises(two_nodes):
 def test_inclusion_exclusion_single_vertex_trivial(corpus30):
     rng = random.Random(7)
     for g in corpus30[:4]:
-        lat = lattice_of(g)
+        estar = anti_duals(g)
         x = [Fraction(0)] * g.n
         for i in range(g.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 2), lat.estar[i]))
+            x = vec_add(x, vec_scale(rng.randint(0, 2), estar[i]))
         h = class_of(g, x)
         assert inclusion_exclusion_check(g, h, (g.ids[0],), x)
 
@@ -134,12 +137,12 @@ def test_inclusion_exclusion_randomized(corpus30):
     checked = 0
     while checked < 20:
         g = rng.choice(corpus30)
-        lat = lattice_of(g)
+        estar = anti_duals(g)
         size = rng.randint(1, min(3, g.n))
         subset = tuple(sorted(rng.sample(g.ids, size)))
         x = [Fraction(0)] * g.n
         for i in range(g.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 2), lat.estar[i]))
+            x = vec_add(x, vec_scale(rng.randint(0, 2), estar[i]))
         h = class_of(g, x)
         assert inclusion_exclusion_check(g, h, subset, x)
         checked += 1
@@ -162,10 +165,10 @@ def test_values_depend_only_on_live_cut(two_nodes):
 def test_q_monotone_in_cut(corpus30):
     rng = random.Random(13)
     for g in corpus30[:5]:
-        lat = lattice_of(g)
+        estar = anti_duals(g)
         x = [Fraction(0)] * g.n
         for i in range(g.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 2), lat.estar[i]))
+            x = vec_add(x, vec_scale(rng.randint(0, 2), estar[i]))
         h = class_of(g, x)
         subset = tuple(sorted(rng.sample(g.ids, min(2, g.n))))
         base = q(g, h, subset, x)
@@ -181,12 +184,13 @@ def test_enumeration_bound_certificate(sigma257):
     # independent walk over decompositions of bounded total multiplicity
     g = sigma257
     lat = lattice_of(g)
+    estar = anti_duals(g)
     zk = canonical_cycle(g)
     subset = ("E1",)
     active = [g.index(v) for v in subset]
-    min_entry = min(min(col) for col in lat.estar)
+    min_entry = min(min(col) for col in estar)
     bound = max(ceil(zk[i] / min_entry) for i in active)
-    cols = list(lat.estar)
+    cols = list(estar)
     mults = lat.mults
     hits = []
 
@@ -250,10 +254,11 @@ def _check_against_brute(g, x):
 def test_run_collapsed_counts_match_brute_force_on_corpus(corpus30):
     rng = random.Random(59)
     for g in corpus30:
-        lat = lattice_of(g)
-        x = list(lat.z_k)
+        zk = canonical_cycle(g)
+        estar = anti_duals(g)
+        x = list(zk)
         for i in range(g.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 1), lat.estar[i]))
+            x = vec_add(x, vec_scale(rng.randint(0, 1), estar[i]))
         _check_against_brute(g, tuple(x))
 
 
@@ -264,12 +269,14 @@ def test_run_collapsed_counts_match_brute_force_with_modular_runs(two_nodes):
     star = support.star(-1, (-3, -4, -5, -5))
     for g in (two_nodes, star):
         lat = lattice_of(g)
+        zk = canonical_cycle(g)
+        estar = anti_duals(g)
         d = lat.h_order
         col = _zeta_factors(lat)[-1][0]
         order = d // gcd(d, *col)
         assert d > 1 and order > 1
         for c in (0, 1, 2):
-            x = tuple(z + c * e for z, e in zip(lat.z_k, lat.estar[-1]))
+            x = tuple(z + c * e for z, e in zip(zk, estar[-1]))
             sx = lat.scaled(x)
             assert max(ceil(sx[j] / col[j]) for j in range(g.n)) > order
             _check_against_brute(g, x)
@@ -279,10 +286,11 @@ def test_run_free_and_node_free_counts_match_brute_force():
     # One vertex: the only series factor has multiplicity 2, so every run has
     # length 1.  A chain has no nodes and cuts on every vertex.
     for g in (parse_graph("vertex a -2"), support.chain((-2, -3, -2))):
-        lat = lattice_of(g)
+        zk = canonical_cycle(g)
+        estar = anti_duals(g)
         for h in all_classes(g):
             for c in range(3):
-                x = tuple(z + r + c * e for z, r, e in zip(lat.z_k, h.rep, lat.estar[0]))
+                x = tuple(z + r + c * e for z, r, e in zip(zk, h.rep, estar[0]))
                 _check_against_brute(g, x)
 
 
@@ -295,6 +303,8 @@ def test_counts_match_brute_force_when_b_leaves_the_subgroup_of_a():
     for g, shifts in ((support.star(-2, (-2, -2, -2)), (1, 3, 5)),
                       (support.star(-2, (-3, -3, -3)), (1,))):
         lat = lattice_of(g)
+        zk = canonical_cycle(g)
+        estar = anti_duals(g)
         d = lat.h_order
         factors = _zeta_factors(lat)
         a, b = factors[-1][0], factors[-2][0]
@@ -304,7 +314,7 @@ def test_counts_match_brute_force_when_b_leaves_the_subgroup_of_a():
         longest = 0
         for h in all_classes(g):
             for c in shifts:
-                x = tuple(z + r + c * e for z, r, e in zip(lat.z_k, h.rep, lat.estar[0]))
+                x = tuple(z + r + c * e for z, r, e in zip(zk, h.rep, estar[0]))
                 sx = lat.scaled(x)
                 longest = max(longest, *(ceil(sx[j] / b[j]) for j in range(g.n)))
                 _check_against_brute(g, x)

@@ -10,7 +10,8 @@ from plumbsw.graph import definite_adjugate, parse_graph, validate
 from plumbsw.lattice import (LatticeError, all_classes,
                              canonical_cycle, class_add, class_neg, class_of,
                              e_star, format_vec, in_dual_lattice, intersection_data,
-                             l_top, lattice_of, pairing, rho, vec_add, vec_scale)
+                             l_top, lattice_of, pairing, rho)
+from support import anti_duals, vec_add, vec_scale, z_k_minus_e
 
 SIGMA257_NEG_INV = [
     [70, 35, 14, 20, 10],
@@ -160,20 +161,22 @@ def test_zk_identity_everywhere(corpus30, sigma257, two_nodes, three_nodes):
     # Z_K - E equals the weighted sum of anti-duals with weights valency - 2
     for g in list(corpus30) + [sigma257, two_nodes, three_nodes]:
         lat = lattice_of(g)
+        estar = anti_duals(g)
         acc = [Fraction(0)] * g.n
         for i, mu in enumerate(lat.mults):
-            acc = vec_add(acc, vec_scale(mu, lat.estar[i]))
-        assert tuple(acc) == lat.z_k_me
+            acc = vec_add(acc, vec_scale(mu, estar[i]))
+        assert tuple(acc) == z_k_minus_e(g)
 
 
 def test_l_top_node_form(corpus30, sigma257, two_nodes, three_nodes):
     # alternative evaluation over the nodes only (graphs with >= 2 vertices)
     for g in list(corpus30) + [sigma257, two_nodes, three_nodes]:
         lat = lattice_of(g)
+        estar = anti_duals(g)
         acc = [Fraction(0)] * g.n
         for i in lat.node_idx:
-            acc = vec_add(acc, vec_scale(lat.mults[i], lat.estar[i]))
-        assert tuple(acc) == lat.l_top
+            acc = vec_add(acc, vec_scale(lat.mults[i], estar[i]))
+        assert tuple(acc) == l_top(g)
 
 
 def test_class_of_zero_and_errors(sigma257):
@@ -213,10 +216,10 @@ def test_rho_errors(two_nodes):
 def test_class_shift_invariance(corpus30):
     rng = random.Random(3)
     for g in corpus30[:6]:
-        lat = lattice_of(g)
+        estar = anti_duals(g)
         x = [Fraction(0)] * g.n
         for i in range(g.n):
-            x = vec_add(x, vec_scale(rng.randint(0, 3), lat.estar[i]))
+            x = vec_add(x, vec_scale(rng.randint(0, 3), estar[i]))
         shift = tuple(rng.randint(-2, 2) for _ in range(g.n))
         assert class_of(g, x) == class_of(g, vec_add(x, shift))
 
@@ -234,13 +237,13 @@ def test_class_group_structure(corpus30):
 def test_dual_coordinate_denominators_divide_h_order(corpus30):
     for g in corpus30[:10]:
         lat = lattice_of(g)
-        for col in lat.estar + (lat.z_k, lat.l_top):
+        for col in anti_duals(g) + (canonical_cycle(g), l_top(g)):
             assert all(lat.h_order % x.denominator == 0 for x in col)
 
 
 def test_anti_dual_entries_strictly_positive(corpus30):
     for g in corpus30:
-        for col in lattice_of(g).estar:
+        for col in anti_duals(g):
             assert all(x > 0 for x in col)
 
 
@@ -249,6 +252,7 @@ def test_reachable_classes_exhaustively_small():
     # combinations sum a_v E*_v with 0 <= a_v < |H|
     g = support.chain([-2, -3, -2])
     lat = lattice_of(g)
+    estar = anti_duals(g)
     d = lat.h_order
     assert d == 8
     seen = set()
@@ -257,7 +261,7 @@ def test_reachable_classes_exhaustively_small():
             for a2 in range(d):
                 x = [Fraction(0)] * 3
                 for c, i in ((a0, 0), (a1, 1), (a2, 2)):
-                    x = vec_add(x, vec_scale(c, lat.estar[i]))
+                    x = vec_add(x, vec_scale(c, estar[i]))
                 seen.add(class_of(g, x))
     assert len(seen) == d
     assert seen == set(all_classes(g))
@@ -268,13 +272,12 @@ def test_reachable_classes_exhaustively_small():
        st.lists(st.integers(-30, 30), min_size=5, max_size=5))
 def test_class_of_is_homomorphism(xs, ys):
     g = support.sigma257()
-    lat = lattice_of(g)
-    d = lat.h_order
+    estar = anti_duals(g)
     x = [Fraction(0)] * 5
     y = [Fraction(0)] * 5
     for i in range(5):
-        x = vec_add(x, vec_scale(xs[i], lat.estar[i]))
-        y = vec_add(y, vec_scale(ys[i], lat.estar[i]))
+        x = vec_add(x, vec_scale(xs[i], estar[i]))
+        y = vec_add(y, vec_scale(ys[i], estar[i]))
     assert class_of(g, vec_add(x, y)) == class_add(class_of(g, x), class_of(g, y))
 
 
@@ -282,10 +285,10 @@ def test_class_of_is_homomorphism(xs, ys):
 @given(st.lists(st.integers(-20, 20), min_size=3, max_size=3))
 def test_class_rep_in_unit_box(xs):
     g = support.chain([-2, -3, -2])
-    lat = lattice_of(g)
+    estar = anti_duals(g)
     x = [Fraction(0)] * 3
     for i in range(3):
-        x = vec_add(x, vec_scale(xs[i], lat.estar[i]))
+        x = vec_add(x, vec_scale(xs[i], estar[i]))
     h = class_of(g, x)
     assert all(0 <= c < 1 for c in h.rep)
     assert class_of(g, h.rep) == h
@@ -310,7 +313,7 @@ def test_key_classes_match_fraction_reference(corpus30):
         lat = lattice_of(g)
         d = lat.h_order
         zero = tuple(Fraction(0) for _ in range(g.n))
-        gens = [support.reference_class_rep(g, col) for col in lat.estar]
+        gens = [support.reference_class_rep(g, col) for col in anti_duals(g)]
         seen, frontier = {zero}, [zero]
         while frontier:
             r = frontier.pop()
@@ -358,7 +361,7 @@ def test_in_dual_lattice_matches_fraction_reference(corpus30):
         d = lat.h_order
         for _ in range(12):
             x = [Fraction(rng.randint(-3, 3)) for _ in range(g.n)]
-            for col in lat.estar:
+            for col in anti_duals(g):
                 x = vec_add(x, vec_scale(rng.randint(-2, 2), col))
             nudged = list(x)
             nudged[rng.randrange(g.n)] += Fraction(1, d)

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 import support
+from support import anti_duals, vec_add, vec_scale, vec_sub
 from plumbsw import swcore
 from plumbsw.counting import Q
 from plumbsw.graph import parse_graph
-from plumbsw.lattice import (all_classes, class_of, e_star, lattice_of,
-                             pairing, vec_add, vec_scale, vec_sub)
+from plumbsw.decomp import f_h
+from plumbsw.lattice import (Lattice, all_classes, canonical_cycle, class_of,
+                             e_star, lattice_of, pairing)
 from plumbsw.polytopes import sw_via_lattice_all
 from plumbsw.series import RatFunc
 from plumbsw.swcore import (QuadraticReport, RouteDisagreement, dual_class,
@@ -45,24 +47,24 @@ def test_chain_fallback_uses_all_vertices():
 def test_sw_raw_shift_sigma257(sigma257):
     lat = lattice_of(sigma257)
     h0 = lat.zero_class
+    zk = canonical_cycle(sigma257)
     # oracle: K = -Z_K, (K^2 + 5)/8 with K^2 = (Z_K, Z_K) = -5
-    assert pairing(sigma257, lat.z_k, lat.z_k) == -5
+    assert pairing(sigma257, zk, zk) == -5
     assert sw_shift(sigma257, h0) == 0
     assert sw_raw(sigma257, h0, 2) == -2
 
 
 def test_sw_raw_shift_with_nontrivial_rep(two_nodes):
-    lat = lattice_of(two_nodes)
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
     # oracle: direct pairing arithmetic on K + 2 r_h
-    v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, h1.rep))
+    v = vec_add(vec_scale(-1, canonical_cycle(two_nodes)), vec_scale(2, h1.rep))
     expected = (pairing(two_nodes, v, v) + 10) / 8
     assert sw_shift(two_nodes, h1) == expected
     assert sw_raw(two_nodes, h1, 3) == -3 - expected
     for g in (two_nodes, support.star(-2, (-3, -5, -7))):
-        lat = lattice_of(g)
+        zk = canonical_cycle(g)
         for h in all_classes(g):
-            v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, h.rep))
+            v = vec_add(vec_scale(-1, zk), vec_scale(2, h.rep))
             assert sw_shift(g, h) == (pairing(g, v, v) + g.n) / 8
 
 
@@ -74,32 +76,32 @@ def test_quadratic_check_examples(sigma257, two_nodes):
 def test_quadratic_identity_per_class(two_nodes):
     # deep sample targeted at each class: l' = Z_K + positive combination
     g = two_nodes
-    lat = lattice_of(g)
+    zk, estar = canonical_cycle(g), anti_duals(g)
     want = {h: None for h in all_classes(g)}
     rng = random.Random(3)
     while any(v is None for v in want.values()):
-        lp = list(lat.z_k)
+        lp = list(zk)
         for i in range(g.n):
-            lp = vec_add(lp, vec_scale(rng.randint(1, 3), lat.estar[i]))
+            lp = vec_add(lp, vec_scale(rng.randint(1, 3), estar[i]))
         h = class_of(g, tuple(lp))
         if want[h] is None:
             want[h] = tuple(lp)
     for h, lp in want.items():
         lhs = -Q(g, h, g.ids, lp)
-        v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, lp))
+        v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
         rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, sw_norm_via_duality(g, h))
         assert lhs == rhs
 
 
 def test_quadratic_minimal_sample_random_tree(corpus30):
     g = next(g for g in corpus30 if g.n == 4)
-    lat = lattice_of(g)
-    lp = list(lat.z_k)
+    zk, estar = canonical_cycle(g), anti_duals(g)
+    lp = list(zk)
     for i in range(g.n):
-        lp = vec_add(lp, vec_scale(1, lat.estar[i]))
+        lp = vec_add(lp, vec_scale(1, estar[i]))
     h = class_of(g, tuple(lp))
     lhs = -Q(g, h, g.ids, lp)
-    v = vec_add(vec_scale(-1, lat.z_k), vec_scale(2, lp))
+    v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
     rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, sw_norm_via_duality(g, h))
     assert lhs == rhs
 
@@ -142,7 +144,7 @@ def test_batched_routes_match_per_class_counts():
     lattice = sw_via_lattice_all(g)
     assert list(duality) == list(lattice) == list(all_classes(g))
     for h in all_classes(g):
-        want = Q(g, dual_class(g, h), cut, vec_sub(lat.z_k, h.rep))
+        want = Q(g, dual_class(g, h), cut, vec_sub(canonical_cycle(g), h.rep))
         assert duality[h] == want == lattice[h]
 
 
@@ -188,7 +190,10 @@ def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
         assert sw_report(g).agree
     assert built == []
     zero = lattice_of(two_nodes).zero_class
+    # the per-class wrapper reads sw_report too; f_h builds its one component
     sw_norm_via_division(two_nodes, zero)
+    assert built == []
+    f_h(two_nodes, zero, duality_cut_vertices(two_nodes))
     assert built == [zero]
 
 
@@ -209,6 +214,37 @@ def test_report_builds_one_fraction_per_class(monkeypatch):
     assert sw_report(g, ("duality",)).agree
     monkeypatch.undo()
     assert 0 < built <= len(classes)
+
+
+def test_lattice_and_routes_build_no_fraction(monkeypatch):
+    # The lattice holds scaled integers only, and the duality and lattice
+    # routes cut and tally on them: no Fraction in the build, nor in either
+    # all-classes route once the lattice is built.
+    real = Fraction.__new__
+    built = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    def fractions_in(fn, g):
+        nonlocal built
+        built = 0
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        try:
+            fn(g)
+        finally:
+            monkeypatch.undo()
+        return built
+
+    graphs = [support.sigma257(), support.two_nodes(), support.three_nodes(),
+              support.brieskorn(2, 3, 301)]
+    for g in graphs:
+        assert fractions_in(Lattice, g) == 0
+        lattice_of(g)
+        assert fractions_in(sw_via_lattice_all, g) == 0
+        assert fractions_in(sw_norm_via_duality_all, g) == 0
 
 
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
