@@ -92,16 +92,14 @@ def cmd_invariants(g, args) -> int:
     return 0
 
 
-def _live_set(g, args, default_nodes=True):
-    if args.reduce:
-        live = tuple(s.strip() for s in args.reduce.split(","))
-        unknown = [v for v in live if v not in g.ids]
-        if unknown:
-            raise ValueError(f"--reduce names unknown vertex {unknown[0]!r}")
-        return live
-    if default_nodes:
+def _live_set(g, args):
+    if not args.reduce:
         return swcore.duality_cut_vertices(g)
-    return g.ids
+    live = tuple(s.strip() for s in args.reduce.split(","))
+    unknown = [v for v in live if v not in g.ids]
+    if unknown:
+        raise ValueError(f"--reduce names unknown vertex {unknown[0]!r}")
+    return live
 
 
 def cmd_zeta(g, args) -> int:
@@ -201,8 +199,6 @@ def cmd_sw(g, args) -> int:
 
 def cmd_count(g, args) -> int:
     lat = lattice_of(g)
-    if args.dilation is None:
-        return _fail_usage("count needs --dilation")
     dil = _parse_vector(args.dilation, lat.n, "--dilation")
     live = _live_set(g, args)
     fiber = None
@@ -274,53 +270,61 @@ def cmd_verify(g, args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="plumbsw",
-        description="Exact Seiberg-Witten invariants of negative definite plumbed 3-manifolds.")
-    p.add_argument("command", choices=["validate", "invariants", "zeta", "polypart",
-                                       "sw", "count", "verify"])
-    p.add_argument("graph", help="path to a graph file")
-    p.add_argument("--h", help="dual lattice representative, comma separated rationals")
-    p.add_argument("--reduce", help="comma separated vertex ids to keep live")
-    p.add_argument("--box", type=int, help="window bound for series output")
-    p.add_argument("--method", default="all",
-                   choices=["duality", "polypart", "division", "lattice", "all"])
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", default="text", choices=["text", "json-lines"])
-    p.add_argument("--shape", default="concave", choices=["convex", "concave"])
-    p.add_argument("--boundary", default="closed", choices=["closed", "open"])
-    p.add_argument("--positivity", default="nonneg", choices=["nonneg", "positive"])
-    p.add_argument("--dilation", help="dilation vector, comma separated rationals")
-    return p
-
-
-COMMANDS = {
-    "validate": cmd_validate,
-    "invariants": cmd_invariants,
-    "zeta": cmd_zeta,
-    "polypart": cmd_polypart,
-    "sw": cmd_sw,
-    "count": cmd_count,
-    "verify": cmd_verify,
+FLAGS = {
+    "--h": {"help": "dual lattice representative, comma separated rationals"},
+    "--reduce": {"help": "comma separated vertex ids to keep live"},
+    "--box": {"type": int, "help": "window bound for series output"},
+    "--method": {"default": "all", "choices": [*swcore.ROUTES, "all"]},
+    "--samples": {"type": int, "default": 5},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--shape": {"default": "concave", "choices": ["convex", "concave"]},
+    "--boundary": {"default": "closed", "choices": ["closed", "open"]},
+    "--positivity": {"default": "nonneg", "choices": ["nonneg", "positive"]},
+    "--dilation": {"required": True, "help": "dilation vector, comma separated rationals"},
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with only the ``FLAGS`` it reads.  No
+    abbreviations: with them, ``sw --h abc`` would read as ``--help``."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("graph", help="path to a graph file")
+    common.add_argument("--format", default="text", choices=["text", "json-lines"])
+    p = argparse.ArgumentParser(
+        prog="plumbsw", allow_abbrev=False,
+        description="Exact Seiberg-Witten invariants of negative definite plumbed 3-manifolds.")
+    commands = p.add_subparsers(dest="command", required=True)
+
+    def command(name, run, *flags):
+        c = commands.add_parser(name, parents=[common], allow_abbrev=False)
+        c.set_defaults(run=run)
+        for flag in flags:
+            c.add_argument(flag, **FLAGS[flag])
+
+    command("validate", cmd_validate)
+    command("invariants", cmd_invariants)
+    command("zeta", cmd_zeta, "--reduce", "--box")
+    command("polypart", cmd_polypart, "--h", "--reduce")
+    command("sw", cmd_sw, "--method")
+    command("count", cmd_count, "--dilation", "--reduce", "--h", "--shape", "--boundary",
+            "--positivity")
+    command("verify", cmd_verify, "--samples", "--seed")
+    return p
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         g = _load_graph(args.graph)
     except OSError as exc:
         return _fail_usage(str(exc))
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         return _fail_usage(f"bad graph file: {exc}")
     try:
-        return COMMANDS[args.command](g, args)
+        return args.run(g, args)
     except (LatticeError, ValueError) as exc:
         return _fail_usage(str(exc))
 

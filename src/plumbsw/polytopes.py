@@ -94,6 +94,8 @@ def count(g: PlumbingGraph, query: PolytopeQuery) -> int:
     ``fiber_counts`` at the dilation's cut, or its entry for the query's
     fiber."""
     lat = lattice_of(g)
+    if len(query.dilation) != lat.n:
+        raise PolytopeError(f"dilation has {len(query.dilation)} entries for {lat.n} vertices")
     closed = query.boundary == "closed"
     cut = [(i, strict_cut(query.dilation[i], lat.h_order, closed))
            for i in live_indices(g, query.subset)]

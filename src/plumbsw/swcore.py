@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Q
-from .decomp import divide_component, evaluate_at_one, polypart_dual_all
+from .decomp import (divide_component, euclid_divide, evaluate_at_one, f_h, polypart_dual,
+                     polypart_dual_all)
 from .graph import PlumbingGraph
 from .lattice import HClass, all_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice_all
@@ -82,26 +83,19 @@ def sw_norm_via_duality(g: PlumbingGraph, h: HClass) -> int:
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
-def _route_entry(g: PlumbingGraph, h: HClass, route: str) -> SWEntry:
-    """The class h entry of ``sw_report`` run on one route."""
-    return next(e for e in sw_report(g, (route,)).entries if e.h == h)
-
-
 def sw_norm_via_polypart(g: PlumbingGraph, h: HClass) -> int:
-    """-sw^norm_h as the coefficient sum of the polynomial part, verified
-    against the Euclidean-division construction; the class h entry of
-    ``sw_report`` on the polypart route."""
-    entry = _route_entry(g, h, "polypart")
-    if "polypart" in entry.errors:
-        raise RouteDisagreement(entry.errors["polypart"])
-    return entry.values["polypart"]
+    """-sw^norm_h as the coefficient sum of the polynomial part by duality,
+    verified against the Euclidean division of the class h component."""
+    subset = duality_cut_vertices(g)
+    poly = polypart_dual(g, h, subset).poly
+    if euclid_divide(f_h(g, h, subset)).poly != poly:
+        raise RouteDisagreement(_POLYPART_MISMATCH)
+    return evaluate_at_one(poly)
 
 
 def sw_norm_via_division(g: PlumbingGraph, h: HClass) -> int:
-    """-sw^norm_h as the coefficient sum of the Euclidean-division
-    polynomial part; the class h entry of ``sw_report`` on the division
-    route."""
-    return _route_entry(g, h, "division").values["division"]
+    """-sw^norm_h as the coefficient sum of the class h component's division."""
+    return evaluate_at_one(euclid_divide(f_h(g, h, duality_cut_vertices(g))).poly)
 
 
 def _eightfold_shift(lat, sv) -> int:

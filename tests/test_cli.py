@@ -159,6 +159,30 @@ def test_zero_denominator_in_a_vector_flag(capsys, argv):
     assert "Traceback" not in err
 
 
+# A valid value for every flag on sigma_2_5_7 (5 vertices), and the flags each
+# command reads besides --format: 57 (command, flag) pairs are left unread.
+FLAG_VALUES = {"--h": "0,0,0,0,0", "--reduce": "E1", "--box": "30", "--method": "duality",
+               "--samples": "1", "--seed": "1", "--shape": "convex", "--boundary": "open",
+               "--positivity": "positive", "--dilation": "70,35,14,20,10"}
+READS = {"validate": (), "invariants": (), "zeta": ("--reduce", "--box"),
+         "polypart": ("--h", "--reduce"), "sw": ("--method",),
+         "count": ("--dilation", "--reduce", "--h", "--shape", "--boundary", "--positivity"),
+         "verify": ("--samples", "--seed")}
+UNREAD = [(command, flag, FLAG_VALUES[flag])
+          for command, reads in READS.items() for flag in FLAG_VALUES if flag not in reads]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *UNREAD, ("sw", "--h", "abc"), ("verify", "--samp", "1"), ("count", "--dil", "1"),
+])
+def test_flag_the_command_does_not_read_exits_2(capsys, command, flag, value):
+    # count needs its --dilation, so that the flag under test is the only fault
+    needs = ("--dilation", FLAG_VALUES["--dilation"]) if command == "count" else ()
+    code, out, err = run(capsys, command, GRAPHS / "sigma_2_5_7.graph", *needs, flag, value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", GRAPHS / "sigma_2_5_7.graph",
                          "--samples", "3", "--seed", "11")
@@ -183,6 +207,14 @@ def test_bad_graph_file(capsys, tmp_path):
     bad.write_text("vertex a -2\nedge a ghost\n")
     code, _, err = run(capsys, "sw", bad)
     assert code == 2 and "unknown vertex" in err
+
+
+def test_graph_file_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "binary.graph"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "sw", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad graph file: ") and "Traceback" not in err
 
 
 def test_non_definite_graph_is_rejected(capsys, tmp_path):

@@ -101,6 +101,14 @@ def test_single_constraint_knapsack_oracle(corpus30):
         assert got == knapsack(weights, floor(off * d))
 
 
+def test_count_rejects_dilation_of_wrong_length(two_nodes):
+    # two_nodes_h3 has 10 vertices
+    for n in (12, 3):
+        query = PolytopeQuery("concave", ("v1", "v2"), (39,) * n)
+        with pytest.raises(PolytopeError, match=f"dilation has {n} entries for 10 vertices"):
+            count(two_nodes, query)
+
+
 def test_count_monotone_in_dilation(two_nodes):
     lat = lattice_of(two_nodes)
     base = _estar_sum(two_nodes, ("v1",))

@@ -8,7 +8,6 @@ from support import anti_duals, vec_add, vec_scale, vec_sub
 from plumbsw import swcore
 from plumbsw.counting import Q
 from plumbsw.graph import parse_graph
-from plumbsw.decomp import f_h
 from plumbsw.lattice import (Lattice, all_classes, canonical_cycle, class_of,
                              e_star, lattice_of, pairing)
 from plumbsw.polytopes import sw_via_lattice_all
@@ -190,10 +189,8 @@ def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
         assert sw_report(g).agree
     assert built == []
     zero = lattice_of(two_nodes).zero_class
-    # the per-class wrapper reads sw_report too; f_h builds its one component
+    # the per-class wrapper divides the one component that f_h builds
     sw_norm_via_division(two_nodes, zero)
-    assert built == []
-    f_h(two_nodes, zero, duality_cut_vertices(two_nodes))
     assert built == [zero]
 
 
@@ -266,6 +263,24 @@ def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     entry, = sw_report(sigma257).entries
     assert "polypart" in entry.errors and "polypart" not in entry.values
     assert not entry.agree
+
+
+def test_per_class_wrappers_divide_only_their_class(monkeypatch, two_nodes):
+    from plumbsw import decomp
+    real = decomp.divide_component
+    divided = []
+
+    def counted(*args):
+        divided.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(decomp, "divide_component", counted)
+    monkeypatch.setattr(swcore, "divide_component", counted)
+    for h in all_classes(two_nodes):
+        for route in (sw_norm_via_division, sw_norm_via_polypart):
+            divided.clear()
+            route(two_nodes, h)
+            assert divided == [h]
 
 
 def test_route_agreement_on_corpus(corpus30):
