@@ -93,7 +93,7 @@ def cmd_invariants(g, args) -> int:
 
 
 def _live_set(g, args):
-    if not args.reduce:
+    if args.reduce is None:
         return swcore.duality_cut_vertices(g)
     live = tuple(s.strip() for s in args.reduce.split(","))
     unknown = [v for v in live if v not in g.ids]
@@ -139,8 +139,8 @@ def _class_from_args(g, args) -> HClass:
 def cmd_polypart(g, args) -> int:
     h = _class_from_args(g, args)
     live = _live_set(g, args)
-    dual = decomp.polypart_dual(g, h, live)
-    div = decomp.euclid_divide(decomp.f_h(g, h, live))
+    dual = decomp.polypart_dual(g, live)[h]
+    div = decomp.euclid_divide(series.equivariant_split(series.reduce(series.zeta(g), live))[h])
     agree = dual.poly_live() == div.poly_live()
     recs = [
         {"route": "duality", "poly": {format_vec(e): c for e, c in sorted(dual.poly_live().items())},

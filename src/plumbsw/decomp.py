@@ -10,9 +10,10 @@ constructions are provided:
 * ``euclid_divide`` rewrites terms t^b / prod_{i in S} (1 - t^{a_i}) while
   some b fails b < a_{i0} everywhere on the live coordinates, producing a
   certificate indexed by denominator subsets S; the S = {} bucket is P+.
-* ``polypart_dual`` reads P+ off the expansion at infinity: the coefficient
-  at Z_K - E - l' is z(l'), and P+ keeps the exponents that are not
-  strictly negative on the live coordinates.
+* ``polypart_dual`` reads P+ of every class off the expansion at infinity,
+  from one enumeration: the coefficient at Z_K - E - l' is z(l'), and P+
+  keeps the exponents that are not strictly negative on the live
+  coordinates.
 
 The two must agree on the live coordinates, and P+(1) is the normalized
 Seiberg-Witten invariant with opposite sign when the live set contains all
@@ -37,8 +38,7 @@ from operator import lt, sub
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import (RatFunc, _component, _cone_visit, _expand_factors, _split_terms,
-                     live_indices, zeta)
+from .series import RatFunc, _cone_visit, _expand_factors, live_indices
 
 
 class DivisionError(ValueError):
@@ -196,21 +196,12 @@ def divide_component(lat: Lattice, active, terms, denominator,
 
 
 def euclid_divide(R: RatFunc) -> Decomposition:
-    """Euclidean division of R, which must be one H-component: the output of
-    ``f_h`` or ``equivariant_split``."""
+    """Euclidean division of R, which must be one H-component: a value of
+    ``equivariant_split``."""
     return divide_component(R.lat, R.active, R.numerator, R.denominator, R.htag)
 
 
-def f_h(g: PlumbingGraph, h: HClass, subset) -> RatFunc:
-    """The h-component of the zeta function reduced to ``subset``: the
-    numerator and denominator ``reduce`` expands, split; only this component
-    becomes a ``RatFunc``."""
-    lat = lattice_of(g)
-    active = live_indices(g, subset)
-    return _component(lat, active, h, *_split_terms(lat, active, *zeta(g).expanded()))
-
-
-def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
+def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
     """Polynomial part of every h-component via the expansion at infinity,
     from one enumeration.
 
@@ -238,8 +229,3 @@ def polypart_dual_all(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
         out[h] = Decomposition(lat, active, poly, None, (), _residue(key, active, d))
     return out
 
-
-def polypart_dual(g: PlumbingGraph, h: HClass, subset) -> Decomposition:
-    """Polynomial part of the h-component via the expansion at infinity,
-    read from ``polypart_dual_all``."""
-    return polypart_dual_all(g, subset)[h]

@@ -6,7 +6,8 @@ convex (intersection) or concave (union) shape over a live vertex set,
 a dilation vector of any rationals, boundary and positivity conventions
 and an optional homology class fiber.  The alternating sum of fibered
 counts over the sub-multisets of the node multiset is the normalized
-Seiberg-Witten invariant with opposite sign.
+Seiberg-Witten invariant with opposite sign; ``sw_via_lattice`` returns it
+for every class from one count per sub-multiset.
 
 Enumerations cut on scaled integers (coordinates times |H|): ``count``
 turns the query's dilation into that cut with ``series.strict_cut``, and
@@ -130,7 +131,7 @@ def _sub_multisets(mults):
     yield from rec(0, [])
 
 
-def sw_via_lattice_all(g: PlumbingGraph) -> dict[HClass, int]:
+def sw_via_lattice(g: PlumbingGraph) -> dict[HClass, int]:
     """Normalized Seiberg-Witten invariant (with opposite sign) of every
     class h, as the alternating sum, over non-empty sub-multisets k of the
     node multiset, of strictly positive lattice point counts in the closed
@@ -161,11 +162,6 @@ def sw_via_lattice_all(g: PlumbingGraph) -> dict[HClass, int]:
         for fk, r_count in tally.items():
             totals[lat.class_at([s - k for s, k in zip(sdil, fk)])] += sign * r_count
     return totals
-
-
-def sw_via_lattice(g: PlumbingGraph, h: HClass) -> int:
-    """The class h entry of ``sw_via_lattice_all``."""
-    return sw_via_lattice_all(g)[h]
 
 
 def sw_via_topological_polytope(g: PlumbingGraph, h: HClass) -> int:

@@ -142,10 +142,8 @@ class TruncatedSeries:
     absent by construction, not zero."""
     terms: dict[tuple[int, ...], int]
     window: Box | Cobox
-    point: str                      # "origin" or "infinity"
     active: tuple[int, ...]
     d: int
-    htag: HClass | None = None
 
     def coeff_at(self, live_exp) -> int:
         """Coefficient at a live exponent in coordinates; 0 off the 1/d
@@ -351,14 +349,9 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
     """
     if R.htag is not None:
         raise ValueError("function is already tagged with a class")
-    split = _split_terms(R.lat, R.active, R.numerator, R.denominator)
-    return {h: _component(R.lat, R.active, h, *split) for h in all_classes(R.lat.graph)}
-
-
-def _component(lat: Lattice, active, h: HClass, by_class, denom) -> RatFunc:
-    """The h-component, as a ``RatFunc``, from the terms of
-    ``_split_terms``."""
-    return RatFunc(lat, by_class.get(h.key, {}), denom, active, htag=h)
+    by_class, denom = _split_terms(R.lat, R.active, R.numerator, R.denominator)
+    return {h: RatFunc(R.lat, by_class.get(h.key, {}), denom, R.active, htag=h)
+            for h in all_classes(R.lat.graph)}
 
 
 def _split_terms(lat: Lattice, active, num, denom):
@@ -423,35 +416,25 @@ def _scaled_bound(window, d: int, active) -> tuple[int, ...]:
     return tuple(strict_cut(b, d, closed) for b in window.bound)
 
 
-def taylor(obj, window: Box) -> TruncatedSeries:
-    """Expansion at the origin, complete for the given box window."""
+def taylor(R: RatFunc, window: Box) -> TruncatedSeries:
+    """Expansion of a reduced function at the origin, complete for the given
+    box window."""
     if not isinstance(window, Box):
         raise WindowError("origin expansion needs a box window")
-    lat = obj.lat
-    if isinstance(obj, FactoredRatFunc):
-        active = tuple(range(lat.n))
-    else:
-        active = obj.active
+    lat, active = R.lat, R.active
     sbound = _scaled_bound(window, lat.h_order, active)
     cut = (tuple(zip(active, sbound)), all)
     terms: dict[tuple[int, ...], int] = {}
 
-    def add(weight, scaled_exp):
-        if not weight:
-            return
+    def add(c, scaled_exp):
         live = tuple(scaled_exp[i] for i in active)
-        terms[live] = terms.get(live, 0) + weight
+        terms[live] = terms.get(live, 0) + c
 
-    if isinstance(obj, FactoredRatFunc):
-        _cone_visit(lat, cut, add)
-        htag = None
-    else:
-        factors = [(a, 1) for a in obj.denominator]
-        for b, c in obj.numerator.items():
-            _walk(b, factors, cut, _pointwise(factors, lambda w, e, c=c: add(c, e)))
-        htag = obj.htag
+    factors = [(a, 1) for a in R.denominator]
+    for b, c in R.numerator.items():
+        _walk(b, factors, cut, _pointwise(factors, lambda w, e, c=c: add(c, e)))
     terms = {e: c for e, c in terms.items() if c}
-    return TruncatedSeries(terms, window, "origin", active, lat.h_order, htag)
+    return TruncatedSeries(terms, window, active, lat.h_order)
 
 
 def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
@@ -488,7 +471,6 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
             add(w, tuple(szkme[i] - e[i] for i in active))
 
         _cone_visit(lat, cut, visit)
-        htag = None
     else:
         # Expanded downward from t^{b - sum a}; the walk runs on the negated
         # exponent, upward by the a, and "some live e_i >= bound_i" becomes
@@ -501,6 +483,5 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
             start = tuple(s - x for x, s in zip(b, shift))
             _walk(start, factors, cut, _pointwise(
                 factors, lambda w, e, c=c: add(sign * c, tuple(-e[i] for i in active))))
-        htag = obj.htag
     terms = {e: c for e, c in terms.items() if c}
-    return TruncatedSeries(terms, window, "infinity", active, d, htag)
+    return TruncatedSeries(terms, window, active, d)

@@ -10,6 +10,10 @@ reported with opposite sign, the quantity -sw^norm_h) are available:
 * lattice: the alternating sum of fibered lattice point counts over the
   node multiset (needs at least one node).
 
+Each route function takes the graph and returns {HClass: value} for every
+class of H.  Division, the fourth value ``sw_report`` compares, splits the
+zeta function once and divides each class's component.
+
 The raw invariant is recovered from the agreed normalized value by the
 exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, and the quadratic
 consistency check samples the full-variable counting function deep in the
@@ -22,11 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Q
-from .decomp import (divide_component, euclid_divide, evaluate_at_one, f_h, polypart_dual,
-                     polypart_dual_all)
+from .decomp import divide_component, evaluate_at_one, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, all_classes, lattice_of
-from .polytopes import PolytopeError, sw_via_lattice_all
+from .polytopes import PolytopeError, sw_via_lattice
 from .series import _cone_visit, _split_terms, live_indices, zeta
 
 
@@ -43,13 +46,7 @@ def duality_cut_vertices(g: PlumbingGraph) -> tuple[str, ...]:
     return g.ids
 
 
-def dual_class(g: PlumbingGraph, h: HClass) -> HClass:
-    """[Z_K] - h."""
-    lat = lattice_of(g)
-    return lat.class_at(tuple(z - k for z, k in zip(lat.sz_k, h.key)))
-
-
-def sw_norm_via_duality_all(g: PlumbingGraph) -> dict[HClass, int]:
+def sw_norm_via_duality(g: PlumbingGraph) -> dict[HClass, int]:
     """-sw^norm_h of every class h as the counting function Q of the dual
     class [Z_K] - h at the cut Z_K - r_h, from one walk of the cone at the
     loosest cut Z_K: a term at l' counts for the class h with
@@ -74,28 +71,38 @@ def sw_norm_via_duality_all(g: PlumbingGraph) -> dict[HClass, int]:
     return totals
 
 
-def sw_norm_via_duality(g: PlumbingGraph, h: HClass) -> int:
-    """-sw^norm_h as the counting function of the dual class at Z_K - r_h;
-    the class h entry of ``sw_norm_via_duality_all``."""
-    return sw_norm_via_duality_all(g)[h]
-
-
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
-def sw_norm_via_polypart(g: PlumbingGraph, h: HClass) -> int:
-    """-sw^norm_h as the coefficient sum of the polynomial part by duality,
-    verified against the Euclidean division of the class h component."""
+def _division_polys(g: PlumbingGraph, subset) -> dict[HClass, dict]:
+    """P+ of every class by Euclidean division on the live coordinates of
+    ``subset``: the numerator and denominator that ``reduce`` expands are
+    split once, and each class's H-component is divided on its own terms."""
+    lat = lattice_of(g)
+    active = live_indices(g, subset)
+    by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
+    return {h: divide_component(lat, active, by_class.get(h.key, {}), denom, h).poly
+            for h in all_classes(g)}
+
+
+def sw_norm_via_polypart(g: PlumbingGraph) -> dict[HClass, int]:
+    """-sw^norm_h of every class h as the coefficient sum of the polynomial
+    part by duality, verified against the Euclidean division of the class h
+    component; the first class where they differ raises
+    ``RouteDisagreement``."""
     subset = duality_cut_vertices(g)
-    poly = polypart_dual(g, h, subset).poly
-    if euclid_divide(f_h(g, h, subset)).poly != poly:
-        raise RouteDisagreement(_POLYPART_MISMATCH)
-    return evaluate_at_one(poly)
+    polys = polypart_dual(g, subset)
+    for h, div in _division_polys(g, subset).items():
+        if div != polys[h].poly:
+            raise RouteDisagreement(f"h={h}: {_POLYPART_MISMATCH}")
+    return {h: evaluate_at_one(dec.poly) for h, dec in polys.items()}
 
 
-def sw_norm_via_division(g: PlumbingGraph, h: HClass) -> int:
-    """-sw^norm_h as the coefficient sum of the class h component's division."""
-    return evaluate_at_one(euclid_divide(f_h(g, h, duality_cut_vertices(g))).poly)
+def sw_norm_via_division(g: PlumbingGraph) -> dict[HClass, int]:
+    """-sw^norm_h of every class h as the coefficient sum of the class h
+    component's division."""
+    polys = _division_polys(g, duality_cut_vertices(g))
+    return {h: evaluate_at_one(poly) for h, poly in polys.items()}
 
 
 def _eightfold_shift(lat, sv) -> int:
@@ -110,12 +117,6 @@ def _eightfold_shift(lat, sv) -> int:
 def _class_shift(lat, h: HClass) -> int:
     """8 d^2 ((K + 2 r_h)^2 + |V|)/8 with K = -Z_K, from the class key."""
     return _eightfold_shift(lat, tuple(2 * k - z for k, z in zip(h.key, lat.sz_k)))
-
-
-def sw_shift(g: PlumbingGraph, h: HClass) -> Fraction:
-    """((K + 2 r_h)^2 + |V|)/8 with K = -Z_K, computed exactly."""
-    lat = lattice_of(g)
-    return Fraction(_class_shift(lat, h), 8 * lat.h_order ** 2)
 
 
 def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> Fraction:
@@ -153,22 +154,19 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     """Run the requested routes for every class of H, sorted by
     representative; refuse to normalize when the routes disagree.
 
-    Duality, polypart and lattice each enumerate once for the whole graph.
-    The numerator and denominator of the zeta function, as ``reduce``
-    expands them, are split once, and Euclidean division runs once per class
-    on the terms of its H-component; that polynomial part serves both the
-    division route and polypart's cross-check."""
-    lat = lattice_of(g)
+    Each route answers the whole graph at once: duality, polypart and
+    lattice from one enumeration each, and division from one split of the
+    zeta function and one division per class.  That polynomial part serves
+    both the division route and polypart's cross-check."""
     subset = duality_cut_vertices(g)
-    active = live_indices(g, subset)
-    duality = sw_norm_via_duality_all(g) if "duality" in methods else None
-    polys = polypart_dual_all(g, subset) if "polypart" in methods else None
-    split = (_split_terms(lat, active, *zeta(g).expanded())
-             if "polypart" in methods or "division" in methods else None)
+    duality = sw_norm_via_duality(g) if "duality" in methods else None
+    polys = polypart_dual(g, subset) if "polypart" in methods else None
+    divs = (_division_polys(g, subset)
+            if "polypart" in methods or "division" in methods else None)
     lattice, lattice_error = None, None
     if "lattice" in methods:
         try:
-            lattice = sw_via_lattice_all(g)
+            lattice = sw_via_lattice(g)
         except PolytopeError as exc:
             lattice_error = "not applicable: " + str(exc)
     entries = []
@@ -177,17 +175,13 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
         errors: dict[str, str] = {}
         if duality is not None:
             values["duality"] = duality[h]
-        if split is not None:
-            by_class, denom = split
-            div = divide_component(lat, active, by_class.get(h.key, {}),
-                                   denom, h).poly
         if polys is not None:
-            if div != polys[h].poly:
+            if divs[h] != polys[h].poly:
                 errors["polypart"] = _POLYPART_MISMATCH
             else:
                 values["polypart"] = evaluate_at_one(polys[h].poly)
         if "division" in methods:
-            values["division"] = evaluate_at_one(div)
+            values["division"] = evaluate_at_one(divs[h])
         if lattice is not None:
             values["lattice"] = lattice[h]
         elif lattice_error is not None:
@@ -221,7 +215,7 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
     ((K + 2 l')^2 + |V|)/8 + raw invariant of the matching class."""
     lat = lattice_of(g)
     rng = random.Random(seed)
-    duality = sw_norm_via_duality_all(g)
+    duality = sw_norm_via_duality(g)
     out = []
     for _ in range(samples):
         slp = list(lat.sz_k)

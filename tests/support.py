@@ -224,7 +224,7 @@ def reflected_polypart(g, h, subset):
     on live ``Fraction`` exponents."""
     zkme = [z_k_minus_e(g)[i] for i in sorted(g.index(v) for v in subset)]
     return {tuple(z - x for z, x in zip(zkme, e)): c
-            for e, c in polypart_dual(g, h, subset).poly_live().items()}
+            for e, c in polypart_dual(g, subset)[h].poly_live().items()}
 
 
 def reference_divide(lat, active, numerator, denominator):

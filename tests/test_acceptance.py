@@ -8,13 +8,13 @@ from fractions import Fraction
 import support
 from support import anti_duals, vec_add, vec_scale, z_k_minus_e
 from plumbsw.counting import inclusion_exclusion_check
-from plumbsw.decomp import euclid_divide, evaluate_at_one, f_h, polypart_dual
+from plumbsw.decomp import euclid_divide, evaluate_at_one, polypart_dual
 from plumbsw.lattice import (all_classes, canonical_cycle, class_add,
                              class_of, e_star, intersection_data, l_top,
                              lattice_of)
 from plumbsw.polytopes import (PolytopeQuery, count, sw_via_lattice,
                                sw_via_topological_polytope)
-from plumbsw.series import Cobox, reduce, taylor_infinity, zeta
+from plumbsw.series import Cobox, equivariant_split, reduce, taylor_infinity, zeta
 from plumbsw.swcore import (duality_cut_vertices, quadratic_check,
                             sw_norm_via_division, sw_norm_via_duality,
                             sw_norm_via_polypart)
@@ -64,14 +64,14 @@ def test_criterion_1_sigma_2_5_7():
         assert sorted(int(lat.unscaled(a)[0]) for a in R.denominator) == [10, 14, 35]
 
         h0 = lattice_of(g).zero_class
-        div = euclid_divide(f_h(g, h0, ["E1"]))
-        dual = polypart_dual(g, h0, ["E1"])
+        div = euclid_divide(equivariant_split(R)[h0])
+        dual = polypart_dual(g, ["E1"])[h0]
         assert ilive(div.poly_live()) == ilive(dual.poly_live()) == {(1,): 1, (11,): 1}
 
-        assert sw_norm_via_duality(g, h0) == 2
-        assert sw_norm_via_polypart(g, h0) == 2
-        assert sw_norm_via_division(g, h0) == 2
-        assert sw_via_lattice(g, h0) == 2
+        assert sw_norm_via_duality(g) == {h0: 2}
+        assert sw_norm_via_polypart(g) == {h0: 2}
+        assert sw_norm_via_division(g) == {h0: 2}
+        assert sw_via_lattice(g) == {h0: 2}
         assert sw_via_topological_polytope(g, h0) == 2
 
 
@@ -105,13 +105,13 @@ def test_criterion_2_two_node_example():
             (4, 22): 1, (44, 8): 1, (10, 55): 1}
         assert ilive(support.reflected_polypart(g, h2, N)) == {
             (22, 4): 1, (8, 44): 1, (55, 10): 1}
-        assert ilive(polypart_dual(g, zero, N).poly_live()) == {
+        assert ilive(polypart_dual(g, N)[zero].poly_live()) == {
             (1, -53): 1, (-53, 1): 1, (7, -20): 1, (-20, 7): 1, (13, 13): 1}
 
-        for h, want in ((zero, 5), (h1, 3), (h2, 3)):
-            assert sw_norm_via_duality(g, h) == want
-            assert sw_norm_via_polypart(g, h) == want
-            assert sw_via_lattice(g, h) == want
+        want = {zero: 5, h1: 3, h2: 3}
+        assert sw_norm_via_duality(g) == want
+        assert sw_norm_via_polypart(g) == want
+        assert sw_via_lattice(g) == want
 
 
 def test_criterion_3_three_node_example():
@@ -129,7 +129,7 @@ def test_criterion_3_three_node_example():
             got.append(count(g, PolytopeQuery("concave", subset, tuple(dil),
                                               "closed", "positive", fiber)))
         assert got == [0, 0, 0, 1, 0, 1, 15]
-        assert sw_via_lattice(g, lat.zero_class) == 13
+        assert sw_via_lattice(g)[lat.zero_class] == 13
 
 
 def test_criterion_4_property_suite():
@@ -168,14 +168,17 @@ def test_criterion_4_property_suite():
                 assert inclusion_exclusion_check(g, h, subset, x)
 
             # (c) division vs duality and (d) route agreement, every class
+            duality = sw_norm_via_duality(g)
+            duals = polypart_dual(g, cut)
+            split = equivariant_split(reduce(zeta(g), cut))
+            lattice = sw_via_lattice(g) if lat.node_idx else None
             for h in all_classes(g):
-                a = sw_norm_via_duality(g, h)
-                dual = polypart_dual(g, h, cut)
-                div = euclid_divide(f_h(g, h, cut))
-                assert div.poly_live() == dual.poly_live()
-                assert evaluate_at_one(dual.poly) == a
-                if lat.node_idx:
-                    assert sw_via_lattice(g, h) == a
+                a = duality[h]
+                div = euclid_divide(split[h])
+                assert div.poly_live() == duals[h].poly_live()
+                assert evaluate_at_one(duals[h].poly) == a
+                if lattice is not None:
+                    assert lattice[h] == a
 
             # (e) quadratic consistency on deep samples
             assert quadratic_check(g, samples=3, seed=1000 + k).ok
@@ -187,6 +190,6 @@ def test_criterion_5_brieskorn_family():
             g = support.brieskorn(*pqr)
             h0 = lattice_of(g).zero_class
             top = sw_via_topological_polytope(g, h0)
-            assert top == sw_norm_via_duality(g, h0)
-            assert top == sw_norm_via_polypart(g, h0)
-            assert top == sw_via_lattice(g, h0)
+            assert {h0: top} == sw_norm_via_duality(g)
+            assert {h0: top} == sw_norm_via_polypart(g)
+            assert {h0: top} == sw_via_lattice(g)

@@ -233,6 +233,16 @@ def test_reduce_unknown_vertex(capsys):
     assert err.startswith("error:") and "'ZZ'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta",), ("polypart",), ("count", "--dilation", "70,35,14,20,10")])
+def test_reduce_empty_exits_2(capsys, argv):
+    # An empty --reduce is an error, not the default live set
+    code, out, err = run(capsys, argv[0], GRAPHS / "sigma_2_5_7.graph", *argv[1:],
+                         "--reduce", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --reduce") and "Traceback" not in err
+
+
 def test_verify_rejects_no_samples(capsys):
     for samples in ("0", "-1"):
         code, out, err = run(capsys, "verify", GRAPHS / "sigma_2_5_7.graph",
@@ -264,14 +274,14 @@ def lattice_off_by_one(monkeypatch):
     """Make the lattice route answer 18 on class 0, where the others give 17."""
     from plumbsw import swcore
     from plumbsw.lattice import lattice_of
-    real = swcore.sw_via_lattice_all
+    real = swcore.sw_via_lattice
 
     def crooked(g):
         values = real(g)
         values[lattice_of(g).zero_class] = 18
         return values
 
-    monkeypatch.setattr(swcore, "sw_via_lattice_all", crooked)
+    monkeypatch.setattr(swcore, "sw_via_lattice", crooked)
 
 
 def test_sw_disagreement_names_route_values(capsys, monkeypatch, tmp_path):

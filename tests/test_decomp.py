@@ -6,7 +6,7 @@ import pytest
 
 import support
 from plumbsw.decomp import (DivisionError, divide_component, euclid_divide,
-                            evaluate_at_one, f_h, polypart_dual)
+                            evaluate_at_one, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
 from plumbsw.series import (Box, RatFunc, _split_terms, equivariant_split,
@@ -34,7 +34,7 @@ def _one_minus(exp):
 
 def test_divide_sigma257_matches_printed_decomposition(sigma257):
     h0 = lattice_of(sigma257).zero_class
-    dec = euclid_divide(f_h(sigma257, h0, ["E1"]))
+    dec = euclid_divide(equivariant_split(reduce(zeta(sigma257), ["E1"]))[h0])
     assert ilive(dec.poly_live()) == {(1,): 1, (11,): 1}
     # negative part equals (1 - t + t^15 + t^21)/((1-t^14)(1-t^10)):
     # cross multiply against our denominator (1-t^35)(1-t^14)(1-t^10)
@@ -75,8 +75,8 @@ def test_divide_rejects_bad_numerator():
 
 def test_certificate_side_conditions(sigma257, two_nodes):
     for g, live in ((sigma257, ("E1",)), (two_nodes, ("v1", "v2"))):
-        for h in all_classes(g):
-            dec = euclid_divide(f_h(g, h, live))
+        for R in equivariant_split(reduce(zeta(g), live)).values():
+            dec = euclid_divide(R)
             sa = [tuple(a[i] for i in dec.active) for a in dec.denominator]
             for S, bucket in dec.by_s.items():
                 for sb in bucket:
@@ -87,14 +87,14 @@ def test_certificate_side_conditions(sigma257, two_nodes):
 
 def test_polypart_dual_sigma257(sigma257):
     h0 = lattice_of(sigma257).zero_class
-    dec = polypart_dual(sigma257, h0, ["E1"])
+    dec = polypart_dual(sigma257, ["E1"])[h0]
     assert ilive(dec.poly_live()) == {(1,): 1, (11,): 1}
     assert evaluate_at_one(dec.poly) == 2
 
 
 def test_polypart_dual_two_nodes_printed(two_nodes):
     h0 = lattice_of(two_nodes).zero_class
-    dec = polypart_dual(two_nodes, h0, ("v1", "v2"))
+    dec = polypart_dual(two_nodes, ("v1", "v2"))[h0]
     assert ilive(dec.poly_live()) == {(1, -53): 1, (-53, 1): 1, (7, -20): 1,
                                       (-20, 7): 1, (13, 13): 1}
     assert evaluate_at_one(dec.poly) == 5
@@ -104,8 +104,7 @@ def test_polypart_exponents_never_strictly_negative(corpus30):
     for g in corpus30[:8]:
         live = duality_cut_vertices(g)
         active = [g.index(v) for v in live]
-        for h in all_classes(g):
-            dec = polypart_dual(g, h, live)
+        for dec in polypart_dual(g, live).values():
             for e in dec.poly:
                 assert len(e) == len(active) and any(x >= 0 for x in e)
 
@@ -134,8 +133,9 @@ def test_evaluate_at_one():
 
 def test_chain_polynomial_part_vanishes():
     g = support.chain([-2, -2, -3, -2])
-    for h in all_classes(g):
-        dec = polypart_dual(g, h, g.ids)
+    decs = polypart_dual(g, g.ids)
+    assert list(decs) == list(all_classes(g))
+    for dec in decs.values():
         assert dec.poly == {}
         assert evaluate_at_one(dec.poly) == 0
 
@@ -143,10 +143,10 @@ def test_chain_polynomial_part_vanishes():
 def test_division_equals_duality_on_corpus(corpus30):
     for g in corpus30:
         live = duality_cut_vertices(g)
+        split = equivariant_split(reduce(zeta(g), live))
+        duals = polypart_dual(g, live)
         for h in all_classes(g):
-            div = euclid_divide(f_h(g, h, live))
-            dual = polypart_dual(g, h, live)
-            assert div.poly_live() == dual.poly_live()
+            assert euclid_divide(split[h]).poly_live() == duals[h].poly_live()
 
 
 def test_negative_part_has_negative_degree(sigma257, two_nodes, corpus30):
@@ -154,9 +154,8 @@ def test_negative_part_has_negative_degree(sigma257, two_nodes, corpus30):
     picks = [(sigma257, ("E1",)), (two_nodes, ("v1", "v2"))]
     picks += [(g, duality_cut_vertices(g)) for g in rng.sample(corpus30, 4)]
     for g, live in picks:
-        lat = lattice_of(g)
-        for h in all_classes(g):
-            dec = euclid_divide(f_h(g, h, live))
+        for R in equivariant_split(reduce(zeta(g), live)).values():
+            dec = euclid_divide(R)
             if not dec.neg.numerator:
                 continue
             for i in dec.active:
@@ -167,7 +166,7 @@ def test_negative_part_has_negative_degree(sigma257, two_nodes, corpus30):
 def test_resummation_on_window(two_nodes):
     h0 = lattice_of(two_nodes).zero_class
     live = ("v1", "v2")
-    fh = f_h(two_nodes, h0, live)
+    fh = equivariant_split(reduce(zeta(two_nodes), live))[h0]
     box = Box((Fraction(30), Fraction(30)))
     whole = taylor(fh, box).terms
     dec = euclid_divide(fh)
@@ -230,8 +229,9 @@ def test_live_division_matches_full_vector_reference(corpus30):
         active = tuple(sorted(g.index(v) for v in live))
         reduced = reduce(zeta(g), live)
         by_class, denom = _split_terms(lat, active, reduced.numerator, reduced.denominator)
+        split = equivariant_split(reduced)
         for h in all_classes(g):
-            R = f_h(g, h, live)
+            R = split[h]
             want_denom, want = support.reference_divide(
                 lat, active, {lat.unscaled(b): c for b, c in R.numerator.items()},
                 tuple(map(lat.unscaled, R.denominator)))

@@ -162,20 +162,18 @@ def test_node_multiset(three_nodes, two_nodes):
 
 
 def test_sw_via_lattice_values(sigma257, two_nodes, three_nodes):
-    assert sw_via_lattice(sigma257, lattice_of(sigma257).zero_class) == 2
+    assert sw_via_lattice(sigma257) == {lattice_of(sigma257).zero_class: 2}
     zero = lattice_of(two_nodes).zero_class
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
     h2 = class_add(h1, h1)
-    assert sw_via_lattice(two_nodes, zero) == 5
-    assert sw_via_lattice(two_nodes, h1) == 3
-    assert sw_via_lattice(two_nodes, h2) == 3
-    assert sw_via_lattice(three_nodes, lattice_of(three_nodes).zero_class) == 13
+    assert sw_via_lattice(two_nodes) == {zero: 5, h1: 3, h2: 3}
+    assert sw_via_lattice(three_nodes)[lattice_of(three_nodes).zero_class] == 13
 
 
 def test_sw_via_lattice_needs_nodes():
     g = support.chain([-2, -3, -2])
     with pytest.raises(PolytopeError):
-        sw_via_lattice(g, lattice_of(g).zero_class)
+        sw_via_lattice(g)
 
 
 def test_topological_polytope_route(sigma257):
@@ -186,8 +184,8 @@ def test_topological_polytope_route(sigma257):
 def test_topological_polytope_brieskorn_agreement():
     g = support.brieskorn(2, 3, 7)
     h0 = lattice_of(g).zero_class
-    assert sw_via_topological_polytope(g, h0) == sw_via_lattice(g, h0) == \
-        sw_norm_via_duality(g, h0)
+    assert sw_via_topological_polytope(g, h0) == sw_via_lattice(g)[h0] == \
+        sw_norm_via_duality(g)[h0]
 
 
 def test_topological_polytope_inapplicable_for_six_legs():
@@ -203,12 +201,13 @@ def test_topological_polytope_on_corpus_where_applicable(corpus30):
         lat = lattice_of(g)
         if not lat.node_idx:
             continue
+        lattice = sw_via_lattice(g)
         for h in all_classes(g):
             try:
                 top = sw_via_topological_polytope(g, h)
             except InapplicableError:
                 break
-            assert top == sw_via_lattice(g, h)
+            assert top == lattice[h]
             hit += 1
     assert hit > 0
 

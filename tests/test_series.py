@@ -6,7 +6,7 @@ import pytest
 
 import support
 from support import z_k_minus_e
-from plumbsw.decomp import euclid_divide, f_h
+from plumbsw.decomp import euclid_divide
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, e_star, lattice_of, rho
 from plumbsw.series import (Box, Cobox, RatFunc, WindowError, coeff,
@@ -151,7 +151,7 @@ def test_taylor_infinity_sigma257_both_routes(sigma257):
 
 def test_taylor_constant_term_is_one(corpus30):
     for g in corpus30[:6]:
-        ts = taylor(zeta(g), Box(tuple(Fraction(0) for _ in range(g.n))))
+        ts = taylor(reduce(zeta(g), g.ids), Box(tuple(Fraction(0) for _ in range(g.n))))
         assert ts.terms == {(0,) * g.n: 1}
 
 
@@ -298,7 +298,7 @@ def test_nonzero_coeff_lands_in_positive_cone(corpus30):
     for g in corpus30[:5]:
         lat = lattice_of(g)
         box = Box(tuple(Fraction(6) for _ in range(g.n)))
-        for e, c in taylor(zeta(g), box).terms.items():
+        for e, c in taylor(reduce(zeta(g), g.ids), box).terms.items():
             e = lat.unscaled(e)
             assert c == coeff(g, e)
             assert all(x == 0 for x in e) or all(x > 0 for x in e)
@@ -314,7 +314,7 @@ def test_window_bound_off_the_grid_keeps_only_window_terms(two_nodes):
     rewritten = taylor_infinity(reduce(zeta(two_nodes), live), w)
     assert closed.terms == rewritten.terms
     assert len(closed.terms) == 9
-    neg = euclid_divide(f_h(two_nodes, lat.zero_class, live)).neg
+    neg = euclid_divide(equivariant_split(reduce(zeta(two_nodes), live))[lat.zero_class]).neg
     origin = taylor(neg, Box((40, Fraction(-1, 6))))
     assert {lat.unscaled(e): c for e, c in origin.terms.items()} == {(1, -53): -1, (7, -20): -1}
     for ts in (closed, rewritten, origin):
@@ -374,8 +374,10 @@ def test_expansions_and_division_build_no_fraction_per_term(monkeypatch):
             count, ts = fractions_in(taylor_infinity, F, cobox, subset=live)
             assert count <= 2 * n_live
             assert ts.terms
-        live = duality_cut_vertices(g)
-        for h in all_classes(g):
-            count, dec = fractions_in(lambda: euclid_divide(f_h(g, h, live)))
+        count, split = fractions_in(equivariant_split, reduce(F, duality_cut_vertices(g)))
+        assert count == 0
+        assert list(split) == list(all_classes(g))
+        for R in split.values():
+            count, dec = fractions_in(euclid_divide, R)
             assert count == 0
             assert dec.by_s

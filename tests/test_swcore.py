@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,37 +11,39 @@ from plumbsw.counting import Q
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (Lattice, all_classes, canonical_cycle, class_of,
                              e_star, lattice_of, pairing)
-from plumbsw.polytopes import sw_via_lattice_all
+from plumbsw.polytopes import sw_via_lattice
 from plumbsw.series import RatFunc
-from plumbsw.swcore import (QuadraticReport, RouteDisagreement, dual_class,
-                            duality_cut_vertices, quadratic_check, sw_norm_via_division,
-                            sw_norm_via_duality, sw_norm_via_duality_all,
-                            sw_norm_via_polypart, sw_raw, sw_report, sw_shift)
+from plumbsw.swcore import (QuadraticReport, RouteDisagreement, duality_cut_vertices,
+                            quadratic_check, sw_norm_via_division, sw_norm_via_duality,
+                            sw_norm_via_polypart, sw_raw, sw_report)
+
+
+def shift(g, h):
+    """((K + 2 r_h)^2 + |V|)/8, read off sw_raw at sw_norm = 0."""
+    return -sw_raw(g, h, 0)
 
 
 def test_duality_route_values(sigma257, two_nodes):
-    assert sw_norm_via_duality(sigma257, lattice_of(sigma257).zero_class) == 2
+    assert sw_norm_via_duality(sigma257) == {lattice_of(sigma257).zero_class: 2}
     zero = lattice_of(two_nodes).zero_class
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
     from plumbsw.lattice import class_add
     h2 = class_add(h1, h1)
-    assert sw_norm_via_duality(two_nodes, zero) == 5
-    assert sw_norm_via_duality(two_nodes, h1) == 3
-    assert sw_norm_via_duality(two_nodes, h2) == 3
+    assert sw_norm_via_duality(two_nodes) == {zero: 5, h1: 3, h2: 3}
 
 
 def test_polypart_route_values(sigma257, two_nodes):
-    assert sw_norm_via_polypart(sigma257, lattice_of(sigma257).zero_class) == 2
+    assert sw_norm_via_polypart(sigma257) == {lattice_of(sigma257).zero_class: 2}
     zero = lattice_of(two_nodes).zero_class
-    assert sw_norm_via_polypart(two_nodes, zero) == 5
-    assert sw_norm_via_division(two_nodes, zero) == 5
+    assert sw_norm_via_polypart(two_nodes)[zero] == 5
+    assert sw_norm_via_division(two_nodes)[zero] == 5
 
 
 def test_chain_fallback_uses_all_vertices():
     g = support.chain([-2, -3, -2])
     assert duality_cut_vertices(g) == g.ids
-    for h in all_classes(g):
-        assert sw_norm_via_duality(g, h) == sw_norm_via_polypart(g, h) == 0
+    zeros = dict.fromkeys(all_classes(g), 0)
+    assert sw_norm_via_duality(g) == sw_norm_via_polypart(g) == zeros
 
 
 def test_sw_raw_shift_sigma257(sigma257):
@@ -49,7 +52,7 @@ def test_sw_raw_shift_sigma257(sigma257):
     zk = canonical_cycle(sigma257)
     # oracle: K = -Z_K, (K^2 + 5)/8 with K^2 = (Z_K, Z_K) = -5
     assert pairing(sigma257, zk, zk) == -5
-    assert sw_shift(sigma257, h0) == 0
+    assert shift(sigma257, h0) == 0
     assert sw_raw(sigma257, h0, 2) == -2
 
 
@@ -58,13 +61,13 @@ def test_sw_raw_shift_with_nontrivial_rep(two_nodes):
     # oracle: direct pairing arithmetic on K + 2 r_h
     v = vec_add(vec_scale(-1, canonical_cycle(two_nodes)), vec_scale(2, h1.rep))
     expected = (pairing(two_nodes, v, v) + 10) / 8
-    assert sw_shift(two_nodes, h1) == expected
+    assert shift(two_nodes, h1) == expected
     assert sw_raw(two_nodes, h1, 3) == -3 - expected
     for g in (two_nodes, support.star(-2, (-3, -5, -7))):
         zk = canonical_cycle(g)
         for h in all_classes(g):
             v = vec_add(vec_scale(-1, zk), vec_scale(2, h.rep))
-            assert sw_shift(g, h) == (pairing(g, v, v) + g.n) / 8
+            assert shift(g, h) == (pairing(g, v, v) + g.n) / 8
 
 
 def test_quadratic_check_examples(sigma257, two_nodes):
@@ -85,10 +88,11 @@ def test_quadratic_identity_per_class(two_nodes):
         h = class_of(g, tuple(lp))
         if want[h] is None:
             want[h] = tuple(lp)
+    duality = sw_norm_via_duality(g)
     for h, lp in want.items():
         lhs = -Q(g, h, g.ids, lp)
         v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
-        rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, sw_norm_via_duality(g, h))
+        rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, duality[h])
         assert lhs == rhs
 
 
@@ -101,7 +105,7 @@ def test_quadratic_minimal_sample_random_tree(corpus30):
     h = class_of(g, tuple(lp))
     lhs = -Q(g, h, g.ids, lp)
     v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
-    rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, sw_norm_via_duality(g, h))
+    rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, sw_norm_via_duality(g)[h])
     assert lhs == rhs
 
 
@@ -112,7 +116,7 @@ def test_report_all_routes_agree(sigma257, two_nodes):
         assert [e.sw_norm_neg for e in rep.entries] == values
         for e in rep.entries:
             assert set(e.values) == {"duality", "polypart", "division", "lattice"}
-            assert e.raw == Fraction(-e.sw_norm_neg) - sw_shift(g, e.h)
+            assert e.raw == Fraction(-e.sw_norm_neg) - shift(g, e.h)
 
 
 def test_report_marks_lattice_not_applicable():
@@ -125,7 +129,7 @@ def test_report_marks_lattice_not_applicable():
 
 
 def test_report_refuses_contested_value(monkeypatch, sigma257):
-    monkeypatch.setattr(swcore, "sw_norm_via_duality_all",
+    monkeypatch.setattr(swcore, "sw_norm_via_duality",
                         lambda g: dict.fromkeys(all_classes(g), 17))
     rep = sw_report(sigma257)
     assert not rep.agree
@@ -139,11 +143,12 @@ def test_batched_routes_match_per_class_counts():
     lat = lattice_of(g)
     assert 50 <= lat.h_order <= 200
     cut = duality_cut_vertices(g)
-    duality = sw_norm_via_duality_all(g)
-    lattice = sw_via_lattice_all(g)
+    duality = sw_norm_via_duality(g)
+    lattice = sw_via_lattice(g)
     assert list(duality) == list(lattice) == list(all_classes(g))
     for h in all_classes(g):
-        want = Q(g, dual_class(g, h), cut, vec_sub(canonical_cycle(g), h.rep))
+        dual = lat.class_at([z - k for z, k in zip(lat.sz_k, h.key)])
+        want = Q(g, dual, cut, vec_sub(canonical_cycle(g), h.rep))
         assert duality[h] == want == lattice[h]
 
 
@@ -187,11 +192,11 @@ def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
     monkeypatch.setattr(RatFunc, "__post_init__", counted)
     for g in (two_nodes, parse_graph(support.VALENCY4_TREE)):
         assert sw_report(g).agree
+    # the division route divides the split terms as sw_report does
+    assert sw_norm_via_division(two_nodes) == {h: e.sw_norm_neg
+                                               for h, e in zip(all_classes(two_nodes),
+                                                               sw_report(two_nodes).entries)}
     assert built == []
-    zero = lattice_of(two_nodes).zero_class
-    # the per-class wrapper divides the one component that f_h builds
-    sw_norm_via_division(two_nodes, zero)
-    assert built == [zero]
 
 
 def test_report_builds_one_fraction_per_class(monkeypatch):
@@ -240,14 +245,13 @@ def test_lattice_and_routes_build_no_fraction(monkeypatch):
     for g in graphs:
         assert fractions_in(Lattice, g) == 0
         lattice_of(g)
-        assert fractions_in(sw_via_lattice_all, g) == 0
-        assert fractions_in(sw_norm_via_duality_all, g) == 0
+        assert fractions_in(sw_via_lattice, g) == 0
+        assert fractions_in(sw_norm_via_duality, g) == 0
 
 
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
-    from plumbsw import decomp
     h0 = lattice_of(sigma257).zero_class
-    real = decomp.divide_component
+    real = swcore.divide_component
 
     def crooked(*args):
         dec = real(*args)
@@ -255,44 +259,36 @@ def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
         dec.by_s = {k: v for k, v in dec.by_s.items() if k}
         return dec
 
-    # euclid_divide reaches the kernel through decomp, sw_report through swcore
-    monkeypatch.setattr(decomp, "divide_component", crooked)
     monkeypatch.setattr(swcore, "divide_component", crooked)
-    with pytest.raises(RouteDisagreement):
-        sw_norm_via_polypart(sigma257, h0)
+    with pytest.raises(RouteDisagreement, match=re.escape(f"h={h0}: ")):
+        sw_norm_via_polypart(sigma257)
     entry, = sw_report(sigma257).entries
     assert "polypart" in entry.errors and "polypart" not in entry.values
     assert not entry.agree
 
 
-def test_per_class_wrappers_divide_only_their_class(monkeypatch, two_nodes):
-    from plumbsw import decomp
-    real = decomp.divide_component
+def test_division_routes_divide_each_class_once(monkeypatch, two_nodes):
+    real = swcore.divide_component
     divided = []
 
     def counted(*args):
         divided.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(decomp, "divide_component", counted)
     monkeypatch.setattr(swcore, "divide_component", counted)
-    for h in all_classes(two_nodes):
-        for route in (sw_norm_via_division, sw_norm_via_polypart):
-            divided.clear()
-            route(two_nodes, h)
-            assert divided == [h]
+    for route in (sw_norm_via_division, sw_norm_via_polypart):
+        divided.clear()
+        assert list(route(two_nodes)) == list(all_classes(two_nodes))
+        assert divided == list(all_classes(two_nodes))
 
 
 def test_route_agreement_on_corpus(corpus30):
     for g in corpus30:
-        lat = lattice_of(g)
-        for h in all_classes(g):
-            a = sw_norm_via_duality(g, h)
-            b = sw_norm_via_polypart(g, h)
-            assert a == b
-            if lat.node_idx:
-                from plumbsw.polytopes import sw_via_lattice
-                assert a == sw_via_lattice(g, h)
+        duality = sw_norm_via_duality(g)
+        assert list(duality) == list(all_classes(g))
+        assert sw_norm_via_polypart(g) == duality
+        if lattice_of(g).node_idx:
+            assert sw_via_lattice(g) == duality
 
 
 # Seeds of ``support.hub_tree`` whose trees have a class on which the lattice
