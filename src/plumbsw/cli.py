@@ -140,7 +140,10 @@ def cmd_polypart(g, args) -> int:
     h = _class_from_args(g, args)
     live = _live_set(g, args)
     dual = decomp.polypart_dual(g, live)[h]
-    div = decomp.euclid_divide(series.equivariant_split(series.reduce(series.zeta(g), live))[h])
+    lat = lattice_of(g)
+    active = series.live_indices(g, live)
+    by_class, denom = series._split_terms(lat, active, *series.zeta(g).expanded())
+    div = decomp.divide_component(lat, active, by_class.get(h.key, {}), denom, h)
     agree = dual.poly_live() == div.poly_live()
     recs = [
         {"route": "duality", "poly": {format_vec(e): c for e, c in sorted(dual.poly_live().items())},
@@ -151,7 +154,6 @@ def cmd_polypart(g, args) -> int:
          "_text": f"agree = {'true' if agree else 'false'}  P+(1) = "
                   f"{decomp.evaluate_at_one(dual.poly_live())}"},
     ]
-    lat = div.lat
     for S in sorted((s for s in div.by_s if s), key=sorted):
         names = [format_vec(lat.unscaled(div.denominator[i][j] for j in div.active))
                  for i in sorted(S)]

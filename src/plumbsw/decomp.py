@@ -7,9 +7,14 @@ whose exponents are never strictly negative on the live coordinates and
 z^neg has negative degree in every live variable.  Two independent
 constructions are provided:
 
-* ``euclid_divide`` rewrites terms t^b / prod_{i in S} (1 - t^{a_i}) while
-  some b fails b < a_{i0} everywhere on the live coordinates, producing a
-  certificate indexed by denominator subsets S; the S = {} bucket is P+.
+* Euclidean division rewrites terms t^b / prod_{i in S} (1 - t^{a_i}) while
+  some b fails b < a_{i0} everywhere on the live coordinates, in one heap
+  pass with two pivot rules.  ``divide_component`` (and ``euclid_divide``)
+  keeps a certificate indexed by denominator subsets S, whose S = {}
+  bucket is P+; the certificate depends on the pivot rule and
+  ``plumbsw polypart`` prints it, so that rule is fixed.  P+ does not:
+  ``divide_polypart``, behind ``plumbsw sw`` and ``verify``, takes the
+  faster rule and keeps P+ alone.
 * ``polypart_dual`` reads P+ of every class off the expansion at infinity,
   from one enumeration: the coefficient at Z_K - E - l' is z(l'), and P+
   keeps the exponents that are not strictly negative on the live
@@ -47,10 +52,11 @@ class DivisionError(ValueError):
 
 @dataclass
 class Decomposition:
-    """Polynomial part, and from division its certificate, of one
-    H-component.  Exponents are live scaled tuples: the live coordinates
-    times |H|.  ``residue`` is the scaled full vector that every exponent of
-    the component shares off the live coordinates, reduced to [0, |H|), with
+    """Polynomial part, and from ``divide_component`` its certificate, of
+    one H-component; ``by_s`` is None where no certificate is kept.
+    Exponents are live scaled tuples: the live coordinates times |H|.
+    ``residue`` is the scaled full vector that every exponent of the
+    component shares off the live coordinates, reduced to [0, |H|), with
     zeros on the live coordinates; ``denominator`` holds scaled full
     vectors, in the order the ``by_s`` index sets refer to."""
     lat: Lattice
@@ -106,93 +112,126 @@ def _residue(e, active, d) -> tuple[int, ...]:
     return tuple(0 if i in active else x % d for i, x in enumerate(e))
 
 
-def divide_component(lat: Lattice, active, terms, denominator,
-                     htag: HClass | None = None) -> Decomposition:
-    """Euclidean division of one H-component, given by its scaled numerator
-    terms and scaled denominator exponents, on the live coordinates alone.
-
-    Divide until every surviving fraction t^b / prod_{i in S}(1 - t^{a_i})
-    with S non-empty satisfies b < a_i on all live coordinates for all i in S.
-    The denominators are taken in order of their live part, then of the
-    full vector.
-
-    One step picks the smallest applicable denominator index i0 and replaces
-    the fraction by -t^{b-a_{i0}} over S minus i0 plus t^{b-a_{i0}} over S.
-    Both new exponents have a smaller live-coordinate sum, a_{i0} being
-    strictly positive on the live coordinates, so one pass in decreasing
-    order of that sum pops each key (S, b) after every key that feeds it and
-    rewrites it once, with its final coefficient.  Steps are linear and
-    depend only on their key, so ``by_s`` does not depend on their order.
-    The pass ends: a step needs some live b_v >= a_{i0,v} > 0, so the
-    measure sum_v max(b_v, 0) strictly decreases.
-
-    Working on the live coordinates is exact for one H-component (see the
-    module docstring): input with a denominator exponent outside L, or with
-    numerator exponents that differ off the live coordinates mod L, raises
-    ``DivisionError`` naming the exponent.
-
-    Both certificate checks run here.  ``neg``, built on first read, cannot
-    fail its own: its denominators are those of the component, and its
-    exponents add live-positive vectors to a b not strictly negative on the
-    live coordinates.
-    """
+def _prepare(lat: Lattice, active, terms, denominator):
+    """Live numerator, residue and sorted denominator of one H-component."""
     d = lat.h_order
     for a in denominator:
         if any(x % d for x in a):
             raise DivisionError(f"denominator exponent {format_vec(lat.unscaled(a))} "
                                 "is not in L")
-    residue, first = (0,) * lat.n, None
+    off_live = [i for i in range(lat.n) if i not in active]
+    first, first_off = None, None
     num: dict[tuple[int, ...], int] = {}
     for b, c in terms.items():
+        off = [b[i] % d for i in off_live]
         if first is None:
-            residue, first = _residue(b, active, d), b
-        elif _residue(b, active, d) != residue:
+            first, first_off = b, off
+        elif off != first_off:
             raise DivisionError(f"numerator exponent {format_vec(lat.unscaled(b))} is off "
                                 f"the H-component of {format_vec(lat.unscaled(first))}")
-        key = _live(b, active)
+        key = tuple([b[i] for i in active])
         num[key] = num.get(key, 0) + c
-
+    residue = (0,) * lat.n if first is None else _residue(first, active, d)
     denom = tuple(sorted(denominator, key=lambda a: (_live(a, active), a)))
+    return num, residue, denom
+
+
+def _divide(lat: Lattice, active, terms, denominator, htag, certificate: bool):
+    """Divide until every surviving fraction t^b / prod_{i in S}(1 - t^{a_i})
+    with S non-empty satisfies b < a_i on all live coordinates for all i in
+    S.  A fraction is keyed (S, b): S a bit mask over the denominators,
+    sorted by live part, then by full vector, and b the live exponent.
+
+    One step picks an applicable i0 in S, the smallest with ``certificate``
+    and else the largest, and replaces the fraction by -t^{b-a_{i0}} over
+    S minus i0 plus t^{b-a_{i0}} over S.  Both new exponents have a smaller
+    live-coordinate sum, a_{i0} being strictly positive on the live
+    coordinates, so one pass in decreasing order of that sum pops each key
+    after every key that feeds it and rewrites it once, with its final
+    coefficient.  The pass ends: a step needs some live b_v >= a_{i0,v} > 0,
+    so the measure sum_v max(b_v, 0) strictly decreases.  Each irreducible
+    term is checked when popped, and kept if ``certificate`` or S = {}."""
+    num, residue, denom = _prepare(lat, active, terms, denominator)
     la = [_live(a, active) for a in denom]
-
-    cert: dict[tuple[frozenset, tuple[int, ...]], int] = {}
+    lsum = [sum(a) for a in la]
+    indices = range(len(denom)) if certificate else range(len(denom) - 1, -1, -1)
+    orders: dict[int, list[int]] = {}
+    pending: dict[tuple[int, tuple[int, ...]], int] = {}
+    kept: dict[tuple[int, tuple[int, ...]], int] = {}
     heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
 
-    def add(S, sb, c):
-        old = cert.get((S, sb))
+    def add(S, sb, negs, c):
+        old = pending.get((S, sb))
         if old is None:
-            heapq.heappush(heap, (-sum(sb), sorted(S), sb, S))
+            push(heap, (negs, S, sb))
             old = 0
-        cert[S, sb] = old + c
+        pending[S, sb] = old + c
 
     for b, c in num.items():
-        add(frozenset(range(len(denom))), b, c)
+        add((1 << len(denom)) - 1, b, -sum(b), c)
 
     while heap:
-        _, order, sb, S = heapq.heappop(heap)
+        negs, S, sb = pop(heap)
+        c = pending.pop((S, sb))
+        order = orders.get(S)
+        if order is None:
+            order = orders[S] = [i for i in indices if S >> i & 1]
         for i0 in order:
             if not all(map(lt, sb, la[i0])):
                 break
         else:
+            if c:
+                if all(x < 0 for x in sb):
+                    full = lat.unscaled(_full(residue, active, sb))
+                    raise DivisionError(f"certificate exponent {format_vec(full)} "
+                                        "strictly negative")
+                if certificate or not S:
+                    kept[S, sb] = c
             continue
-        c = cert.pop((S, sb))
         if c:
             shifted = tuple(map(sub, sb, la[i0]))
-            add(S - {i0}, shifted, -c)
-            add(S, shifted, c)
+            negs += lsum[i0]
+            add(S & ~(1 << i0), shifted, negs, -c)
+            add(S, shifted, negs, c)
 
-    by_s: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
-    for (S, sb), c in cert.items():
-        if not c:
-            continue
-        if all(x < 0 for x in sb):
-            full = lat.unscaled(_full(residue, active, sb))
-            raise DivisionError(f"certificate exponent {format_vec(full)} strictly negative")
-        if any(not all(map(lt, sb, la[i])) for i in S):
-            raise DivisionError("division left a reducible term")
-        by_s.setdefault(S, {})[sb] = c
-    return Decomposition(lat, active, dict(by_s.get(frozenset(), {})), by_s, denom,
-                         residue, htag)
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for (S, sb), c in kept.items():
+        buckets.setdefault(S, {})[sb] = c
+    poly = dict(buckets.get(0, {}))
+    by_s = {frozenset(i for i in range(len(denom)) if S >> i & 1): bucket
+            for S, bucket in buckets.items()} if certificate else None
+    return Decomposition(lat, active, poly, by_s, denom, residue, htag)
+
+
+def divide_component(lat: Lattice, active, terms, denominator,
+                     htag: HClass | None = None) -> Decomposition:
+    """Euclidean division of one H-component, given by its scaled numerator
+    terms and scaled denominator exponents, on the live coordinates alone,
+    with its certificate ``by_s``.  Each step pivots on the smallest
+    applicable denominator.  Steps are linear and depend only on their key,
+    so ``by_s`` does not depend on the order in which keys are popped, but
+    it does depend on the pivot rule, and ``plumbsw polypart`` prints it.
+
+    Working on the live coordinates is exact for one H-component (see the
+    module docstring): input with a denominator exponent outside L, or with
+    numerator exponents that differ off the live coordinates mod L, raises
+    ``DivisionError`` naming the exponent.  So does a certificate exponent
+    strictly negative on every live coordinate.  ``neg``, built on first
+    read, cannot fail that check: its denominators are those of the
+    component, and its exponents add live-positive vectors to a b not
+    strictly negative on the live coordinates.
+    """
+    return _divide(lat, active, terms, denominator, htag, True)
+
+
+def divide_polypart(lat: Lattice, active, terms, denominator,
+                    htag: HClass | None = None) -> Decomposition:
+    """P+ of one H-component as ``divide_component`` finds it, P+ being
+    unique, but pivoting on the applicable denominator with the largest live
+    part, which takes far fewer steps, and keeping no certificate (``by_s``
+    is None).  Raises the same ``DivisionError`` on the same input."""
+    return _divide(lat, active, terms, denominator, htag, False)
 
 
 def euclid_divide(R: RatFunc) -> Decomposition:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Q
-from .decomp import divide_component, evaluate_at_one, polypart_dual
+from .decomp import divide_polypart, evaluate_at_one, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, all_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice
@@ -77,11 +77,12 @@ _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 def _division_polys(g: PlumbingGraph, subset) -> dict[HClass, dict]:
     """P+ of every class by Euclidean division on the live coordinates of
     ``subset``: the numerator and denominator that ``reduce`` expands are
-    split once, and each class's H-component is divided on its own terms."""
+    split once, and each class's H-component is divided on its own terms,
+    keeping no certificate."""
     lat = lattice_of(g)
     active = live_indices(g, subset)
     by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
-    return {h: divide_component(lat, active, by_class.get(h.key, {}), denom, h).poly
+    return {h: divide_polypart(lat, active, by_class.get(h.key, {}), denom, h).poly
             for h in all_classes(g)}
 
 
@@ -157,7 +158,13 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     Each route answers the whole graph at once: duality, polypart and
     lattice from one enumeration each, and division from one split of the
     zeta function and one division per class.  That polynomial part serves
-    both the division route and polypart's cross-check."""
+    both the division route and polypart's cross-check.  ``methods`` must
+    name at least one route, and only routes of ``ROUTES``."""
+    unknown = [m for m in methods if m not in ROUTES]
+    if unknown:
+        raise ValueError(f"unknown route {unknown[0]!r}")
+    if not methods:
+        raise ValueError("no route requested")
     subset = duality_cut_vertices(g)
     duality = sw_norm_via_duality(g) if "duality" in methods else None
     polys = polypart_dual(g, subset) if "polypart" in methods else None

@@ -107,6 +107,14 @@ edge v7 v8
 """
 
 
+# Seeds of ``hub_tree`` whose trees have a class on which the lattice route,
+# summed without the binomial weights of its nodes, disagrees with the other
+# routes: 14 with a hub of valency 4, 14 of valency 5, 8 of valency 6.
+HUB_SEEDS = (0, 3, 14, 34, 74, 113, 114, 146, 164, 168, 189, 191, 196, 210, 235, 246,
+             249, 258, 262, 275, 278, 281, 350, 371, 385, 395, 400, 421, 439, 493,
+             516, 527, 550, 572, 573, 586)
+
+
 def hub_tree(seed: int, max_h: int = 60) -> PlumbingGraph:
     """A negative definite tree with at most 11 vertices and |H| <= max_h
     whose vertex v0 is a node of valency 4 to 6, drawn from the seed: the

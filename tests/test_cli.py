@@ -9,8 +9,10 @@ import pytest
 
 import support
 from plumbsw.cli import main
+from plumbsw.graph import parse_graph
 
 GRAPHS = support.GRAPH_DIR
+HUB33 = Path(__file__).resolve().parent / "data" / "hub_tree_33.graph"
 
 # Exact stdout and exit code of the printing commands on the shipped graphs,
 # in both formats.  Regenerate, only for an intended output change, with
@@ -116,6 +118,29 @@ def test_polypart_command(capsys):
     assert "P+ (duality) = t^(1) + t^(11)" in lines
     assert "P+ (division) = t^(1) + t^(11)" in lines
     assert any(line.startswith("agree = true") for line in lines)
+
+
+def test_polypart_divides_only_its_class(capsys, monkeypatch):
+    # |H| = 3: the split terms of the one class asked for are divided, and
+    # no class's component is built as a RatFunc
+    from plumbsw import cli, decomp, series
+    built, divided = [], []
+    real_init, real_divide = series.RatFunc.__post_init__, decomp.divide_component
+
+    def counted_init(self):
+        built.append(self.htag)
+        real_init(self)
+
+    def counted_divide(*args):
+        divided.append(args[-1])
+        return real_divide(*args)
+
+    monkeypatch.setattr(series.RatFunc, "__post_init__", counted_init)
+    monkeypatch.setattr(cli.decomp, "divide_component", counted_divide)
+    code, out, _ = run(capsys, "polypart", GRAPHS / "two_nodes_h3.graph",
+                       "--h", "0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3")
+    assert code == 0 and "agree = true" in out
+    assert built == [] and [str(h) for h in divided] == ["(0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3)"]
 
 
 def test_count_command(capsys):
@@ -317,14 +342,14 @@ def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
     assert rec == {"check": "route-agreement", "detail": STAR4_ROUTES, "pass": False}
 
     from plumbsw import counting, decomp, swcore
-    real = decomp.divide_component
+    real = decomp.divide_polypart
 
     def crooked(*args):
         dec = real(*args)
         dec.poly = {}
         return dec
 
-    monkeypatch.setattr(swcore, "divide_component", crooked)
+    monkeypatch.setattr(swcore, "divide_polypart", crooked)
     monkeypatch.setattr(counting, "inclusion_exclusion_check", lambda *args: False)
     monkeypatch.setattr(swcore, "Q", lambda *args: 10 ** 6)
     code, out, _ = run(capsys, "verify", star, "--samples", "2", "--seed", "3")
@@ -365,6 +390,11 @@ def golden_transcript() -> str:
             code = main([command, str(GRAPHS / name), *options, "--format", fmt])
         blocks.append(f"$ plumbsw {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
     return "".join(blocks)
+
+
+def test_hub_tree_33_file_is_the_support_tree():
+    # the graph that CI runs the installed `plumbsw sw` and `polypart` on
+    assert parse_graph(HUB33.read_text()) == support.hub_tree(33)
 
 
 def test_golden_cli_output():

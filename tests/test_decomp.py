@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 import support
-from plumbsw.decomp import (DivisionError, divide_component, euclid_divide,
-                            evaluate_at_one, polypart_dual)
+from plumbsw.decomp import (DivisionError, divide_component, divide_polypart,
+                            euclid_divide, evaluate_at_one, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
-from plumbsw.series import (Box, RatFunc, _split_terms, equivariant_split,
+from plumbsw.series import (Box, RatFunc, _split_terms, equivariant_split, live_indices,
                             off_live_canon, reduce, taylor, zeta)
 from plumbsw.swcore import duality_cut_vertices
 
@@ -272,3 +272,37 @@ def test_division_needs_one_component(two_nodes):
         euclid_divide(mixed)
     for b in (b0, b1):
         euclid_divide(RatFunc(R.lat, {b: 1}, parts[zero].denominator, R.active))
+
+
+def test_polypart_division_rejects_what_the_certificate_rejects(two_nodes):
+    R = reduce(zeta(two_nodes), ("v1", "v2"))
+    parts = equivariant_split(R)
+    zero, h1, _ = all_classes(two_nodes)
+    b0, b1 = next(iter(parts[zero].numerator)), next(iter(parts[h1].numerator))
+    for terms, denominator, kind in ((R.numerator, R.denominator, " is not in L"),
+                                     ({b0: 1, b1: 1}, parts[zero].denominator, " is off")):
+        messages = []
+        for divide in (divide_component, divide_polypart):
+            with pytest.raises(DivisionError, match=kind) as info:
+                divide(R.lat, R.active, terms, denominator)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_polypart_division_equals_certificate_polypart(corpus30):
+    # P+ is unique, so the pass that pivots on the largest live part and
+    # keeps no certificate finds the certificate's S = {} bucket.
+    graphs = [*corpus30, parse_graph(support.VALENCY4_TREE)]
+    graphs += [support.hub_tree(seed) for seed in support.HUB_SEEDS]
+    for g in graphs:
+        lat = lattice_of(g)
+        active = live_indices(g, duality_cut_vertices(g))
+        by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
+        for h in all_classes(g):
+            terms = by_class.get(h.key, {})
+            want = divide_component(lat, active, terms, denom, h)
+            got = divide_polypart(lat, active, terms, denom, h)
+            assert got.by_s is None and got.neg is None
+            assert got.poly == want.poly, (g, h)
+            assert (got.denominator, got.residue, got.htag) == (want.denominator,
+                                                                want.residue, h)

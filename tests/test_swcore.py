@@ -153,14 +153,14 @@ def test_batched_routes_match_per_class_counts():
 
 
 def test_report_divides_once_per_class(monkeypatch, two_nodes):
-    real = swcore.divide_component
+    real = swcore.divide_polypart
     tags = []
 
     def counted(lat, active, terms, denominator, htag):
         tags.append(htag)
         return real(lat, active, terms, denominator, htag)
 
-    monkeypatch.setattr(swcore, "divide_component", counted)
+    monkeypatch.setattr(swcore, "divide_polypart", counted)
     assert sw_report(two_nodes).agree
     assert tags == list(all_classes(two_nodes))
 
@@ -251,15 +251,14 @@ def test_lattice_and_routes_build_no_fraction(monkeypatch):
 
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     h0 = lattice_of(sigma257).zero_class
-    real = swcore.divide_component
+    real = swcore.divide_polypart
 
     def crooked(*args):
         dec = real(*args)
         dec.poly = {}
-        dec.by_s = {k: v for k, v in dec.by_s.items() if k}
         return dec
 
-    monkeypatch.setattr(swcore, "divide_component", crooked)
+    monkeypatch.setattr(swcore, "divide_polypart", crooked)
     with pytest.raises(RouteDisagreement, match=re.escape(f"h={h0}: ")):
         sw_norm_via_polypart(sigma257)
     entry, = sw_report(sigma257).entries
@@ -268,14 +267,14 @@ def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
 
 
 def test_division_routes_divide_each_class_once(monkeypatch, two_nodes):
-    real = swcore.divide_component
+    real = swcore.divide_polypart
     divided = []
 
     def counted(*args):
         divided.append(args[-1])
         return real(*args)
 
-    monkeypatch.setattr(swcore, "divide_component", counted)
+    monkeypatch.setattr(swcore, "divide_polypart", counted)
     for route in (sw_norm_via_division, sw_norm_via_polypart):
         divided.clear()
         assert list(route(two_nodes)) == list(all_classes(two_nodes))
@@ -291,17 +290,12 @@ def test_route_agreement_on_corpus(corpus30):
             assert sw_via_lattice(g) == duality
 
 
-# Seeds of ``support.hub_tree`` whose trees have a class on which the lattice
-# route, summed without the binomial weights of its nodes, disagrees with the
-# other routes: 14 with a hub of valency 4, 14 of valency 5, 8 of valency 6.
-HUB_SEEDS = (0, 3, 14, 34, 74, 113, 114, 146, 164, 168, 189, 191, 196, 210, 235, 246,
-             249, 258, 262, 275, 278, 281, 350, 371, 385, 395, 400, 421, 439, 493,
-             516, 527, 550, 572, 573, 586)
-
-
 def test_route_agreement_on_high_valency_nodes():
     graphs = [parse_graph(support.VALENCY4_TREE), support.star(-1, (-3, -4, -5, -5))]
-    graphs += [support.hub_tree(seed) for seed in HUB_SEEDS]
+    graphs += [support.hub_tree(seed) for seed in support.HUB_SEEDS]
+    # valency 4, |H| = 36: dividing for P+ on the certificate's pivot takes
+    # 1,197,909 heap pushes here, on the largest live part 45,932
+    graphs.append(support.hub_tree(33))
     valencies = set()
     for g in graphs:
         lat = lattice_of(g)
@@ -312,6 +306,15 @@ def test_route_agreement_on_high_valency_nodes():
             assert not e.errors, (g, e)
             assert len(set(e.values.values())) == 1 and len(e.values) == 4, (g, e)
     assert valencies == {4, 5, 6}
+
+
+def test_report_rejects_unknown_or_no_route(two_nodes):
+    with pytest.raises(ValueError, match="unknown route 'dualty'"):
+        sw_report(two_nodes, ("dualty",))
+    with pytest.raises(ValueError, match="unknown route 'dualty'"):
+        sw_report(two_nodes, ("duality", "dualty"))
+    with pytest.raises(ValueError, match="no route requested"):
+        sw_report(two_nodes, ())
 
 
 def test_quadratic_check_deterministic(sigma257):
