@@ -139,20 +139,21 @@ def _class_from_args(g, args) -> HClass:
 def cmd_polypart(g, args) -> int:
     h = _class_from_args(g, args)
     live = _live_set(g, args)
-    dual = decomp.polypart_dual(g, live)[h]
     lat = lattice_of(g)
+    dual = decomp.poly_live(lat, decomp.polypart_dual(g, live)[h])
     active = series.live_indices(g, live)
     by_class, denom = series._split_terms(lat, active, *series.zeta(g).expanded())
     div = decomp.divide_component(lat, active, by_class.get(h.key, {}), denom, h)
-    agree = dual.poly_live() == div.poly_live()
+    div_poly = decomp.poly_live(lat, div.poly)
+    agree = dual == div_poly
     recs = [
-        {"route": "duality", "poly": {format_vec(e): c for e, c in sorted(dual.poly_live().items())},
-         "_text": "P+ (duality) = " + _poly_str(dual.poly_live())},
-        {"route": "division", "poly": {format_vec(e): c for e, c in sorted(div.poly_live().items())},
-         "_text": "P+ (division) = " + _poly_str(div.poly_live())},
-        {"agree": agree, "value_at_one": decomp.evaluate_at_one(dual.poly_live()),
+        {"route": "duality", "poly": {format_vec(e): c for e, c in sorted(dual.items())},
+         "_text": "P+ (duality) = " + _poly_str(dual)},
+        {"route": "division", "poly": {format_vec(e): c for e, c in sorted(div_poly.items())},
+         "_text": "P+ (division) = " + _poly_str(div_poly)},
+        {"agree": agree, "value_at_one": decomp.evaluate_at_one(dual),
          "_text": f"agree = {'true' if agree else 'false'}  P+(1) = "
-                  f"{decomp.evaluate_at_one(dual.poly_live())}"},
+                  f"{decomp.evaluate_at_one(dual)}"},
     ]
     for S in sorted((s for s in div.by_s if s), key=sorted):
         names = [format_vec(lat.unscaled(div.denominator[i][j] for j in div.active))

@@ -4,90 +4,79 @@ A reduced rational function z with numerator exponents b not strictly
 negative on the live coordinates and denominator exponents a strictly
 positive splits uniquely as P+ + z^neg where P+ is a finite polynomial
 whose exponents are never strictly negative on the live coordinates and
-z^neg has negative degree in every live variable.  Two independent
+z^neg has negative degree in every live variable.  Every construction
+returns P+ as one plain polynomial: a dict from live scaled exponent (the
+live coordinates times |H|) to a non-zero int.  Two independent
 constructions are provided:
 
 * Euclidean division rewrites terms t^b / prod_{i in S} (1 - t^{a_i}) while
   some b fails b < a_{i0} everywhere on the live coordinates, in one heap
   pass with two pivot rules.  ``divide_component`` (and ``euclid_divide``)
-  keeps a certificate indexed by denominator subsets S, whose S = {}
-  bucket is P+; the certificate depends on the pivot rule and
-  ``plumbsw polypart`` prints it, so that rule is fixed.  P+ does not:
-  ``divide_polypart``, behind ``plumbsw sw`` and ``verify``, takes the
-  faster rule and keeps P+ alone.
+  returns the certificate, a ``Decomposition`` indexed by denominator
+  subsets S whose S = {} bucket is P+; the certificate depends on the pivot
+  rule and ``plumbsw polypart`` prints it, so that rule is fixed.  P+ does
+  not: ``divide_polypart``, behind ``plumbsw sw`` and ``verify``, takes the
+  faster rule and returns P+ alone.
 * ``polypart_dual`` reads P+ of every class off the expansion at infinity,
   from one enumeration: the coefficient at Z_K - E - l' is z(l'), and P+
   keeps the exponents that are not strictly negative on the live
   coordinates.
 
-The two must agree on the live coordinates, and P+(1) is the normalized
-Seiberg-Witten invariant with opposite sign when the live set contains all
-nodes.
+The two must agree, and P+(1) is the normalized Seiberg-Witten invariant
+with opposite sign when the live set contains all nodes.
 
-Exponents are scaled integer vectors (coordinates times |H|), as in
-``series``.  Division runs per class on their live coordinates.  That is
-exact: after the equivariant split every denominator exponent lies in L,
-so it is 0 mod |H| in every scaled coordinate, and all numerator exponents
-of one H-component agree off the live coordinates mod L.  No division step
-changes the off-live coordinates, so one residue per component rebuilds
-every full exponent, as ``neg`` does.  Both constructions key
-``Decomposition.poly`` by live scaled tuples; exponents become ``Fraction``
-only in ``poly_live``.
+Exponents are scaled integer vectors, as in ``series``.  Division runs per
+class on their live coordinates.  That is exact: after the equivariant
+split every denominator exponent lies in L, so it is 0 mod |H| in every
+scaled coordinate, and all numerator exponents of one H-component agree
+off the live coordinates mod L.  No division step changes the off-live
+coordinates, so the certificate's one residue per component rebuilds every
+full exponent.  Exponents become ``Fraction`` only in ``poly_live``.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from operator import lt, sub
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import RatFunc, _cone_visit, _expand_factors, live_indices
+from .series import RatFunc, _cone_visit, live_indices
 
 
 class DivisionError(ValueError):
     pass
 
 
+# P+ as every construction returns it: live scaled exponent -> non-zero int.
+Poly = dict[tuple[int, ...], int]
+
+
 @dataclass
 class Decomposition:
-    """Polynomial part, and from ``divide_component`` its certificate, of
-    one H-component; ``by_s`` is None where no certificate is kept.
-    Exponents are live scaled tuples: the live coordinates times |H|.
-    ``residue`` is the scaled full vector that every exponent of the
-    component shares off the live coordinates, reduced to [0, |H|), with
-    zeros on the live coordinates; ``denominator`` holds scaled full
-    vectors, in the order the ``by_s`` index sets refer to."""
+    """The division certificate of one H-component: ``by_s`` maps each
+    denominator subset S, a set of indices into ``denominator``, to the
+    numerator left over S, and its S = {} bucket is P+.  Exponents are live
+    scaled tuples: the live coordinates times |H|.  ``residue`` is the
+    scaled full vector that every exponent of the component shares off the
+    live coordinates, reduced to [0, |H|), with zeros on the live
+    coordinates; ``denominator`` holds scaled full vectors."""
     lat: Lattice
     active: tuple[int, ...]
-    poly: dict[tuple[int, ...], int]
-    by_s: dict[frozenset[int], dict[tuple[int, ...], int]] | None
+    by_s: dict[frozenset[int], Poly]
     denominator: tuple[tuple[int, ...], ...]
     residue: tuple[int, ...]
     htag: HClass | None = None
 
-    def poly_live(self) -> dict[Vec, int]:
-        """Polynomial part as a map on live exponents."""
-        return {self.lat.unscaled(e): c for e, c in self.poly.items() if c}
+    @property
+    def poly(self) -> Poly:
+        """P+: the S = {} bucket."""
+        return self.by_s.get(frozenset(), {})
 
-    @cached_property
-    def neg(self) -> RatFunc | None:
-        """Negative degree part: the non-empty S of ``by_s`` over the full
-        denominator, its scaled exponents rebuilt from live part and
-        residue."""
-        if self.by_s is None:
-            return None
-        active = self.active
-        live_denom = [_live(a, active) for a in self.denominator]
-        num: dict[tuple[int, ...], int] = {}
-        for S in filter(None, self.by_s):
-            rest = [(a, 1) for i, a in enumerate(live_denom) if i not in S]
-            for b, c in self.by_s[S].items():
-                for e, ce in _expand_factors({b: c}, rest)[0].items():
-                    num[e] = num.get(e, 0) + ce
-        return RatFunc(self.lat, {_full(self.residue, active, e): c for e, c in num.items()},
-                       self.denominator, active, htag=self.htag)
+
+def poly_live(lat: Lattice, poly: Poly) -> dict[Vec, int]:
+    """A P+ on live ``Fraction`` exponents: each scaled key divided by |H|."""
+    return {lat.unscaled(e): c for e, c in poly.items()}
 
 
 def evaluate_at_one(poly: dict) -> int:
@@ -97,19 +86,6 @@ def evaluate_at_one(poly: dict) -> int:
 
 def _live(e, active) -> tuple[int, ...]:
     return tuple(e[i] for i in active)
-
-
-def _full(residue, active, live) -> tuple[int, ...]:
-    out = list(residue)
-    for i, x in zip(active, live):
-        out[i] = x
-    return tuple(out)
-
-
-def _residue(e, active, d) -> tuple[int, ...]:
-    """The residue of a scaled vector: off-live coordinates mod d, zeros on
-    the live ones."""
-    return tuple(0 if i in active else x % d for i, x in enumerate(e))
 
 
 def _prepare(lat: Lattice, active, terms, denominator):
@@ -131,12 +107,14 @@ def _prepare(lat: Lattice, active, terms, denominator):
                                 f"the H-component of {format_vec(lat.unscaled(first))}")
         key = tuple([b[i] for i in active])
         num[key] = num.get(key, 0) + c
-    residue = (0,) * lat.n if first is None else _residue(first, active, d)
+    # off-live coordinates mod d, zeros on the live ones
+    residue = tuple(0 if i in active or first is None else first[i] % d
+                    for i in range(lat.n))
     denom = tuple(sorted(denominator, key=lambda a: (_live(a, active), a)))
     return num, residue, denom
 
 
-def _divide(lat: Lattice, active, terms, denominator, htag, certificate: bool):
+def _divide(lat: Lattice, active, terms, denominator, certificate: bool):
     """Divide until every surviving fraction t^b / prod_{i in S}(1 - t^{a_i})
     with S non-empty satisfies b < a_i on all live coordinates for all i in
     S.  A fraction is keyed (S, b): S a bit mask over the denominators,
@@ -150,7 +128,9 @@ def _divide(lat: Lattice, active, terms, denominator, htag, certificate: bool):
     after every key that feeds it and rewrites it once, with its final
     coefficient.  The pass ends: a step needs some live b_v >= a_{i0,v} > 0,
     so the measure sum_v max(b_v, 0) strictly decreases.  Each irreducible
-    term is checked when popped, and kept if ``certificate`` or S = {}."""
+    term is checked when popped, and kept if ``certificate`` or S = {}.
+    Returns the kept terms by bit mask S, the sorted denominator and the
+    residue."""
     num, residue, denom = _prepare(lat, active, terms, denominator)
     la = [_live(a, active) for a in denom]
     lsum = [sum(a) for a in la]
@@ -183,9 +163,11 @@ def _divide(lat: Lattice, active, terms, denominator, htag, certificate: bool):
         else:
             if c:
                 if all(x < 0 for x in sb):
-                    full = lat.unscaled(_full(residue, active, sb))
-                    raise DivisionError(f"certificate exponent {format_vec(full)} "
-                                        "strictly negative")
+                    full = list(residue)
+                    for i, x in zip(active, sb):
+                        full[i] = x
+                    raise DivisionError(f"certificate exponent {format_vec(lat.unscaled(full))}"
+                                        " strictly negative")
                 if certificate or not S:
                     kept[S, sb] = c
             continue
@@ -195,13 +177,10 @@ def _divide(lat: Lattice, active, terms, denominator, htag, certificate: bool):
             add(S & ~(1 << i0), shifted, negs, -c)
             add(S, shifted, negs, c)
 
-    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    buckets: dict[int, Poly] = {}
     for (S, sb), c in kept.items():
         buckets.setdefault(S, {})[sb] = c
-    poly = dict(buckets.get(0, {}))
-    by_s = {frozenset(i for i in range(len(denom)) if S >> i & 1): bucket
-            for S, bucket in buckets.items()} if certificate else None
-    return Decomposition(lat, active, poly, by_s, denom, residue, htag)
+    return buckets, denom, residue
 
 
 def divide_component(lat: Lattice, active, terms, denominator,
@@ -217,21 +196,20 @@ def divide_component(lat: Lattice, active, terms, denominator,
     module docstring): input with a denominator exponent outside L, or with
     numerator exponents that differ off the live coordinates mod L, raises
     ``DivisionError`` naming the exponent.  So does a certificate exponent
-    strictly negative on every live coordinate.  ``neg``, built on first
-    read, cannot fail that check: its denominators are those of the
-    component, and its exponents add live-positive vectors to a b not
-    strictly negative on the live coordinates.
+    strictly negative on every live coordinate.
     """
-    return _divide(lat, active, terms, denominator, htag, True)
+    buckets, denom, residue = _divide(lat, active, terms, denominator, True)
+    by_s = {frozenset(i for i in range(len(denom)) if S >> i & 1): bucket
+            for S, bucket in buckets.items()}
+    return Decomposition(lat, active, by_s, denom, residue, htag)
 
 
-def divide_polypart(lat: Lattice, active, terms, denominator,
-                    htag: HClass | None = None) -> Decomposition:
+def divide_polypart(lat: Lattice, active, terms, denominator) -> Poly:
     """P+ of one H-component as ``divide_component`` finds it, P+ being
     unique, but pivoting on the applicable denominator with the largest live
-    part, which takes far fewer steps, and keeping no certificate (``by_s``
-    is None).  Raises the same ``DivisionError`` on the same input."""
-    return _divide(lat, active, terms, denominator, htag, False)
+    part, which takes far fewer steps, and keeping no certificate.  Raises
+    the same ``DivisionError`` on the same input."""
+    return _divide(lat, active, terms, denominator, False)[0].get(0, {})
 
 
 def euclid_divide(R: RatFunc) -> Decomposition:
@@ -240,7 +218,7 @@ def euclid_divide(R: RatFunc) -> Decomposition:
     return divide_component(R.lat, R.active, R.numerator, R.denominator, R.htag)
 
 
-def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
+def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     """Polynomial part of every h-component via the expansion at infinity,
     from one enumeration.
 
@@ -250,9 +228,8 @@ def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
     """
     lat = lattice_of(g)
     active = live_indices(g, subset)
-    d = lat.h_order
-    szkme = tuple(z - d for z in lat.sz_k)
-    buckets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    szkme = tuple(z - lat.h_order for z in lat.sz_k)
+    buckets: dict[tuple[int, ...], Poly] = {}
 
     def visit(w, e):
         reflected = tuple(zm - x for zm, x in zip(szkme, e))
@@ -261,10 +238,6 @@ def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Decomposition]:
         bucket[live] = bucket.get(live, 0) + w
 
     _cone_visit(lat, (tuple((i, szkme[i] + 1) for i in active), any), visit)
-    out = {}
-    for h in all_classes(g):
-        key = h.key
-        poly = {e: c for e, c in buckets.get(key, {}).items() if c}
-        out[h] = Decomposition(lat, active, poly, None, (), _residue(key, active, d))
-    return out
+    return {h: {e: c for e, c in buckets.get(h.key, {}).items() if c}
+            for h in all_classes(g)}
 

@@ -98,6 +98,8 @@ class Lattice:
         if any(x <= 0 for col in self.sestar for x in col):
             raise LatticeError("anti-dual entries are not all strictly positive "
                                "(the graph is not connected)")
+        if len(g.edges) != g.n - 1:
+            raise LatticeError(f"graph is not a tree: {len(g.edges)} edges for {g.n} vertices")
         nodes, ends, val = classify_vertices(g)
         self.node_idx = tuple(self.idx[v] for v in nodes)
         self.end_idx = tuple(self.idx[v] for v in ends)

@@ -17,6 +17,7 @@ anti-duals, making no ``Fraction``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 from .graph import PlumbingGraph
@@ -116,19 +117,7 @@ def node_multiset(g: PlumbingGraph) -> tuple[tuple[str, int], ...]:
 
 def _sub_multisets(mults):
     """All non-empty multiplicity vectors, lexicographic."""
-    if not mults:
-        return
-    ranges = [range(m + 1) for _, m in mults]
-
-    def rec(i, acc):
-        if i == len(ranges):
-            if any(acc):
-                yield tuple(acc)
-            return
-        for k in ranges[i]:
-            yield from rec(i + 1, acc + [k])
-
-    yield from rec(0, [])
+    return filter(any, product(*(range(m + 1) for _, m in mults)))
 
 
 def sw_via_lattice(g: PlumbingGraph) -> dict[HClass, int]:

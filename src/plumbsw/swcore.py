@@ -12,7 +12,9 @@ reported with opposite sign, the quantity -sw^norm_h) are available:
 
 Each route function takes the graph and returns {HClass: value} for every
 class of H.  Division, the fourth value ``sw_report`` compares, splits the
-zeta function once and divides each class's component.
+zeta function once and divides each class's component; ``sw_report`` is
+the one place that divides and cross-checks, and the polypart and division
+route functions read their values from it.
 
 The raw invariant is recovered from the agreed normalized value by the
 exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, and the quadratic
@@ -74,16 +76,15 @@ def sw_norm_via_duality(g: PlumbingGraph) -> dict[HClass, int]:
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
-def _division_polys(g: PlumbingGraph, subset) -> dict[HClass, dict]:
-    """P+ of every class by Euclidean division on the live coordinates of
-    ``subset``: the numerator and denominator that ``reduce`` expands are
-    split once, and each class's H-component is divided on its own terms,
-    keeping no certificate."""
-    lat = lattice_of(g)
-    active = live_indices(g, subset)
-    by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
-    return {h: divide_polypart(lat, active, by_class.get(h.key, {}), denom, h).poly
-            for h in all_classes(g)}
+def _route_values(g: PlumbingGraph, route: str) -> dict[HClass, int]:
+    """``sw_report``'s values of one route; the first class where the route
+    reports an error raises ``RouteDisagreement``."""
+    out = {}
+    for entry in sw_report(g, (route,)).entries:
+        if route in entry.errors:
+            raise RouteDisagreement(f"h={entry.h}: {entry.errors[route]}")
+        out[entry.h] = entry.values[route]
+    return out
 
 
 def sw_norm_via_polypart(g: PlumbingGraph) -> dict[HClass, int]:
@@ -91,19 +92,13 @@ def sw_norm_via_polypart(g: PlumbingGraph) -> dict[HClass, int]:
     part by duality, verified against the Euclidean division of the class h
     component; the first class where they differ raises
     ``RouteDisagreement``."""
-    subset = duality_cut_vertices(g)
-    polys = polypart_dual(g, subset)
-    for h, div in _division_polys(g, subset).items():
-        if div != polys[h].poly:
-            raise RouteDisagreement(f"h={h}: {_POLYPART_MISMATCH}")
-    return {h: evaluate_at_one(dec.poly) for h, dec in polys.items()}
+    return _route_values(g, "polypart")
 
 
 def sw_norm_via_division(g: PlumbingGraph) -> dict[HClass, int]:
     """-sw^norm_h of every class h as the coefficient sum of the class h
     component's division."""
-    polys = _division_polys(g, duality_cut_vertices(g))
-    return {h: evaluate_at_one(poly) for h, poly in polys.items()}
+    return _route_values(g, "division")
 
 
 def _eightfold_shift(lat, sv) -> int:
@@ -157,9 +152,10 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
 
     Each route answers the whole graph at once: duality, polypart and
     lattice from one enumeration each, and division from one split of the
-    zeta function and one division per class.  That polynomial part serves
-    both the division route and polypart's cross-check.  ``methods`` must
-    name at least one route, and only routes of ``ROUTES``."""
+    zeta function and one division per class, keeping no certificate.  That
+    polynomial part serves both the division route and polypart's
+    cross-check.  ``methods`` must name at least one route, and only routes
+    of ``ROUTES``."""
     unknown = [m for m in methods if m not in ROUTES]
     if unknown:
         raise ValueError(f"unknown route {unknown[0]!r}")
@@ -168,8 +164,11 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     subset = duality_cut_vertices(g)
     duality = sw_norm_via_duality(g) if "duality" in methods else None
     polys = polypart_dual(g, subset) if "polypart" in methods else None
-    divs = (_division_polys(g, subset)
-            if "polypart" in methods or "division" in methods else None)
+    divide = "polypart" in methods or "division" in methods
+    if divide:
+        lat = lattice_of(g)
+        active = live_indices(g, subset)
+        by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
     lattice, lattice_error = None, None
     if "lattice" in methods:
         try:
@@ -182,13 +181,15 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
         errors: dict[str, str] = {}
         if duality is not None:
             values["duality"] = duality[h]
+        if divide:
+            div = divide_polypart(lat, active, by_class.get(h.key, {}), denom)
         if polys is not None:
-            if divs[h] != polys[h].poly:
+            if div != polys[h]:
                 errors["polypart"] = _POLYPART_MISMATCH
             else:
-                values["polypart"] = evaluate_at_one(polys[h].poly)
+                values["polypart"] = evaluate_at_one(polys[h])
         if "division" in methods:
-            values["division"] = evaluate_at_one(divs[h])
+            values["division"] = evaluate_at_one(div)
         if lattice is not None:
             values["lattice"] = lattice[h]
         elif lattice_error is not None:

@@ -9,9 +9,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from plumbsw.decomp import polypart_dual
+from plumbsw.decomp import poly_live, polypart_dual
 from plumbsw.graph import PlumbingGraph, parse_graph, validate
 from plumbsw.lattice import LatticeError, canonical_cycle, e_star, format_vec, lattice_of
+from plumbsw.series import RatFunc, _expand_factors
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -232,7 +233,25 @@ def reflected_polypart(g, h, subset):
     on live ``Fraction`` exponents."""
     zkme = [z_k_minus_e(g)[i] for i in sorted(g.index(v) for v in subset)]
     return {tuple(z - x for z, x in zip(zkme, e)): c
-            for e, c in polypart_dual(g, subset)[h].poly_live().items()}
+            for e, c in poly_live(lattice_of(g), polypart_dual(g, subset)[h]).items()}
+
+
+def neg(dec):
+    """Negative degree part of a division certificate: the non-empty S of
+    ``dec.by_s`` over the full denominator, its scaled exponents rebuilt
+    from live part and residue."""
+    active = dec.active
+    live_denom = [tuple(a[i] for i in active) for a in dec.denominator]
+    num: dict = {}
+    for S in filter(None, dec.by_s):
+        rest = [(a, 1) for i, a in enumerate(live_denom) if i not in S]
+        for b, c in dec.by_s[S].items():
+            for e, ce in _expand_factors({b: c}, rest)[0].items():
+                full = list(dec.residue)
+                for i, x in zip(active, e):
+                    full[i] = x
+                num[tuple(full)] = num.get(tuple(full), 0) + ce
+    return RatFunc(dec.lat, num, dec.denominator, active, htag=dec.htag)
 
 
 def reference_divide(lat, active, numerator, denominator):

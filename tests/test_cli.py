@@ -252,6 +252,29 @@ def test_non_definite_graph_is_rejected(capsys, tmp_path):
         assert err.startswith("error:") and "not negative definite" in err
 
 
+# Connected and negative definite, but a-b-c-a is a cycle.
+TRIANGLE = "vertex a -3\nvertex b -3\nvertex c -3\nedge a b\nedge b c\nedge a c\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants",), ("sw",), ("verify", "--samples", "1"), ("polypart",),
+    ("zeta", "--box", "2"), ("count", "--dilation", "1,1,1")])
+def test_graph_with_a_cycle_exits_2(capsys, tmp_path, argv):
+    triangle = tmp_path / "triangle.graph"
+    triangle.write_text(TRIANGLE)
+    code, out, err = run(capsys, argv[0], triangle, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: graph is not a tree: 3 edges for 3 vertices\n"
+
+
+def test_validate_fails_a_graph_with_a_cycle(capsys, tmp_path):
+    triangle = tmp_path / "triangle.graph"
+    triangle.write_text(TRIANGLE)
+    code, out, _ = run(capsys, "validate", triangle)
+    assert code == 1
+    assert "check tree: FAIL (3 edges for 3 vertices)" in out.splitlines()
+
+
 def test_reduce_unknown_vertex(capsys):
     code, _, err = run(capsys, "zeta", GRAPHS / "two_nodes_h3.graph", "--reduce", "ZZ")
     assert code == 2
@@ -345,9 +368,8 @@ def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
     real = decomp.divide_polypart
 
     def crooked(*args):
-        dec = real(*args)
-        dec.poly = {}
-        return dec
+        real(*args)
+        return {}
 
     monkeypatch.setattr(swcore, "divide_polypart", crooked)
     monkeypatch.setattr(counting, "inclusion_exclusion_check", lambda *args: False)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 import support
+from support import neg
 from plumbsw.decomp import (DivisionError, divide_component, divide_polypart,
-                            euclid_divide, evaluate_at_one, polypart_dual)
+                            euclid_divide, evaluate_at_one, poly_live, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
 from plumbsw.series import (Box, RatFunc, _split_terms, equivariant_split, live_indices,
@@ -35,12 +36,12 @@ def _one_minus(exp):
 def test_divide_sigma257_matches_printed_decomposition(sigma257):
     h0 = lattice_of(sigma257).zero_class
     dec = euclid_divide(equivariant_split(reduce(zeta(sigma257), ["E1"]))[h0])
-    assert ilive(dec.poly_live()) == {(1,): 1, (11,): 1}
+    lat = lattice_of(sigma257)
+    assert ilive(poly_live(lat, dec.poly)) == {(1,): 1, (11,): 1}
     # negative part equals (1 - t + t^15 + t^21)/((1-t^14)(1-t^10)):
     # cross multiply against our denominator (1-t^35)(1-t^14)(1-t^10)
     neg_live = {}
-    lat = lattice_of(sigma257)
-    for b, c in dec.neg.numerator.items():
+    for b, c in neg(dec).numerator.items():
         e = (int(lat.unscaled(b)[0]),)
         neg_live[e] = neg_live.get(e, 0) + c
     printed = {(0,): 1, (1,): -1, (15,): 1, (21,): 1}
@@ -53,7 +54,7 @@ def test_divide_pure_denominator():
     R = RatFunc(lat, {lat.scaled((Fraction(0),)): 1}, (lat.scaled((Fraction(1),)),), (0,))
     dec = euclid_divide(R)
     assert dec.poly == {}
-    assert {lat.unscaled(b) for b in dec.neg.numerator} == {(Fraction(0),)}
+    assert {lat.unscaled(b) for b in neg(dec).numerator} == {(Fraction(0),)}
 
 
 def test_divide_pure_monomial():
@@ -61,8 +62,8 @@ def test_divide_pure_monomial():
     lat = lattice_of(g)
     R = RatFunc(lat, {lat.scaled((Fraction(2), Fraction(3))): 1}, (), (0, 1))
     dec = euclid_divide(R)
-    assert ilive(dec.poly_live()) == {(2, 3): 1}
-    assert dec.neg.numerator == {}
+    assert ilive(poly_live(lat, dec.poly)) == {(2, 3): 1}
+    assert neg(dec).numerator == {}
 
 
 def test_divide_rejects_bad_numerator():
@@ -86,27 +87,27 @@ def test_certificate_side_conditions(sigma257, two_nodes):
 
 
 def test_polypart_dual_sigma257(sigma257):
-    h0 = lattice_of(sigma257).zero_class
-    dec = polypart_dual(sigma257, ["E1"])[h0]
-    assert ilive(dec.poly_live()) == {(1,): 1, (11,): 1}
-    assert evaluate_at_one(dec.poly) == 2
+    lat = lattice_of(sigma257)
+    poly = polypart_dual(sigma257, ["E1"])[lat.zero_class]
+    assert ilive(poly_live(lat, poly)) == {(1,): 1, (11,): 1}
+    assert evaluate_at_one(poly) == 2
 
 
 def test_polypart_dual_two_nodes_printed(two_nodes):
-    h0 = lattice_of(two_nodes).zero_class
-    dec = polypart_dual(two_nodes, ("v1", "v2"))[h0]
-    assert ilive(dec.poly_live()) == {(1, -53): 1, (-53, 1): 1, (7, -20): 1,
-                                      (-20, 7): 1, (13, 13): 1}
-    assert evaluate_at_one(dec.poly) == 5
+    lat = lattice_of(two_nodes)
+    poly = polypart_dual(two_nodes, ("v1", "v2"))[lat.zero_class]
+    assert ilive(poly_live(lat, poly)) == {(1, -53): 1, (-53, 1): 1, (7, -20): 1,
+                                           (-20, 7): 1, (13, 13): 1}
+    assert evaluate_at_one(poly) == 5
 
 
 def test_polypart_exponents_never_strictly_negative(corpus30):
     for g in corpus30[:8]:
         live = duality_cut_vertices(g)
         active = [g.index(v) for v in live]
-        for dec in polypart_dual(g, live).values():
-            for e in dec.poly:
-                assert len(e) == len(active) and any(x >= 0 for x in e)
+        for poly in polypart_dual(g, live).values():
+            for e, c in poly.items():
+                assert len(e) == len(active) and any(x >= 0 for x in e) and c
 
 
 def test_dual_polypart_two_nodes_all_classes(two_nodes):
@@ -133,11 +134,11 @@ def test_evaluate_at_one():
 
 def test_chain_polynomial_part_vanishes():
     g = support.chain([-2, -2, -3, -2])
-    decs = polypart_dual(g, g.ids)
-    assert list(decs) == list(all_classes(g))
-    for dec in decs.values():
-        assert dec.poly == {}
-        assert evaluate_at_one(dec.poly) == 0
+    polys = polypart_dual(g, g.ids)
+    assert list(polys) == list(all_classes(g))
+    for poly in polys.values():
+        assert poly == {}
+        assert evaluate_at_one(poly) == 0
 
 
 def test_division_equals_duality_on_corpus(corpus30):
@@ -146,7 +147,7 @@ def test_division_equals_duality_on_corpus(corpus30):
         split = equivariant_split(reduce(zeta(g), live))
         duals = polypart_dual(g, live)
         for h in all_classes(g):
-            assert euclid_divide(split[h]).poly_live() == duals[h].poly_live()
+            assert euclid_divide(split[h]).poly == duals[h]
 
 
 def test_negative_part_has_negative_degree(sigma257, two_nodes, corpus30):
@@ -155,12 +156,12 @@ def test_negative_part_has_negative_degree(sigma257, two_nodes, corpus30):
     picks += [(g, duality_cut_vertices(g)) for g in rng.sample(corpus30, 4)]
     for g, live in picks:
         for R in equivariant_split(reduce(zeta(g), live)).values():
-            dec = euclid_divide(R)
-            if not dec.neg.numerator:
+            part = neg(euclid_divide(R))
+            if not part.numerator:
                 continue
-            for i in dec.active:
-                top = max(b[i] for b in dec.neg.numerator)
-                assert top < sum(a[i] for a in dec.neg.denominator)
+            for i in part.active:
+                top = max(b[i] for b in part.numerator)
+                assert top < sum(a[i] for a in part.denominator)
 
 
 def test_resummation_on_window(two_nodes):
@@ -170,7 +171,7 @@ def test_resummation_on_window(two_nodes):
     box = Box((Fraction(30), Fraction(30)))
     whole = taylor(fh, box).terms
     dec = euclid_divide(fh)
-    acc = dict(taylor(dec.neg, box).terms)
+    acc = dict(taylor(neg(dec), box).terms)
     for e, c in dec.poly.items():
         if box.contains(fh.lat.unscaled(e)):
             acc[e] = acc.get(e, 0) + c
@@ -188,8 +189,7 @@ def test_division_resums_exactly_on_corpus(corpus30):
         for h in all_classes(g):
             R = split[h]
             dec = euclid_divide(R)
-            assert "neg" not in vars(dec)
-            assert sorted(dec.neg.denominator) == sorted(R.denominator)
+            assert sorted(neg(dec).denominator) == sorted(R.denominator)
             canon = off_live_canon(lat, dec.active)
             total, want = {}, {}
             for e, c in dec.poly.items():
@@ -205,7 +205,7 @@ def test_division_resums_exactly_on_corpus(corpus30):
                     part = grown
                 for b, cb in part.items():
                     total[canon(b)] = total.get(canon(b), 0) + cb
-            for acc, numerator in ((total, dec.neg.numerator), (want, R.numerator)):
+            for acc, numerator in ((total, neg(dec).numerator), (want, R.numerator)):
                 for b, c in numerator.items():
                     key = canon(b)
                     acc[key] = acc.get(key, 0) + c
@@ -244,7 +244,7 @@ def test_live_division_matches_full_vector_reference(corpus30):
                 got = {S: {lat.unscaled(b): c for b, c in bucket.items()}
                        for S, bucket in dec.by_s.items()}
                 assert got == want_live
-                assert dec.poly_live() == want_live.get(frozenset(), {})
+                assert poly_live(lat, dec.poly) == want_live.get(frozenset(), {})
                 full = {}
                 for S, bucket in dec.by_s.items():
                     full[S] = {}
@@ -291,18 +291,20 @@ def test_polypart_division_rejects_what_the_certificate_rejects(two_nodes):
 
 def test_polypart_division_equals_certificate_polypart(corpus30):
     # P+ is unique, so the pass that pivots on the largest live part and
-    # keeps no certificate finds the certificate's S = {} bucket.
+    # keeps no certificate finds the certificate's S = {} bucket, and the
+    # duality construction finds the same plain polynomial.
     graphs = [*corpus30, parse_graph(support.VALENCY4_TREE)]
     graphs += [support.hub_tree(seed) for seed in support.HUB_SEEDS]
     for g in graphs:
         lat = lattice_of(g)
-        active = live_indices(g, duality_cut_vertices(g))
+        live = duality_cut_vertices(g)
+        active = live_indices(g, live)
         by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
+        duals = polypart_dual(g, live)
         for h in all_classes(g):
             terms = by_class.get(h.key, {})
             want = divide_component(lat, active, terms, denom, h)
-            got = divide_polypart(lat, active, terms, denom, h)
-            assert got.by_s is None and got.neg is None
-            assert got.poly == want.poly, (g, h)
-            assert (got.denominator, got.residue, got.htag) == (want.denominator,
-                                                                want.residue, h)
+            got = divide_polypart(lat, active, terms, denom)
+            assert type(got) is type(want.poly) is type(duals[h]) is dict
+            assert got == want.poly == duals[h], (g, h)
+            assert all(got.values())

@@ -302,6 +302,17 @@ def test_lattice_rejects_indefinite_and_disconnected():
             lattice_of(parse_graph(text))
 
 
+def test_lattice_rejects_a_graph_with_a_cycle():
+    # connected and negative definite, with 3 edges for 3 vertices: only the
+    # tree check of validate fails, and the lattice refuses it
+    g = parse_graph("vertex a -3\nvertex b -3\nvertex c -3\n"
+                    "edge a b\nedge b c\nedge a c\n")
+    assert [(name, ok) for name, ok, _ in validate(g).checks] == [
+        ("connected", True), ("tree", False), ("negative definite", True)]
+    with pytest.raises(LatticeError, match="^graph is not a tree: 3 edges for 3 vertices$"):
+        lattice_of(g)
+
+
 def test_key_classes_match_fraction_reference(corpus30):
     """The scaled key layer against the Fraction formulas it replaced, on
     every class: the same order, reps, printed classes, sums and negations,

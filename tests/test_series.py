@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import support
-from support import z_k_minus_e
+from support import neg, z_k_minus_e
 from plumbsw.decomp import euclid_divide
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, e_star, lattice_of, rho
@@ -314,8 +314,8 @@ def test_window_bound_off_the_grid_keeps_only_window_terms(two_nodes):
     rewritten = taylor_infinity(reduce(zeta(two_nodes), live), w)
     assert closed.terms == rewritten.terms
     assert len(closed.terms) == 9
-    neg = euclid_divide(equivariant_split(reduce(zeta(two_nodes), live))[lat.zero_class]).neg
-    origin = taylor(neg, Box((40, Fraction(-1, 6))))
+    dec = euclid_divide(equivariant_split(reduce(zeta(two_nodes), live))[lat.zero_class])
+    origin = taylor(neg(dec), Box((40, Fraction(-1, 6))))
     assert {lat.unscaled(e): c for e, c in origin.terms.items()} == {(1, -53): -1, (7, -20): -1}
     for ts in (closed, rewritten, origin):
         for e, c in ts.terms.items():
