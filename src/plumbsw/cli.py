@@ -274,7 +274,8 @@ def cmd_verify(g, args) -> int:
 
 
 FLAGS = {
-    "--h": {"help": "dual lattice representative, comma separated rationals"},
+    "--h": {"help": "dual lattice representative, comma separated rationals; "
+                    "write --h=VALUE when it starts with a minus sign"},
     "--reduce": {"help": "comma separated vertex ids to keep live"},
     "--box": {"type": int, "help": "window bound for series output"},
     "--method": {"default": "all", "choices": [*swcore.ROUTES, "all"]},
@@ -283,7 +284,9 @@ FLAGS = {
     "--shape": {"default": "concave", "choices": ["convex", "concave"]},
     "--boundary": {"default": "closed", "choices": ["closed", "open"]},
     "--positivity": {"default": "nonneg", "choices": ["nonneg", "positive"]},
-    "--dilation": {"required": True, "help": "dilation vector, comma separated rationals"},
+    "--dilation": {"required": True,
+                   "help": "dilation vector, comma separated rationals; "
+                           "write --dilation=VALUE when it starts with a minus sign"},
 }
 
 

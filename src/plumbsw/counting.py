@@ -70,10 +70,11 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     Two-factor rule.  The last two walker factors are series 1/(1 - t^b)
     and 1/(1 - t^a) of multiplicity 1 (a graph with one vertex has one
     factor of multiplicity 2, fed as two equal ones).  The walk stops before
-    a.  Its run rule gives each leaf e the number K of steps k along b for
-    which e + k b passes the cut; from e + k b the points e + k b + j a
-    pass exactly for j < run(k), the max (any) or min (all) over the bounds
-    of ceil((c_i - e_i - k b_i)/a_i).  Such a point is in class h when
+    both.  At each leaf e the visitor computes K, the number of steps k
+    along b for which e + k b passes the cut: the max (any) or min (all)
+    over the bounds of ceil((c_i - e_i)/b_i).  From e + k b the points
+    e + k b + j a pass exactly for j < run(k), the same widest ceiling
+    of (c_i - e_i - k b_i)/a_i.  Such a point is in class h when
     k [b] + j [a] = h - [e].
 
     Let o be the order of [a], ob the least r > 0 with r [b] in <[a]>, and
@@ -86,7 +87,7 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     widest_i floor((c_i - e_i - 1 - j a_i - r b_i - m ord[b] b_i)/(a_i o))
     + 1: the floor of an envelope of lines in m, summed by
     ``envelope_floor_sum``.  A leaf looks only at residues r < K, so it
-    never costs more steps than the runs it stands for.
+    never costs more steps than the K points along b it stands for.
 
     Everything is finite because a and b are strictly positive on the
     bounded coordinates: K and every run are finite ceiling divisions, the
@@ -101,7 +102,7 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     factors = _zeta_factors(lat)
     a, mult = factors.pop()
     factors += [(a, 1)] * (mult - 1)
-    b = factors[-1][0]
+    b = factors.pop()[0]
 
     def step(key, col, k=1):
         return tuple((c + k * y) % d for c, y in zip(key, col))
@@ -132,12 +133,13 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     steps = [(i, c - 1, a[i], b[i], -order_b * b[i], a[i] * o) for i, c in bounds]
     total = 0
 
-    def visit(w, e, K):
+    def visit(w, e):
         nonlocal total
         hit = table.get(tuple([c % d for c in e]))
         if hit is None:
             return
         r, j = hit
+        K = widest([-((e[i] - c) // b[i]) for i, c in bounds])
         count = 0
         while r < K and r < order_b:
             lines = [(c - e[i] - j * ai - r * bi, S, D)

@@ -22,7 +22,7 @@ from math import comb
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Vec, all_classes, lattice_of
-from .series import _pointwise, _walk, live_indices, strict_cut
+from .series import _walk, live_indices, strict_cut
 
 SHAPES = ("convex", "concave")
 BOUNDARIES = ("closed", "open")
@@ -85,9 +85,7 @@ def fiber_counts(g: PlumbingGraph, shape: str, cut, positivity: str
         fk = tuple(c % d for c in e)
         tally[fk] = tally.get(fk, 0) + 1
 
-    factors = [(col, 1) for col in cols]
-    _walk(start, factors, (cut, all if shape == "convex" else any),
-          _pointwise(factors, visit))
+    _walk(start, [(col, 1) for col in cols], (cut, all if shape == "convex" else any), visit)
     return tally
 
 

@@ -25,23 +25,10 @@ and ``lines`` and in ``coeff``'s argument.
 All enumerations run in one walker, ``_walk``, and prune with a coordinate
 cut: strict upper bounds on some coordinates, passed on any or on all of
 them.  Passing is antitone along coordinatewise growth, which makes every
-loop provably finite: all anti-dual entries are strictly positive.  A last
-walker factor that is a series 1/(1 - t^a) of multiplicity 1 is not
-stepped (the zeta walks put the one of smallest column sum last): from a
-point e that passes, the points e + k a that pass are exactly those with
-k < run, where run is the max (any) or min (all) over the bounds of
-ceil((c_i - e_i)/a_i), a ceiling division by a strictly positive anti-dual
-entry.  One visit stands for the whole run.
-
-The counting functions (``counting.Q`` and ``q``) go one factor further:
-they walk without the last factor a, so the run collapses the
-second-to-last series factor b, and they sum both in closed form.  At step
-k along b the run along a is the ceiling of an envelope of affine functions
-of k, falling since b is strictly positive; the count of one class in it
-is a floor of that envelope on each residue of k that meets the class, one
-``floor_sum`` per piece of the envelope.  That sum is finite for the same
-reason the run is: a and b are strictly positive on the bounded
-coordinates.
+loop provably finite: all anti-dual entries are strictly positive.  The
+walker visits every point that passes, one at a time; the counting
+functions (``counting.Q`` and ``q``) stop it two factors early and sum
+those two in closed form.
 """
 from __future__ import annotations
 
@@ -100,8 +87,17 @@ class FactoredRatFunc:
 
     def expanded(self):
         """Numerator and denominator exponents of the product, as
-        ``reduce`` starts from."""
-        return _expand_factors({(0,) * self.lat.n: 1}, self.factors)
+        ``reduce`` starts from: the polynomial factors multiplied out by
+        ``_walk`` under an empty cut, each series factor 1/(1 - t^a)^m
+        giving a m times in the denominator."""
+        num: dict[tuple[int, ...], int] = {}
+
+        def visit(w, e):
+            num[e] = num.get(e, 0) + w
+
+        polys = [f for f in _zeta_factors(self.lat) if isinstance(f[1], tuple)]
+        _walk((0,) * self.lat.n, polys, ((), all), visit)
+        return num, tuple(a for a, mu in self.factors for _ in range(-mu))
 
 
 @dataclass
@@ -183,33 +179,14 @@ def reduce(F: FactoredRatFunc, subset) -> RatFunc:
     return RatFunc(F.lat, *F.expanded(), active)
 
 
-def _expand_factors(start, factors):
-    """Numerator and denominator exponents of the polynomial ``start`` times
-    prod (1 - t^a)^mu: each positive mu multiplies out into the numerator,
-    each negative mu repeats a in the denominator."""
-    num = dict(start)
-    denom = []
-    for a, mu in factors:
-        if mu < 0:
-            denom.extend([a] * (-mu))
-            continue
-        for _ in range(mu):
-            new = {}
-            for b, c in num.items():
-                new[b] = new.get(b, 0) + c
-                shifted = tuple(x + y for x, y in zip(b, a))
-                new[shifted] = new.get(shifted, 0) - c
-            num = {e: c for e, c in new.items() if c}
-    return num, tuple(denom)
-
-
 # ---------------------------------------------------------------------------
 # enumeration engine
 
 def _zeta_factors(lat: Lattice):
     """Walker factors of the zeta product: the finite ones first, then the
-    series ones, ending with the series factor 1/(1 - t^a) of smallest column
-    sum, whose runs are the longest."""
+    series ones, ending with the series factors 1/(1 - t^a) of multiplicity
+    1 by decreasing column sum.  The order serves only the counting
+    functions, which sum the last two in closed form."""
     finite, series = [], []
     for i, mu in enumerate(lat.mults):
         if mu > 0:
@@ -222,8 +199,8 @@ def _zeta_factors(lat: Lattice):
 
 
 def _walk(start, factors, cut, visit):
-    """Walk the monomial expansion of t^start * prod factors over the points
-    that pass ``cut``, calling visit(weight, scaled_exponent, run).
+    """Walk the monomial expansion of t^start * prod factors, calling
+    visit(weight, scaled_exponent) at every point that passes ``cut``.
 
     A factor (a, weights) with a tuple of weights is the polynomial
     sum_k weights[k] t^{k a}, e.g. (1 - t^a)^mu; a factor (a, m) with an
@@ -231,17 +208,10 @@ def _walk(start, factors, cut, visit):
     a tuple of (index, strict upper bound) pairs and ``any`` or ``all``; a
     point p passes when quantifier(p[i] < c for i, c in bounds).  Passing
     is antitone along growth by the factor exponents, so it is rechecked
-    after every elementary increment, which bounds the search.
-
-    Run rule: when the last factor is a series factor 1/(1 - t^a) of
-    multiplicity 1, it is not stepped.  From a point e that passes, the
-    points e + k a with 0 <= k < run pass and no later one does, where run
-    is the max (any) or min (all) over the bounds of ceil((c_i - e_i)/a_i);
-    visit(weight, e, run) stands for all of them, each with weight
-    ``weight``.  Otherwise every visit has run 1.  Every walk is finite
-    because the factor exponents are strictly positive on the bounded
-    coordinates (``Lattice`` checks the anti-dual entries), which also makes
-    each run a finite ceiling division."""
+    after every elementary increment, which bounds the search.  Every walk
+    is finite because the factor exponents are strictly positive on the
+    bounded coordinates (``Lattice`` checks the anti-dual entries), or
+    because every factor is a polynomial."""
     bounds, quantifier = cut
 
     def alive(cur):
@@ -250,17 +220,11 @@ def _walk(start, factors, cut, visit):
     if not alive(start):
         return
     factors = [(a, info, isinstance(info, tuple)) for a, info in factors]
-    col = None
-    if factors and factors[-1][1] == 1:
-        col = factors.pop()[0]
-        widest = max if quantifier is any else min
     last = len(factors)
 
     def rec(fi: int, cur: tuple, weight: int):
         if fi == last:
-            run = 1 if col is None else widest(
-                [-((cur[i] - c) // col[i]) for i, c in bounds])
-            visit(weight, cur, run)
+            visit(weight, cur)
             return
         a, info, finite = factors[fi]
         k = 0
@@ -280,25 +244,10 @@ def _walk(start, factors, cut, visit):
     rec(0, start, 1)
 
 
-def _pointwise(factors, visit):
-    """A ``_walk`` visitor that calls visit(weight, e) at every point of each
-    run, stepping by the last factor's exponent."""
-    col = factors[-1][0] if factors else None
-
-    def visit_run(weight, e, run):
-        visit(weight, e)
-        for _ in range(run - 1):
-            e = tuple(map(add, e, col))
-            visit(weight, e)
-
-    return visit_run
-
-
 def _cone_visit(lat: Lattice, cut, visit):
     """``_walk`` over the zeta product from the origin, calling
     visit(weight, e) at every point that passes ``cut``."""
-    factors = _zeta_factors(lat)
-    _walk((0,) * lat.n, factors, cut, _pointwise(factors, visit))
+    _walk((0,) * lat.n, _zeta_factors(lat), cut, visit)
 
 
 def off_live_canon(lat: Lattice, active):
@@ -432,7 +381,7 @@ def taylor(R: RatFunc, window: Box) -> TruncatedSeries:
 
     factors = [(a, 1) for a in R.denominator]
     for b, c in R.numerator.items():
-        _walk(b, factors, cut, _pointwise(factors, lambda w, e, c=c: add(c, e)))
+        _walk(b, factors, cut, lambda w, e, c=c: add(c, e))
     terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(terms, window, active, lat.h_order)
 
@@ -481,7 +430,7 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
         cut = (tuple((i, 1 - b) for i, b in zip(active, sbound)), any)
         for b, c in obj.numerator.items():
             start = tuple(s - x for x, s in zip(b, shift))
-            _walk(start, factors, cut, _pointwise(
-                factors, lambda w, e, c=c: add(sign * c, tuple(-e[i] for i in active))))
+            _walk(start, factors, cut,
+                  lambda w, e, c=c: add(sign * c, tuple(-e[i] for i in active)))
     terms = {e: c for e, c in terms.items() if c}
     return TruncatedSeries(terms, window, active, d)

@@ -208,6 +208,42 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag, value):
     assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("count", GRAPHS / "sigma_2_5_7.graph", "--dilation", "1,2"),
+     "--dilation needs 5 comma separated rationals"),
+    (("zeta", GRAPHS / "two_nodes_h3.graph", "--reduce", "v1,v1"),
+     "live vertex set has repeats"),
+])
+def test_bad_flag_value_exits_2_with_its_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("vertex a-b -2\n", "line 1, column 8: bad vertex id 'a-b'"),
+    ("edge a\n", "line 1, column 1: expected 'edge <id> <id>'"),
+])
+def test_bad_graph_line_exits_2_with_its_position(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(text)
+    assert run(capsys, "sw", bad) == (2, "", f"error: bad graph file: {message}\n")
+
+
+def test_vector_flag_starting_with_a_minus_sign(capsys):
+    # argparse reads a separate value that starts with "-" as a flag, so such
+    # a vector is passed as --flag=value
+    two_nodes = GRAPHS / "two_nodes_h3.graph"
+    rep = "0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3"
+    shifted = "-1," + rep[2:]
+    code, out, err = run(capsys, "polypart", two_nodes, "--h", shifted)
+    assert (code, out) == (2, "") and "argument --h: expected one argument" in err
+    _, want, _ = run(capsys, "polypart", two_nodes, "--h", rep)
+    assert run(capsys, "polypart", two_nodes, f"--h={shifted}") == (0, want, "")
+    sigma = GRAPHS / "sigma_2_5_7.graph"
+    code, out, err = run(capsys, "count", sigma, "--dilation", "-1,-1,-1,-1,-1")
+    assert (code, out) == (2, "") and "argument --dilation: expected one argument" in err
+    assert run(capsys, "count", sigma, "--dilation=-1,-1,-1,-1,-1") == (0, "count = 0\n", "")
+
+
 def test_verify_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", GRAPHS / "sigma_2_5_7.graph",
                          "--samples", "3", "--seed", "11")

@@ -321,6 +321,24 @@ def test_counts_match_brute_force_when_b_leaves_the_subgroup_of_a():
         assert longest > order_b
 
 
+def test_counts_match_brute_force_when_a_and_b_miss_classes():
+    # [a] and [b] generate a subgroup of order 2 in H of order 4, so some
+    # leaves lie in a class outside h - <[a], [b]>: none of their steps meets
+    # the class h, and the walk's visitor must count nothing for them.
+    g = support.star(-2, (-2, -2, -2, -3))
+    lat = lattice_of(g)
+    d = lat.h_order
+    factors = _zeta_factors(lat)
+    a, b = factors[-1][0], factors[-2][0]
+    subgroup = {tuple((i * x + j * y) % d for x, y in zip(a, b))
+                for i in range(d) for j in range(d)}
+    assert d == 4 and len(subgroup) == 2
+    zk = canonical_cycle(g)
+    estar = anti_duals(g)
+    for h in all_classes(g):
+        _check_against_brute(g, tuple(z + r + e for z, r, e in zip(zk, h.rep, estar[0])))
+
+
 def test_floor_sum_matches_loop():
     rng = random.Random(83)
     cases = [(0, 5, 3, -7), (1, 1, 0, 0), (7, 1, -4, 9), (5, 3, 0, -1)]

@@ -6,6 +6,7 @@ from math import floor
 import pytest
 
 import support
+from plumbsw.graph import parse_graph
 from plumbsw.lattice import (all_classes, class_add, class_of, e_star,
                              lattice_of)
 from plumbsw.polytopes import (InapplicableError, PolytopeError, PolytopeQuery,
@@ -174,6 +175,19 @@ def test_sw_via_lattice_needs_nodes():
     g = support.chain([-2, -3, -2])
     with pytest.raises(PolytopeError):
         sw_via_lattice(g)
+
+
+@pytest.mark.parametrize("field", ["shape", "boundary", "positivity"])
+def test_query_rejects_an_unknown_convention(field):
+    query = PolytopeQuery("concave", ("E1",), (1,) * 5)
+    with pytest.raises(PolytopeError, match=f"{field} must be one of"):
+        replace(query, **{field: "bogus"})
+
+
+def test_topological_polytope_needs_nodes():
+    g = parse_graph("vertex a -2")
+    with pytest.raises(PolytopeError, match="no nodes"):
+        sw_via_topological_polytope(g, lattice_of(g).zero_class)
 
 
 def test_topological_polytope_route(sigma257):

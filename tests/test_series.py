@@ -141,6 +141,23 @@ def test_window_kind_is_enforced(sigma257):
         taylor(R, Box((5, 5)))
 
 
+def test_ratfunc_checks_its_live_set_and_denominator(sigma257):
+    lat = lattice_of(sigma257)
+    one = {(0,) * lat.n: 1}
+    with pytest.raises(ValueError, match="active coordinate set must be non-empty"):
+        RatFunc(lat, one, (), ())
+    flat = list(lat.sestar[0])
+    flat[1] = 0
+    with pytest.raises(ValueError, match="not strictly positive on live coordinates"):
+        RatFunc(lat, one, (tuple(flat),), (0, 1))
+
+
+def test_taylor_infinity_of_a_reduced_function_takes_no_subset(sigma257):
+    R = reduce(zeta(sigma257), ["E1"])
+    with pytest.raises(ValueError, match="carry their own live set"):
+        taylor_infinity(R, Cobox((-3,)), subset=["E1"])
+
+
 def test_taylor_infinity_sigma257_both_routes(sigma257):
     w = Cobox((-3,))
     closed = taylor_infinity(zeta(sigma257), w, subset=["E1"])
