@@ -226,8 +226,7 @@ def cmd_verify(g, args) -> int:
         results.append((name, ok, detail))
 
     # sum_v mu_v E*_v = Z_K - E, in scaled integers
-    zk_sum = tuple(sum(mu * col[r] for mu, col in zip(lat.mults, lat.sestar))
-                   for r in range(lat.n))
+    zk_sum = lat.combination(enumerate(lat.mults))
     record("canonical-cycle-identity", zk_sum == tuple(z - d for z in lat.sz_k))
 
     cut = swcore.duality_cut_vertices(g)
@@ -245,11 +244,7 @@ def cmd_verify(g, args) -> int:
     for _ in range(args.samples):
         size = rng.randint(1, min(3, g.n))
         subset = tuple(sorted(rng.sample(g.ids, size)))
-        sx = [0] * lat.n
-        for col in lat.sestar:
-            c = rng.randint(0, 2)
-            for r in range(lat.n):
-                sx[r] += c * col[r]
+        sx = lat.combination((i, rng.randint(0, 2)) for i in range(lat.n))
         h, x = lat.class_at(sx), lat.unscaled(sx)
         if not ie_fail and not counting.inclusion_exclusion_check(g, h, subset, x):
             ie_fail = f"subset={','.join(subset)} x={format_vec(x)}"

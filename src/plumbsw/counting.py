@@ -13,7 +13,7 @@ from math import gcd
 
 from .graph import PlumbingGraph
 from .lattice import HClass, LatticeError, class_of, lattice_of
-from .series import _walk, _zeta_factors, live_indices
+from .series import _steps, _walk, _zeta_factors, live_indices
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -70,11 +70,10 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     Two-factor rule.  The last two walker factors are series 1/(1 - t^b)
     and 1/(1 - t^a) of multiplicity 1 (a graph with one vertex has one
     factor of multiplicity 2, fed as two equal ones).  The walk stops before
-    both.  At each leaf e the visitor computes K, the number of steps k
-    along b for which e + k b passes the cut: the max (any) or min (all)
-    over the bounds of ceil((c_i - e_i)/b_i).  From e + k b the points
-    e + k b + j a pass exactly for j < run(k), the same widest ceiling
-    of (c_i - e_i - k b_i)/a_i.  Such a point is in class h when
+    both.  At each leaf e the visitor takes K, the number of steps k along
+    b for which e + k b passes the cut, from ``series._steps`` as each
+    walker level does.  From e + k b the points e + k b + j a pass exactly
+    for j < run(k), ``_steps`` along a.  Such a point is in class h when
     k [b] + j [a] = h - [e].
 
     Let o be the order of [a], ob the least r > 0 with r [b] in <[a]>, and
@@ -139,7 +138,7 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
         if hit is None:
             return
         r, j = hit
-        K = widest([-((e[i] - c) // b[i]) for i, c in bounds])
+        K = _steps(e, b, bounds, widest)
         count = 0
         while r < K and r < order_b:
             lines = [(c - e[i] - j * ai - r * bi, S, D)

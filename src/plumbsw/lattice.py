@@ -134,6 +134,16 @@ class Lattice:
         """The class in H of the L' vector whose scaled copy is ``scaled``."""
         return HClass(self.class_key(scaled), self.h_order)
 
+    def combination(self, terms) -> tuple[int, ...]:
+        """The scaled vector sum c E*_i over the pairs (i, c) of ``terms``,
+        read in order."""
+        out = [0] * self.n
+        for i, c in terms:
+            col = self.sestar[i]
+            for r in range(self.n):
+                out[r] += c * col[r]
+        return tuple(out)
+
 
 @lru_cache(maxsize=None)
 def lattice_of(g: PlumbingGraph) -> Lattice:
@@ -213,8 +223,8 @@ def l_top(g: PlumbingGraph) -> Vec:
     node-supported combination sum_{nodes} (valency - 2) E*_v."""
     lat = lattice_of(g)
     d = lat.h_order
-    ends = [lat.sestar[i] for i in lat.end_idx]
-    return lat.unscaled(z - d + sum(col) for z, *col in zip(lat.sz_k, *ends))
+    ends = lat.combination((i, 1) for i in lat.end_idx)
+    return lat.unscaled(z - d + e for z, e in zip(lat.sz_k, ends))
 
 
 def rho(g: PlumbingGraph, x) -> HClass:
@@ -226,12 +236,7 @@ def rho(g: PlumbingGraph, x) -> HClass:
         raise LatticeError(f"expected {len(lat.end_idx)} end coordinates")
     if any(not isinstance(c, int) or c < 0 for c in xs):
         raise LatticeError("end multiplicities must be non-negative integers")
-    key = [0] * lat.n
-    for c, i in zip(xs, lat.end_idx):
-        col = lat.sestar[i]
-        for r in range(lat.n):
-            key[r] += c * col[r]
-    return lat.class_at(key)
+    return lat.class_at(lat.combination(zip(lat.end_idx, xs)))
 
 
 @lru_cache(maxsize=None)

@@ -74,7 +74,7 @@ def fiber_counts(g: PlumbingGraph, shape: str, cut, positivity: str
             # No end vertices (single vertex graph): the empty point is the
             # only candidate, and it is not strictly positive.
             return {}
-        start = tuple(map(sum, zip(*cols)))
+        start = lat.combination((e, 1) for e in lat.end_idx)
     else:
         start = (0,) * lat.n
     d = lat.h_order
@@ -135,11 +135,7 @@ def sw_via_lattice(g: PlumbingGraph) -> dict[HClass, int]:
     n_ends = len(lat.end_idx)
     totals = dict.fromkeys(all_classes(g), 0)
     for ks in _sub_multisets(nm):
-        sdil = [0] * lat.n
-        for i, k in zip(lat.node_idx, ks):
-            col = lat.sestar[i]
-            for r in range(lat.n):
-                sdil[r] += k * col[r]
+        sdil = lat.combination(zip(lat.node_idx, ks))
         sign = (-1) ** (n_ends - sum(ks))
         for (_, m), k in zip(nm, ks):
             sign *= comb(m, k)

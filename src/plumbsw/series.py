@@ -24,17 +24,17 @@ and ``lines`` and in ``coeff``'s argument.
 
 All enumerations run in one walker, ``_walk``, and prune with a coordinate
 cut: strict upper bounds on some coordinates, passed on any or on all of
-them.  Passing is antitone along coordinatewise growth, which makes every
-loop provably finite: all anti-dual entries are strictly positive.  The
-walker visits every point that passes, one at a time; the counting
-functions (``counting.Q`` and ``q``) stop it two factors early and sum
-those two in closed form.
+them.  Each factor level counts its steps once, by one ceiling division
+in ``_steps``; that is finite because every factor exponent is strictly
+positive on the bounded coordinates.  The walker visits every point that
+passes, one at a time; the counting functions (``counting.Q`` and ``q``)
+stop it two factors early and sum those two in closed form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor, gcd
+from math import ceil, comb, floor, gcd, inf
 from operator import add
 
 from .graph import PlumbingGraph
@@ -198,6 +198,14 @@ def _zeta_factors(lat: Lattice):
     return finite + series
 
 
+def _steps(cur, a, bounds, widest) -> int:
+    """The number of k >= 0 for which cur + k a passes the cut: ``widest``
+    (max for ``any``, min for ``all``) over the bounds (i, c) of
+    ceil((c - cur_i) / a_i), and unbounded (``inf``) for an empty cut.
+    Every a_i over the bounds must be strictly positive."""
+    return widest([-((cur[i] - c) // a[i]) for i, c in bounds], default=inf)
+
+
 def _walk(start, factors, cut, visit):
     """Walk the monomial expansion of t^start * prod factors, calling
     visit(weight, scaled_exponent) at every point that passes ``cut``.
@@ -206,40 +214,29 @@ def _walk(start, factors, cut, visit):
     sum_k weights[k] t^{k a}, e.g. (1 - t^a)^mu; a factor (a, m) with an
     integer m is the series 1/(1 - t^a)^m.  ``cut`` is (bounds, quantifier):
     a tuple of (index, strict upper bound) pairs and ``any`` or ``all``; a
-    point p passes when quantifier(p[i] < c for i, c in bounds).  Passing
-    is antitone along growth by the factor exponents, so it is rechecked
-    after every elementary increment, which bounds the search.  Every walk
-    is finite because the factor exponents are strictly positive on the
-    bounded coordinates (``Lattice`` checks the anti-dual entries), or
-    because every factor is a polynomial."""
+    point p passes when quantifier(p[i] < c for i, c in bounds).  The cut
+    is evaluated once, at the start point; each factor level then counts
+    its steps with ``_steps``, capped by the weights of a polynomial
+    factor.  This relies on the factor exponents being strictly positive on
+    the bounded coordinates (``Lattice`` checks the anti-dual entries,
+    ``RatFunc`` its denominators): a zero entry there, or a series factor
+    under an empty cut, raises instead of looping."""
     bounds, quantifier = cut
-
-    def alive(cur):
-        return quantifier(cur[i] < c for i, c in bounds)
-
-    if not alive(start):
+    if not quantifier(start[i] < c for i, c in bounds):
         return
-    factors = [(a, info, isinstance(info, tuple)) for a, info in factors]
+    widest = max if quantifier is any else min
     last = len(factors)
 
     def rec(fi: int, cur: tuple, weight: int):
         if fi == last:
             visit(weight, cur)
             return
-        a, info, finite = factors[fi]
-        k = 0
-        while True:
-            if finite:
-                w = info[k]
-            else:
-                w = 1 if info == 1 else comb(k + info - 1, info - 1)
-            rec(fi + 1, cur, weight * w)
-            if finite and k + 1 == len(info):
-                break
+        a, info = factors[fi]
+        n = _steps(cur, a, bounds, widest)
+        finite = isinstance(info, tuple)
+        for k in range(min(n, len(info)) if finite else n):
+            rec(fi + 1, cur, weight * (info[k] if finite else comb(k + info - 1, info - 1)))
             cur = tuple(map(add, cur, a))
-            k += 1
-            if not alive(cur):
-                break
 
     rec(0, start, 1)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .counting import Q
 from .decomp import divide_polypart, evaluate_at_one, polypart_dual
@@ -155,7 +156,8 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     zeta function and one division per class, keeping no certificate.  That
     polynomial part serves both the division route and polypart's
     cross-check.  ``methods`` must name at least one route, and only routes
-    of ``ROUTES``."""
+    of ``ROUTES``.  The lattice route's ``PolytopeError`` propagates when
+    it is the only route asked for."""
     unknown = [m for m in methods if m not in ROUTES]
     if unknown:
         raise ValueError(f"unknown route {unknown[0]!r}")
@@ -174,6 +176,8 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
         try:
             lattice = sw_via_lattice(g)
         except PolytopeError as exc:
+            if set(methods) == {"lattice"}:
+                raise
             lattice_error = "not applicable: " + str(exc)
     entries = []
     for h in all_classes(g):
@@ -226,11 +230,8 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
     duality = sw_norm_via_duality(g)
     out = []
     for _ in range(samples):
-        slp = list(lat.sz_k)
-        for col in lat.sestar:
-            c = rng.randint(1, 2)
-            for r in range(lat.n):
-                slp[r] += c * col[r]
+        shift = lat.combination((i, rng.randint(1, 2)) for i in range(lat.n))
+        slp = tuple(map(add, lat.sz_k, shift))
         h, lp = lat.class_at(slp), lat.unscaled(slp)
         lhs = -Q(g, h, g.ids, lp)
         sv = tuple(2 * x - z for x, z in zip(slp, lat.sz_k))

@@ -83,6 +83,19 @@ def test_sw_single_method(capsys):
     assert out.splitlines() == ["h=(0,0,0,0,0) -sw_norm=2 agree=true"]
 
 
+@pytest.mark.parametrize("text", ["vertex a -5\n",
+                                  "vertex a -2\nvertex b -2\nedge a b\n"])
+def test_sw_lattice_alone_on_a_graph_without_nodes_exits_2(capsys, tmp_path, text):
+    # the only route asked for does not apply: a usage error, not a
+    # disagreement between routes
+    path = tmp_path / "no_nodes.graph"
+    path.write_text(text)
+    assert run(capsys, "sw", path, "--method", "lattice") == (
+        2, "", "error: graph has no nodes; use the duality route\n")
+    code, out, _ = run(capsys, "sw", path)
+    assert code == 0 and "agree=true" in out
+
+
 def test_validate_pass_and_fail(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", GRAPHS / "sigma_2_5_7.graph")
     assert code == 0 and "check negative definite: pass" in out

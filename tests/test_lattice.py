@@ -179,6 +179,20 @@ def test_l_top_node_form(corpus30, sigma257, two_nodes, three_nodes):
         assert tuple(acc) == l_top(g)
 
 
+def test_combination_matches_fraction_reference(corpus30, two_nodes):
+    # the scaled sum_i c_i E*_i against the Fraction anti-duals, with negative
+    # and repeated coefficients; no terms give the zero vector
+    for g in list(corpus30[:10]) + [two_nodes]:
+        lat = lattice_of(g)
+        estar = anti_duals(g)
+        terms = [(i, (-1) ** i * (i + 2)) for i in range(g.n)] + [(0, 3)]
+        acc = [Fraction(0)] * g.n
+        for i, c in terms:
+            acc = vec_add(acc, vec_scale(c, estar[i]))
+        assert lat.combination(terms) == lat.scaled(acc)
+        assert lat.combination([]) == (0,) * g.n
+
+
 def test_class_of_zero_and_errors(sigma257):
     zero = class_of(sigma257, [0] * 5)
     assert zero.rep == (0, 0, 0, 0, 0)

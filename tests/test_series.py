@@ -1,15 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import support
 from support import neg, z_k_minus_e
 from plumbsw.decomp import euclid_divide
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, e_star, lattice_of, rho
-from plumbsw.series import (Box, Cobox, RatFunc, WindowError, coeff,
+from plumbsw.series import (Box, Cobox, RatFunc, WindowError, _walk, coeff,
                             equivariant_split, reduce, taylor,
                             taylor_infinity, zeta)
 from plumbsw.swcore import duality_cut_vertices
@@ -150,6 +154,66 @@ def test_ratfunc_checks_its_live_set_and_denominator(sigma257):
     flat[1] = 0
     with pytest.raises(ValueError, match="not strictly positive on live coordinates"):
         RatFunc(lat, one, (tuple(flat),), (0, 1))
+
+
+@st.composite
+def walks(draw):
+    """A start point (negative coordinates allowed, as ``taylor_infinity``
+    walks), factors mixing polynomials with series of multiplicity 1 and 2,
+    and a cut under either quantifier, possibly with no bounds."""
+    n = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple)
+    factor = st.one_of(
+        st.tuples(coords, st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(tuple)),
+        st.tuples(coords, st.sampled_from((1, 2))))
+    factors = draw(st.lists(factor, max_size=4))
+    start = tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    bounded = draw(st.lists(st.integers(0, n - 1), unique=True))
+    bounds = tuple((i, draw(st.integers(-3, 8))) for i in sorted(bounded))
+    quantifier = draw(st.sampled_from((any, all)))
+    # a series factor under the empty cut passed by all is infinite
+    assume(bounds or quantifier is any
+           or all(isinstance(info, tuple) for _, info in factors))
+    return start, factors, (bounds, quantifier)
+
+
+def brute_walk(start, factors, cut):
+    """Every (weight, point) of the expansion that passes the cut, over a
+    box of steps: a series step k >= max c - min start is past every bound,
+    as each factor entry is at least 1."""
+    bounds, quantifier = cut
+    box = max([c for _, c in bounds], default=0) - min(start)
+    ranges = [range(len(info)) if isinstance(info, tuple) else range(max(box, 0))
+              for _, info in factors]
+    out = Counter()
+    for ks in product(*ranges):
+        point, weight = list(start), 1
+        for (a, info), k in zip(factors, ks):
+            point = [x + k * y for x, y in zip(point, a)]
+            weight *= info[k] if isinstance(info, tuple) else comb(k + info - 1, info - 1)
+        if quantifier(point[i] < c for i, c in bounds):
+            out[weight, tuple(point)] += 1
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(walks())
+@example(((0, -1), [((1, 2), (1, -2, 0, 1)), ((2, 1), (1, 1))], ((), all)))
+@example(((0, -1), [((1, 2), 2)], ((), any)))
+def test_walk_visits_what_brute_force_enumerates(walk):
+    start, factors, cut = walk
+    seen = Counter()
+    _walk(start, factors, cut, lambda w, e: seen.update([(w, e)]))
+    assert seen == brute_walk(start, factors, cut)
+
+
+def test_walk_raises_instead_of_looping():
+    # a zero factor entry on a bounded coordinate, and a series factor under
+    # the empty cut, have no finite step count
+    with pytest.raises(ZeroDivisionError):
+        _walk((0, 0), [((1, 0), 1)], (((1, 5),), all), lambda w, e: None)
+    with pytest.raises(TypeError):
+        _walk((0,), [((1,), 1)], ((), all), lambda w, e: None)
 
 
 def test_taylor_infinity_of_a_reduced_function_takes_no_subset(sigma257):
