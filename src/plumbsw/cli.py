@@ -113,11 +113,13 @@ def cmd_zeta(g, args) -> int:
     def project(e):
         return lat.unscaled(e[i] for i in R.active)
 
+    # terms of equal live exponent are one monomial of the reduced function
+    numerator = series._tally(R.numerator.items(), (), ((), all), project)
     recs.append({"live": list(live),
-                 "numerator": {format_vec(project(b)): c for b, c in sorted(R.numerator.items())},
+                 "numerator": {format_vec(e): c for e, c in sorted(numerator.items())},
                  "denominator": [format_vec(project(a)) for a in sorted(R.denominator)],
                  "_text": "reduced to {" + ",".join(live) + "}: numerator "
-                          + _poly_str({project(b): c for b, c in R.numerator.items()})
+                          + _poly_str(numerator)
                           + "  denominator "
                           + " ".join(f"(1 - t^{format_vec(project(a))})"
                                      for a in sorted(R.denominator))})
@@ -227,12 +229,12 @@ def cmd_verify(g, args) -> int:
 
     # sum_v mu_v E*_v = Z_K - E, in scaled integers
     zk_sum = lat.combination(enumerate(lat.mults))
-    record("canonical-cycle-identity", zk_sum == tuple(z - d for z in lat.sz_k))
+    record("canonical-cycle-identity", zk_sum == lat.szkme)
 
     cut = swcore.duality_cut_vertices(g)
     sym_ok = True
     for live in {tuple(g.ids), tuple(cut)}:
-        active = sorted(g.index(v) for v in live)
+        active = series.live_indices(g, live)
         bound = tuple(Fraction(lat.sz_k[i] - 3 * d, d) for i in active)
         w = series.Cobox(bound)
         a = series.taylor_infinity(series.reduce(series.zeta(g), live), w)
@@ -276,9 +278,9 @@ FLAGS = {
     "--method": {"default": "all", "choices": [*swcore.ROUTES, "all"]},
     "--samples": {"type": int, "default": 5},
     "--seed": {"type": int, "default": DEFAULT_SEED},
-    "--shape": {"default": "concave", "choices": ["convex", "concave"]},
-    "--boundary": {"default": "closed", "choices": ["closed", "open"]},
-    "--positivity": {"default": "nonneg", "choices": ["nonneg", "positive"]},
+    "--shape": {"default": "concave", "choices": polytopes.SHAPES},
+    "--boundary": {"default": "closed", "choices": polytopes.BOUNDARIES},
+    "--positivity": {"default": "nonneg", "choices": polytopes.POSITIVITIES},
     "--dilation": {"required": True,
                    "help": "dilation vector, comma separated rationals; "
                            "write --dilation=VALUE when it starts with a minus sign"},

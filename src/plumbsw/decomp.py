@@ -41,7 +41,7 @@ from operator import lt, sub
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import RatFunc, _cone_visit, live_indices
+from .series import RatFunc, _tally, _zeta_factors, live_indices
 
 
 class DivisionError(ValueError):
@@ -228,16 +228,15 @@ def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     """
     lat = lattice_of(g)
     active = live_indices(g, subset)
-    szkme = tuple(z - lat.h_order for z in lat.sz_k)
+    szkme = lat.szkme
+
+    def key(e):
+        reflected = tuple(map(sub, szkme, e))
+        return lat.class_key(reflected), _live(reflected, active)
+
+    cut = (tuple((i, szkme[i] + 1) for i in active), any)
     buckets: dict[tuple[int, ...], Poly] = {}
-
-    def visit(w, e):
-        reflected = tuple(zm - x for zm, x in zip(szkme, e))
-        bucket = buckets.setdefault(lat.class_key(reflected), {})
-        live = _live(reflected, active)
-        bucket[live] = bucket.get(live, 0) + w
-
-    _cone_visit(lat, (tuple((i, szkme[i] + 1) for i in active), any), visit)
-    return {h: {e: c for e, c in buckets.get(h.key, {}).items() if c}
-            for h in all_classes(g)}
+    for (fk, live), c in _tally((((0,) * lat.n, 1),), _zeta_factors(lat), cut, key).items():
+        buckets.setdefault(fk, {})[live] = c
+    return {h: buckets.get(h.key, {}) for h in all_classes(g)}
 

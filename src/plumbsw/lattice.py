@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .graph import (PlumbingGraph, classify_vertices, definite_adjugate,
                     intersection_matrix)
@@ -74,7 +74,8 @@ class Lattice:
 
     Every L' coordinate has denominator dividing d, so an L' vector x is
     held as the integer vector d*x: ``sestar[i]`` is the anti-dual of
-    vertex i (column i of the adjugate of -I) and ``sz_k`` is Z_K.
+    vertex i (column i of the adjugate of -I), ``sz_k`` is Z_K and
+    ``szkme`` is Z_K - E, E the sum of the vertex classes.
     """
 
     def __init__(self, g: PlumbingGraph):
@@ -108,6 +109,7 @@ class Lattice:
         # (Z_K, E_v) = e_v + 2 for all v, i.e. Z_K = -(-I)^{-1} (euler + 2).
         rhs = [e + 2 for e in g.eulers]
         self.sz_k = tuple(-sum(x * y for x, y in zip(row, rhs)) for row in adj)
+        self.szkme = tuple(z - d for z in self.sz_k)
         self.zero_class = HClass((0,) * self.n, d)
 
     # -- scaled helpers ----------------------------------------------------
@@ -222,9 +224,8 @@ def l_top(g: PlumbingGraph) -> Vec:
     """Z_K - E plus the sum of the end anti-duals; equivalently the
     node-supported combination sum_{nodes} (valency - 2) E*_v."""
     lat = lattice_of(g)
-    d = lat.h_order
     ends = lat.combination((i, 1) for i in lat.end_idx)
-    return lat.unscaled(z - d + e for z, e in zip(lat.sz_k, ends))
+    return lat.unscaled(map(add, lat.szkme, ends))
 
 
 def rho(g: PlumbingGraph, x) -> HClass:

@@ -22,7 +22,7 @@ from math import comb
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Vec, all_classes, lattice_of
-from .series import _walk, live_indices, strict_cut
+from .series import _tally, live_indices, strict_cut
 
 SHAPES = ("convex", "concave")
 BOUNDARIES = ("closed", "open")
@@ -78,15 +78,10 @@ def fiber_counts(g: PlumbingGraph, shape: str, cut, positivity: str
     else:
         start = (0,) * lat.n
     d = lat.h_order
-    tally: dict[tuple[int, ...], int] = {}
-
-    def visit(_, e):
-        # lat.class_key inlined: this runs once per lattice point
-        fk = tuple(c % d for c in e)
-        tally[fk] = tally.get(fk, 0) + 1
-
-    _walk(start, [(col, 1) for col in cols], (cut, all if shape == "convex" else any), visit)
-    return tally
+    return _tally(((start, 1),), [(col, 1) for col in cols],
+                  (cut, all if shape == "convex" else any),
+                  # lat.class_key inlined: this runs once per lattice point
+                  lambda e: tuple(c % d for c in e))
 
 
 def count(g: PlumbingGraph, query: PolytopeQuery) -> int:

@@ -200,7 +200,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
             errors["lattice"] = lattice_error
         agree = len(set(values.values())) == 1 and not any(
             route != "lattice" for route in errors)
-        norm = next(iter(values.values())) if agree and values else None
+        norm = next(iter(values.values())) if agree else None
         raw = sw_raw(g, h, norm) if norm is not None else None
         entries.append(SWEntry(h, values, errors, agree, norm, raw))
     return SWReport(tuple(entries))

@@ -3,13 +3,15 @@ import io
 import json
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import support
 from plumbsw.cli import main
-from plumbsw.graph import parse_graph
+from plumbsw.graph import classify_vertices, parse_graph
+from plumbsw.lattice import e_star, format_vec
 
 GRAPHS = support.GRAPH_DIR
 HUB33 = Path(__file__).resolve().parent / "data" / "hub_tree_33.graph"
@@ -41,6 +43,8 @@ GOLDEN_EXTRA = (
      "--positivity", "positive"),
     ("count", "three_nodes_h1.graph", "--shape", "convex", "--boundary", "open",
      "--dilation", "171,342,56,162,24,150,114,81,75,50"),
+    # a reduction on which two live exponents of the numerator coincide
+    ("zeta", "three_nodes_h1.graph", "--reduce", "u3"),
 )
 
 
@@ -122,6 +126,43 @@ def test_zeta_box_output(capsys):
     assert code == 0
     series = [l for l in out.splitlines() if l.startswith(("1 *", "-1 *"))]
     assert series == ["1 * t^(0)", "1 * t^(10)", "1 * t^(14)"]
+
+
+def product_of_node_factors(g, active):
+    """prod (1 - t^{E*_v on the live coordinates})^{mu_v} over the vertices
+    with mu_v = valency - 2 > 0, multiplied out by dict convolution on
+    Fraction exponents, zero terms dropped."""
+    _, _, val = classify_vertices(g)
+    product = {(Fraction(0),) * len(active): 1}
+    for v in g.ids:
+        col = e_star(g, v)
+        a = tuple(col[i] for i in active)
+        for _ in range(val[v] - 2):
+            out = {}
+            for e, c in product.items():
+                for shift, sign in (((0,) * len(a), 1), (a, -1)):
+                    key = tuple(x + y for x, y in zip(e, shift))
+                    out[key] = out.get(key, 0) + sign * c
+            product = out
+    return {format_vec(e): c for e, c in product.items() if c}
+
+
+def test_reduced_numerator_is_the_product_of_node_factors(capsys, tmp_path, corpus30):
+    # every node factor (1 - t^a) reduced to the live set, summed over equal
+    # live exponents: on every single vertex and on the node set
+    graphs = [support.sigma257(), support.two_nodes(), support.three_nodes(), *corpus30]
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.graph"
+        path.write_text("".join(f"vertex {v} {e}\n" for v, e in zip(g.ids, g.eulers))
+                        + "".join(f"edge {a} {b}\n" for a, b in sorted(g.edges)))
+        nodes, _, _ = classify_vertices(g)
+        for live in [(v,) for v in g.ids] + ([nodes] if nodes else []):
+            code, out, _ = run(capsys, "zeta", path, "--reduce", ",".join(live),
+                               "--format", "json-lines")
+            assert code == 0
+            got = json.loads(out.splitlines()[-1])["numerator"]
+            active = sorted(g.index(v) for v in live)
+            assert got == product_of_node_factors(g, active), (k, live)
 
 
 def test_polypart_command(capsys):
