@@ -184,21 +184,24 @@ def _witness(entry) -> str:
     return "" if entry is None else f"h={entry.h} {_routes_text(entry)}"
 
 
+def _sw_record(e) -> dict:
+    """The output record of one sw entry."""
+    h = str(e.h)
+    text = (f"h={h} -sw_norm={e.sw_norm_neg if e.sw_norm_neg is not None else '?'}"
+            f" agree={'true' if e.agree else 'false'}")
+    if not e.agree:
+        text += " " + _routes_text(e)
+    return {"h": h, "sw_norm_neg": e.sw_norm_neg,
+            "agree": e.agree, "routes": e.values,
+            "raw": format_frac(e.raw) if e.raw is not None else None,
+            "errors": e.errors, "_text": text}
+
+
 def cmd_sw(g, args) -> int:
     methods = swcore.ROUTES if args.method == "all" else (args.method,)
     report = swcore.sw_report(g, methods)
-    recs = []
-    for e in report.entries:
-        h = str(e.h)
-        text = (f"h={h} -sw_norm={e.sw_norm_neg if e.sw_norm_neg is not None else '?'}"
-                f" agree={'true' if e.agree else 'false'}")
-        if not e.agree:
-            text += " " + _routes_text(e)
-        recs.append({"h": h, "sw_norm_neg": e.sw_norm_neg,
-                     "agree": e.agree, "routes": e.values,
-                     "raw": format_frac(e.raw) if e.raw is not None else None,
-                     "errors": e.errors, "_text": text})
-    _emit(recs, args.format)
+    # one class at a time: each record is printed and dropped before the next
+    _emit((_sw_record(e) for e in report.entries), args.format)
     return 0 if report.agree else 1
 
 

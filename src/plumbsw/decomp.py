@@ -36,8 +36,8 @@ full exponent.  Exponents become ``Fraction`` only in ``poly_live``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import lt, sub
+from typing import NamedTuple
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
@@ -52,8 +52,7 @@ class DivisionError(ValueError):
 Poly = dict[tuple[int, ...], int]
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     """The division certificate of one H-component: ``by_s`` maps each
     denominator subset S, a set of indices into ``denominator``, to the
     numerator left over S, and its S = {} bucket is P+.  Exponents are live

@@ -10,20 +10,22 @@ homology sphere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# ASCII digits only: int() would also take "1_0" and non-ASCII digits
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 class GraphFormatError(ValueError):
     """A graph file violates the grammar (message carries line/column)."""
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(NamedTuple):
     """Immutable decorated tree.  Vertex declaration order is the canonical
-    basis order used for every vector printed or compared downstream."""
+    basis order used for every vector printed or compared downstream.
+    ``index`` shadows ``tuple.index``."""
 
     ids: tuple[str, ...]
     eulers: tuple[int, ...]
@@ -75,8 +77,8 @@ def parse_graph(text: str) -> PlumbingGraph:
 
     Grammar (UTF-8): blank lines and lines starting with ``#`` are ignored;
     ``vertex <id> <integer>`` declares a vertex, ``edge <id> <id>`` an
-    unordered edge.  Ids match [A-Za-z0-9_]+.  Declaration order of the
-    vertices fixes the basis order.
+    unordered edge.  Ids match [A-Za-z0-9_]+ and integers [+-]?[0-9]+.
+    Declaration order of the vertices fixes the basis order.
     """
     ids: list[str] = []
     eulers: list[int] = []
@@ -101,14 +103,12 @@ def parse_graph(text: str) -> PlumbingGraph:
                 fail(lineno, raw.index(vid) + 1, f"bad vertex id {vid!r}")
             if vid in seen:
                 fail(lineno, raw.index(vid) + 1, f"duplicate vertex id {vid!r}")
-            try:
-                e = int(tokens[2])
-            except ValueError:
+            if not _INT_RE.match(tokens[2]):
                 fail(lineno, raw.index(tokens[2], raw.index(vid)) + 1,
                      f"bad euler number {tokens[2]!r}")
             seen.add(vid)
             ids.append(vid)
-            eulers.append(e)
+            eulers.append(int(tokens[2]))
         elif tokens[0] == "edge":
             if len(tokens) != 3:
                 fail(lineno, col, "expected 'edge <id> <id>'")
@@ -135,8 +135,7 @@ def parse_graph(text: str) -> PlumbingGraph:
     return PlumbingGraph(tuple(ids), tuple(eulers), frozenset(edges))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[tuple[str, bool, str], ...]
 
     @property

@@ -17,11 +17,11 @@ of order det(-I).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, mul
+from typing import NamedTuple
 
 from .graph import (PlumbingGraph, classify_vertices, definite_adjugate,
                     intersection_matrix)
@@ -45,8 +45,7 @@ def format_vec(a) -> str:
     return "(" + ",".join(format_frac(Fraction(x)) for x in a) + ")"
 
 
-@dataclass(frozen=True)
-class HClass:
+class HClass(NamedTuple):
     """Element of H = L'/L, held by its scaled key: the unique
     representative with all coordinates in [0,1), times d = |H|, so every
     entry is an integer in [0, d).  Equal classes have equal keys, and keys

@@ -37,6 +37,7 @@ class InapplicableError(PolytopeError):
     """The hypotheses of the requested counting formula fail."""
 
 
+# A dataclass: callers derive queries with dataclasses.replace.
 @dataclass(frozen=True)
 class PolytopeQuery:
     """Convex: l_v(x) <= dilation_v for all live v; concave: for some v.

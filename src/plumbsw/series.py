@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, inf
 from operator import add, sub
+from typing import NamedTuple
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of, vec
@@ -59,8 +60,7 @@ def _paired(live_exp, bound):
     return zip(live_exp, bound)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Origin window: keeps exponents <= bound on every live coordinate."""
     bound: Vec
 
@@ -68,8 +68,7 @@ class Box:
         return all(x <= b for x, b in _paired(live_exp, self.bound))
 
 
-@dataclass(frozen=True)
-class Cobox:
+class Cobox(NamedTuple):
     """Infinity window: keeps exponents >= bound on at least one live
     coordinate.  Expansions at infinity march downward, so this cuts a
     finite corner."""
@@ -79,8 +78,7 @@ class Cobox:
         return any(x >= b for x, b in _paired(live_exp, self.bound))
 
 
-@dataclass
-class FactoredRatFunc:
+class FactoredRatFunc(NamedTuple):
     """The zeta function of the graph of ``lat``, as built by ``zeta``:
     the product of (1 - t^{E*_v})^{valency(v) - 2} over the vertices of
     valency other than 2."""
@@ -103,6 +101,7 @@ class FactoredRatFunc:
         return num, tuple(a for a, mu in self.factors for _ in range(-mu))
 
 
+# A dataclass: __post_init__ validates and normalises the numerator.
 @dataclass
 class RatFunc:
     """sum_k iota_k t^{b_k} / prod_i (1 - t^{a_i}), reduced to the live
@@ -134,8 +133,7 @@ class RatFunc:
                                  "strictly negative on all live coordinates")
 
 
-@dataclass
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Finite slab of a series: live scaled exponent (the live coordinates
     times d = |H|) -> integer coefficient.  Terms outside the window are
     absent by construction, not zero."""

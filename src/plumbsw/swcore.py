@@ -24,9 +24,9 @@ shifted Lipman cone against that quadratic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .counting import Q
 from .decomp import divide_polypart, evaluate_at_one, polypart_dual
@@ -128,8 +128,7 @@ def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> Fraction:
 ROUTES = ("duality", "polypart", "division", "lattice")
 
 
-@dataclass
-class SWEntry:
+class SWEntry(NamedTuple):
     h: HClass
     values: dict[str, int]
     errors: dict[str, str]
@@ -138,8 +137,7 @@ class SWEntry:
     raw: Fraction | None
 
 
-@dataclass
-class SWReport:
+class SWReport(NamedTuple):
     entries: tuple[SWEntry, ...]
 
     @property
@@ -206,14 +204,12 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     return SWReport(tuple(entries))
 
 
-@dataclass
-class QuadraticSample:
+class QuadraticSample(NamedTuple):
     lprime: tuple
     ok: bool
 
 
-@dataclass
-class QuadraticReport:
+class QuadraticReport(NamedTuple):
     samples: tuple[QuadraticSample, ...]
 
     @property

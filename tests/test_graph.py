@@ -30,6 +30,10 @@ def test_parse_single_vertex():
     assert g.ids == ("a",) and g.eulers == (-2,) and not g.edges
 
 
+def test_parse_signed_and_padded_euler_numbers():
+    assert parse_graph("vertex a +3\nvertex b -007\n").eulers == (3, -7)
+
+
 def test_parse_comments_and_blank_lines():
     g = parse_graph("# heading\n\nvertex a -2\n  # indented comment\nvertex b -3\nedge a b\n")
     assert g.n == 2 and len(g.edges) == 1
@@ -41,6 +45,9 @@ def test_parse_comments_and_blank_lines():
     ("vertex a -2\nvertex b -3\nedge a b\nedge b a\n", "duplicate edge"),
     ("vertex a -2\nedge a a\n", "self loop"),
     ("vertex a two\n", "bad euler"),
+    ("vertex a -1_0\n", "bad euler"),
+    ("vertex a -\u0663\n", "bad euler"),
+    ("vertex a +-3\n", "bad euler"),
     ("vertx a -2\n", "unknown directive"),
     ("vertex a -2 extra\n", "expected"),
     ("", "no vertices"),
