@@ -9,11 +9,12 @@ the non-empty sub-cuts.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
+from operator import add
 
 from .graph import PlumbingGraph
 from .lattice import HClass, LatticeError, class_of, lattice_of
-from .series import _steps, _walk, _zeta_factors, live_indices
+from .series import _steps, _zeta_factors, live_indices
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -70,9 +71,9 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     Two-factor rule.  The last two walker factors are series 1/(1 - t^b)
     and 1/(1 - t^a) of multiplicity 1 (a graph with one vertex has one
     factor of multiplicity 2, fed as two equal ones).  The walk stops before
-    both.  At each leaf e the visitor takes K, the number of steps k along
-    b for which e + k b passes the cut, from ``series._steps`` as each
-    walker level does.  From e + k b the points e + k b + j a pass exactly
+    both.  At each leaf e the closed form takes K, the number of steps k
+    along b for which e + k b passes the cut, from ``series._steps`` as each
+    walk level does.  From e + k b the points e + k b + j a pass exactly
     for j < run(k), ``_steps`` along a.  Such a point is in class h when
     k [b] + j [a] = h - [e].
 
@@ -87,6 +88,19 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     + 1: the floor of an envelope of lines in m, summed by
     ``envelope_floor_sum``.  A leaf looks only at residues r < K, so it
     never costs more steps than the K points along b it stands for.
+
+    The walk state.  Below a point, both the rest of the walk and the
+    closed form at its leaves depend only on the factor level, the point's
+    live coordinates (each level's ``_steps`` reads only those) and its
+    class.  So the walk is a recursion over that state returning the sum of
+    its subtree, and the class is an index advanced by a per-factor step
+    table built as classes appear.  It memoizes the levels deeper than the
+    number m of live coordinates, where distinct prefixes meet in one state.
+    A prefix of at most m factors has no more step counts than there are
+    live coordinates, so distinct prefixes seldom meet there, and a memo
+    would mostly hold entries never read.  The full-variable cut walks
+    fewer than m = n factors, so it memoizes nothing and keeps memory
+    linear in the walk depth.
 
     Everything is finite because a and b are strictly positive on the
     bounded coordinates: K and every run are finite ceiling divisions, the
@@ -127,30 +141,72 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     ob, s = r, first_a[offset]
     order_b = ob * (o // gcd(o, s))
 
-    bounds = tuple((i, sx[i]) for i in active)
+    # the walk runs on the live coordinates only, as positions 0..m-1
+    m = len(active)
+    bounds = tuple(enumerate(sx[i] for i in active))
     widest = max if quantifier is any else min
-    steps = [(i, c - 1, a[i], b[i], -order_b * b[i], a[i] * o) for i, c in bounds]
-    total = 0
+    b_live = tuple(b[i] for i in active)
+    steps = [(sx[i] - 1, a[i], b[i], -order_b * b[i], a[i] * o) for i in active]
+    # class index -> class key, and -> the table's (r0, j0) or None
+    keys, hits = [zero], [table.get(zero)]
+    index = {zero: 0}
+    moves = [{} for _ in factors]
+    walked = [(tuple(col[i] for i in active), info) for col, info in factors]
+    last = len(factors)
+    memo: dict[tuple, int] = {}
 
-    def visit(w, e):
-        nonlocal total
-        hit = table.get(tuple([c % d for c in e]))
+    def moved(fi, cls):
+        nxt = moves[fi].get(cls)
+        if nxt is None:
+            key = step(keys[cls], factors[fi][0])
+            nxt = index.get(key)
+            if nxt is None:
+                nxt = index[key] = len(keys)
+                keys.append(key)
+                hits.append(table.get(key))
+            moves[fi][cls] = nxt
+        return nxt
+
+    def leaf(e, cls):
+        hit = hits[cls]
         if hit is None:
-            return
+            return 0
         r, j = hit
-        K = _steps(e, b, bounds, widest)
+        K = _steps(e, b_live, bounds, widest)
         count = 0
         while r < K and r < order_b:
-            lines = [(c - e[i] - j * ai - r * bi, S, D)
-                     for i, c, ai, bi, S, D in steps]
+            lines = [(c - ei - j * ai - r * bi, S, D)
+                     for ei, (c, ai, bi, S, D) in zip(e, steps)]
             n = (K - 1 - r) // order_b + 1
             count += n + envelope_floor_sum(lines, n, widest)
             r += ob
             j = (j - s) % o
-        total += w * count
+        return count
 
-    _walk(zero, factors, (bounds, quantifier), visit)
-    return total
+    def rec(fi, e, cls):
+        if fi > m:
+            state = (fi, e, cls)
+            total = memo.get(state)
+            if total is None:
+                total = memo[state] = subtree(fi, e, cls)
+            return total
+        return subtree(fi, e, cls)
+
+    def subtree(fi, e, cls):
+        if fi == last:
+            return leaf(e, cls)
+        col, info = walked[fi]
+        n = _steps(e, col, bounds, widest)
+        finite = isinstance(info, tuple)
+        total = 0
+        for k in range(min(n, len(info)) if finite else n):
+            w = info[k] if finite else comb(k + info - 1, info - 1)
+            total += w * rec(fi + 1, e, cls)
+            e = tuple(map(add, e, col))
+            cls = moved(fi, cls)
+        return total
+
+    return rec(0, (0,) * m, 0)
 
 
 def Q(g: PlumbingGraph, h: HClass, subset, x) -> int:

@@ -22,13 +22,16 @@ exponents by ``strict_cut``, the rounding rule polytope dilations share;
 ``fractions.Fraction`` appears only there, in ``TruncatedSeries.coeff_at``
 and ``lines`` and in ``coeff``'s argument.
 
-All enumerations run in one walker, ``_walk``, and prune with a coordinate
-cut: strict upper bounds on some coordinates, passed on any or on all of
-them.  Each factor level counts its steps once, by one ceiling division
-in ``_steps``; that is finite because every factor exponent is strictly
-positive on the bounded coordinates.  The walker visits every point that
-passes, one at a time; the counting functions (``counting.Q`` and ``q``)
-stop it two factors early and sum those two in closed form.
+Every enumeration walks the factors of a product and prunes with a
+coordinate cut: strict upper bounds on some coordinates, passed on any or
+on all of them.  Each factor level counts its steps once, by one ceiling
+division in ``_steps``; that is finite because every factor exponent is
+strictly positive on the bounded coordinates.  The walker ``_walk`` visits
+every point that passes, one at a time, and serves every enumeration but
+the counting functions (``counting.Q`` and ``q``).  Those walk the zeta
+factors with the same ``_steps`` as a recursion that sums each walk state
+(level, live coordinates, class) once, and stop two factors early to sum
+those two in closed form.
 
 Every multiplied-out sum goes through ``_tally``, which adds the walk's
 points into a dict under a key and drops the zero sums.  Five loops stay

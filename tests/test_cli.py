@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import support
+from plumbsw import counting
 from plumbsw.cli import main
 from plumbsw.graph import classify_vertices, parse_graph
 from plumbsw.lattice import e_star, format_vec
@@ -335,6 +336,26 @@ def test_verify_deterministic(capsys):
         "canonical-cycle-identity", "gorenstein-symmetry", "inclusion-exclusion",
         "division-vs-duality", "route-agreement", "quadratic-consistency"]
     assert all(l.startswith("ok ") for l in out1.splitlines())
+
+
+def test_verify_sums_each_counting_walk_state_once(capsys, monkeypatch):
+    # Machine-independent cost of verify's counting functions: one envelope
+    # floor sum per residue of a closed-form leaf.  Summing each walk state
+    # (level, live coordinates, class) once takes 6,837 on three_nodes_h1,
+    # where a walk that sums every leaf takes 16,545.
+    calls = 0
+    envelope = counting.envelope_floor_sum
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return envelope(*args)
+
+    monkeypatch.setattr(counting, "envelope_floor_sum", counted)
+    code, out, _ = run(capsys, "verify", GRAPHS / "three_nodes_h1.graph",
+                       "--seed", "20240914", "--samples", "1")
+    assert code == 0 and "FAIL" not in out
+    assert 0 < calls <= 6_837
 
 
 def test_usage_errors(capsys):

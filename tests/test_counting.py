@@ -4,6 +4,8 @@ from itertools import product
 from math import ceil, comb, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import support
 from support import anti_duals, vec_add, vec_scale
@@ -337,6 +339,43 @@ def test_counts_match_brute_force_when_a_and_b_miss_classes():
     estar = anti_duals(g)
     for h in all_classes(g):
         _check_against_brute(g, tuple(z + r + e for z, r, e in zip(zk, h.rep, estar[0])))
+
+
+# |H| > 1 with nodes (3, 5 and 4 classes), a chain (no node, every vertex an
+# end) and one vertex (one series factor of multiplicity 2).  The stars and
+# two_nodes walk 3 or 4 factors before the closed form, so live sets smaller
+# than that memoize the deeper levels and larger ones memoize nothing.  On the
+# star with H = Z2 x Z2, [a] and [b] miss classes, so states that differ only
+# in their class have different sums; the explicit examples are two such cuts
+# at Z_K + E*_c, on one and on two live vertices.
+Z2_Z2_STAR = support.star(-2, (-2, -2, -2, -3))
+PROPERTY_GRAPHS = (support.two_nodes(), support.star(-1, (-3, -4, -5, -5)),
+                   Z2_Z2_STAR, support.chain((-2, -3, -2)), parse_graph("vertex a -2"))
+STAR_X = vec_add(canonical_cycle(Z2_Z2_STAR), anti_duals(Z2_Z2_STAR)[0])
+
+
+@st.composite
+def cuts(draw):
+    g = draw(st.sampled_from(PROPERTY_GRAPHS))
+    size = draw(st.integers(1, g.n))
+    subset = tuple(sorted(draw(st.permutations(g.ids))[:size]))
+    # Z_K, an anti-dual or their sum, shifted into any class: the brute
+    # force grows fast with x
+    zk = canonical_cycle(g)
+    base = vec_add(draw(st.sampled_from(((0,) * g.n, zk))),
+                   draw(st.sampled_from(((0,) * g.n, *anti_duals(g)))))
+    return g, subset, vec_add(base, draw(st.sampled_from(all_classes(g))).rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cuts())
+@example((Z2_Z2_STAR, ("c",), STAR_X))
+@example((Z2_Z2_STAR, ("c", "s2"), STAR_X))
+def test_counts_match_brute_force_on_every_live_set_size(cut):
+    g, subset, x = cut
+    h = class_of(g, x)
+    assert Q(g, h, subset, x) == _brute_cut_sum(g, h, subset, x, any)
+    assert q(g, h, subset, x) == _brute_cut_sum(g, h, subset, x, all)
 
 
 def test_floor_sum_matches_loop():

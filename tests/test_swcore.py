@@ -1,12 +1,14 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import support
 from support import anti_duals, vec_add, vec_scale, vec_sub
-from plumbsw import swcore
+from plumbsw import counting, swcore
+from plumbsw.cli import DEFAULT_SEED
 from plumbsw.counting import Q
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (Lattice, all_classes, canonical_cycle, class_of,
@@ -329,3 +331,23 @@ def test_quadratic_check_deterministic(sigma257):
     r2 = quadratic_check(sigma257, samples=4, seed=9)
     assert [s.lprime for s in r1.samples] == [s.lprime for s in r2.samples]
     assert isinstance(r1, QuadraticReport)
+
+
+def test_full_variable_count_keeps_memory_flat(three_nodes, monkeypatch):
+    # The counting walk memoizes only levels deeper than the number of live
+    # coordinates, so the full-variable Q of quadratic_check stores no walk
+    # state: about 10 KB here, where memoizing every level takes megabytes.
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            value = counting.Q(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return value
+
+    monkeypatch.setattr(swcore, "Q", traced)
+    assert quadratic_check(three_nodes, samples=1, seed=DEFAULT_SEED).ok
+    assert len(peaks) == 1 and peaks[0] < 100_000
