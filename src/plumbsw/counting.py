@@ -13,7 +13,7 @@ from math import comb, gcd
 from operator import add
 
 from .graph import PlumbingGraph
-from .lattice import HClass, LatticeError, class_of, lattice_of
+from .lattice import HClass, LatticeError, all_classes, class_of, lattice_of
 from .series import _steps, _zeta_factors, live_indices
 
 
@@ -93,12 +93,12 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     closed form at its leaves depend only on the factor level, the point's
     live coordinates (each level's ``_steps`` reads only those) and its
     class.  So the walk is a recursion over that state returning the sum of
-    its subtree, and the class is an index advanced by a per-factor step
-    table built as classes appear.  It memoizes the levels deeper than the
-    number m of live coordinates, where distinct prefixes meet in one state.
-    A prefix of at most m factors has no more step counts than there are
-    live coordinates, so distinct prefixes seldom meet there, and a memo
-    would mostly hold entries never read.  The full-variable cut walks
+    its subtree, and the class is an index into ``all_classes``, advanced
+    by a step table per factor built once per walk.  It memoizes the levels
+    deeper than the number m of live coordinates, where distinct prefixes
+    meet in one state.  A prefix of at most m factors has no more step
+    counts than there are live coordinates, so distinct prefixes seldom
+    meet there, and a memo would mostly hold entries never read.  The full-variable cut walks
     fewer than m = n factors, so it memoizes nothing and keeps memory
     linear in the walk depth.
 
@@ -147,25 +147,15 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     widest = max if quantifier is any else min
     b_live = tuple(b[i] for i in active)
     steps = [(sx[i] - 1, a[i], b[i], -order_b * b[i], a[i] * o) for i in active]
-    # class index -> class key, and -> the table's (r0, j0) or None
-    keys, hits = [zero], [table.get(zero)]
-    index = {zero: 0}
-    moves = [{} for _ in factors]
+    # class index -> the table's (r0, j0) or None, and per walked factor
+    # -> the class index one step along it
+    keys = [c.key for c in all_classes(g)]
+    index = {key: i for i, key in enumerate(keys)}
+    hits = [table.get(key) for key in keys]
+    moves = [[index[step(key, col)] for key in keys] for col, _ in factors]
     walked = [(tuple(col[i] for i in active), info) for col, info in factors]
     last = len(factors)
     memo: dict[tuple, int] = {}
-
-    def moved(fi, cls):
-        nxt = moves[fi].get(cls)
-        if nxt is None:
-            key = step(keys[cls], factors[fi][0])
-            nxt = index.get(key)
-            if nxt is None:
-                nxt = index[key] = len(keys)
-                keys.append(key)
-                hits.append(table.get(key))
-            moves[fi][cls] = nxt
-        return nxt
 
     def leaf(e, cls):
         hit = hits[cls]
@@ -196,6 +186,7 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
         if fi == last:
             return leaf(e, cls)
         col, info = walked[fi]
+        move = moves[fi]
         n = _steps(e, col, bounds, widest)
         finite = isinstance(info, tuple)
         total = 0
@@ -203,10 +194,10 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
             w = info[k] if finite else comb(k + info - 1, info - 1)
             total += w * rec(fi + 1, e, cls)
             e = tuple(map(add, e, col))
-            cls = moved(fi, cls)
+            cls = move[cls]
         return total
 
-    return rec(0, (0,) * m, 0)
+    return rec(0, (0,) * m, index[zero])
 
 
 def Q(g: PlumbingGraph, h: HClass, subset, x) -> int:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import RatFunc, _tally, _zeta_factors, live_indices
+from .series import RatFunc, _cone_tally, live_indices
 
 
 class DivisionError(ValueError):
@@ -235,7 +235,7 @@ def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
 
     cut = (tuple((i, szkme[i] + 1) for i in active), any)
     buckets: dict[tuple[int, ...], Poly] = {}
-    for (fk, live), c in _tally((((0,) * lat.n, 1),), _zeta_factors(lat), cut, key).items():
+    for (fk, live), c in _cone_tally(lat, cut, key).items():
         buckets.setdefault(fk, {})[live] = c
     return {h: buckets.get(h.key, {}) for h in all_classes(g)}
 

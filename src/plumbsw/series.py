@@ -26,20 +26,21 @@ Every enumeration walks the factors of a product and prunes with a
 coordinate cut: strict upper bounds on some coordinates, passed on any or
 on all of them.  Each factor level counts its steps once, by one ceiling
 division in ``_steps``; that is finite because every factor exponent is
-strictly positive on the bounded coordinates.  The walker ``_walk`` visits
-every point that passes, one at a time, and serves every enumeration but
-the counting functions (``counting.Q`` and ``q``).  Those walk the zeta
-factors with the same ``_steps`` as a recursion that sums each walk state
-(level, live coordinates, class) once, and stop two factors early to sum
-those two in closed form.
+strictly positive on the bounded coordinates.  The one push walker is
+``_tally``: it walks every point that passes and adds its weight into a
+dict under a key, dropping the zero sums.  Every multiplied-out sum goes
+through it, and every sum over the zeta function's cone through
+``_cone_tally``, its walk from the origin: ``coeff``, the closed form of
+``taylor_infinity``, ``decomp.polypart_dual`` and
+``swcore.sw_norm_via_duality``.  The counting functions (``counting.Q``
+and ``q``) walk the zeta factors with the same ``_steps`` as a fold that
+sums each walk state (level, live coordinates, class) once, and stop two
+factors early to sum those two in closed form.
 
-Every multiplied-out sum goes through ``_tally``, which adds the walk's
-points into a dict under a key and drops the zero sums.  Five loops stay
-hand-written: the growth loop of ``_split_terms`` (through ``_walk`` it
-took 1.3-1.6 times the CPU time on ``vertex a -2000``, Python 3.11),
-``swcore.sw_norm_via_duality`` (a per-class cut test), ``coeff`` (one
-target exponent), ``counting._cut_sum`` (a closed-form sum) and
-``decomp._prepare`` (its loop validates its input).
+Three loops stay hand-written: the growth loop of ``_split_terms``
+(through ``_tally`` the split of ``vertex a -2000`` took 1.4 times the
+CPU time, Python 3.11), ``counting._cut_sum`` (a memoized fold with a
+closed-form sum) and ``decomp._prepare`` (its loop validates its input).
 """
 from __future__ import annotations
 
@@ -210,30 +211,33 @@ def _steps(cur, a, bounds, widest) -> int:
     return widest([-((cur[i] - c) // a[i]) for i, c in bounds], default=inf)
 
 
-def _walk(start, factors, cut, visit):
-    """Walk the monomial expansion of t^start * prod factors, calling
-    visit(weight, scaled_exponent) at every point that passes ``cut``.
+def _tally(starts, factors, cut, key) -> dict:
+    """The sum of c t^start * prod factors over the pairs (start, c) of
+    ``starts``, tallied by key: each point e of the monomial expansion that
+    passes ``cut``, reached with weight c * w, adds c * w at key(e).
+    Returns the dict of sums with the zero ones dropped.  With no factors
+    and the empty cut ((), all) it just regroups the starts by key.
 
     A factor (a, weights) with a tuple of weights is the polynomial
     sum_k weights[k] t^{k a}, e.g. (1 - t^a)^mu; a factor (a, m) with an
     integer m is the series 1/(1 - t^a)^m.  ``cut`` is (bounds, quantifier):
     a tuple of (index, strict upper bound) pairs and ``any`` or ``all``; a
     point p passes when quantifier(p[i] < c for i, c in bounds).  The cut
-    is evaluated once, at the start point; each factor level then counts
-    its steps with ``_steps``, capped by the weights of a polynomial
-    factor.  This relies on the factor exponents being strictly positive on
-    the bounded coordinates (``Lattice`` checks the anti-dual entries,
-    ``RatFunc`` its denominators): a zero entry there, or a series factor
-    under an empty cut, raises instead of looping."""
+    is evaluated once per start; each factor level then counts its steps
+    with ``_steps``, capped by the weights of a polynomial factor.  This
+    relies on the factor exponents being strictly positive on the bounded
+    coordinates (``Lattice`` checks the anti-dual entries, ``RatFunc`` its
+    denominators): a zero entry there, or a series factor under an empty
+    cut, raises instead of looping."""
     bounds, quantifier = cut
-    if not quantifier(start[i] < c for i, c in bounds):
-        return
     widest = max if quantifier is any else min
     last = len(factors)
+    tally: dict = {}
 
     def rec(fi: int, cur: tuple, weight: int):
         if fi == last:
-            visit(weight, cur)
+            k = key(cur)
+            tally[k] = tally.get(k, 0) + weight
             return
         a, info = factors[fi]
         n = _steps(cur, a, bounds, widest)
@@ -242,29 +246,16 @@ def _walk(start, factors, cut, visit):
             rec(fi + 1, cur, weight * (info[k] if finite else comb(k + info - 1, info - 1)))
             cur = tuple(map(add, cur, a))
 
-    rec(0, start, 1)
-
-
-def _tally(starts, factors, cut, key) -> dict:
-    """The sum of c t^start * prod factors over the pairs (start, c) of
-    ``starts``, walked by ``_walk`` under ``cut`` and tallied by key: each
-    visited point e with weight w adds c * w at key(e).  Returns the dict
-    of sums with the zero ones dropped.  With no factors and the empty cut
-    ((), all) it just regroups the starts by key."""
-    tally: dict = {}
     for start, c in starts:
-        def visit(w, e, c=c):
-            k = key(e)
-            tally[k] = tally.get(k, 0) + c * w
-
-        _walk(start, factors, cut, visit)
+        if quantifier(start[i] < bound for i, bound in bounds):
+            rec(0, start, c)
     return {k: v for k, v in tally.items() if v}
 
 
-def _cone_visit(lat: Lattice, cut, visit):
-    """``_walk`` over the zeta product from the origin, calling
-    visit(weight, e) at every point that passes ``cut``."""
-    _walk((0,) * lat.n, _zeta_factors(lat), cut, visit)
+def _cone_tally(lat: Lattice, cut, key) -> dict:
+    """``_tally`` of the zeta product from the origin: the sum of z(l') over
+    the scaled l' that pass ``cut``, by key(l')."""
+    return _tally((((0,) * lat.n, 1),), _zeta_factors(lat), cut, key)
 
 
 def off_live_canon(lat: Lattice, active):
@@ -291,15 +282,8 @@ def coeff(g: PlumbingGraph, lprime) -> int:
     anti-dual entry is strictly positive."""
     lat = lattice_of(g)
     target = lat.scaled(lprime)
-    total = 0
-
-    def visit(w, e):
-        nonlocal total
-        if e == target:
-            total += w
-
-    _cone_visit(lat, (tuple((i, t + 1) for i, t in enumerate(target)), all), visit)
-    return total
+    cut = (tuple((i, t + 1) for i, t in enumerate(target)), all)
+    return _cone_tally(lat, cut, target.__eq__).get(True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +398,7 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
     if isinstance(obj, FactoredRatFunc):
         szkme = lat.szkme
         cut = (tuple((i, szkme[i] - b + 1) for i, b in zip(active, sbound)), any)
-        terms = _tally((((0,) * lat.n, 1),), _zeta_factors(lat), cut,
-                       lambda e: tuple(szkme[i] - e[i] for i in active))
+        terms = _cone_tally(lat, cut, lambda e: tuple(szkme[i] - e[i] for i in active))
     else:
         # Expanded downward from t^{b - sum a}; the walk runs on the negated
         # exponent, upward by the a, and "some live e_i >= bound_i" becomes

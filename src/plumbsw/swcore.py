@@ -33,7 +33,7 @@ from .decomp import divide_polypart, evaluate_at_one, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, all_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice
-from .series import _cone_visit, _split_terms, live_indices, zeta
+from .series import _cone_tally, _split_terms, live_indices, zeta
 
 
 class RouteDisagreement(RuntimeError):
@@ -63,15 +63,13 @@ def sw_norm_via_duality(g: PlumbingGraph) -> dict[HClass, int]:
     for h in classes:
         cut = tuple(z - k for z, k in zip(szk, h.key))
         cuts[lat.class_key(cut)] = (h, cut)
-    totals = dict.fromkeys(classes, 0)
 
-    def visit(w, e):
+    def failed_class(e):
         h, cut = cuts[lat.class_key(e)]
-        if any(e[i] < cut[i] for i in active):
-            totals[h] += w
+        return h if any(e[i] < cut[i] for i in active) else None
 
-    _cone_visit(lat, (tuple((i, szk[i]) for i in active), any), visit)
-    return totals
+    sums = _cone_tally(lat, (tuple((i, szk[i]) for i in active), any), failed_class)
+    return {h: sums.get(h, 0) for h in classes}
 
 
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"

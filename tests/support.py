@@ -12,7 +12,7 @@ from pathlib import Path
 from plumbsw.decomp import poly_live, polypart_dual
 from plumbsw.graph import PlumbingGraph, parse_graph, validate
 from plumbsw.lattice import LatticeError, canonical_cycle, e_star, format_vec, lattice_of
-from plumbsw.series import RatFunc, _walk
+from plumbsw.series import RatFunc, _tally
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
@@ -244,16 +244,16 @@ def neg(dec):
     live_denom = [tuple(a[i] for i in active) for a in dec.denominator]
     num: dict = {}
 
-    def add(c, e):
-        full = list(dec.residue)
+    def full(e):
+        out = list(dec.residue)
         for i, x in zip(active, e):
-            full[i] = x
-        num[tuple(full)] = num.get(tuple(full), 0) + c
+            out[i] = x
+        return tuple(out)
 
     for S in filter(None, dec.by_s):
         rest = [(a, (1, -1)) for i, a in enumerate(live_denom) if i not in S]
-        for b, c in dec.by_s[S].items():
-            _walk(b, rest, ((), all), lambda w, e, c=c: add(c * w, e))
+        for e, c in _tally(dec.by_s[S].items(), rest, ((), all), full).items():
+            num[e] = num.get(e, 0) + c
     return RatFunc(dec.lat, num, dec.denominator, active, htag=dec.htag)
 
 

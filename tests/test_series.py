@@ -13,7 +13,7 @@ from support import neg, z_k_minus_e
 from plumbsw.decomp import euclid_divide
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, e_star, lattice_of, rho
-from plumbsw.series import (Box, Cobox, RatFunc, WindowError, _walk, coeff,
+from plumbsw.series import (Box, Cobox, RatFunc, WindowError, _tally, coeff,
                             equivariant_split, reduce, taylor,
                             taylor_infinity, zeta)
 from plumbsw.swcore import duality_cut_vertices
@@ -158,62 +158,91 @@ def test_ratfunc_checks_its_live_set_and_denominator(sigma257):
 
 @st.composite
 def walks(draw):
-    """A start point (negative coordinates allowed, as ``taylor_infinity``
-    walks), factors mixing polynomials with series of multiplicity 1 and 2,
-    and a cut under either quantifier, possibly with no bounds."""
+    """One or two starts with non-zero coefficients (negative coordinates
+    allowed, as ``taylor_infinity`` walks), factors mixing polynomials with
+    series of multiplicity 1 and 2, and a cut under either quantifier,
+    possibly with no bounds."""
     n = draw(st.integers(1, 3))
     coords = st.lists(st.integers(1, 3), min_size=n, max_size=n).map(tuple)
     factor = st.one_of(
         st.tuples(coords, st.lists(st.integers(-2, 2), min_size=1, max_size=4).map(tuple)),
         st.tuples(coords, st.sampled_from((1, 2))))
     factors = draw(st.lists(factor, max_size=4))
-    start = tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    start = st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple)
+    starts = draw(st.lists(st.tuples(start, st.sampled_from((-2, -1, 1, 2))),
+                           min_size=1, max_size=2))
     bounded = draw(st.lists(st.integers(0, n - 1), unique=True))
     bounds = tuple((i, draw(st.integers(-3, 8))) for i in sorted(bounded))
     quantifier = draw(st.sampled_from((any, all)))
     # a series factor under the empty cut passed by all is infinite
     assume(bounds or quantifier is any
            or all(isinstance(info, tuple) for _, info in factors))
-    return start, factors, (bounds, quantifier)
+    return starts, factors, (bounds, quantifier)
 
 
-def brute_walk(start, factors, cut):
-    """Every (weight, point) of the expansion that passes the cut, over a
-    box of steps: a series step k >= max c - min start is past every bound,
-    as each factor entry is at least 1."""
+def brute_walk(starts, factors, cut):
+    """Every visit (weight, point) of the expansion that passes the cut, in
+    a list, over a box of steps: a series step k >= max c - min start is
+    past every bound, as each factor entry is at least 1 on the bounded
+    coordinates."""
     bounds, quantifier = cut
-    box = max([c for _, c in bounds], default=0) - min(start)
+    box = max([c for _, c in bounds], default=0) - min(min(s) for s, _ in starts)
     ranges = [range(len(info)) if isinstance(info, tuple) else range(max(box, 0))
               for _, info in factors]
-    out = Counter()
-    for ks in product(*ranges):
-        point, weight = list(start), 1
-        for (a, info), k in zip(factors, ks):
-            point = [x + k * y for x, y in zip(point, a)]
-            weight *= info[k] if isinstance(info, tuple) else comb(k + info - 1, info - 1)
-        if quantifier(point[i] < c for i, c in bounds):
-            out[weight, tuple(point)] += 1
+    out = []
+    for start, coef in starts:
+        for ks in product(*ranges):
+            point, weight = list(start), coef
+            for (a, info), k in zip(factors, ks):
+                point = [x + k * y for x, y in zip(point, a)]
+                weight *= info[k] if isinstance(info, tuple) else comb(k + info - 1, info - 1)
+            if quantifier(point[i] < c for i, c in bounds):
+                out.append((weight, tuple(point)))
     return out
+
+
+def tagged(starts, factors):
+    """The walk with one more coordinate per start and per factor, which no
+    bound reads: each start and each factor exponent has a 1 on its own
+    one, so the point of a visit ends in the start's one-hot tag and the
+    factor step counts, and no two visits share a point."""
+    tags = len(starts) + len(factors)
+
+    def onehot(j):
+        return tuple(int(i == j) for i in range(tags))
+
+    return ([(s + onehot(j), c) for j, (s, c) in enumerate(starts)],
+            [(a + onehot(len(starts) + j), info) for j, (a, info) in enumerate(factors)])
 
 
 @settings(max_examples=80, deadline=None)
 @given(walks())
-@example(((0, -1), [((1, 2), (1, -2, 0, 1)), ((2, 1), (1, 1))], ((), all)))
-@example(((0, -1), [((1, 2), 2)], ((), any)))
+@example(([((0, -1), 1)], [((1, 2), (1, -2, 0, 1)), ((2, 1), (1, 1))], ((), all)))
+@example(([((0, -1), 1)], [((1, 2), 2)], ((), any)))
+# two starts reach (1, 1): the point sums both
+@example(([((0, -1), 1), ((1, 1), 2)], [((1, 2), 1)], (((0, 3),), all)))
+# the two visits of (1, 1) cancel, and the zero sum is dropped
+@example(([((0, 0), 1), ((1, 1), 1)], [((1, 1), (1, -1))], ((), all)))
 def test_walk_visits_what_brute_force_enumerates(walk):
-    start, factors, cut = walk
-    seen = Counter()
-    _walk(start, factors, cut, lambda w, e: seen.update([(w, e)]))
-    assert seen == brute_walk(start, factors, cut)
+    starts, factors, cut = walk
+    # tagged, every visit has a point of its own: a tally per visit catches
+    # a point walked twice whatever the weights
+    visits = brute_walk(*tagged(starts, factors), cut)
+    assert len({e for _, e in visits}) == len(visits)
+    assert _tally(*tagged(starts, factors), cut, lambda e: e) == {e: w for w, e in visits if w}
+    sums = Counter()
+    for w, e in brute_walk(starts, factors, cut):
+        sums[e] += w
+    assert _tally(starts, factors, cut, lambda e: e) == {e: w for e, w in sums.items() if w}
 
 
 def test_walk_raises_instead_of_looping():
     # a zero factor entry on a bounded coordinate, and a series factor under
     # the empty cut, have no finite step count
     with pytest.raises(ZeroDivisionError):
-        _walk((0, 0), [((1, 0), 1)], (((1, 5),), all), lambda w, e: None)
+        _tally([((0, 0), 1)], [((1, 0), 1)], (((1, 5),), all), lambda e: e)
     with pytest.raises(TypeError):
-        _walk((0,), [((1,), 1)], ((), all), lambda w, e: None)
+        _tally([((0,), 1)], [((1,), 1)], ((), all), lambda e: e)
 
 
 def test_taylor_infinity_of_a_reduced_function_takes_no_subset(sigma257):
