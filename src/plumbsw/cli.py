@@ -144,8 +144,8 @@ def cmd_polypart(g, args) -> int:
     lat = lattice_of(g)
     dual = decomp.poly_live(lat, decomp.polypart_dual(g, live)[h])
     active = series.live_indices(g, live)
-    by_class, denom = series._split_terms(lat, active, *series.zeta(g).expanded())
-    div = decomp.divide_component(lat, active, by_class.get(h.key, {}), denom, h)
+    terms, denom = series._split_classes(lat, active, *series.zeta(g).expanded())
+    div = decomp.divide_component(lat, active, terms(h.key), denom, h)
     div_poly = decomp.poly_live(lat, div.poly)
     agree = dual == div_poly
     recs = [

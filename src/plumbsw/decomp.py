@@ -29,9 +29,11 @@ Exponents are scaled integer vectors, as in ``series``.  Division runs per
 class on their live coordinates.  That is exact: after the equivariant
 split every denominator exponent lies in L, so it is 0 mod |H| in every
 scaled coordinate, and all numerator exponents of one H-component agree
-off the live coordinates mod L.  No division step changes the off-live
-coordinates, so the certificate's one residue per component rebuilds every
-full exponent.  Exponents become ``Fraction`` only in ``poly_live``.
+off the live coordinates mod L, where they equal the class key.  No
+division step changes the off-live coordinates, so the kernel takes one
+class's terms on live exponents, as the split builds them, and its class
+rebuilds every full exponent.  Exponents become ``Fraction`` only in
+``poly_live``.
 """
 from __future__ import annotations
 
@@ -56,16 +58,19 @@ class Decomposition(NamedTuple):
     """The division certificate of one H-component: ``by_s`` maps each
     denominator subset S, a set of indices into ``denominator``, to the
     numerator left over S, and its S = {} bucket is P+.  Exponents are live
-    scaled tuples: the live coordinates times |H|.  ``residue`` is the
-    scaled full vector that every exponent of the component shares off the
-    live coordinates, reduced to [0, |H|), with zeros on the live
-    coordinates; ``denominator`` holds scaled full vectors."""
+    scaled tuples: the live coordinates times |H|.  ``denominator`` holds
+    scaled full vectors, and ``htag`` is the class of the component."""
     lat: Lattice
     active: tuple[int, ...]
     by_s: dict[frozenset[int], Poly]
     denominator: tuple[tuple[int, ...], ...]
-    residue: tuple[int, ...]
-    htag: HClass | None = None
+    htag: HClass
+
+    @property
+    def residue(self) -> tuple[int, ...]:
+        """The class key off the live coordinates, which every exponent of
+        the component shares mod |H| there, and zeros on them."""
+        return tuple(0 if i in self.active else k for i, k in enumerate(self.htag.key))
 
     @property
     def poly(self) -> Poly:
@@ -87,33 +92,15 @@ def _live(e, active) -> tuple[int, ...]:
     return tuple(e[i] for i in active)
 
 
-def _prepare(lat: Lattice, active, terms, denominator):
-    """Live numerator, residue and sorted denominator of one H-component."""
+def _check_in_l(lat: Lattice, denominator):
     d = lat.h_order
     for a in denominator:
         if any(x % d for x in a):
             raise DivisionError(f"denominator exponent {format_vec(lat.unscaled(a))} "
                                 "is not in L")
-    off_live = [i for i in range(lat.n) if i not in active]
-    first, first_off = None, None
-    num: dict[tuple[int, ...], int] = {}
-    for b, c in terms.items():
-        off = [b[i] % d for i in off_live]
-        if first is None:
-            first, first_off = b, off
-        elif off != first_off:
-            raise DivisionError(f"numerator exponent {format_vec(lat.unscaled(b))} is off "
-                                f"the H-component of {format_vec(lat.unscaled(first))}")
-        key = tuple([b[i] for i in active])
-        num[key] = num.get(key, 0) + c
-    # off-live coordinates mod d, zeros on the live ones
-    residue = tuple(0 if i in active or first is None else first[i] % d
-                    for i in range(lat.n))
-    denom = tuple(sorted(denominator, key=lambda a: (_live(a, active), a)))
-    return num, residue, denom
 
 
-def _divide(lat: Lattice, active, terms, denominator, certificate: bool):
+def _divide(lat: Lattice, active, terms, denominator, h: HClass, certificate: bool):
     """Divide until every surviving fraction t^b / prod_{i in S}(1 - t^{a_i})
     with S non-empty satisfies b < a_i on all live coordinates for all i in
     S.  A fraction is keyed (S, b): S a bit mask over the denominators,
@@ -128,9 +115,9 @@ def _divide(lat: Lattice, active, terms, denominator, certificate: bool):
     coefficient.  The pass ends: a step needs some live b_v >= a_{i0,v} > 0,
     so the measure sum_v max(b_v, 0) strictly decreases.  Each irreducible
     term is checked when popped, and kept if ``certificate`` or S = {}.
-    Returns the kept terms by bit mask S, the sorted denominator and the
-    residue."""
-    num, residue, denom = _prepare(lat, active, terms, denominator)
+    Returns the kept terms by bit mask S and the sorted denominator."""
+    _check_in_l(lat, denominator)
+    denom = tuple(sorted(denominator, key=lambda a: (_live(a, active), a)))
     la = [_live(a, active) for a in denom]
     lsum = [sum(a) for a in la]
     indices = range(len(denom)) if certificate else range(len(denom) - 1, -1, -1)
@@ -147,7 +134,7 @@ def _divide(lat: Lattice, active, terms, denominator, certificate: bool):
             old = 0
         pending[S, sb] = old + c
 
-    for b, c in num.items():
+    for b, c in terms.items():
         add((1 << len(denom)) - 1, b, -sum(b), c)
 
     while heap:
@@ -162,7 +149,7 @@ def _divide(lat: Lattice, active, terms, denominator, certificate: bool):
         else:
             if c:
                 if all(x < 0 for x in sb):
-                    full = list(residue)
+                    full = list(h.key)
                     for i, x in zip(active, sb):
                         full[i] = x
                     raise DivisionError(f"certificate exponent {format_vec(lat.unscaled(full))}"
@@ -179,42 +166,53 @@ def _divide(lat: Lattice, active, terms, denominator, certificate: bool):
     buckets: dict[int, Poly] = {}
     for (S, sb), c in kept.items():
         buckets.setdefault(S, {})[sb] = c
-    return buckets, denom, residue
+    return buckets, denom
 
 
-def divide_component(lat: Lattice, active, terms, denominator,
-                     htag: HClass | None = None) -> Decomposition:
-    """Euclidean division of one H-component, given by its scaled numerator
-    terms and scaled denominator exponents, on the live coordinates alone,
-    with its certificate ``by_s``.  Each step pivots on the smallest
-    applicable denominator.  Steps are linear and depend only on their key,
-    so ``by_s`` does not depend on the order in which keys are popped, but
-    it does depend on the pivot rule, and ``plumbsw polypart`` prints it.
+def divide_component(lat: Lattice, active, terms, denominator, htag: HClass) -> Decomposition:
+    """Euclidean division of the H-component of class ``htag``, given by its
+    numerator terms keyed by live scaled exponent and its scaled denominator
+    exponents, on the live coordinates alone, with its certificate ``by_s``.
+    Each step pivots on the smallest applicable denominator.  Steps are
+    linear and depend only on their key, so ``by_s`` does not depend on the
+    order in which keys are popped, but it does depend on the pivot rule,
+    and ``plumbsw polypart`` prints it.
 
     Working on the live coordinates is exact for one H-component (see the
-    module docstring): input with a denominator exponent outside L, or with
-    numerator exponents that differ off the live coordinates mod L, raises
+    module docstring): a denominator exponent outside L raises
     ``DivisionError`` naming the exponent.  So does a certificate exponent
     strictly negative on every live coordinate.
     """
-    buckets, denom, residue = _divide(lat, active, terms, denominator, True)
+    buckets, denom = _divide(lat, active, terms, denominator, htag, True)
     by_s = {frozenset(i for i in range(len(denom)) if S >> i & 1): bucket
             for S, bucket in buckets.items()}
-    return Decomposition(lat, active, by_s, denom, residue, htag)
+    return Decomposition(lat, active, by_s, denom, htag)
 
 
-def divide_polypart(lat: Lattice, active, terms, denominator) -> Poly:
+def divide_polypart(lat: Lattice, active, terms, denominator, htag: HClass) -> Poly:
     """P+ of one H-component as ``divide_component`` finds it, P+ being
     unique, but pivoting on the applicable denominator with the largest live
     part, which takes far fewer steps, and keeping no certificate.  Raises
     the same ``DivisionError`` on the same input."""
-    return _divide(lat, active, terms, denominator, False)[0].get(0, {})
+    return _divide(lat, active, terms, denominator, htag, False)[0].get(0, {})
 
 
 def euclid_divide(R: RatFunc) -> Decomposition:
-    """Euclidean division of R, which must be one H-component: a value of
-    ``equivariant_split``."""
-    return divide_component(R.lat, R.active, R.numerator, R.denominator, R.htag)
+    """Euclidean division of R, which must be one H-component, as a value of
+    ``equivariant_split`` is: of the class of its tag, or else of its first
+    numerator exponent.  A denominator exponent outside L, or a numerator
+    exponent off that class, raises ``DivisionError`` naming it."""
+    lat, active = R.lat, R.active
+    _check_in_l(lat, R.denominator)
+    h = R.htag or lat.class_at(next(iter(R.numerator), (0,) * lat.n))
+    terms: Poly = {}
+    for b, c in R.numerator.items():
+        if any(b[i] % lat.h_order != h.key[i] for i in range(lat.n) if i not in active):
+            raise DivisionError(f"numerator exponent {format_vec(lat.unscaled(b))} is off "
+                                f"the H-component h={h}")
+        key = _live(b, active)
+        terms[key] = terms.get(key, 0) + c
+    return divide_component(lat, active, terms, R.denominator, h)
 
 
 def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
@@ -228,14 +226,16 @@ def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     lat = lattice_of(g)
     active = live_indices(g, subset)
     szkme = lat.szkme
+    # one class object per class, shared by the tally's keys
+    classes = {h.key: h for h in all_classes(g)}
 
     def key(e):
         reflected = tuple(map(sub, szkme, e))
-        return lat.class_key(reflected), _live(reflected, active)
+        return classes[lat.class_key(reflected)], _live(reflected, active)
 
     cut = (tuple((i, szkme[i] + 1) for i in active), any)
-    buckets: dict[tuple[int, ...], Poly] = {}
-    for (fk, live), c in _cone_tally(lat, cut, key).items():
-        buckets.setdefault(fk, {})[live] = c
-    return {h: buckets.get(h.key, {}) for h in all_classes(g)}
+    buckets: dict[HClass, Poly] = {h: {} for h in classes.values()}
+    for (h, live), c in _cone_tally(lat, cut, key).items():
+        buckets[h][live] = c
+    return buckets
 

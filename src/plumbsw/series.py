@@ -37,10 +37,10 @@ and ``q``) walk the zeta factors with the same ``_steps`` as a fold that
 sums each walk state (level, live coordinates, class) once, and stop two
 factors early to sum those two in closed form.
 
-Three loops stay hand-written: the growth loop of ``_split_terms``
-(through ``_tally`` the split of ``vertex a -2000`` took 1.4 times the
-CPU time, Python 3.11), ``counting._cut_sum`` (a memoized fold with a
-closed-form sum) and ``decomp._prepare`` (its loop validates its input).
+Three loops stay hand-written: the equivariant split's ``_grow``, which
+moves class keys and live exponents apart, ``counting._cut_sum`` (a
+memoized fold with a closed-form sum) and the one in
+``decomp.euclid_divide`` (it validates its input).
 """
 from __future__ import annotations
 
@@ -258,24 +258,6 @@ def _cone_tally(lat: Lattice, cut, key) -> dict:
     return _tally((((0,) * lat.n, 1),), _zeta_factors(lat), cut, key)
 
 
-def off_live_canon(lat: Lattice, active):
-    """The map sending a scaled exponent to its representative with the
-    off-live coordinates reduced to [0,1) (to [0, d) scaled).  This is a
-    lattice shift invisible to the live variables, so terms equal as reduced
-    monomials of one class get one representative and can cancel."""
-    d = lat.h_order
-    live = set(active)
-    off_live = [i for i in range(lat.n) if i not in live]
-
-    def representative(scaled) -> tuple[int, ...]:
-        out = list(scaled)
-        for i in off_live:
-            out[i] %= d
-        return tuple(out)
-
-    return representative
-
-
 def coeff(g: PlumbingGraph, lprime) -> int:
     """Coefficient z(l') of the full Poincare series.  Zero off the Lipman
     cone; the enumeration of decompositions is finite because every
@@ -295,49 +277,79 @@ def equivariant_split(R: RatFunc) -> dict[HClass, RatFunc]:
     Each denominator factor (1 - t^a) is rewritten over (1 - t^{da}) with
     d the order of [a] in H, making the denominator class-trivial; the
     numerator terms are then grouped by the class of their exponent.  The
-    components sum back to the input as reduced rational functions.
+    components sum back to the input as reduced rational functions, each
+    exponent rebuilt from its live part and its class key.
     """
     if R.htag is not None:
         raise ValueError("function is already tagged with a class")
-    by_class, denom = _split_terms(R.lat, R.active, R.numerator, R.denominator)
-    return {h: RatFunc(R.lat, by_class.get(h.key, {}), denom, R.active, htag=h)
-            for h in all_classes(R.lat.graph)}
+    terms, denom = _split_classes(R.lat, R.active, R.numerator, R.denominator)
+    pos = {i: j for j, i in enumerate(R.active)}
+    out = {}
+    for h in all_classes(R.lat.graph):
+        num = {tuple(e[pos[i]] if i in pos else k for i, k in enumerate(h.key)): c
+               for e, c in terms(h.key).items()}
+        out[h] = RatFunc(R.lat, num, denom, R.active, htag=h)
+    return out
 
 
-def _split_terms(lat: Lattice, active, num, denom):
+def _split_classes(lat: Lattice, active, num, denom):
     """Split the reduced function num / prod (1 - t^a) over a in ``denom``,
-    all on scaled exponents: the numerator terms of every H-component keyed
-    by class key, and their class-trivial denominator.  For a scaled
-    denominator exponent sa, the order of [a] in H is d / gcd(d, *sa),
-    d = |H|."""
+    all on scaled exponents: a function from a class key to the numerator
+    terms of that H-component, keyed by live scaled exponent, and the
+    class-trivial denominator.  Each factor is rewritten over (1 - t^{ka}),
+    k = d / gcd(d, *sa) the order of [a] in H, d = |H|, which multiplies the
+    numerator by sum_{j<k} t^{ja}.  Terms are held by class key, whose
+    entries are the off-live coordinates mod d, then live exponent.  Every
+    factor of order k > 1 but the last is multiplied out; a class's terms
+    under the last one are built on each call."""
     d = lat.h_order
-    # Equal live part and equal class collapse to one representative, which
-    # is what makes the product below stay small.
-    canon = off_live_canon(lat, active)
-
-    terms = _tally(num.items(), (), ((), all), canon)
-
-    new_denom: list[tuple[int, ...]] = []
+    denominator, orders = [], []
     for sa in denom:
         k = d // gcd(d, *sa)
-        new_denom.append(tuple(k * x for x in sa))
-        if k == 1:
-            continue
-        grown: dict[tuple[int, ...], int] = {}
-        for e, c in terms.items():
-            shifted = list(e)
-            for j in range(k):
-                if j:
-                    for r in range(lat.n):
-                        shifted[r] += sa[r]
-                key = canon(tuple(shifted))
-                grown[key] = grown.get(key, 0) + c
-        terms = {e: c for e, c in grown.items() if c}
+        denominator.append(tuple(k * x for x in sa))
+        if k > 1:
+            orders.append((k, lat.class_key(sa), tuple(sa[i] for i in active)))
+    parts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for e, c in num.items():
+        bucket = parts.setdefault(lat.class_key(e), {})
+        live = tuple(e[i] for i in active)
+        bucket[live] = bucket.get(live, 0) + c
+    last = orders.pop() if orders else (1, (0,) * lat.n, (0,) * len(active))
+    for factor in orders:
+        reached, terms = _grow(parts, factor, d)
+        parts = {key: terms(key) for key in reached}
+    return _grow(parts, last, d)[1], tuple(denominator)
 
-    by_class: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for e, c in terms.items():
-        by_class.setdefault(lat.class_key(e), {})[e] = c
-    return by_class, tuple(new_denom)
+
+def _grow(parts, factor, d: int):
+    """``parts`` times sum_{j<k} t^{ja} for a factor (k, class step, live
+    step) of [a]: the classes reached, and a function from a class key to
+    its terms.  Each orbit of the class step is walked once and gives every
+    class on it a place (orbit, i); a class takes the terms of each class of
+    ``parts`` on its orbit, moved by the one j < k between their places."""
+    k, step, live_step = factor
+    place: dict = {}
+    on_orbit: dict = {}
+    for key in parts:
+        if key not in place:
+            cur = key
+            for i in range(k):
+                place[cur] = (key, i)
+                cur = tuple((x + y) % d for x, y in zip(cur, step))
+        orbit, i = place[key]
+        on_orbit.setdefault(orbit, []).append((key, i))
+
+    def terms(key) -> dict:
+        orbit, i = place.get(key, (None, 0))
+        out: dict = {}
+        for source, i0 in on_orbit.get(orbit, ()):
+            shift = tuple((i - i0) % k * x for x in live_step)
+            for e, c in parts[source].items():
+                t = tuple(map(add, e, shift))
+                out[t] = out.get(t, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    return place, terms
 
 
 # ---------------------------------------------------------------------------

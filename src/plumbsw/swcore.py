@@ -33,7 +33,7 @@ from .decomp import divide_polypart, evaluate_at_one, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, all_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice
-from .series import _cone_tally, _split_terms, live_indices, zeta
+from .series import _cone_tally, _split_classes, live_indices, zeta
 
 
 class RouteDisagreement(RuntimeError):
@@ -149,11 +149,11 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
 
     Each route answers the whole graph at once: duality, polypart and
     lattice from one enumeration each, and division from one split of the
-    zeta function and one division per class, keeping no certificate.  That
-    polynomial part serves both the division route and polypart's
-    cross-check.  ``methods`` must name at least one route, and only routes
-    of ``ROUTES``.  The lattice route's ``PolytopeError`` propagates when
-    it is the only route asked for."""
+    zeta function, whose terms it builds, divides and drops one class at a
+    time, keeping no certificate.  That polynomial part serves both the
+    division route and polypart's cross-check.  ``methods`` must name at
+    least one route, and only routes of ``ROUTES``.  The lattice route's
+    ``PolytopeError`` propagates when it is the only route asked for."""
     unknown = [m for m in methods if m not in ROUTES]
     if unknown:
         raise ValueError(f"unknown route {unknown[0]!r}")
@@ -166,7 +166,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     if divide:
         lat = lattice_of(g)
         active = live_indices(g, subset)
-        by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
+        terms, denom = _split_classes(lat, active, *zeta(g).expanded())
     lattice, lattice_error = None, None
     if "lattice" in methods:
         try:
@@ -182,7 +182,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
         if duality is not None:
             values["duality"] = duality[h]
         if divide:
-            div = divide_polypart(lat, active, by_class.get(h.key, {}), denom)
+            div = divide_polypart(lat, active, terms(h.key), denom, h)
         if polys is not None:
             if div != polys[h]:
                 errors["polypart"] = _POLYPART_MISMATCH

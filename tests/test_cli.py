@@ -178,11 +178,12 @@ def test_polypart_command(capsys):
 
 
 def test_polypart_divides_only_its_class(capsys, monkeypatch):
-    # |H| = 3: the split terms of the one class asked for are divided, and
-    # no class's component is built as a RatFunc
+    # |H| = 3: only the split terms of the one class asked for are built and
+    # divided, and no class's component is built as a RatFunc
     from plumbsw import cli, decomp, series
-    built, divided = [], []
+    built, divided, asked = [], [], []
     real_init, real_divide = series.RatFunc.__post_init__, decomp.divide_component
+    real_split = series._split_classes
 
     def counted_init(self):
         built.append(self.htag)
@@ -192,12 +193,18 @@ def test_polypart_divides_only_its_class(capsys, monkeypatch):
         divided.append(args[-1])
         return real_divide(*args)
 
+    def counted_split(*args):
+        terms, denom = real_split(*args)
+        return (lambda key: asked.append(key) or terms(key)), denom
+
     monkeypatch.setattr(series.RatFunc, "__post_init__", counted_init)
     monkeypatch.setattr(cli.decomp, "divide_component", counted_divide)
+    monkeypatch.setattr(cli.series, "_split_classes", counted_split)
     code, out, _ = run(capsys, "polypart", GRAPHS / "two_nodes_h3.graph",
                        "--h", "0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3")
     assert code == 0 and "agree = true" in out
     assert built == [] and [str(h) for h in divided] == ["(0,0,1/3,1/3,2/3,2/3,0,0,2/3,1/3)"]
+    assert asked == [divided[0].key]
 
 
 def test_count_command(capsys):

@@ -10,8 +10,8 @@ from plumbsw.decomp import (DivisionError, divide_component, divide_polypart,
                             euclid_divide, evaluate_at_one, poly_live, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
-from plumbsw.series import (Box, RatFunc, _split_terms, equivariant_split, live_indices,
-                            off_live_canon, reduce, taylor, zeta)
+from plumbsw.series import (Box, RatFunc, _split_classes, equivariant_split, live_indices,
+                            reduce, taylor, zeta)
 from plumbsw.swcore import duality_cut_vertices
 
 
@@ -190,7 +190,12 @@ def test_division_resums_exactly_on_corpus(corpus30):
             R = split[h]
             dec = euclid_divide(R)
             assert sorted(neg(dec).denominator) == sorted(R.denominator)
-            canon = off_live_canon(lat, dec.active)
+
+            def canon(b):
+                # the off-live coordinates reduced mod |H|: a lattice shift
+                # the live variables do not see
+                return tuple(x if i in dec.active else x % lat.h_order for i, x in enumerate(b))
+
             total, want = {}, {}
             for e, c in dec.poly.items():
                 full = list(dec.residue)
@@ -228,7 +233,7 @@ def test_live_division_matches_full_vector_reference(corpus30):
         live = duality_cut_vertices(g)
         active = tuple(sorted(g.index(v) for v in live))
         reduced = reduce(zeta(g), live)
-        by_class, denom = _split_terms(lat, active, reduced.numerator, reduced.denominator)
+        terms, denom = _split_classes(lat, active, reduced.numerator, reduced.denominator)
         split = equivariant_split(reduced)
         for h in all_classes(g):
             R = split[h]
@@ -237,8 +242,7 @@ def test_live_division_matches_full_vector_reference(corpus30):
                 tuple(map(lat.unscaled, R.denominator)))
             want_live = {S: {tuple(b[i] for i in active): c for b, c in bucket.items()}
                          for S, bucket in want.items()}
-            for dec in (divide_component(lat, active, by_class.get(h.key, {}),
-                                         denom, h),
+            for dec in (divide_component(lat, active, terms(h.key), denom, h),
                         euclid_divide(R)):
                 assert tuple(map(lat.unscaled, dec.denominator)) == want_denom
                 got = {S: {lat.unscaled(b): c for b, c in bucket.items()}
@@ -275,16 +279,19 @@ def test_division_needs_one_component(two_nodes):
 
 
 def test_polypart_division_rejects_what_the_certificate_rejects(two_nodes):
+    # both kernels take one class's live terms, and reject a denominator
+    # outside L and a term strictly negative on every live coordinate with
+    # the same message; euclid_divide checks that its numerator is one class
     R = reduce(zeta(two_nodes), ("v1", "v2"))
     parts = equivariant_split(R)
-    zero, h1, _ = all_classes(two_nodes)
-    b0, b1 = next(iter(parts[zero].numerator)), next(iter(parts[h1].numerator))
-    for terms, denominator, kind in ((R.numerator, R.denominator, " is not in L"),
-                                     ({b0: 1, b1: 1}, parts[zero].denominator, " is off")):
+    _, h1, _ = all_classes(two_nodes)
+    d = R.lat.h_order
+    for terms, denominator, kind in (({(0, 0): 1}, R.denominator, " is not in L"),
+                                     ({(-d, -d): 1}, parts[h1].denominator, " strictly negative")):
         messages = []
         for divide in (divide_component, divide_polypart):
             with pytest.raises(DivisionError, match=kind) as info:
-                divide(R.lat, R.active, terms, denominator)
+                divide(R.lat, R.active, terms, denominator, h1)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -299,12 +306,12 @@ def test_polypart_division_equals_certificate_polypart(corpus30):
         lat = lattice_of(g)
         live = duality_cut_vertices(g)
         active = live_indices(g, live)
-        by_class, denom = _split_terms(lat, active, *zeta(g).expanded())
+        terms_of, denom = _split_classes(lat, active, *zeta(g).expanded())
         duals = polypart_dual(g, live)
         for h in all_classes(g):
-            terms = by_class.get(h.key, {})
+            terms = terms_of(h.key)
             want = divide_component(lat, active, terms, denom, h)
-            got = divide_polypart(lat, active, terms, denom)
+            got = divide_polypart(lat, active, terms, denom, h)
             assert type(got) is type(want.poly) is type(duals[h]) is dict
             assert got == want.poly == duals[h], (g, h)
             assert all(got.values())

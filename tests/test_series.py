@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,10 +14,12 @@ from support import neg, z_k_minus_e
 from plumbsw.decomp import euclid_divide
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, e_star, lattice_of, rho
-from plumbsw.series import (Box, Cobox, RatFunc, WindowError, _tally, coeff,
-                            equivariant_split, reduce, taylor,
+from plumbsw.series import (Box, Cobox, RatFunc, WindowError, _split_classes, _tally,
+                            coeff, equivariant_split, live_indices, reduce, taylor,
                             taylor_infinity, zeta)
 from plumbsw.swcore import duality_cut_vertices
+
+HUB33 = Path(__file__).resolve().parent / "data" / "hub_tree_33.graph"
 
 
 def live_map(ts):
@@ -387,6 +390,55 @@ def test_split_rejects_tagged(two_nodes):
     tagged = equivariant_split(R)[lattice_of(two_nodes).zero_class]
     with pytest.raises(ValueError):
         equivariant_split(tagged)
+
+
+def _naive_split(lat, active, num, denom):
+    """The H-components of num / prod (1 - t^a) by their definition: the
+    numerator convolved with sum_{j<k} t^{ja} as a plain dict of full
+    scaled exponents, k the least k >= 1 with k a in L, the off-live
+    coordinates reduced mod |H| after each factor (a lattice shift the live
+    variables do not see), then grouped by class key and live exponent."""
+    d = lat.h_order
+    terms = dict(num)
+    denominator = []
+    for a in denom:
+        k = next(k for k in range(1, d + 1) if all(k * x % d == 0 for x in a))
+        denominator.append(tuple(k * x for x in a))
+        grown = {}
+        for e, c in terms.items():
+            for j in range(k):
+                f = tuple(x + j * y if i in active else (x + j * y) % d
+                          for i, (x, y) in enumerate(zip(e, a)))
+                grown[f] = grown.get(f, 0) + c
+        terms = {e: c for e, c in grown.items() if c}
+    by_class = {}
+    for e, c in terms.items():
+        bucket = by_class.setdefault(tuple(x % d for x in e), {})
+        live = tuple(e[i] for i in active)
+        bucket[live] = bucket.get(live, 0) + c
+    return {key: {e: c for e, c in bucket.items() if c} for key, bucket in by_class.items()}, \
+        tuple(denominator)
+
+
+def test_split_classes_matches_naive_expansion(corpus30):
+    # each class's terms, built on demand from the partial product, against
+    # the whole product multiplied out factor by factor; the shipped graphs
+    # also on all their vertices
+    graphs = [(g, duality_cut_vertices(g)) for g in (
+        support.sigma257(), support.two_nodes(), support.three_nodes(),
+        parse_graph(support.VALENCY4_TREE), parse_graph(HUB33.read_text()), *corpus30)]
+    graphs += [(g, g.ids) for g in (support.sigma257(), support.two_nodes(),
+                                    support.three_nodes())]
+    for g, live in graphs:
+        lat = lattice_of(g)
+        active = live_indices(g, live)
+        num, denom = zeta(g).expanded()
+        want, want_denom = _naive_split(lat, active, num, denom)
+        terms, got_denom = _split_classes(lat, active, num, denom)
+        assert got_denom == want_denom
+        assert set(want) <= {h.key for h in all_classes(g)}
+        for h in all_classes(g):
+            assert terms(h.key) == want.get(h.key, {}), (g, h)
 
 
 def test_gorenstein_symmetry_windows(corpus30, sigma257, two_nodes):
