@@ -11,12 +11,13 @@ constructions are provided:
 
 * Euclidean division rewrites terms t^b / prod_{i in S} (1 - t^{a_i}) while
   some b fails b < a_{i0} everywhere on the live coordinates, in one heap
-  pass with two pivot rules.  ``divide_component`` (and ``euclid_divide``)
-  returns the certificate, a ``Decomposition`` indexed by denominator
-  subsets S whose S = {} bucket is P+; the certificate depends on the pivot
-  rule and ``plumbsw polypart`` prints it, so that rule is fixed.  P+ does
-  not: ``divide_polypart``, behind ``plumbsw sw`` and ``verify``, takes the
-  faster rule and returns P+ alone.
+  pass, ``_divide``, that pivots on the smallest such i0.
+  ``polypart_division``, behind ``plumbsw sw`` and ``verify``, divides the
+  reduced zeta function once over Z[H] and keeps P+ of every class.
+  ``divide_component`` (and ``euclid_divide``) divides one split
+  component and returns the certificate, a ``Decomposition`` indexed by
+  denominator subsets S whose S = {} bucket is P+; ``plumbsw polypart``
+  prints it.
 * ``polypart_dual`` reads P+ of every class off the expansion at infinity,
   from one enumeration: the coefficient at Z_K - E - l' is z(l'), and P+
   keeps the exponents that are not strictly negative on the live
@@ -25,14 +26,13 @@ constructions are provided:
 The two must agree, and P+(1) is the normalized Seiberg-Witten invariant
 with opposite sign when the live set contains all nodes.
 
-Exponents are scaled integer vectors, as in ``series``.  Division runs per
-class on their live coordinates.  That is exact: after the equivariant
-split every denominator exponent lies in L, so it is 0 mod |H| in every
-scaled coordinate, and all numerator exponents of one H-component agree
-off the live coordinates mod L, where they equal the class key.  No
-division step changes the off-live coordinates, so the kernel takes one
-class's terms on live exponents, as the split builds them, and its class
-rebuilds every full exponent.  Exponents become ``Fraction`` only in
+Exponents are scaled integer vectors, as in ``series``.  Division runs on
+their live coordinates, each term tagged with its class in H: the reduced
+function is the sum over h of its h-component times [h], an element of
+Z[H](t), and a step on 1 - t^a moves the class by -[a].  The class key
+and the live exponent rebuild every full exponent mod L.  A split
+component has every denominator exponent in L, so its class never moves;
+``divide_component`` checks that.  Exponents become ``Fraction`` only in
 ``poly_live``.
 """
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import RatFunc, _cone_tally, live_indices
+from .series import RatFunc, _cone_tally, _tally, live_indices, zeta
 
 
 class DivisionError(ValueError):
@@ -100,101 +100,93 @@ def _check_in_l(lat: Lattice, denominator):
                                 "is not in L")
 
 
-def _divide(lat: Lattice, active, terms, denominator, h: HClass, certificate: bool):
-    """Divide until every surviving fraction t^b / prod_{i in S}(1 - t^{a_i})
-    with S non-empty satisfies b < a_i on all live coordinates for all i in
-    S.  A fraction is keyed (S, b): S a bit mask over the denominators,
-    sorted by live part, then by full vector, and b the live exponent.
+def _pivot_order(denominator, active) -> tuple[tuple[int, ...], ...]:
+    """The denominator exponents sorted by live part, then by full vector."""
+    return tuple(sorted(denominator, key=lambda a: (_live(a, active), a)))
 
-    One step picks an applicable i0 in S, the smallest with ``certificate``
-    and else the largest, and replaces the fraction by -t^{b-a_{i0}} over
-    S minus i0 plus t^{b-a_{i0}} over S.  Both new exponents have a smaller
-    live-coordinate sum, a_{i0} being strictly positive on the live
-    coordinates, so one pass in decreasing order of that sum pops each key
-    after every key that feeds it and rewrites it once, with its final
-    coefficient.  The pass ends: a step needs some live b_v >= a_{i0,v} > 0,
-    so the measure sum_v max(b_v, 0) strictly decreases.  Each irreducible
-    term is checked when popped, and kept if ``certificate`` or S = {}.
-    Returns the kept terms by bit mask S and the sorted denominator."""
-    _check_in_l(lat, denominator)
-    denom = tuple(sorted(denominator, key=lambda a: (_live(a, active), a)))
+
+def _divide(lat: Lattice, active, terms, denom, classes, moves):
+    """Divide sum c t^b [h] / prod_i (1 - t^{a_i} [a_i]) over Z[H] until
+    every surviving fraction t^b [h] / prod_{i in S}(1 - t^{a_i} [a_i]) with
+    S non-empty satisfies b < a_i on all live coordinates for all i in S.  A
+    fraction is keyed (S, h, b): S a bit mask over ``denom``, in
+    ``_pivot_order``, h an index into ``classes`` and b the live exponent.
+    ``terms`` maps (h, b) to c, and moves[i][h] is the index of h - [a_i].
+
+    One step picks the smallest applicable i0 in S and replaces the fraction
+    by -t^{b-a_{i0}} [h - a_{i0}] over S minus i0 plus the same term over S.
+    Both new exponents have a smaller live-coordinate sum, a_{i0} being
+    strictly positive on the live coordinates, so one pass in decreasing
+    order of that sum pops each key after every key that feeds it and
+    rewrites it once, with its final coefficient.  The pass ends: a step
+    needs some live b_v >= a_{i0,v} > 0, so the measure sum_v max(b_v, 0)
+    strictly decreases.  Yields each irreducible term (S, h, b, c) with c
+    non-zero, checked when popped."""
     la = [_live(a, active) for a in denom]
     lsum = [sum(a) for a in la]
-    indices = range(len(denom)) if certificate else range(len(denom) - 1, -1, -1)
     orders: dict[int, list[int]] = {}
-    pending: dict[tuple[int, tuple[int, ...]], int] = {}
-    kept: dict[tuple[int, tuple[int, ...]], int] = {}
+    pending: dict[tuple[int, int, tuple[int, ...]], int] = {}
     heap: list = []
     push, pop = heapq.heappush, heapq.heappop
 
-    def add(S, sb, negs, c):
-        old = pending.get((S, sb))
+    def add(S, h, sb, negs, c):
+        old = pending.get((S, h, sb))
         if old is None:
-            push(heap, (negs, S, sb))
+            push(heap, (negs, S, h, sb))
             old = 0
-        pending[S, sb] = old + c
+        pending[S, h, sb] = old + c
 
-    for b, c in terms.items():
-        add((1 << len(denom)) - 1, b, -sum(b), c)
+    for (h, b), c in terms.items():
+        add((1 << len(denom)) - 1, h, b, -sum(b), c)
 
     while heap:
-        negs, S, sb = pop(heap)
-        c = pending.pop((S, sb))
+        negs, S, h, sb = pop(heap)
+        c = pending.pop((S, h, sb))
         order = orders.get(S)
         if order is None:
-            order = orders[S] = [i for i in indices if S >> i & 1]
+            order = orders[S] = [i for i in range(len(denom)) if S >> i & 1]
         for i0 in order:
             if not all(map(lt, sb, la[i0])):
                 break
         else:
             if c:
                 if all(x < 0 for x in sb):
-                    full = list(h.key)
+                    full = list(classes[h].key)
                     for i, x in zip(active, sb):
                         full[i] = x
                     raise DivisionError(f"certificate exponent {format_vec(lat.unscaled(full))}"
                                         " strictly negative")
-                if certificate or not S:
-                    kept[S, sb] = c
+                yield S, h, sb, c
             continue
         if c:
             shifted = tuple(map(sub, sb, la[i0]))
             negs += lsum[i0]
-            add(S & ~(1 << i0), shifted, negs, -c)
-            add(S, shifted, negs, c)
-
-    buckets: dict[int, Poly] = {}
-    for (S, sb), c in kept.items():
-        buckets.setdefault(S, {})[sb] = c
-    return buckets, denom
+            h = moves[i0][h]
+            add(S & ~(1 << i0), h, shifted, negs, -c)
+            add(S, h, shifted, negs, c)
 
 
 def divide_component(lat: Lattice, active, terms, denominator, htag: HClass) -> Decomposition:
     """Euclidean division of the H-component of class ``htag``, given by its
     numerator terms keyed by live scaled exponent and its scaled denominator
     exponents, on the live coordinates alone, with its certificate ``by_s``.
-    Each step pivots on the smallest applicable denominator.  Steps are
-    linear and depend only on their key, so ``by_s`` does not depend on the
-    order in which keys are popped, but it does depend on the pivot rule,
-    and ``plumbsw polypart`` prints it.
+    This is ``_divide`` on one class, which no step moves.  Steps are linear
+    and depend only on their key, so ``by_s`` does not depend on the order
+    in which keys are popped, but it does depend on the pivot rule, and
+    ``plumbsw polypart`` prints it.
 
     Working on the live coordinates is exact for one H-component (see the
     module docstring): a denominator exponent outside L raises
     ``DivisionError`` naming the exponent.  So does a certificate exponent
     strictly negative on every live coordinate.
     """
-    buckets, denom = _divide(lat, active, terms, denominator, htag, True)
-    by_s = {frozenset(i for i in range(len(denom)) if S >> i & 1): bucket
-            for S, bucket in buckets.items()}
+    _check_in_l(lat, denominator)
+    denom = _pivot_order(denominator, active)
+    by_s: dict[frozenset[int], Poly] = {}
+    for S, _, b, c in _divide(lat, active, {(0, b): c for b, c in terms.items()}, denom,
+                              (htag,), ((0,),) * len(denom)):
+        by_s.setdefault(frozenset(i for i in range(len(denom)) if S >> i & 1), {})[b] = c
     return Decomposition(lat, active, by_s, denom, htag)
-
-
-def divide_polypart(lat: Lattice, active, terms, denominator, htag: HClass) -> Poly:
-    """P+ of one H-component as ``divide_component`` finds it, P+ being
-    unique, but pivoting on the applicable denominator with the largest live
-    part, which takes far fewer steps, and keeping no certificate.  Raises
-    the same ``DivisionError`` on the same input."""
-    return _divide(lat, active, terms, denominator, htag, False)[0].get(0, {})
 
 
 def euclid_divide(R: RatFunc) -> Decomposition:
@@ -213,6 +205,27 @@ def euclid_divide(R: RatFunc) -> Decomposition:
         key = _live(b, active)
         terms[key] = terms.get(key, 0) + c
     return divide_component(lat, active, terms, R.denominator, h)
+
+
+def polypart_division(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
+    """Polynomial part of every h-component from one Euclidean division of
+    the reduced zeta function over Z[H]: each numerator term t^e carries its
+    class [e], and a step on a denominator 1 - t^a moves it by -[a].  The
+    S = {} terms of class h are P+ of the h-component, P+ being unique."""
+    lat = lattice_of(g)
+    active = live_indices(g, subset)
+    classes = all_classes(g)
+    index = {h.key: i for i, h in enumerate(classes)}
+    num, denominator = zeta(g).expanded()
+    denom = _pivot_order(denominator, active)
+    moves = [[index[lat.class_key(map(sub, h.key, a))] for h in classes] for a in denom]
+    terms = _tally(num.items(), (), ((), all),
+                   lambda e: (index[lat.class_key(e)], _live(e, active)))
+    buckets: dict[HClass, Poly] = {h: {} for h in classes}
+    for S, h, b, c in _divide(lat, active, terms, denom, classes, moves):
+        if not S:
+            buckets[classes[h]][b] = c
+    return buckets
 
 
 def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:

@@ -203,16 +203,6 @@ def class_of(g: PlumbingGraph, x) -> HClass:
     return lat.class_at(lat.scaled(x))
 
 
-def class_add(a: HClass, b: HClass) -> HClass:
-    d = a.d
-    return HClass(tuple((x + y) % d for x, y in zip(a.key, b.key)), d)
-
-
-def class_neg(a: HClass) -> HClass:
-    d = a.d
-    return HClass(tuple(-x % d for x in a.key), d)
-
-
 def canonical_cycle(g: PlumbingGraph) -> Vec:
     """Z_K, the unique solution of the adjunction relations."""
     lat = lattice_of(g)
@@ -225,18 +215,6 @@ def l_top(g: PlumbingGraph) -> Vec:
     lat = lattice_of(g)
     ends = lat.combination((i, 1) for i in lat.end_idx)
     return lat.unscaled(map(add, lat.szkme, ends))
-
-
-def rho(g: PlumbingGraph, x) -> HClass:
-    """Class of sum_e x_e E*_e for a non-negative integer vector indexed by
-    the end vertices (in basis order)."""
-    lat = lattice_of(g)
-    xs = list(x)
-    if len(xs) != len(lat.end_idx):
-        raise LatticeError(f"expected {len(lat.end_idx)} end coordinates")
-    if any(not isinstance(c, int) or c < 0 for c in xs):
-        raise LatticeError("end multiplicities must be non-negative integers")
-    return lat.class_at(lat.combination(zip(lat.end_idx, xs)))
 
 
 @lru_cache(maxsize=None)

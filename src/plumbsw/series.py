@@ -37,10 +37,11 @@ and ``q``) walk the zeta factors with the same ``_steps`` as a fold that
 sums each walk state (level, live coordinates, class) once, and stop two
 factors early to sum those two in closed form.
 
-Three loops stay hand-written: the equivariant split's ``_grow``, which
-moves class keys and live exponents apart, ``counting._cut_sum`` (a
-memoized fold with a closed-form sum) and the one in
-``decomp.euclid_divide`` (it validates its input).
+Three loops stay hand-written: ``_grow``, which moves class keys and live
+exponents apart for the equivariant split of ``equivariant_split`` and
+``plumbsw polypart`` (``plumbsw sw`` splits nothing), ``counting._cut_sum``
+(a memoized fold with a closed-form sum) and ``decomp.euclid_divide``'s
+regrouping of its numerator, which validates each term.
 """
 from __future__ import annotations
 
@@ -249,6 +250,9 @@ def _tally(starts, factors, cut, key) -> dict:
     for start, c in starts:
         if quantifier(start[i] < bound for i, bound in bounds):
             rec(0, start, c)
+    # rec holds itself through its closure: empty that cell, so the walk's
+    # tally and key are freed on return, not at the next full collection
+    del rec
     return {k: v for k, v in tally.items() if v}
 
 

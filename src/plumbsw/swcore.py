@@ -11,10 +11,10 @@ reported with opposite sign, the quantity -sw^norm_h) are available:
   node multiset (needs at least one node).
 
 Each route function takes the graph and returns {HClass: value} for every
-class of H.  Division, the fourth value ``sw_report`` compares, splits the
-zeta function once and divides each class's component; ``sw_report`` is
-the one place that divides and cross-checks, and the polypart and division
-route functions read their values from it.
+class of H.  Division, the fourth value ``sw_report`` compares, divides the
+reduced zeta function once over Z[H], which gives P+ of every class;
+``sw_report`` is the one place that divides and cross-checks, and the
+polypart and division route functions read their values from it.
 
 The raw invariant is recovered from the agreed normalized value by the
 exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, and the quadratic
@@ -29,11 +29,11 @@ from operator import add
 from typing import NamedTuple
 
 from .counting import Q
-from .decomp import divide_polypart, evaluate_at_one, polypart_dual
+from .decomp import evaluate_at_one, polypart_division, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, all_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice
-from .series import _cone_tally, _split_classes, live_indices, zeta
+from .series import _cone_tally, live_indices
 
 
 class RouteDisagreement(RuntimeError):
@@ -148,10 +148,10 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     representative; refuse to normalize when the routes disagree.
 
     Each route answers the whole graph at once: duality, polypart and
-    lattice from one enumeration each, and division from one split of the
-    zeta function, whose terms it builds, divides and drops one class at a
-    time, keeping no certificate.  That polynomial part serves both the
-    division route and polypart's cross-check.  ``methods`` must name at
+    lattice from one enumeration each, and division from one Euclidean
+    division over Z[H], ``polypart_division``, which splits nothing and
+    keeps no certificate.  Its polynomial parts serve both the division
+    route and polypart's cross-check.  ``methods`` must name at
     least one route, and only routes of ``ROUTES``.  The lattice route's
     ``PolytopeError`` propagates when it is the only route asked for."""
     unknown = [m for m in methods if m not in ROUTES]
@@ -162,11 +162,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
     subset = duality_cut_vertices(g)
     duality = sw_norm_via_duality(g) if "duality" in methods else None
     polys = polypart_dual(g, subset) if "polypart" in methods else None
-    divide = "polypart" in methods or "division" in methods
-    if divide:
-        lat = lattice_of(g)
-        active = live_indices(g, subset)
-        terms, denom = _split_classes(lat, active, *zeta(g).expanded())
+    divs = polypart_division(g, subset) if {"polypart", "division"} & set(methods) else None
     lattice, lattice_error = None, None
     if "lattice" in methods:
         try:
@@ -181,15 +177,13 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
         errors: dict[str, str] = {}
         if duality is not None:
             values["duality"] = duality[h]
-        if divide:
-            div = divide_polypart(lat, active, terms(h.key), denom, h)
         if polys is not None:
-            if div != polys[h]:
+            if divs[h] != polys[h]:
                 errors["polypart"] = _POLYPART_MISMATCH
             else:
                 values["polypart"] = evaluate_at_one(polys[h])
         if "division" in methods:
-            values["division"] = evaluate_at_one(div)
+            values["division"] = evaluate_at_one(divs[h])
         if lattice is not None:
             values["lattice"] = lattice[h]
         elif lattice_error is not None:

@@ -216,6 +216,15 @@ def vec_scale(c, a):
     return tuple(c * x for x in a)
 
 
+def end_combination(g, x):
+    """sum_e x_e E*_e over the end vertices in basis order: the vector whose
+    class is rho(x) in H."""
+    out = (Fraction(0),) * g.n
+    for c, e in zip(x, lattice_of(g).end_idx):
+        out = vec_add(out, vec_scale(c, e_star(g, g.ids[e])))
+    return out
+
+
 def anti_duals(g):
     """E*_v of every vertex v, in vertex order."""
     return tuple(e_star(g, v) for v in g.ids)

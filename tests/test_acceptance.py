@@ -9,8 +9,7 @@ import support
 from support import anti_duals, vec_add, vec_scale, z_k_minus_e
 from plumbsw.counting import inclusion_exclusion_check
 from plumbsw.decomp import euclid_divide, evaluate_at_one, poly_live, polypart_dual
-from plumbsw.lattice import (all_classes, canonical_cycle, class_add,
-                             class_of, e_star, intersection_data, l_top,
+from plumbsw.lattice import (all_classes, canonical_cycle, class_of, e_star, intersection_data, l_top,
                              lattice_of)
 from plumbsw.polytopes import (PolytopeQuery, count, sw_via_lattice,
                                sw_via_topological_polytope)
@@ -98,7 +97,7 @@ def test_criterion_2_two_node_example():
         assert forms == {"v1": (33, 6, 22, 4), "v2": (6, 33, 4, 22)}
 
         h1 = class_of(g, e_star(g, "w3"))
-        h2 = class_add(h1, h1)
+        h2 = class_of(g, vec_add(h1.rep, h1.rep))
         N = ("v1", "v2")
         assert ilive(support.reflected_polypart(g, zero, N)) == {
             (0, 0): 1, (33, 6): 1, (6, 33): 1, (66, 12): 1, (12, 66): 1}

@@ -509,13 +509,12 @@ def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
     assert rec == {"check": "route-agreement", "detail": STAR4_ROUTES, "pass": False}
 
     from plumbsw import counting, decomp, swcore
-    real = decomp.divide_polypart
+    real = decomp.polypart_division
 
     def crooked(*args):
-        real(*args)
-        return {}
+        return dict.fromkeys(real(*args), {})
 
-    monkeypatch.setattr(swcore, "divide_polypart", crooked)
+    monkeypatch.setattr(swcore, "polypart_division", crooked)
     monkeypatch.setattr(counting, "inclusion_exclusion_check", lambda *args: False)
     monkeypatch.setattr(swcore, "Q", lambda *args: 10 ** 6)
     code, out, _ = run(capsys, "verify", star, "--samples", "2", "--seed", "3")

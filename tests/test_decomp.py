@@ -1,13 +1,15 @@
 import random
 import re
+from types import SimpleNamespace
 from fractions import Fraction
 
 import pytest
 
 import support
 from support import neg
-from plumbsw.decomp import (DivisionError, divide_component, divide_polypart,
-                            euclid_divide, evaluate_at_one, poly_live, polypart_dual)
+from plumbsw import decomp
+from plumbsw.decomp import (DivisionError, divide_component, euclid_divide, evaluate_at_one,
+                            poly_live, polypart_division, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
 from plumbsw.series import (Box, RatFunc, _split_classes, equivariant_split, live_indices,
@@ -116,8 +118,7 @@ def test_dual_polypart_two_nodes_all_classes(two_nodes):
     # through Z_K - E.
     zero = lattice_of(two_nodes).zero_class
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
-    from plumbsw.lattice import class_add
-    h2 = class_add(h1, h1)
+    h2 = class_of(two_nodes, support.vec_add(h1.rep, h1.rep))
     N = ("v1", "v2")
     assert ilive(support.reflected_polypart(two_nodes, zero, N)) == {
         (0, 0): 1, (33, 6): 1, (6, 33): 1, (66, 12): 1, (12, 66): 1}
@@ -278,28 +279,39 @@ def test_division_needs_one_component(two_nodes):
         euclid_divide(RatFunc(R.lat, {b: 1}, parts[zero].denominator, R.active))
 
 
-def test_polypart_division_rejects_what_the_certificate_rejects(two_nodes):
-    # both kernels take one class's live terms, and reject a denominator
-    # outside L and a term strictly negative on every live coordinate with
-    # the same message; euclid_divide checks that its numerator is one class
-    R = reduce(zeta(two_nodes), ("v1", "v2"))
-    parts = equivariant_split(R)
+def test_polypart_division_rejects_what_the_certificate_rejects(two_nodes, monkeypatch):
+    # divide_component takes one split component and rejects a denominator
+    # outside L; polypart_division divides the unsplit function, whose
+    # denominators lie outside L, over Z[H].  Both reject a term strictly
+    # negative on every live coordinate with the same message.
+    live = ("v1", "v2")
+    R = reduce(zeta(two_nodes), live)
+    lat, active = R.lat, R.active
     _, h1, _ = all_classes(two_nodes)
-    d = R.lat.h_order
-    for terms, denominator, kind in (({(0, 0): 1}, R.denominator, " is not in L"),
-                                     ({(-d, -d): 1}, parts[h1].denominator, " strictly negative")):
-        messages = []
-        for divide in (divide_component, divide_polypart):
-            with pytest.raises(DivisionError, match=kind) as info:
-                divide(R.lat, R.active, terms, denominator, h1)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    d = lat.h_order
+    assert any(x % d for a in R.denominator for x in a)
+    with pytest.raises(DivisionError, match=" is not in L"):
+        divide_component(lat, active, {(0, 0): 1}, R.denominator, h1)
+    assert polypart_division(two_nodes, live) == polypart_dual(two_nodes, live)
+    # a term of class h1, strictly negative on both live coordinates
+    bad = tuple(k - d if i in active else k for i, k in enumerate(h1.key))
+    messages = []
+    with pytest.raises(DivisionError, match=" strictly negative") as info:
+        divide_component(lat, active, {tuple(bad[i] for i in active): 1},
+                         equivariant_split(R)[h1].denominator, h1)
+    messages.append(str(info.value))
+    monkeypatch.setattr(decomp, "zeta", lambda g: SimpleNamespace(
+        expanded=lambda: ({bad: 1}, R.denominator)))
+    with pytest.raises(DivisionError, match=" strictly negative") as info:
+        polypart_division(two_nodes, live)
+    messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_polypart_division_equals_certificate_polypart(corpus30):
-    # P+ is unique, so the pass that pivots on the largest live part and
-    # keeps no certificate finds the certificate's S = {} bucket, and the
-    # duality construction finds the same plain polynomial.
+    # P+ is unique, so the one division over Z[H] finds the S = {} bucket of
+    # every split component's certificate, and the duality construction finds
+    # the same plain polynomial.  corpus30 holds graphs without nodes.
     graphs = [*corpus30, parse_graph(support.VALENCY4_TREE)]
     graphs += [support.hub_tree(seed) for seed in support.HUB_SEEDS]
     for g in graphs:
@@ -307,11 +319,21 @@ def test_polypart_division_equals_certificate_polypart(corpus30):
         live = duality_cut_vertices(g)
         active = live_indices(g, live)
         terms_of, denom = _split_classes(lat, active, *zeta(g).expanded())
+        got = polypart_division(g, live)
         duals = polypart_dual(g, live)
+        assert list(got) == list(duals) == list(all_classes(g))
         for h in all_classes(g):
-            terms = terms_of(h.key)
-            want = divide_component(lat, active, terms, denom, h)
-            got = divide_polypart(lat, active, terms, denom, h)
-            assert type(got) is type(want.poly) is type(duals[h]) is dict
-            assert got == want.poly == duals[h], (g, h)
-            assert all(got.values())
+            want = divide_component(lat, active, terms_of(h.key), denom, h)
+            assert type(got[h]) is type(want.poly) is type(duals[h]) is dict
+            assert got[h] == want.poly == duals[h], (g, h)
+            assert all(got[h].values())
+
+
+def test_polypart_division_equals_duality_on_large_h():
+    # one node, |H| = 1155 and 988: the division over Z[H] against the
+    # expansion at infinity alone, where dividing each split component takes
+    # seconds per graph
+    for g in (support.star(-2, (-6, -9, -13)), support.star(-3, (-5, -7, -11))):
+        live = duality_cut_vertices(g)
+        assert lattice_of(g).h_order in (988, 1155)
+        assert polypart_division(g, live) == polypart_dual(g, live)

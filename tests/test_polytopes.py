@@ -7,8 +7,7 @@ import pytest
 
 import support
 from plumbsw.graph import parse_graph
-from plumbsw.lattice import (all_classes, class_add, class_of, e_star,
-                             lattice_of)
+from plumbsw.lattice import all_classes, class_of, e_star, lattice_of
 from plumbsw.polytopes import (InapplicableError, PolytopeError, PolytopeQuery,
                                count, node_multiset, sw_via_lattice,
                                sw_via_topological_polytope)
@@ -166,7 +165,7 @@ def test_sw_via_lattice_values(sigma257, two_nodes, three_nodes):
     assert sw_via_lattice(sigma257) == {lattice_of(sigma257).zero_class: 2}
     zero = lattice_of(two_nodes).zero_class
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
-    h2 = class_add(h1, h1)
+    h2 = class_of(two_nodes, vec_add(h1.rep, h1.rep))
     assert sw_via_lattice(two_nodes) == {zero: 5, h1: 3, h2: 3}
     assert sw_via_lattice(three_nodes)[lattice_of(three_nodes).zero_class] == 13
 

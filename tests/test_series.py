@@ -13,7 +13,7 @@ import support
 from support import neg, z_k_minus_e
 from plumbsw.decomp import euclid_divide
 from plumbsw.graph import parse_graph
-from plumbsw.lattice import all_classes, e_star, lattice_of, rho
+from plumbsw.lattice import all_classes, class_of, e_star, lattice_of
 from plumbsw.series import (Box, Cobox, RatFunc, WindowError, _split_classes, _tally,
                             coeff, equivariant_split, live_indices, reduce, taylor,
                             taylor_infinity, zeta)
@@ -343,12 +343,8 @@ def test_equivariant_split_star_points(two_nodes):
            (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
     merged = {}
     for x in pts:
-        full = [Fraction(0)] * 10
-        for c, e in zip(x, lat.end_idx):
-            col = e_star(two_nodes, two_nodes.ids[e])
-            for r in range(10):
-                full[r] += c * col[r]
-        assert rho(two_nodes, x) == lat.zero_class
+        full = support.end_combination(two_nodes, x)
+        assert class_of(two_nodes, full) == lat.zero_class
         assert coeff(two_nodes, full) == 1
         live = (int(full[two_nodes.index("v1")]), int(full[two_nodes.index("v2")]))
         merged[live] = merged.get(live, 0) + 1

@@ -7,9 +7,10 @@ import pytest
 
 import support
 from support import anti_duals, vec_add, vec_scale, vec_sub
-from plumbsw import counting, swcore
+from plumbsw import counting, decomp, series, swcore
 from plumbsw.cli import DEFAULT_SEED
 from plumbsw.counting import Q
+from plumbsw.decomp import evaluate_at_one
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (Lattice, all_classes, canonical_cycle, class_of,
                              e_star, lattice_of, pairing)
@@ -25,20 +26,36 @@ def shift(g, h):
     return -sw_raw(g, h, 0)
 
 
-def split_terms_by_class(g):
-    """The split numerator terms of every class, in class order."""
+def split_polyparts(g):
+    """P+ of every class's split component, divided with its certificate,
+    in class order."""
     lat = lattice_of(g)
     active = live_indices(g, duality_cut_vertices(g))
-    terms, _ = _split_classes(lat, active, *zeta(g).expanded())
-    return [terms(h.key) for h in all_classes(g)]
+    terms, denom = _split_classes(lat, active, *zeta(g).expanded())
+    return [decomp.divide_component(lat, active, terms(h.key), denom, h).poly
+            for h in all_classes(g)]
+
+
+def count_divisions(monkeypatch):
+    """Count the calls of the division kernel and of the split."""
+    calls = {"divide": 0, "split": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(decomp, "_divide", counted("divide", decomp._divide))
+    monkeypatch.setattr(series, "_split_classes", counted("split", series._split_classes))
+    return calls
 
 
 def test_duality_route_values(sigma257, two_nodes):
     assert sw_norm_via_duality(sigma257) == {lattice_of(sigma257).zero_class: 2}
     zero = lattice_of(two_nodes).zero_class
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
-    from plumbsw.lattice import class_add
-    h2 = class_add(h1, h1)
+    h2 = class_of(two_nodes, vec_add(h1.rep, h1.rep))
     assert sw_norm_via_duality(two_nodes) == {zero: 5, h1: 3, h2: 3}
 
 
@@ -163,32 +180,32 @@ def test_batched_routes_match_per_class_counts():
 
 
 def test_report_divides_once_per_class(monkeypatch, two_nodes):
-    real = swcore.divide_polypart
+    # each class's division value is its own P+(1), and that P+ is the one
+    # its split component's certificate holds
+    real = swcore.polypart_division
     divided = []
 
-    def counted(lat, active, terms, denominator, h):
-        divided.append(terms)
-        return real(lat, active, terms, denominator, h)
+    def recorded(g, subset):
+        divided.append(real(g, subset))
+        return divided[-1]
 
-    monkeypatch.setattr(swcore, "divide_polypart", counted)
+    monkeypatch.setattr(swcore, "polypart_division", recorded)
+    report = sw_report(two_nodes)
+    assert report.agree and len(divided) == 1
+    polys = divided[0]
+    assert list(polys.values()) == split_polyparts(two_nodes)
+    assert [e.h for e in report.entries] == list(polys)
+    for e in report.entries:
+        assert e.values["division"] == evaluate_at_one(polys[e.h])
+
+
+def test_report_divides_once_per_graph_and_never_splits(monkeypatch, two_nodes):
+    calls = count_divisions(monkeypatch)
     assert sw_report(two_nodes).agree
-    assert divided == split_terms_by_class(two_nodes)
-
-
-def test_report_splits_once_per_graph(monkeypatch, two_nodes):
-    real = swcore._split_classes
-    calls = []
-
-    def counted(lat, active, num, denom):
-        calls.append(active)
-        return real(lat, active, num, denom)
-
-    monkeypatch.setattr(swcore, "_split_classes", counted)
-    assert sw_report(two_nodes).agree
-    assert len(calls) == 1
+    assert calls == {"divide": 1, "split": 0}
     for method in ("duality", "lattice"):
         assert sw_report(two_nodes, (method,)).agree
-    assert len(calls) == 1
+    assert calls == {"divide": 1, "split": 0}
 
 
 def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
@@ -261,13 +278,14 @@ def test_lattice_and_routes_build_no_fraction(monkeypatch):
 
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     h0 = lattice_of(sigma257).zero_class
-    real = swcore.divide_polypart
+    real = swcore.polypart_division
 
     def crooked(*args):
-        assert real(*args)
-        return {}
+        polys = real(*args)
+        assert polys[h0]
+        return dict.fromkeys(polys, {})
 
-    monkeypatch.setattr(swcore, "divide_polypart", crooked)
+    monkeypatch.setattr(swcore, "polypart_division", crooked)
     with pytest.raises(RouteDisagreement, match=re.escape(f"h={h0}: ")):
         sw_norm_via_polypart(sigma257)
     entry, = sw_report(sigma257).entries
@@ -276,18 +294,14 @@ def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
 
 
 def test_division_routes_divide_each_class_once(monkeypatch, two_nodes):
-    real = swcore.divide_polypart
-    divided = []
-
-    def counted(lat, active, terms, denominator, h):
-        divided.append(terms)
-        return real(lat, active, terms, denominator, h)
-
-    monkeypatch.setattr(swcore, "divide_polypart", counted)
+    # one division answers every class, with the P+(1) of its component
+    want = [evaluate_at_one(poly) for poly in split_polyparts(two_nodes)]
+    calls = count_divisions(monkeypatch)
     for route in (sw_norm_via_division, sw_norm_via_polypart):
-        divided.clear()
-        assert list(route(two_nodes)) == list(all_classes(two_nodes))
-        assert divided == split_terms_by_class(two_nodes)
+        values = route(two_nodes)
+        assert list(values) == list(all_classes(two_nodes))
+        assert list(values.values()) == want
+    assert calls == {"divide": 2, "split": 0}
 
 
 def test_route_agreement_on_corpus(corpus30):
@@ -302,8 +316,8 @@ def test_route_agreement_on_corpus(corpus30):
 def test_route_agreement_on_high_valency_nodes():
     graphs = [parse_graph(support.VALENCY4_TREE), support.star(-1, (-3, -4, -5, -5))]
     graphs += [support.hub_tree(seed) for seed in support.HUB_SEEDS]
-    # valency 4, |H| = 36: dividing for P+ on the certificate's pivot takes
-    # 1,197,909 heap pushes here, on the largest live part 45,932
+    # valency 4, |H| = 36: dividing every split component takes 1,197,909
+    # heap pushes here, the one division over Z[H] that sw_report runs 6,966
     graphs.append(support.hub_tree(33))
     valencies = set()
     for g in graphs:
