@@ -18,7 +18,7 @@ from .decomp import (Decomposition, euclid_divide, evaluate_at_one,
                      polypart_dual)
 from .polytopes import (InapplicableError, PolytopeQuery, count, sw_via_lattice,
                         sw_via_topological_polytope)
-from .swcore import (QuadraticReport, SWReport, quadratic_check, sw_norm_via_duality,
+from .swcore import (QuadraticReport, quadratic_check, sw_norm_via_duality,
                      sw_norm_via_polypart, sw_raw, sw_report)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

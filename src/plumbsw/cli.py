@@ -199,10 +199,13 @@ def _sw_record(e) -> dict:
 
 def cmd_sw(g, args) -> int:
     methods = swcore.ROUTES if args.method == "all" else (args.method,)
-    report = swcore.sw_report(g, methods)
-    # one class at a time: each record is printed and dropped before the next
-    _emit((_sw_record(e) for e in report.entries), args.format)
-    return 0 if report.agree else 1
+    agree = True
+    # sw_report builds each class's entry when it is reached: its record is
+    # printed, and both are dropped, before the next class's entry is built
+    for e in swcore.sw_report(g, methods):
+        agree = agree and e.agree
+        _emit((_sw_record(e),), args.format)
+    return 0 if agree else 1
 
 
 def cmd_count(g, args) -> int:
@@ -255,10 +258,13 @@ def cmd_verify(g, args) -> int:
             ie_fail = f"subset={','.join(subset)} x={format_vec(x)}"
     record("inclusion-exclusion", not ie_fail, ie_fail)
 
-    entries = swcore.sw_report(g).entries
-    mismatch = next((e for e in entries if "polypart" in e.errors), None)
+    mismatch = disagree = None
+    for e in swcore.sw_report(g):
+        if mismatch is None and "polypart" in e.errors:
+            mismatch = e
+        if disagree is None and not e.agree:
+            disagree = e
     record("division-vs-duality", mismatch is None, _witness(mismatch))
-    disagree = next((e for e in entries if not e.agree), None)
     record("route-agreement", disagree is None, _witness(disagree))
 
     quadratic = swcore.quadratic_check(g, samples=args.samples, seed=args.seed)

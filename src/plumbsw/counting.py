@@ -197,7 +197,12 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
             cls = move[cls]
         return total
 
-    return rec(0, (0,) * m, index[zero])
+    total = rec(0, (0,) * m, index[zero])
+    # rec and subtree hold each other through their closures: empty rec's
+    # cell, so the memo and the step tables are freed on return, not at the
+    # next full collection
+    del rec
+    return total
 
 
 def Q(g: PlumbingGraph, h: HClass, subset, x) -> int:

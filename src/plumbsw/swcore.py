@@ -15,6 +15,9 @@ class of H.  Division, the fourth value ``sw_report`` compares, divides the
 reduced zeta function once over Z[H], which gives P+ of every class;
 ``sw_report`` is the one place that divides and cross-checks, and the
 polypart and division route functions read their values from it.
+``sw_report`` runs the routes when it is called and yields one ``SWEntry``
+per class, built only when that class is reached, so a caller that prints
+and drops each entry holds one at a time.
 
 The raw invariant is recovered from the agreed normalized value by the
 exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, and the quadratic
@@ -24,8 +27,9 @@ shifted Lipman cone against that quadratic.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 from .counting import Q
@@ -58,18 +62,14 @@ def sw_norm_via_duality(g: PlumbingGraph) -> dict[HClass, int]:
     lat = lattice_of(g)
     active = live_indices(g, duality_cut_vertices(g))
     szk = lat.sz_k
-    classes = all_classes(g)
-    cuts = {}
-    for h in classes:
-        cut = tuple(z - k for z, k in zip(szk, h.key))
-        cuts[lat.class_key(cut)] = (h, cut)
 
-    def failed_class(e):
-        h, cut = cuts[lat.class_key(e)]
-        return h if any(e[i] < cut[i] for i in active) else None
+    def failed_key(e):
+        # [l'] = [Z_K] - h gives h's key (Z_K - l') mod d, and its cut Z_K - r_h
+        key = lat.class_key(map(sub, szk, e))
+        return key if any(e[i] < szk[i] - key[i] for i in active) else None
 
-    sums = _cone_tally(lat, (tuple((i, szk[i]) for i in active), any), failed_class)
-    return {h: sums.get(h, 0) for h in classes}
+    sums = _cone_tally(lat, (tuple((i, szk[i]) for i in active), any), failed_key)
+    return {h: sums.get(h.key, 0) for h in all_classes(g)}
 
 
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
@@ -79,7 +79,7 @@ def _route_values(g: PlumbingGraph, route: str) -> dict[HClass, int]:
     """``sw_report``'s values of one route; the first class where the route
     reports an error raises ``RouteDisagreement``."""
     out = {}
-    for entry in sw_report(g, (route,)).entries:
+    for entry in sw_report(g, (route,)):
         if route in entry.errors:
             raise RouteDisagreement(f"h={entry.h}: {entry.errors[route]}")
         out[entry.h] = entry.values[route]
@@ -135,25 +135,22 @@ class SWEntry(NamedTuple):
     raw: Fraction | None
 
 
-class SWReport(NamedTuple):
-    entries: tuple[SWEntry, ...]
+def sw_report(g: PlumbingGraph, methods=ROUTES) -> Iterator[SWEntry]:
+    """Run the requested routes, then yield the entry of every class of H,
+    sorted by representative; refuse to normalize when the routes disagree.
 
-    @property
-    def agree(self) -> bool:
-        return all(e.agree for e in self.entries)
-
-
-def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
-    """Run the requested routes for every class of H, sorted by
-    representative; refuse to normalize when the routes disagree.
-
-    Each route answers the whole graph at once: duality, polypart and
-    lattice from one enumeration each, and division from one Euclidean
-    division over Z[H], ``polypart_division``, which splits nothing and
-    keeps no certificate.  Its polynomial parts serve both the division
-    route and polypart's cross-check.  ``methods`` must name at
-    least one route, and only routes of ``ROUTES``.  The lattice route's
-    ``PolytopeError`` propagates when it is the only route asked for."""
+    Each route answers the whole graph at once, when ``sw_report`` is
+    called: duality, polypart and lattice from one enumeration each, and
+    division from one Euclidean division over Z[H], ``polypart_division``,
+    which splits nothing and keeps no certificate.  Its polynomial parts
+    serve both the division route and polypart's cross-check.  A class's
+    entry (values, errors, agreement, raw invariant) is built only when the
+    iteration reaches it; ``tuple(sw_report(g))`` holds them all, and
+    ``all(e.agree for e in sw_report(g))`` tells whether the routes agree
+    on every class.  ``methods`` must name at least one route, and only
+    routes of ``ROUTES``: otherwise the call raises ``ValueError``, before
+    any route runs.  The lattice route's ``PolytopeError`` propagates from
+    the call when it is the only route asked for."""
     unknown = [m for m in methods if m not in ROUTES]
     if unknown:
         raise ValueError(f"unknown route {unknown[0]!r}")
@@ -171,29 +168,31 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> SWReport:
             if set(methods) == {"lattice"}:
                 raise
             lattice_error = "not applicable: " + str(exc)
-    entries = []
-    for h in all_classes(g):
-        values: dict[str, int] = {}
-        errors: dict[str, str] = {}
-        if duality is not None:
-            values["duality"] = duality[h]
-        if polys is not None:
-            if divs[h] != polys[h]:
-                errors["polypart"] = _POLYPART_MISMATCH
-            else:
-                values["polypart"] = evaluate_at_one(polys[h])
-        if "division" in methods:
-            values["division"] = evaluate_at_one(divs[h])
-        if lattice is not None:
-            values["lattice"] = lattice[h]
-        elif lattice_error is not None:
-            errors["lattice"] = lattice_error
-        agree = len(set(values.values())) == 1 and not any(
-            route != "lattice" for route in errors)
-        norm = next(iter(values.values())) if agree else None
-        raw = sw_raw(g, h, norm) if norm is not None else None
-        entries.append(SWEntry(h, values, errors, agree, norm, raw))
-    return SWReport(tuple(entries))
+
+    def entries():
+        for h in all_classes(g):
+            values: dict[str, int] = {}
+            errors: dict[str, str] = {}
+            if duality is not None:
+                values["duality"] = duality[h]
+            if polys is not None:
+                if divs[h] != polys[h]:
+                    errors["polypart"] = _POLYPART_MISMATCH
+                else:
+                    values["polypart"] = evaluate_at_one(polys[h])
+            if "division" in methods:
+                values["division"] = evaluate_at_one(divs[h])
+            if lattice is not None:
+                values["lattice"] = lattice[h]
+            elif lattice_error is not None:
+                errors["lattice"] = lattice_error
+            agree = len(set(values.values())) == 1 and not any(
+                route != "lattice" for route in errors)
+            norm = next(iter(values.values())) if agree else None
+            raw = sw_raw(g, h, norm) if norm is not None else None
+            yield SWEntry(h, values, errors, agree, norm, raw)
+
+    return entries()
 
 
 class QuadraticSample(NamedTuple):

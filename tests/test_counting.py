@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import ceil, comb, gcd
@@ -432,3 +434,28 @@ def test_envelope_floor_sum_ties_at_integer_breakpoints():
     for widest in (max, min):
         for n in range(0, 12):
             assert envelope_floor_sum(lines, n, widest) == _envelope_loop(lines, n, widest)
+
+
+def test_counting_walk_is_freed_when_it_returns():
+    # hub_tree(33) with five live vertices: the walk memoizes its deepest
+    # levels, about 0.4 MB here.  Its recursive closures must not hold each
+    # other, or each call's memo stays alive as cyclic garbage until the next
+    # full collection.  With collection off, further calls keep no more
+    # memory than the first, and a collection then finds nothing.
+    g = support.hub_tree(33)
+    h, live, x = lattice_of(g).zero_class, g.ids[:5], (40,) * g.n
+    want = Q(g, h, live, x)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert Q(g, h, live, x) == want
+        first = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            assert Q(g, h, live, x) == want
+        kept = tracemalloc.get_traced_memory()[0] - first
+        assert gc.collect() == 0
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert kept < 100_000

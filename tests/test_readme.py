@@ -31,3 +31,4 @@ def test_readme_library_example(monkeypatch):
     assert list(values["sw_norm_via_duality(g)"].values()) == [2]
     polys = values['polypart_dual(g, ["E1"])']
     assert list(polys.values()) == [names["dec"].poly]
+    assert values["all(e.agree for e in sw_report(g))"] is True

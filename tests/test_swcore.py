@@ -138,19 +138,19 @@ def test_quadratic_minimal_sample_random_tree(corpus30):
 
 def test_report_all_routes_agree(sigma257, two_nodes):
     for g, values in ((sigma257, [2]), (two_nodes, [5, 3, 3])):
-        rep = sw_report(g)
-        assert rep.agree
-        assert [e.sw_norm_neg for e in rep.entries] == values
-        for e in rep.entries:
+        entries = tuple(sw_report(g))
+        assert all(e.agree for e in entries)
+        assert [e.sw_norm_neg for e in entries] == values
+        for e in entries:
             assert set(e.values) == {"duality", "polypart", "division", "lattice"}
             assert e.raw == Fraction(-e.sw_norm_neg) - shift(g, e.h)
 
 
 def test_report_marks_lattice_not_applicable():
     g = support.chain([-2, -2, -2])
-    rep = sw_report(g)
-    assert rep.agree
-    for e in rep.entries:
+    entries = tuple(sw_report(g))
+    assert all(e.agree for e in entries)
+    for e in entries:
         assert "lattice" in e.errors and "not applicable" in e.errors["lattice"]
         assert e.sw_norm_neg == 0
 
@@ -158,10 +158,10 @@ def test_report_marks_lattice_not_applicable():
 def test_report_refuses_contested_value(monkeypatch, sigma257):
     monkeypatch.setattr(swcore, "sw_norm_via_duality",
                         lambda g: dict.fromkeys(all_classes(g), 17))
-    rep = sw_report(sigma257)
-    assert not rep.agree
-    assert rep.entries[0].sw_norm_neg is None
-    assert rep.entries[0].raw is None
+    entry, = sw_report(sigma257)
+    assert not entry.agree
+    assert entry.sw_norm_neg is None
+    assert entry.raw is None
 
 
 def test_batched_routes_match_per_class_counts():
@@ -190,21 +190,21 @@ def test_report_divides_once_per_class(monkeypatch, two_nodes):
         return divided[-1]
 
     monkeypatch.setattr(swcore, "polypart_division", recorded)
-    report = sw_report(two_nodes)
-    assert report.agree and len(divided) == 1
+    entries = tuple(sw_report(two_nodes))
+    assert all(e.agree for e in entries) and len(divided) == 1
     polys = divided[0]
     assert list(polys.values()) == split_polyparts(two_nodes)
-    assert [e.h for e in report.entries] == list(polys)
-    for e in report.entries:
+    assert [e.h for e in entries] == list(polys)
+    for e in entries:
         assert e.values["division"] == evaluate_at_one(polys[e.h])
 
 
 def test_report_divides_once_per_graph_and_never_splits(monkeypatch, two_nodes):
     calls = count_divisions(monkeypatch)
-    assert sw_report(two_nodes).agree
+    assert all(e.agree for e in sw_report(two_nodes))
     assert calls == {"divide": 1, "split": 0}
     for method in ("duality", "lattice"):
-        assert sw_report(two_nodes, (method,)).agree
+        assert all(e.agree for e in sw_report(two_nodes, (method,)))
     assert calls == {"divide": 1, "split": 0}
 
 
@@ -218,11 +218,10 @@ def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
 
     monkeypatch.setattr(RatFunc, "__post_init__", counted)
     for g in (two_nodes, parse_graph(support.VALENCY4_TREE)):
-        assert sw_report(g).agree
+        assert all(e.agree for e in sw_report(g))
     # the division route divides the split terms as sw_report does
-    assert sw_norm_via_division(two_nodes) == {h: e.sw_norm_neg
-                                               for h, e in zip(all_classes(two_nodes),
-                                                               sw_report(two_nodes).entries)}
+    assert sw_norm_via_division(two_nodes) == {e.h: e.sw_norm_neg
+                                               for e in sw_report(two_nodes)}
     assert built == []
 
 
@@ -240,7 +239,7 @@ def test_report_builds_one_fraction_per_class(monkeypatch):
         return real(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    assert sw_report(g, ("duality",)).agree
+    assert all(e.agree for e in sw_report(g, ("duality",)))
     monkeypatch.undo()
     assert 0 < built <= len(classes)
 
@@ -288,7 +287,7 @@ def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
     monkeypatch.setattr(swcore, "polypart_division", crooked)
     with pytest.raises(RouteDisagreement, match=re.escape(f"h={h0}: ")):
         sw_norm_via_polypart(sigma257)
-    entry, = sw_report(sigma257).entries
+    entry, = sw_report(sigma257)
     assert "polypart" in entry.errors and "polypart" not in entry.values
     assert not entry.agree
 
@@ -324,14 +323,27 @@ def test_route_agreement_on_high_valency_nodes():
         lat = lattice_of(g)
         assert lat.h_order <= 60
         valencies.add(max(lat.deltas))
-        rep = sw_report(g)
-        for e in rep.entries:
+        for e in sw_report(g):
             assert not e.errors, (g, e)
             assert len(set(e.values.values())) == 1 and len(e.values) == 4, (g, e)
     assert valencies == {4, 5, 6}
 
 
+def test_report_runs_its_routes_when_called(monkeypatch, two_nodes):
+    # the routes run in the call, and each entry is built when it is reached
+    ran = []
+    monkeypatch.setattr(swcore, "sw_norm_via_duality",
+                        lambda g: ran.append(g) or dict.fromkeys(all_classes(g), 4))
+    monkeypatch.setattr(swcore, "sw_raw", lambda g, h, norm: ran.append(h) or norm)
+    entries = sw_report(two_nodes, ("duality",))
+    assert ran == [two_nodes]
+    first = next(entries)
+    assert ran == [two_nodes, first.h] and first.raw == 4
+    assert [e.h for e in entries] == list(all_classes(two_nodes))[1:]
+
+
 def test_report_rejects_unknown_or_no_route(two_nodes):
+    # raised by the call itself, before any entry is asked for
     with pytest.raises(ValueError, match="unknown route 'dualty'"):
         sw_report(two_nodes, ("dualty",))
     with pytest.raises(ValueError, match="unknown route 'dualty'"):
@@ -376,9 +388,9 @@ def test_division_report_holds_one_class_at_a_time():
     all_classes(g)
     tracemalloc.start()
     try:
-        report = sw_report(g, ("division",))
+        entries = tuple(sw_report(g, ("division",)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(report.entries) == 7
+    assert len(entries) == 7
     assert peak < 1_000_000
