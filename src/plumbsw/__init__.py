@@ -9,7 +9,8 @@ arithmetic is exact.
 from .graph import (GraphFormatError, PlumbingGraph, classify_vertices,
                     parse_graph, validate)
 from .lattice import (HClass, LatticeError, all_classes, canonical_cycle,
-                      class_of, e_star, intersection_data, l_top, pairing)
+                      class_of, e_star, intersection_data, iter_classes, l_top,
+                      pairing)
 from .series import (Box, Cobox, FactoredRatFunc, RatFunc, TruncatedSeries,
                      WindowError, coeff, equivariant_split, reduce, taylor,
                      taylor_infinity, zeta)

@@ -10,6 +10,11 @@ public accessors: ``e_star``, ``canonical_cycle``, ``l_top``,
 ``intersection_data``, ``pairing``, ``HClass.rep`` and
 ``Lattice.unscaled``.  No floating point is used anywhere.
 
+H is enumerated in key order from an echelon (Hermite) basis of the class
+keys, built once per lattice (``Lattice.class_levels``): ``iter_classes``
+walks it and keeps no table of the classes, and ``all_classes`` caches the
+tuple of every class for the routes that index one.
+
 The lattice L is freely generated by the vertex classes with the
 (negative definite) intersection form, L' is its dual generated by the
 anti-dual classes, and H = L'/L is the finite first homology of the link,
@@ -17,8 +22,9 @@ of order det(-I).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from operator import add, mul
 from typing import NamedTuple
@@ -110,6 +116,47 @@ class Lattice:
         self.sz_k = tuple(-sum(x * y for x, y in zip(row, rhs)) for row in adj)
         self.szkme = tuple(z - d for z in self.sz_k)
         self.zero_class = HClass((0,) * self.n, d)
+
+    @cached_property
+    def class_levels(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The echelon (Hermite) basis of H over the class keys, built once
+        from the anti-dual keys: a triple (j, g_j, b_j) for each coordinate
+        j with g_j < d, where g_j divides d and the key b_j is 0 before j
+        and g_j at j.  H_j, the classes whose keys are 0 before j, has
+        entries g_j Z/d at j; b_j is one with entry g_j there, so H_j is
+        b_j's multiples plus H_{j+1}.
+
+        Level j runs Euclid on the j-th entries of H_j's generators,
+        carrying whole keys, from the pivot d e_j (the zero class): the
+        pivot ends at b_j, each other generator at a key that is 0 at j.
+        Those keys and (d/g_j) b_j generate H_{j+1}; zero keys are dropped.
+        The product of the d/g_j is |H|, or the anti-duals do not span H
+        and ``LatticeError`` is raised."""
+        d, n = self.h_order, self.n
+        # generators of H_j as their entries from j on
+        gens = {self.class_key(col) for col in self.sestar}
+        levels, size = [], 1
+        for j in range(n):
+            gens.discard((0,) * (n - j))
+            if not gens:
+                break
+            p, ptail = d, (0,) * (n - j - 1)
+            nxt = set()
+            for v in gens:
+                x, xtail = v[0], v[1:]
+                while x:
+                    q = p // x
+                    p, ptail, x, xtail = x, xtail, p - q * x, tuple(
+                        (a - q * b) % d for a, b in zip(ptail, xtail))
+                nxt.add(xtail)
+            if p < d:
+                levels.append((j, p, (0,) * j + (p,) + ptail))
+                size *= d // p
+                nxt.add(tuple(d // p * a % d for a in ptail))
+            gens = nxt
+        if size != d:
+            raise LatticeError(f"anti-duals span {size} classes, expected {d}")
+        return tuple(levels)
 
     # -- scaled helpers ----------------------------------------------------
     def scaled(self, x) -> tuple[int, ...]:
@@ -217,22 +264,40 @@ def l_top(g: PlumbingGraph) -> Vec:
     return lat.unscaled(map(add, lat.szkme, ends))
 
 
+def iter_classes(g: PlumbingGraph) -> Iterator[HClass]:
+    """Every class of H, sorted by key, from the echelon basis of
+    ``Lattice.class_levels``; no table of the classes is kept.
+
+    Each class is sum_j m_j b_j with 0 <= m_j < d/g_j, one way only.  With
+    the partial sum c of the levels before j fixed, entry j runs through
+    c_j mod g_j + t g_j for t = 0, 1, ..., d/g_j - 1, which takes
+    m_j = (t - c_j // g_j) mod d/g_j; the entries of a coordinate that is
+    no level are fixed by the levels before it.  So keys come out in
+    increasing order."""
+    lat = lattice_of(g)
+    d, levels = lat.h_order, lat.class_levels
+
+    def walk(k, c):
+        if k == len(levels):
+            yield HClass(c, d)
+            return
+        j, step, b = levels[k]
+        size = d // step
+        lo = c[j] // step
+        for t in range(size):
+            m = (t - lo) % size
+            # a tuple of a list: one of a generator is allocated at 10
+            # slots and shrunk, and each such tuple, once freed, is kept on
+            # the interpreter's free list (up to 2,000 per size)
+            yield from walk(k + 1, tuple([(x + m * y) % d for x, y in zip(c, b)]))
+
+    return walk(0, lat.zero_class.key)
+
+
 @lru_cache(maxsize=None)
 def all_classes(g: PlumbingGraph) -> tuple[HClass, ...]:
-    """All of H, reached from the anti-dual generators; sorted by key.
-    Enumerated once per graph and cached, as ``lattice_of`` is."""
-    lat = lattice_of(g)
-    gens = [lat.class_key(col) for col in lat.sestar]
-    d = lat.h_order
-    seen = {(0,) * lat.n}
-    frontier = [(0,) * lat.n]
-    while frontier:
-        key = frontier.pop()
-        for gcol in gens:
-            nxt = tuple((a + b) % d for a, b in zip(key, gcol))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != d:
-        raise LatticeError(f"anti-duals span {len(seen)} classes, expected {d}")
-    return tuple(HClass(k, d) for k in sorted(seen))
+    """All of H as a tuple sorted by key, ``iter_classes`` held once per
+    graph and cached, as ``lattice_of`` is.  The division and counting
+    routes index it; the duality and lattice routes and ``sw_report`` walk
+    ``iter_classes`` instead."""
+    return tuple(iter_classes(g))

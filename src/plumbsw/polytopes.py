@@ -16,12 +16,14 @@ anti-duals, making no ``Fraction``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from operator import sub
 
 from .graph import PlumbingGraph
-from .lattice import HClass, Vec, all_classes, lattice_of
+from .lattice import HClass, Vec, lattice_of
 from .series import _tally, live_indices, strict_cut
 
 SHAPES = ("convex", "concave")
@@ -114,7 +116,7 @@ def _sub_multisets(mults):
     return filter(any, product(*(range(m + 1) for _, m in mults)))
 
 
-def sw_via_lattice(g: PlumbingGraph) -> dict[HClass, int]:
+def sw_via_lattice(g: PlumbingGraph) -> Counter[HClass]:
     """Normalized Seiberg-Witten invariant (with opposite sign) of every
     class h, as the alternating sum, over non-empty sub-multisets k of the
     node multiset, of strictly positive lattice point counts in the closed
@@ -123,13 +125,14 @@ def sw_via_lattice(g: PlumbingGraph) -> dict[HClass, int]:
     (-1)^(|ends| - sum k) times prod_v C(m_v, k_v), the coefficient of
     t^{sum k_v E*_v} in prod_v (1 - t^{E*_v})^{m_v}; the binomials are 1 on
     nodes of valency 3.  Each polytope is enumerated once and its fiber
-    tally answers every h."""
+    tally answers every h.  The ``Counter`` holds the non-zero classes only,
+    and reads 0 on every other class."""
     lat = lattice_of(g)
     nm = node_multiset(g)
     if not nm:
         raise PolytopeError("graph has no nodes; use the duality route")
     n_ends = len(lat.end_idx)
-    totals = dict.fromkeys(all_classes(g), 0)
+    totals = Counter()
     for ks in _sub_multisets(nm):
         sdil = lat.combination(zip(lat.node_idx, ks))
         sign = (-1) ** (n_ends - sum(ks))
@@ -139,8 +142,9 @@ def sw_via_lattice(g: PlumbingGraph) -> dict[HClass, int]:
         cut = [(i, sdil[i] + 1) for i, k in zip(lat.node_idx, ks) if k]
         tally = fiber_counts(g, "concave", cut, "positive")
         for fk, r_count in tally.items():
-            totals[lat.class_at([s - k for s, k in zip(sdil, fk)])] += sign * r_count
-    return totals
+            totals[lat.class_key(map(sub, sdil, fk))] += sign * r_count
+    d = lat.h_order
+    return Counter({HClass(key, d): v for key, v in totals.items() if v})
 
 
 def sw_via_topological_polytope(g: PlumbingGraph, h: HClass) -> int:

@@ -10,14 +10,18 @@ reported with opposite sign, the quantity -sw^norm_h) are available:
 * lattice: the alternating sum of fibered lattice point counts over the
   node multiset (needs at least one node).
 
-Each route function takes the graph and returns {HClass: value} for every
-class of H.  Division, the fourth value ``sw_report`` compares, divides the
-reduced zeta function once over Z[H], which gives P+ of every class;
-``sw_report`` is the one place that divides and cross-checks, and the
-polypart and division route functions read their values from it.
+Each route function takes the graph and returns a ``collections.Counter``
+keyed by ``HClass`` that holds the non-zero classes only: indexing it with
+any class of H gives that class's value, 0 for an absent class.
+Division, the fourth value ``sw_report`` compares, divides the reduced
+zeta function once over Z[H], which gives P+ of every class; ``sw_report``
+is the one place that divides and cross-checks, and the polypart and
+division route functions read their values from it.
 ``sw_report`` runs the routes when it is called and yields one ``SWEntry``
-per class, built only when that class is reached, so a caller that prints
-and drops each entry holds one at a time.
+per class, walking H with ``lattice.iter_classes``; an entry is built only
+when its class is reached, so a caller that prints and drops each entry
+holds one at a time.  With the duality and lattice routes nothing holds a
+table of every class.
 
 The raw invariant is recovered from the agreed normalized value by the
 exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, and the quadratic
@@ -27,6 +31,7 @@ shifted Lipman cone against that quadratic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from operator import add, sub
@@ -35,7 +40,7 @@ from typing import NamedTuple
 from .counting import Q
 from .decomp import evaluate_at_one, polypart_division, polypart_dual
 from .graph import PlumbingGraph
-from .lattice import HClass, all_classes, lattice_of
+from .lattice import HClass, iter_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice
 from .series import _cone_tally, live_indices
 
@@ -53,12 +58,13 @@ def duality_cut_vertices(g: PlumbingGraph) -> tuple[str, ...]:
     return g.ids
 
 
-def sw_norm_via_duality(g: PlumbingGraph) -> dict[HClass, int]:
+def sw_norm_via_duality(g: PlumbingGraph) -> Counter[HClass]:
     """-sw^norm_h of every class h as the counting function Q of the dual
     class [Z_K] - h at the cut Z_K - r_h, from one walk of the cone at the
     loosest cut Z_K: a term at l' counts for the class h with
     [l'] = [Z_K] - h, and only when l' fails that class's cut somewhere on
-    the cut vertices."""
+    the cut vertices.  The ``Counter`` holds the non-zero classes only, and
+    reads 0 on every other class."""
     lat = lattice_of(g)
     active = live_indices(g, duality_cut_vertices(g))
     szk = lat.sz_k
@@ -69,24 +75,27 @@ def sw_norm_via_duality(g: PlumbingGraph) -> dict[HClass, int]:
         return key if any(e[i] < szk[i] - key[i] for i in active) else None
 
     sums = _cone_tally(lat, (tuple((i, szk[i]) for i in active), any), failed_key)
-    return {h: sums.get(h.key, 0) for h in all_classes(g)}
+    d = lat.h_order
+    return Counter({HClass(key, d): v for key, v in sums.items() if key is not None})
 
 
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
-def _route_values(g: PlumbingGraph, route: str) -> dict[HClass, int]:
-    """``sw_report``'s values of one route; the first class where the route
-    reports an error raises ``RouteDisagreement``."""
-    out = {}
+def _route_values(g: PlumbingGraph, route: str) -> Counter[HClass]:
+    """``sw_report``'s non-zero values of one route, as a ``Counter``; the
+    first class where the route reports an error raises
+    ``RouteDisagreement``."""
+    out = Counter()
     for entry in sw_report(g, (route,)):
         if route in entry.errors:
             raise RouteDisagreement(f"h={entry.h}: {entry.errors[route]}")
-        out[entry.h] = entry.values[route]
+        if entry.values[route]:
+            out[entry.h] = entry.values[route]
     return out
 
 
-def sw_norm_via_polypart(g: PlumbingGraph) -> dict[HClass, int]:
+def sw_norm_via_polypart(g: PlumbingGraph) -> Counter[HClass]:
     """-sw^norm_h of every class h as the coefficient sum of the polynomial
     part by duality, verified against the Euclidean division of the class h
     component; the first class where they differ raises
@@ -94,7 +103,7 @@ def sw_norm_via_polypart(g: PlumbingGraph) -> dict[HClass, int]:
     return _route_values(g, "polypart")
 
 
-def sw_norm_via_division(g: PlumbingGraph) -> dict[HClass, int]:
+def sw_norm_via_division(g: PlumbingGraph) -> Counter[HClass]:
     """-sw^norm_h of every class h as the coefficient sum of the class h
     component's division."""
     return _route_values(g, "division")
@@ -111,7 +120,7 @@ def _eightfold_shift(lat, sv) -> int:
 
 def _class_shift(lat, h: HClass) -> int:
     """8 d^2 ((K + 2 r_h)^2 + |V|)/8 with K = -Z_K, from the class key."""
-    return _eightfold_shift(lat, tuple(2 * k - z for k, z in zip(h.key, lat.sz_k)))
+    return _eightfold_shift(lat, [2 * k - z for k, z in zip(h.key, lat.sz_k)])
 
 
 def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> Fraction:
@@ -170,7 +179,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> Iterator[SWEntry]:
             lattice_error = "not applicable: " + str(exc)
 
     def entries():
-        for h in all_classes(g):
+        for h in iter_classes(g):
             values: dict[str, int] = {}
             errors: dict[str, str] = {}
             if duality is not None:

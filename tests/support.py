@@ -344,3 +344,30 @@ def reference_class_add(a, b):
 
 def reference_class_neg(a):
     return tuple(Fraction(0) if not x else 1 - x for x in a)
+
+
+def reference_classes(g):
+    """Every class key of H, sorted, reached breadth-first from the zero
+    class by adding anti-dual keys mod |H|, as the package enumerated H
+    before it walked an echelon basis."""
+    lat = lattice_of(g)
+    d = lat.h_order
+    gens = {lat.class_key(col) for col in lat.sestar}
+    seen = {lat.zero_class.key}
+    frontier = [lat.zero_class.key]
+    while frontier:
+        key = frontier.pop()
+        for gen in gens:
+            nxt = tuple((a + b) % d for a, b in zip(key, gen))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return sorted(seen)
+
+
+def d_graph(n: int) -> PlumbingGraph:
+    """D_n, n >= 4, every vertex -2: a chain c0..c(n-2) with c(n-1) hung
+    from c(n-3).  H is (Z/2)^2 for even n and Z/4 for odd n."""
+    lines = [f"vertex c{i} -2" for i in range(n)]
+    edges = [f"edge c{i} c{i + 1}" for i in range(n - 2)] + [f"edge c{n - 3} c{n - 1}"]
+    return parse_graph("\n".join(lines + edges))

@@ -300,10 +300,12 @@ def test_sw_prints_each_class_as_it_is_formatted(tmp_path):
     # star(-2; -6,-9,-13), |H| = 1155.  Building every class's entry, and
     # duality's table of every class's cut, before the first line prints
     # peaks at 0.79 MB traced (Python 3.11); building each entry when its
-    # class is reached, and printing it, at 0.24 MB.  The first run builds
-    # the cached lattice and classes, so only the second, measured, run's own
-    # allocations count; the collection before it frees what earlier calls
-    # left in cycles, which would otherwise be freed, or not, inside it.
+    # class is reached, and printing it, at 0.24 MB; with duality's values
+    # kept for the 64 non-zero classes only, and each class's key built as
+    # it is reached, at 0.21 MB.  The first run builds the cached lattice,
+    # so only the second, measured, run's own allocations count; the
+    # collection before it frees what earlier calls left in cycles, which
+    # would otherwise be freed, or not, inside it.
     star = tmp_path / "star.graph"
     star.write_text("vertex c -2\nvertex s0 -6\nvertex s1 -9\nvertex s2 -13\n"
                     "edge c s0\nedge c s1\nedge c s2\n")

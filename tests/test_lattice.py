@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
+from plumbsw import lattice
 from plumbsw.graph import definite_adjugate, parse_graph, validate
-from plumbsw.lattice import (LatticeError, all_classes, canonical_cycle, class_of,
+from plumbsw.lattice import (Lattice, LatticeError, all_classes, canonical_cycle, class_of,
                              e_star, format_vec, in_dual_lattice, intersection_data,
-                             l_top, lattice_of, pairing)
+                             iter_classes, l_top, lattice_of, pairing)
 from support import anti_duals, end_combination, vec_add, vec_scale, z_k_minus_e
 
 SIGMA257_NEG_INV = [
@@ -403,3 +404,56 @@ def test_in_dual_lattice_matches_fraction_reference(corpus30):
         assert not in_dual_lattice(g, x)
         with pytest.raises(LatticeError, match="is not in the dual lattice"):
             class_of(g, x)
+
+
+# The four stars of the benchmark's wide-h workload, |H| = 988, 891, 656, 1155.
+WIDE_H_STARS = ((-3, (-5, -7, -11)), (-2, (-3, -13, -15)), (-2, (-5, -6, -14)),
+                (-2, (-6, -9, -13)))
+
+
+def test_iter_classes_matches_bfs_reference(corpus30):
+    stars = [support.star(c, legs) for c, legs in WIDE_H_STARS]
+    assert [lattice_of(g).h_order for g in stars] == [988, 891, 656, 1155]
+    graphs = [support.sigma257(), support.two_nodes(), support.three_nodes(),
+              support.hub_tree(33), *corpus30, *stars]
+    graphs += [support.d_graph(n) for n in range(4, 11)]
+    graphs += [parse_graph(f"vertex a {-n}") for n in (1, 2, 12, 20000)]
+    for g in graphs:
+        keys = [h.key for h in iter_classes(g)]
+        assert keys == support.reference_classes(g), g
+        assert all_classes(g) == tuple(iter_classes(g))
+
+
+def test_d_graph_classes_are_not_cyclic_for_even_n():
+    # D_n: H = (Z/2)^2 for even n, where twice every class is 0 and the
+    # basis needs two levels; Z/4 for odd n
+    for n in range(4, 11):
+        g = support.d_graph(n)
+        lat = lattice_of(g)
+        keys = [h.key for h in iter_classes(g)]
+        assert lat.h_order == len(keys) == 4
+        assert all(2 * k % 4 == 0 for key in keys for k in key) == (n % 2 == 0)
+        if n % 2 == 0:
+            assert len(lat.class_levels) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10))
+def test_iter_classes_matches_bfs_on_random_trees(seed, n):
+    g = support.random_graph(random.Random(seed), n)
+    assume(validate(g).ok)
+    assume(lattice_of(g).h_order <= 5000)
+    assert [h.key for h in iter_classes(g)] == support.reference_classes(g)
+
+
+def test_class_levels_refuse_anti_duals_that_span_too_few(monkeypatch):
+    # Keep only some anti-duals: on D4 (H = (Z/2)^2) one end's spans 2 of the
+    # 4 classes; on two_nodes_h3 (|H| = 3) v1's and v2's are the zero class.
+    for g, kept, spanned in ((support.d_graph(4), ("c0",), 2),
+                             (support.two_nodes(), ("v1", "v2"), 1)):
+        lat = Lattice(g)
+        lat.sestar = tuple(lat.sestar[g.index(v)] for v in kept)
+        monkeypatch.setattr(lattice, "lattice_of", lambda _: lat)
+        expected = f"^anti-duals span {spanned} classes, expected {lat.h_order}$"
+        with pytest.raises(LatticeError, match=expected):
+            iter_classes(g)
