@@ -9,12 +9,12 @@ the non-empty sub-cuts.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, gcd
-from operator import add
+from math import comb, gcd, lcm
+from operator import add, floordiv
 
 from .graph import PlumbingGraph
 from .lattice import HClass, LatticeError, all_classes, class_of, lattice_of
-from .series import _steps, _zeta_factors, live_indices
+from .series import _zeta_factors, live_indices
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -34,48 +34,52 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def envelope_floor_sum(lines, n: int, widest) -> int:
-    """sum_{k=0}^{n-1} widest_i floor((A_i + k S_i)/D_i) over the lines
-    (A_i, S_i, D_i), D_i >= 1, for ``widest`` max or min.
+def _envelope(starts, slopes, overtakers, k: int, n: int) -> list:
+    """The pieces (k0, end, i) of the upper envelope of the integer lines
+    starts_i + x slopes_i over k <= x < n: line i is the widest for
+    k0 <= x < end.
 
-    floor is monotone, so each term is the floor of the upper (max) or lower
-    (min) envelope of the lines.  The pieces of that envelope come in order
-    of slope: from the line widest at k (ties go to the slope that stays
-    widest), the piece ends at the first integer where a line of wider slope
-    is strictly wider.  Each piece is one ``floor_sum``."""
-    if n == 1:
-        return widest([A // D for A, _, D in lines])
-    sgn = 1 if widest is max else -1
-    total = k = 0
+    The lines come in tie order, by decreasing slope, so that among tied
+    values the first is the line that stays widest, and ``index`` of the
+    maximum picks it.  overtakers[i] lists the gaps by which the slopes of
+    the lines before line i exceed its own, for the prefix of lines of
+    greater slope.  Line i's piece ends where the first of them is strictly
+    wider, one floor division each.  The lines after the prefix stay at or
+    below line i, so the next piece is on a line of the prefix, and only
+    the prefix's values are computed again."""
+    pieces = []
+    values = [s + k * d for s, d in zip(starts, slopes)]
     while k < n:
-        A, S, D = lines[0]
-        for A2, S2, D2 in lines[1:]:
-            c = (A2 + k * S2) * D - (A + k * S) * D2
-            if sgn * c > 0 or (c == 0 and sgn * (S2 * D - S * D2) > 0):
-                A, S, D = A2, S2, D2
+        top = max(values)
+        i = values.index(top)
+        gaps = overtakers[i]
         end = n
-        for A2, S2, D2 in lines:
-            p = sgn * (S2 * D - S * D2)
-            if p > 0:
-                # line 2 is strictly wider once x p > sgn (A D2 - A2 D)
-                end = min(end, sgn * (A * D2 - A2 * D) // p + 1)
-        total += floor_sum(end - k, D, S, A + k * S)
+        if gaps:
+            end = min(n, k + 1 + min(map(floordiv, [top - v for v in values], gaps)))
+        pieces.append((k, end, i))
+        if end < n:
+            values = [s + end * d for s, d in zip(starts, slopes[:len(gaps)])]
         k = end
-    return total
+    return pieces
 
 
 def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     """Sum of z(l') over [l'] = h with l'_v < x_v for ``quantifier`` (any
     or all) of the live v.
 
+    The slack walk.  The walk holds a point e by its negative slack
+    t = e - x on the live coordinates (scaled).  From e, the points e + k y
+    along a column y pass the cut for k < ceil(-t_i / y_i) on any (max) or
+    all (min) of the live i, so each level counts its steps in one pass,
+    -min (any) or -max (all) of the t_i // y_i.
+
     Two-factor rule.  The last two walker factors are series 1/(1 - t^b)
     and 1/(1 - t^a) of multiplicity 1 (a graph with one vertex has one
     factor of multiplicity 2, fed as two equal ones).  The walk stops before
     both.  At each leaf e the closed form takes K, the number of steps k
-    along b for which e + k b passes the cut, from ``series._steps`` as each
-    walk level does.  From e + k b the points e + k b + j a pass exactly
-    for j < run(k), ``_steps`` along a.  Such a point is in class h when
-    k [b] + j [a] = h - [e].
+    along b for which e + k b passes the cut, counted as at each level.
+    From e + k b the points e + k b + j a pass exactly for j < run(k), the
+    steps along a.  Such a point is in class h when k [b] + j [a] = h - [e].
 
     Let o be the order of [a], ob the least r > 0 with r [b] in <[a]>, and
     ob [b] = s [a].  A per-walk table of the o * ob <= |H| classes
@@ -83,23 +87,33 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     solution (r0, j0).  The residues r = r0 + i ob below the order of [b]
     meet the class with j = j0 - i s (mod o), fixed along the residue.  So
     at step k = r + m ord[b] the count is floor((run(k) - 1 - j)/o) + 1,
-    never negative as run(k) >= 1 and j < o.  The nested floors fold into
-    widest_i floor((c_i - e_i - 1 - j a_i - r b_i - m ord[b] b_i)/(a_i o))
-    + 1: the floor of an envelope of lines in m, summed by
-    ``envelope_floor_sum``.  A leaf looks only at residues r < K, so it
-    never costs more steps than the K points along b it stands for.
+    never negative as run(k) >= 1 and j < o.  With the lines
+    y_i(k) = (-t_i - 1 - k b_i)/a_i, run(k) - 1 = floor(widest_i y_i(k)),
+    and since y -> floor((y - j)/o) is non-decreasing the count is
+    floor((y_i(k) - j)/o) + 1 = floor((-t_i - 1 - k b_i - j a_i)/(a_i o)) + 1
+    for the line i widest at k, whatever the residue.
+
+    One envelope per leaf.  So a leaf builds the pieces of the envelope of
+    the y_i on r0 <= k < K once (``_envelope``), and each residue sums one
+    ``floor_sum`` per piece over its steps k = r + m ord[b] there.  The
+    lines compare as integers, times one denominator per walk (the lcm of
+    the a_i) and negated for min.  The live coordinates are put in tie order
+    once per walk, by decreasing slope: the first of tied values is then the
+    line that stays widest, and a piece ends where one of the lines of wider
+    slope, listed once per walk, becomes strictly wider.  A leaf looks only
+    at residues r < K, and builds no piece before r0.
 
     The walk state.  Below a point, both the rest of the walk and the
     closed form at its leaves depend only on the factor level, the point's
-    live coordinates (each level's ``_steps`` reads only those) and its
-    class.  So the walk is a recursion over that state returning the sum of
-    its subtree, and the class is an index into ``all_classes``, advanced
-    by a step table per factor built once per walk.  It memoizes the levels
-    deeper than the number m of live coordinates, where distinct prefixes
-    meet in one state.  A prefix of at most m factors has no more step
-    counts than there are live coordinates, so distinct prefixes seldom
-    meet there, and a memo would mostly hold entries never read.  The full-variable cut walks
-    fewer than m = n factors, so it memoizes nothing and keeps memory
+    slack t (its live coordinates, as x is fixed) and its class.  So the
+    walk is a recursion over that state returning the sum of its subtree,
+    and the class is an index into ``all_classes``, advanced by a step
+    table per factor built once per walk.  It memoizes the levels deeper
+    than the number m of live coordinates, where distinct prefixes meet in
+    one state.  A prefix of at most m factors has no more step counts than
+    there are live coordinates, so distinct prefixes seldom meet there, and
+    a memo would mostly hold entries never read.  The full-variable cut
+    walks fewer than m = n factors, so it memoizes nothing and keeps memory
     linear in the walk depth.
 
     Everything is finite because a and b are strictly positive on the
@@ -141,63 +155,78 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     ob, s = r, first_a[offset]
     order_b = ob * (o // gcd(o, s))
 
-    # the walk runs on the live coordinates only, as positions 0..m-1
-    m = len(active)
-    bounds = tuple(enumerate(sx[i] for i in active))
-    widest = max if quantifier is any else min
-    b_live = tuple(b[i] for i in active)
-    steps = [(sx[i] - 1, a[i], b[i], -order_b * b[i], a[i] * o) for i in active]
+    # The walk runs on the live coordinates only, in the tie order of their
+    # lines.  At a leaf of slack t, line i is (t_i + 1 + k b_i) * ups_i:
+    # y_i(k) times denom, negated for min, so every envelope is an upper one.
+    sgn = 1 if quantifier is any else -1
+    fold = min if quantifier is any else max
+    denom = lcm(*(a[i] for i in active))
+    live = sorted(active, key=lambda i: sgn * b[i] * (denom // a[i]))
+    m = len(live)
+    a_live = tuple(a[i] for i in live)
+    b_live = tuple(b[i] for i in live)
+    ups = [-sgn * (denom // ai) for ai in a_live]
+    slopes = [bi * up for bi, up in zip(b_live, ups)]
+    overtakers = [[s2 - s1 for s2 in slopes if s2 > s1] for s1 in slopes]
     # class index -> the table's (r0, j0) or None, and per walked factor
     # -> the class index one step along it
     keys = [c.key for c in all_classes(g)]
     index = {key: i for i, key in enumerate(keys)}
     hits = [table.get(key) for key in keys]
     moves = [[index[step(key, col)] for key in keys] for col, _ in factors]
-    walked = [(tuple(col[i] for i in active), info) for col, info in factors]
+    walked = [(tuple(col[i] for i in live), info) for col, info in factors]
     last = len(factors)
     memo: dict[tuple, int] = {}
 
-    def leaf(e, cls):
+    def leaf(t, cls):
         hit = hits[cls]
         if hit is None:
             return 0
         r, j = hit
-        K = _steps(e, b_live, bounds, widest)
+        K = -fold(map(floordiv, t, b_live))
+        if r >= K:
+            return 0
+        pieces = _envelope([(ti + 1) * up for ti, up in zip(t, ups)],
+                           slopes, overtakers, r, K)
         count = 0
         while r < K and r < order_b:
-            lines = [(c - ei - j * ai - r * bi, S, D)
-                     for ei, (c, ai, bi, S, D) in zip(e, steps)]
-            n = (K - 1 - r) // order_b + 1
-            count += n + envelope_floor_sum(lines, n, widest)
+            for k0, k1, i in pieces:
+                k = r if k0 <= r else k0 + (r - k0) % order_b
+                if k < k1:
+                    n = (k1 - 1 - k) // order_b + 1
+                    ai, bi = a_live[i], b_live[i]
+                    first = -t[i] - 1 - j * ai - k * bi
+                    count += (n + floor_sum(n, ai * o, -order_b * bi, first) if n > 1
+                              else 1 + first // (ai * o))
             r += ob
             j = (j - s) % o
         return count
 
-    def rec(fi, e, cls):
+    def rec(fi, t, cls):
         if fi > m:
-            state = (fi, e, cls)
+            state = (fi, t, cls)
             total = memo.get(state)
             if total is None:
-                total = memo[state] = subtree(fi, e, cls)
+                total = memo[state] = subtree(fi, t, cls)
             return total
-        return subtree(fi, e, cls)
+        return subtree(fi, t, cls)
 
-    def subtree(fi, e, cls):
+    def subtree(fi, t, cls):
         if fi == last:
-            return leaf(e, cls)
+            return leaf(t, cls)
         col, info = walked[fi]
         move = moves[fi]
-        n = _steps(e, col, bounds, widest)
+        n = -fold(map(floordiv, t, col))
         finite = isinstance(info, tuple)
         total = 0
         for k in range(min(n, len(info)) if finite else n):
             w = info[k] if finite else comb(k + info - 1, info - 1)
-            total += w * rec(fi + 1, e, cls)
-            e = tuple(map(add, e, col))
+            total += w * rec(fi + 1, t, cls)
+            t = tuple(map(add, t, col))
             cls = move[cls]
         return total
 
-    total = rec(0, (0,) * m, index[zero])
+    total = rec(0, tuple(-sx[i] for i in live), index[zero])
     # rec and subtree hold each other through their closures: empty rec's
     # cell, so the memo and the step tables are freed on return, not at the
     # next full collection

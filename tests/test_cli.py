@@ -352,23 +352,24 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_sums_each_counting_walk_state_once(capsys, monkeypatch):
-    # Machine-independent cost of verify's counting functions: one envelope
-    # floor sum per residue of a closed-form leaf.  Summing each walk state
-    # (level, live coordinates, class) once takes 6,837 on three_nodes_h1,
-    # where a walk that sums every leaf takes 16,545.
+    # Machine-independent cost of verify's counting functions: one floor
+    # sum per residue of a closed-form leaf and per envelope piece of more
+    # than one step.  Summing each walk state (level, slack, class) once
+    # takes 5,884 on three_nodes_h1, where a walk that sums every leaf
+    # takes 14,302.
     calls = 0
-    envelope = counting.envelope_floor_sum
+    floor_sum = counting.floor_sum
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return envelope(*args)
+        return floor_sum(*args)
 
-    monkeypatch.setattr(counting, "envelope_floor_sum", counted)
+    monkeypatch.setattr(counting, "floor_sum", counted)
     code, out, _ = run(capsys, "verify", GRAPHS / "three_nodes_h1.graph",
                        "--seed", "20240914", "--samples", "1")
     assert code == 0 and "FAIL" not in out
-    assert 0 < calls <= 6_837
+    assert 0 < calls <= 5_884
 
 
 def test_usage_errors(capsys):

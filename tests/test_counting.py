@@ -3,7 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import ceil, comb, gcd
+from math import ceil, comb, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import support
 from support import anti_duals, vec_add, vec_scale
-from plumbsw.counting import (Q, envelope_floor_sum, floor_sum,
+from plumbsw.counting import (Q, _envelope, floor_sum,
                               inclusion_exclusion_check, q)
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (LatticeError, all_classes, canonical_cycle,
@@ -348,12 +348,16 @@ def test_counts_match_brute_force_when_a_and_b_miss_classes():
 # two_nodes walk 3 or 4 factors before the closed form, so live sets smaller
 # than that memoize the deeper levels and larger ones memoize nothing.  On the
 # star with H = Z2 x Z2, [a] and [b] miss classes, so states that differ only
-# in their class have different sums; the explicit examples are two such cuts
-# at Z_K + E*_c, on one and on two live vertices.
+# in their class have different sums; the first two explicit examples are two
+# such cuts at Z_K + E*_c, on one and on two live vertices.  The third, on
+# two_nodes at Z_K + E*_w1 with w1 and a2 live, has closed-form leaves with
+# two or more residues and two or more envelope pieces, for Q and for q.
 Z2_Z2_STAR = support.star(-2, (-2, -2, -2, -3))
-PROPERTY_GRAPHS = (support.two_nodes(), support.star(-1, (-3, -4, -5, -5)),
+TWO_NODES = support.two_nodes()
+PROPERTY_GRAPHS = (TWO_NODES, support.star(-1, (-3, -4, -5, -5)),
                    Z2_Z2_STAR, support.chain((-2, -3, -2)), parse_graph("vertex a -2"))
 STAR_X = vec_add(canonical_cycle(Z2_Z2_STAR), anti_duals(Z2_Z2_STAR)[0])
+TWO_NODES_X = vec_add(canonical_cycle(TWO_NODES), anti_duals(TWO_NODES)[0])
 
 
 @st.composite
@@ -373,6 +377,7 @@ def cuts(draw):
 @given(cuts())
 @example((Z2_Z2_STAR, ("c",), STAR_X))
 @example((Z2_Z2_STAR, ("c", "s2"), STAR_X))
+@example((TWO_NODES, ("a2", "w1"), TWO_NODES_X))
 def test_counts_match_brute_force_on_every_live_set_size(cut):
     g, subset, x = cut
     h = class_of(g, x)
@@ -393,16 +398,46 @@ def _envelope_loop(lines, n, widest):
     return sum(widest([(A + k * S) // D for A, S, D in lines]) for k in range(n))
 
 
+def _widest_at(lines, k, widest):
+    """The widest value of the lines at k, and the slope that stays widest
+    among the lines that reach it."""
+    return widest((Fraction(A + k * S, D), Fraction(S, D)) for A, S, D in lines)
+
+
 def _pieces(lines, n, widest):
     """Pieces of the exact envelope on 0..n-1: the widest line at each k,
     ties going to the slope that stays widest, changes slope between
     pieces."""
-    slopes = [widest((Fraction(A + k * S, D), Fraction(S, D)) for A, S, D in lines)[1]
-              for k in range(n)]
+    slopes = [_widest_at(lines, k, widest)[1] for k in range(n)]
     return 1 + sum(1 for k in range(1, n) if slopes[k] != slopes[k - 1])
 
 
-def test_envelope_floor_sum_matches_loop():
+def _envelope_sum(lines, n, widest):
+    """The envelope sum of ``_envelope_loop`` from the pieces of
+    ``_envelope``, as ``counting._cut_sum`` builds them: lines over one
+    denominator, negated for min, by decreasing slope.  Checks on the way
+    that each piece's line is widest at each of its k, and that a piece
+    starts on the line that stays widest."""
+    sgn = 1 if widest is max else -1
+    denom = lcm(*(D for _, _, D in lines))
+    lines = sorted(lines, key=lambda line: -sgn * line[1] * (denom // line[2]))
+    starts = [sgn * A * (denom // D) for A, _, D in lines]
+    slopes = [sgn * S * (denom // D) for _, S, D in lines]
+    overtakers = [[s2 - s1 for s2 in slopes if s2 > s1] for s1 in slopes]
+    total = k = 0
+    for k0, end, i in _envelope(starts, slopes, overtakers, 0, n):
+        assert k0 == k < end
+        A, S, D = lines[i]
+        assert _widest_at(lines, k0, widest)[1] == Fraction(S, D)
+        for x in range(k0, end):
+            assert _widest_at(lines, x, widest)[0] == Fraction(A + x * S, D)
+        total += floor_sum(end - k0, D, S, A + k0 * S)
+        k = end
+    assert k == n
+    return total
+
+
+def test_envelope_pieces_match_loop():
     rng = random.Random(89)
     multi_piece = {max: 0, min: 0}
     for trial in range(600):
@@ -420,20 +455,23 @@ def test_envelope_floor_sum_matches_loop():
                 lines.append((D * num - k0 * S * D0, S * D0, D * D0))
             else:
                 lines.append((rng.randint(-300, 300), S, D))
-        assert envelope_floor_sum(lines, n, widest) == _envelope_loop(lines, n, widest)
+        assert _envelope_sum(lines, n, widest) == _envelope_loop(lines, n, widest)
         if n and _pieces(lines, n, widest) >= 2:
             multi_piece[widest] += 1
     assert multi_piece[max] >= 30 and multi_piece[min] >= 30
 
 
-def test_envelope_floor_sum_ties_at_integer_breakpoints():
+def test_envelope_pieces_ties_at_integer_breakpoints():
     # Falling lines whose envelope changes line exactly at integers: at k = 3
     # and k = 6 for max, at k = 5 for min.  The last line is the third one
-    # over another denominator.
-    lines = [(12, -4, 1), (9, -3, 1), (-3, -1, 1), (-6, -2, 2)]
-    for widest in (max, min):
-        for n in range(0, 12):
-            assert envelope_floor_sum(lines, n, widest) == _envelope_loop(lines, n, widest)
+    # over another denominator.  Then two pairs of lines tied at k = 0, the
+    # widest pair for max and the other for min: the piece there is on the
+    # line that stays widest.
+    for lines in ([(12, -4, 1), (9, -3, 1), (-3, -1, 1), (-6, -2, 2)],
+                  [(12, -4, 1), (24, -2, 2), (-6, -1, 1), (-12, -6, 2)]):
+        for widest in (max, min):
+            for n in range(0, 12):
+                assert _envelope_sum(lines, n, widest) == _envelope_loop(lines, n, widest)
 
 
 def test_counting_walk_is_freed_when_it_returns():
