@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
-from .series import RatFunc, _cone_tally, _tally, live_indices, zeta
+from .series import RatFunc, _infinity_tally, _tally, live_indices, zeta
 
 
 class DivisionError(ValueError):
@@ -246,9 +246,8 @@ def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
         reflected = tuple(map(sub, szkme, e))
         return classes[lat.class_key(reflected)], _live(reflected, active)
 
-    cut = (tuple((i, szkme[i] + 1) for i in active), any)
     buckets: dict[HClass, Poly] = {h: {} for h in classes.values()}
-    for (h, live), c in _cone_tally(lat, cut, key).items():
+    for (h, live), c in _infinity_tally(lat, active, (0,) * len(active), key).items():
         buckets[h][live] = c
     return buckets
 

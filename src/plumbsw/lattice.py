@@ -176,7 +176,7 @@ class Lattice:
 
     def class_key(self, scaled) -> tuple[int, ...]:
         d = self.h_order
-        return tuple(c % d for c in scaled)
+        return tuple([c % d for c in scaled])
 
     def class_at(self, scaled) -> HClass:
         """The class in H of the L' vector whose scaled copy is ``scaled``."""

@@ -80,11 +80,8 @@ def fiber_counts(g: PlumbingGraph, shape: str, cut, positivity: str
         start = lat.combination((e, 1) for e in lat.end_idx)
     else:
         start = (0,) * lat.n
-    d = lat.h_order
     return _tally(((start, 1),), [(col, 1) for col in cols],
-                  (cut, all if shape == "convex" else any),
-                  # lat.class_key inlined: this runs once per lattice point
-                  lambda e: tuple(c % d for c in e))
+                  (cut, all if shape == "convex" else any), lat.class_key)
 
 
 def count(g: PlumbingGraph, query: PolytopeQuery) -> int:

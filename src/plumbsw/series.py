@@ -30,15 +30,17 @@ strictly positive on the bounded coordinates.  The one push walker is
 ``_tally``: it walks every point that passes and adds its weight into a
 dict under a key, dropping the zero sums.  Every multiplied-out sum goes
 through it, and every sum over the zeta function's cone through
-``_cone_tally``, its walk from the origin: ``coeff``, the closed form of
-``taylor_infinity``, ``decomp.polypart_dual`` and
-``swcore.sw_norm_via_duality``.  The counting functions (``counting.Q``
-and ``q``) walk the zeta factors as a fold that sums each walk state
-(level, slack, class) once.  They hold a point e by its negative slack
-t = e - x on the live coordinates, so a level counts its steps as
-``_steps`` does, in one pass over the t_i // a_i.  They stop two factors
-early and sum those two in closed form, from one envelope of lines per
-leaf shared by all its residues.
+``_cone_tally``, its walk from the origin: ``coeff`` and
+``_infinity_tally``.  That one builds the cut of every walk at infinity,
+l' <= Z_K - E - b on some live coordinate, for the closed form of
+``taylor_infinity`` (b the window) and, with b = 0, for
+``decomp.polypart_dual`` and ``swcore.sw_norm_via_duality``.  The
+counting functions (``counting.Q`` and ``q``) walk the zeta factors as a
+fold that sums each walk state (level, slack, class) once.  They hold a
+point e by its negative slack t = e - x on the live coordinates, so a
+level counts its steps as ``_steps`` does, in one pass over the
+t_i // a_i.  They stop two factors early and sum those two in closed
+form, from one envelope of lines per leaf shared by all its residues.
 
 Three loops stay hand-written: ``_grow``, which moves class keys and live
 exponents apart for the equivariant split of ``equivariant_split`` and
@@ -265,6 +267,15 @@ def _cone_tally(lat: Lattice, cut, key) -> dict:
     return _tally((((0,) * lat.n, 1),), _zeta_factors(lat), cut, key)
 
 
+def _infinity_tally(lat: Lattice, active, sbound, key) -> dict:
+    """``_cone_tally`` at the cut of the expansion at infinity: the scaled
+    l' with Z_K - E - l' >= b on some live coordinate, b the scaled bounds
+    ``sbound`` paired with ``active``, that is l'_i < (Z_K - E)_i - b_i + 1."""
+    szkme = lat.szkme
+    cut = tuple((i, szkme[i] - b + 1) for i, b in zip(active, sbound))
+    return _cone_tally(lat, (cut, any), key)
+
+
 def coeff(g: PlumbingGraph, lprime) -> int:
     """Coefficient z(l') of the full Poincare series.  Zero off the Lipman
     cone; the enumeration of decompositions is finite because every
@@ -416,8 +427,8 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
     sbound = _scaled_bound(window, d, active)
     if isinstance(obj, FactoredRatFunc):
         szkme = lat.szkme
-        cut = (tuple((i, szkme[i] - b + 1) for i, b in zip(active, sbound)), any)
-        terms = _cone_tally(lat, cut, lambda e: tuple(szkme[i] - e[i] for i in active))
+        terms = _infinity_tally(lat, active, sbound,
+                                lambda e: tuple(szkme[i] - e[i] for i in active))
     else:
         # Expanded downward from t^{b - sum a}; the walk runs on the negated
         # exponent, upward by the a, and "some live e_i >= bound_i" becomes

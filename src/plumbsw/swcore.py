@@ -1,7 +1,7 @@
 """Orchestration of the Seiberg-Witten routes.
 
-Three independent computations of the normalized invariant (always
-reported with opposite sign, the quantity -sw^norm_h) are available:
+Three computations of the normalized invariant (always reported with
+opposite sign, the quantity -sw^norm_h) are available:
 
 * duality: the finite counting-function evaluation Q at the cut Z_K - r_h
   in the dual class [Z_K] - h, over the nodes;
@@ -9,6 +9,12 @@ reported with opposite sign, the quantity -sw^norm_h) are available:
   the expansion at infinity and cross-checked against Euclidean division;
 * lattice: the alternating sum of fibered lattice point counts over the
   node multiset (needs at least one node).
+
+On the 1/|H| grid of the class [Z_K] - h, l' < Z_K - r_h on a vertex
+exactly when l' <= Z_K - E there, so duality's sum and polypart's P+(1)
+walk the same points, ``series._infinity_tally`` at the cut Z_K - E: their
+agreement checks bookkeeping only.  The independent checks of duality are
+division, the lattice route and ``verify``'s counting function Q.
 
 Each route function takes the graph and returns a ``collections.Counter``
 keyed by ``HClass`` that holds the non-zero classes only: indexing it with
@@ -42,7 +48,7 @@ from .decomp import evaluate_at_one, polypart_division, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, iter_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice
-from .series import _cone_tally, live_indices
+from .series import _infinity_tally, live_indices
 
 
 class RouteDisagreement(RuntimeError):
@@ -60,23 +66,21 @@ def duality_cut_vertices(g: PlumbingGraph) -> tuple[str, ...]:
 
 def sw_norm_via_duality(g: PlumbingGraph) -> Counter[HClass]:
     """-sw^norm_h of every class h as the counting function Q of the dual
-    class [Z_K] - h at the cut Z_K - r_h, from one walk of the cone at the
-    loosest cut Z_K: a term at l' counts for the class h with
-    [l'] = [Z_K] - h, and only when l' fails that class's cut somewhere on
-    the cut vertices.  The ``Counter`` holds the non-zero classes only, and
+    class [Z_K] - h at the cut Z_K - r_h, from one walk of the cone: a term
+    at l' counts for the class h with [l'] = [Z_K] - h when l' fails that
+    class's cut on some cut vertex i.  Z_K - r_h - l' lies in L, so
+    l'_i < (Z_K - r_h)_i means l'_i <= (Z_K - r_h)_i - 1, and as r_h lies in
+    [0, 1) that holds exactly when l'_i <= (Z_K - E)_i.  So the walk is the
+    one cut at infinity, every point it reaches counts, and each is keyed by
+    its class alone.  The ``Counter`` holds the non-zero classes only, and
     reads 0 on every other class."""
     lat = lattice_of(g)
     active = live_indices(g, duality_cut_vertices(g))
     szk = lat.sz_k
-
-    def failed_key(e):
-        # [l'] = [Z_K] - h gives h's key (Z_K - l') mod d, and its cut Z_K - r_h
-        key = lat.class_key(map(sub, szk, e))
-        return key if any(e[i] < szk[i] - key[i] for i in active) else None
-
-    sums = _cone_tally(lat, (tuple((i, szk[i]) for i in active), any), failed_key)
+    sums = _infinity_tally(lat, active, (0,) * len(active),
+                           lambda e: lat.class_key(map(sub, szk, e)))
     d = lat.h_order
-    return Counter({HClass(key, d): v for key, v in sums.items() if key is not None})
+    return Counter({HClass(key, d): v for key, v in sums.items()})
 
 
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"

@@ -84,6 +84,19 @@ def chain(eulers) -> PlumbingGraph:
     return parse_graph("\n".join(lines + edges))
 
 
+def caterpillar(k: int) -> PlumbingGraph:
+    """A chain of k nodes n0..n(k-1) of Euler number -3, node n{i} with two
+    one-vertex legs a{i} and b{i} of Euler numbers -2 and -3: 3k vertices,
+    |H| = 133, 1261 and 11605 for k = 2, 3 and 4."""
+    lines, edges = [], []
+    for i in range(k):
+        lines += [f"vertex n{i} -3", f"vertex a{i} -2", f"vertex b{i} -3"]
+        edges += [f"edge n{i} a{i}", f"edge n{i} b{i}"]
+        if i:
+            edges.append(f"edge n{i - 1} n{i}")
+    return parse_graph("\n".join(lines + edges))
+
+
 # star(-1; -3,-4,-5,-5) and this 9-vertex tree (node v8 of valency 4,
 # |H| = 7) are the smallest known trees that need the binomial weights of
 # the lattice route.

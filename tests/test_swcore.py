@@ -166,18 +166,55 @@ def test_report_refuses_contested_value(monkeypatch, sigma257):
     assert entry.raw is None
 
 
-def test_batched_routes_match_per_class_counts():
-    # one node, |H| = 139: one walk answers every class
-    g = support.star(-2, (-3, -5, -7))
+def assert_duality_is_q_per_class(g):
+    """Each class's duality value is Q of its dual class at its own cut
+    Z_K - r_h, and the lattice route's value."""
     lat = lattice_of(g)
-    assert 50 <= lat.h_order <= 200
     cut = duality_cut_vertices(g)
     duality = sw_norm_via_duality(g)
     lattice = sw_via_lattice(g)
     for h in all_classes(g):
         dual = lat.class_at([z - k for z, k in zip(lat.sz_k, h.key)])
         want = Q(g, dual, cut, vec_sub(canonical_cycle(g), h.rep))
-        assert duality[h] == want == lattice[h]
+        assert duality[h] == want == lattice[h], h
+
+
+def test_batched_routes_match_per_class_counts():
+    # one node, |H| = 139, and two nodes, |H| = 133: one walk answers every
+    # class
+    for g in (support.star(-2, (-3, -5, -7)), support.caterpillar(2)):
+        assert 50 <= lattice_of(g).h_order <= 200
+        assert_duality_is_q_per_class(g)
+
+
+def test_duality_counts_points_on_z_k_minus_e():
+    # valency 5, |H| = 8: a class's value takes walk points that equal
+    # Z_K - E on the node, so the cut at infinity keeps them (l'_i <= (Z_K - E)_i)
+    assert_duality_is_q_per_class(support.star(-2, (-2, -2, -2, -4, -5)))
+
+
+def test_duality_walks_only_the_points_it_counts(monkeypatch):
+    # every class's cut Z_K - r_h meets its 1/|H| grid where Z_K - E does,
+    # so the duality route walks polypart's cut at infinity and no point
+    # that counts for no class: on caterpillar(3), |H| = 1261, the looser
+    # cut Z_K reaches 57,868 points
+    g = support.caterpillar(3)
+    real, keyed = series._tally, []
+
+    def counted(starts, factors, cut, key):
+        keyed.append(0)
+
+        def wrapped(e):
+            keyed[-1] += 1
+            return key(e)
+
+        return real(starts, factors, cut, wrapped)
+
+    monkeypatch.setattr(series, "_tally", counted)
+    duality = sw_norm_via_duality(g)
+    polys = decomp.polypart_dual(g, duality_cut_vertices(g))
+    assert keyed == [919, 919]
+    assert all(duality[h] == evaluate_at_one(p) for h, p in polys.items())
 
 
 def test_report_divides_once_per_class(monkeypatch, two_nodes):
