@@ -131,18 +131,18 @@ def cmd_zeta(g, args) -> int:
     return 0
 
 
-def _class_from_args(g, args) -> HClass:
-    lat = lattice_of(g)
+def _class_from_args(g, args) -> HClass | None:
+    """The class of ``--h``, or None when it is absent."""
     if args.h is None:
-        return lat.zero_class
-    return class_of(g, _parse_vector(args.h, lat.n, "--h"))
+        return None
+    return class_of(g, _parse_vector(args.h, g.n, "--h"))
 
 
 def cmd_polypart(g, args) -> int:
-    h = _class_from_args(g, args)
-    live = _live_set(g, args)
     lat = lattice_of(g)
-    dual = decomp.poly_live(lat, decomp.polypart_dual(g, live)[h])
+    h = _class_from_args(g, args) or lat.zero_class
+    live = _live_set(g, args)
+    dual = decomp.poly_live(lat, decomp.polypart_dual(g, live).get(h, {}))
     active = series.live_indices(g, live)
     terms, denom = series._split_classes(lat, active, *series.zeta(g).expanded())
     div = decomp.divide_component(lat, active, terms(h.key), denom, h)
@@ -212,11 +212,8 @@ def cmd_count(g, args) -> int:
     lat = lattice_of(g)
     dil = _parse_vector(args.dilation, lat.n, "--dilation")
     live = _live_set(g, args)
-    fiber = None
-    if args.h is not None:
-        fiber = class_of(g, _parse_vector(args.h, lat.n, "--h"))
-    query = polytopes.PolytopeQuery(args.shape, tuple(live), dil,
-                                    args.boundary, args.positivity, fiber)
+    query = polytopes.PolytopeQuery(args.shape, tuple(live), dil, args.boundary,
+                                    args.positivity, _class_from_args(g, args))
     n = polytopes.count(g, query)
     _emit([{"count": n, "_text": f"count = {n}"}], args.format)
     return 0

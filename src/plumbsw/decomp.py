@@ -6,22 +6,23 @@ positive splits uniquely as P+ + z^neg where P+ is a finite polynomial
 whose exponents are never strictly negative on the live coordinates and
 z^neg has negative degree in every live variable.  Every construction
 returns P+ as one plain polynomial: a dict from live scaled exponent (the
-live coordinates times |H|) to a non-zero int.  Two independent
-constructions are provided:
+live coordinates times |H|) to a non-zero int.  A table of P+ by class
+holds the classes whose P+ is non-zero only: read it with ``.get(h, {})``.
+Two independent constructions are provided:
 
 * Euclidean division rewrites terms t^b / prod_{i in S} (1 - t^{a_i}) while
   some b fails b < a_{i0} everywhere on the live coordinates, in one heap
   pass, ``_divide``, that pivots on the smallest such i0.
-  ``polypart_division``, behind ``plumbsw sw`` and ``verify``, divides the
-  reduced zeta function once over Z[H] and keeps P+ of every class.
+  ``polypart_division``, behind the polypart and division routes, divides
+  the reduced zeta function once over Z[H] and keeps the table of P+.
   ``divide_component`` (and ``euclid_divide``) divides one split
   component and returns the certificate, a ``Decomposition`` indexed by
   denominator subsets S whose S = {} bucket is P+; ``plumbsw polypart``
   prints it.
-* ``polypart_dual`` reads P+ of every class off the expansion at infinity,
-  from one enumeration: the coefficient at Z_K - E - l' is z(l'), and P+
-  keeps the exponents that are not strictly negative on the live
-  coordinates.
+* ``polypart_dual`` reads the table of P+ off the expansion at infinity,
+  from one walk: the coefficient at Z_K - E - l' is z(l'), and P+ keeps
+  the exponents that are not strictly negative on the live coordinates.
+  It is the one walk behind the duality and polypart routes.
 
 The two must agree, and P+(1) is the normalized Seiberg-Witten invariant
 with opposite sign when the live set contains all nodes.
@@ -211,7 +212,8 @@ def polypart_division(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     """Polynomial part of every h-component from one Euclidean division of
     the reduced zeta function over Z[H]: each numerator term t^e carries its
     class [e], and a step on a denominator 1 - t^a moves it by -[a].  The
-    S = {} terms of class h are P+ of the h-component, P+ being unique."""
+    S = {} terms of class h are P+ of the h-component, P+ being unique.
+    Holds the classes whose P+ is non-zero only."""
     lat = lattice_of(g)
     active = live_indices(g, subset)
     classes = all_classes(g)
@@ -221,33 +223,34 @@ def polypart_division(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     moves = [[index[lat.class_key(map(sub, h.key, a))] for h in classes] for a in denom]
     terms = _tally(num.items(), (), ((), all),
                    lambda e: (index[lat.class_key(e)], _live(e, active)))
-    buckets: dict[HClass, Poly] = {h: {} for h in classes}
+    buckets: dict[HClass, Poly] = {}
     for S, h, b, c in _divide(lat, active, terms, denom, classes, moves):
         if not S:
-            buckets[classes[h]][b] = c
+            buckets.setdefault(classes[h], {})[b] = c
     return buckets
 
 
 def polypart_dual(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     """Polynomial part of every h-component via the expansion at infinity,
-    from one enumeration.
+    from one walk, holding the classes whose P+ is non-zero only.
 
-    Enumerates l' in the Lipman cone that stay at or below Z_K - E somewhere
+    Walks the l' in the Lipman cone that stay at or below Z_K - E somewhere
     on the live coordinates; the term at exponent Z_K - E - l' receives
     z(l') in the component of its own class, which is [Z_K] - [l'].
     """
     lat = lattice_of(g)
     active = live_indices(g, subset)
-    szkme = lat.szkme
-    # one class object per class, shared by the tally's keys
-    classes = {h.key: h for h in all_classes(g)}
+    szkme, d = lat.szkme, lat.h_order
+    # one class object per class reached, shared by the tally's keys
+    classes: dict[tuple[int, ...], HClass] = {}
 
     def key(e):
         reflected = tuple(map(sub, szkme, e))
-        return classes[lat.class_key(reflected)], _live(reflected, active)
+        k = lat.class_key(reflected)
+        h = classes.get(k) or classes.setdefault(k, HClass(k, d))
+        return h, _live(reflected, active)
 
-    buckets: dict[HClass, Poly] = {h: {} for h in classes.values()}
+    buckets: dict[HClass, Poly] = {}
     for (h, live), c in _infinity_tally(lat, active, (0,) * len(active), key).items():
-        buckets[h][live] = c
+        buckets.setdefault(h, {})[live] = c
     return buckets
-

@@ -34,13 +34,14 @@ through it, and every sum over the zeta function's cone through
 ``_infinity_tally``.  That one builds the cut of every walk at infinity,
 l' <= Z_K - E - b on some live coordinate, for the closed form of
 ``taylor_infinity`` (b the window) and, with b = 0, for
-``decomp.polypart_dual`` and ``swcore.sw_norm_via_duality``.  The
-counting functions (``counting.Q`` and ``q``) walk the zeta factors as a
-fold that sums each walk state (level, slack, class) once.  They hold a
-point e by its negative slack t = e - x on the live coordinates, so a
-level counts its steps as ``_steps`` does, in one pass over the
-t_i // a_i.  They stop two factors early and sum those two in closed
-form, from one envelope of lines per leaf shared by all its residues.
+``decomp.polypart_dual``, the one walk of the duality and polypart
+routes.  The counting functions (``counting.Q`` and ``q``) walk the zeta
+factors as a fold that sums each walk state (level, slack, class) once.
+They hold a point e by its negative slack t = e - x on the live
+coordinates, so a level counts its steps as ``_steps`` does, in one pass
+over the t_i // a_i.  They stop two factors early and sum those two in
+closed form, from one envelope of lines per leaf shared by all its
+residues.
 
 Three loops stay hand-written: ``_grow``, which moves class keys and live
 exponents apart for the equivariant split of ``equivariant_split`` and

@@ -10,24 +10,24 @@ opposite sign, the quantity -sw^norm_h) are available:
 * lattice: the alternating sum of fibered lattice point counts over the
   node multiset (needs at least one node).
 
-On the 1/|H| grid of the class [Z_K] - h, l' < Z_K - r_h on a vertex
-exactly when l' <= Z_K - E there, so duality's sum and polypart's P+(1)
-walk the same points, ``series._infinity_tally`` at the cut Z_K - E: their
-agreement checks bookkeeping only.  The independent checks of duality are
+The duality and polypart routes read P+(1) off one table, the P+ of every
+class from the walk at infinity, ``decomp.polypart_dual`` at the cut
+Z_K - E.  On the 1/|H| grid of the class [Z_K] - h, l' < Z_K - r_h on a
+vertex exactly when l' <= Z_K - E there, so that P+(1) is duality's Q at
+Z_K - r_h, and duality's agreement with polypart checks bookkeeping only.
+The polypart route checks that table against a second one, P+ of every
+class from one Euclidean division over Z[H], ``decomp.polypart_division``,
+whose P+(1) is the division route.  The independent checks of duality are
 division, the lattice route and ``verify``'s counting function Q.
 
 Each route function takes the graph and returns a ``collections.Counter``
 keyed by ``HClass`` that holds the non-zero classes only: indexing it with
 any class of H gives that class's value, 0 for an absent class.
-Division, the fourth value ``sw_report`` compares, divides the reduced
-zeta function once over Z[H], which gives P+ of every class; ``sw_report``
-is the one place that divides and cross-checks, and the polypart and
-division route functions read their values from it.
-``sw_report`` runs the routes when it is called and yields one ``SWEntry``
-per class, walking H with ``lattice.iter_classes``; an entry is built only
-when its class is reached, so a caller that prints and drops each entry
-holds one at a time.  With the duality and lattice routes nothing holds a
-table of every class.
+``sw_report`` builds at most the two P+ tables and the lattice count when
+it is called, and yields one ``SWEntry`` per class, walking H with
+``lattice.iter_classes``; an entry is built only when its class is
+reached, so a caller that prints and drops each entry holds one at a time.
+With the duality and lattice routes nothing holds a table of every class.
 
 The raw invariant is recovered from the agreed normalized value by the
 exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, and the quadratic
@@ -40,15 +40,14 @@ import random
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import NamedTuple
 
 from .counting import Q
-from .decomp import evaluate_at_one, polypart_division, polypart_dual
+from .decomp import Poly, evaluate_at_one, polypart_division, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, iter_classes, lattice_of
 from .polytopes import PolytopeError, sw_via_lattice
-from .series import _infinity_tally, live_indices
 
 
 class RouteDisagreement(RuntimeError):
@@ -64,53 +63,43 @@ def duality_cut_vertices(g: PlumbingGraph) -> tuple[str, ...]:
     return g.ids
 
 
+def _at_one(polys: dict[HClass, Poly]) -> Counter[HClass]:
+    """P+(1) of every class of a P+ table, the zeros dropped."""
+    sums = ((h, evaluate_at_one(poly)) for h, poly in polys.items())
+    return Counter({h: v for h, v in sums if v})
+
+
 def sw_norm_via_duality(g: PlumbingGraph) -> Counter[HClass]:
     """-sw^norm_h of every class h as the counting function Q of the dual
-    class [Z_K] - h at the cut Z_K - r_h, from one walk of the cone: a term
-    at l' counts for the class h with [l'] = [Z_K] - h when l' fails that
-    class's cut on some cut vertex i.  Z_K - r_h - l' lies in L, so
-    l'_i < (Z_K - r_h)_i means l'_i <= (Z_K - r_h)_i - 1, and as r_h lies in
-    [0, 1) that holds exactly when l'_i <= (Z_K - E)_i.  So the walk is the
-    one cut at infinity, every point it reaches counts, and each is keyed by
-    its class alone.  The ``Counter`` holds the non-zero classes only, and
-    reads 0 on every other class."""
-    lat = lattice_of(g)
-    active = live_indices(g, duality_cut_vertices(g))
-    szk = lat.sz_k
-    sums = _infinity_tally(lat, active, (0,) * len(active),
-                           lambda e: lat.class_key(map(sub, szk, e)))
-    d = lat.h_order
-    return Counter({HClass(key, d): v for key, v in sums.items()})
+    class [Z_K] - h at the cut Z_K - r_h, read as P+(1) of ``polypart_dual``
+    on the cut vertices: a term at l' counts for the class h with
+    [l'] = [Z_K] - h when l' fails that class's cut on some cut vertex i.
+    Z_K - r_h - l' lies in L, so l'_i < (Z_K - r_h)_i means
+    l'_i <= (Z_K - r_h)_i - 1, and as r_h lies in [0, 1) that holds exactly
+    when l'_i <= (Z_K - E)_i.  So the walk is the one cut at infinity, and
+    every point it reaches counts for its class."""
+    return _at_one(polypart_dual(g, duality_cut_vertices(g)))
 
 
 _POLYPART_MISMATCH = "division and duality produced different polynomial parts"
 
 
-def _route_values(g: PlumbingGraph, route: str) -> Counter[HClass]:
-    """``sw_report``'s non-zero values of one route, as a ``Counter``; the
-    first class where the route reports an error raises
-    ``RouteDisagreement``."""
-    out = Counter()
-    for entry in sw_report(g, (route,)):
-        if route in entry.errors:
-            raise RouteDisagreement(f"h={entry.h}: {entry.errors[route]}")
-        if entry.values[route]:
-            out[entry.h] = entry.values[route]
-    return out
-
-
 def sw_norm_via_polypart(g: PlumbingGraph) -> Counter[HClass]:
-    """-sw^norm_h of every class h as the coefficient sum of the polynomial
-    part by duality, verified against the Euclidean division of the class h
-    component; the first class where they differ raises
-    ``RouteDisagreement``."""
-    return _route_values(g, "polypart")
+    """-sw^norm_h of every class h as P+(1) of the polynomial part by
+    duality, checked against the Euclidean division's; the first class, in
+    key order, where the two differ raises ``RouteDisagreement``."""
+    subset = duality_cut_vertices(g)
+    polys, divs = polypart_dual(g, subset), polypart_division(g, subset)
+    for h in sorted(polys.keys() | divs.keys()):
+        if polys.get(h, {}) != divs.get(h, {}):
+            raise RouteDisagreement(f"h={h}: {_POLYPART_MISMATCH}")
+    return _at_one(polys)
 
 
 def sw_norm_via_division(g: PlumbingGraph) -> Counter[HClass]:
-    """-sw^norm_h of every class h as the coefficient sum of the class h
-    component's division."""
-    return _route_values(g, "division")
+    """-sw^norm_h of every class h as P+(1) of the Euclidean division of
+    the class h component."""
+    return _at_one(polypart_division(g, duality_cut_vertices(g)))
 
 
 def _eightfold_shift(lat, sv) -> int:
@@ -152,13 +141,15 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> Iterator[SWEntry]:
     """Run the requested routes, then yield the entry of every class of H,
     sorted by representative; refuse to normalize when the routes disagree.
 
-    Each route answers the whole graph at once, when ``sw_report`` is
-    called: duality, polypart and lattice from one enumeration each, and
-    division from one Euclidean division over Z[H], ``polypart_division``,
-    which splits nothing and keeps no certificate.  Its polynomial parts
-    serve both the division route and polypart's cross-check.  A class's
-    entry (values, errors, agreement, raw invariant) is built only when the
-    iteration reaches it; ``tuple(sw_report(g))`` holds them all, and
+    The call builds what its routes read, each for the whole graph: the P+
+    table of the walk at infinity, ``polypart_dual``, for duality and
+    polypart; the P+ table of one Euclidean division over Z[H],
+    ``polypart_division``, which splits nothing and keeps no certificate,
+    for polypart and division; and the lattice count.  Duality reads P+(1)
+    of the first table, division P+(1) of the second, and polypart P+(1) of
+    the first once it equals the second.  A class's entry (values, errors,
+    agreement, raw invariant) is built only when the iteration reaches it;
+    ``tuple(sw_report(g))`` holds them all, and
     ``all(e.agree for e in sw_report(g))`` tells whether the routes agree
     on every class.  ``methods`` must name at least one route, and only
     routes of ``ROUTES``: otherwise the call raises ``ValueError``, before
@@ -170,8 +161,7 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> Iterator[SWEntry]:
     if not methods:
         raise ValueError("no route requested")
     subset = duality_cut_vertices(g)
-    duality = sw_norm_via_duality(g) if "duality" in methods else None
-    polys = polypart_dual(g, subset) if "polypart" in methods else None
+    polys = polypart_dual(g, subset) if {"duality", "polypart"} & set(methods) else None
     divs = polypart_division(g, subset) if {"polypart", "division"} & set(methods) else None
     lattice, lattice_error = None, None
     if "lattice" in methods:
@@ -186,15 +176,16 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> Iterator[SWEntry]:
         for h in iter_classes(g):
             values: dict[str, int] = {}
             errors: dict[str, str] = {}
-            if duality is not None:
-                values["duality"] = duality[h]
-            if polys is not None:
-                if divs[h] != polys[h]:
+            poly = polys.get(h, {}) if polys is not None else None
+            if "duality" in methods:
+                values["duality"] = evaluate_at_one(poly)
+            if "polypart" in methods:
+                if divs.get(h, {}) != poly:
                     errors["polypart"] = _POLYPART_MISMATCH
                 else:
-                    values["polypart"] = evaluate_at_one(polys[h])
+                    values["polypart"] = evaluate_at_one(poly)
             if "division" in methods:
-                values["division"] = evaluate_at_one(divs[h])
+                values["division"] = evaluate_at_one(divs.get(h, {}))
             if lattice is not None:
                 values["lattice"] = lattice[h]
             elif lattice_error is not None:

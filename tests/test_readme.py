@@ -3,6 +3,8 @@ import ast
 import re
 from pathlib import Path
 
+from plumbsw.lattice import lattice_of
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -30,5 +32,5 @@ def test_readme_library_example(monkeypatch):
     assert names["dec"].poly == {(1,): 1, (11,): 1}
     assert list(values["sw_norm_via_duality(g)"].values()) == [2]
     polys = values['polypart_dual(g, ["E1"])']
-    assert list(polys.values()) == [names["dec"].poly]
+    assert polys == {lattice_of(names["g"]).zero_class: names["dec"].poly}
     assert values["all(e.agree for e in sw_report(g))"] is True

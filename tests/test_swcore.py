@@ -158,9 +158,10 @@ def test_report_marks_lattice_not_applicable():
 
 
 def test_report_refuses_contested_value(monkeypatch, sigma257):
-    monkeypatch.setattr(swcore, "sw_norm_via_duality",
-                        lambda g: dict.fromkeys(all_classes(g), 17))
+    monkeypatch.setattr(swcore, "polypart_dual",
+                        lambda g, subset: {h: {(0,): 17} for h in all_classes(g)})
     entry, = sw_report(sigma257)
+    assert entry.values["duality"] == 17
     assert not entry.agree
     assert entry.sw_norm_neg is None
     assert entry.raw is None
@@ -215,6 +216,66 @@ def test_duality_walks_only_the_points_it_counts(monkeypatch):
     polys = decomp.polypart_dual(g, duality_cut_vertices(g))
     assert keyed == [919, 919]
     assert all(duality[h] == evaluate_at_one(p) for h, p in polys.items())
+
+
+def test_report_walks_the_cut_at_infinity_once(monkeypatch):
+    # duality and polypart read P+(1) off one table, from one walk at
+    # infinity; caterpillar(3), |H| = 1261, with all four routes
+    g = support.caterpillar(3)
+    real, walks = series._infinity_tally, []
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "plumbsw" and getattr(module, "_infinity_tally", None) is real:
+            monkeypatch.setattr(module, "_infinity_tally", counted)
+    assert all(e.agree and len(e.values) == 4 for e in sw_report(g))
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("table", ["polypart_dual", "polypart_division"])
+def test_each_route_reads_its_own_table(monkeypatch, two_nodes, table):
+    # an extra term in one class's P+ moves the route that reads that table,
+    # duality or division, and not the other; polypart, which compares the
+    # two tables, reports the mismatch at that class
+    g = two_nodes
+    want = {e.h: e.sw_norm_neg for e in sw_report(g)}
+    h0 = all_classes(g)[1]
+    real = getattr(swcore, table)
+
+    def perturbed(g, subset):
+        polys = real(g, subset)
+        polys.setdefault(h0, {})[(10 ** 6,) * len(subset)] = 1
+        return polys
+
+    monkeypatch.setattr(swcore, table, perturbed)
+    moved, kept = ("duality", "division") if table == "polypart_dual" else ("division", "duality")
+    for e in sw_report(g):
+        assert e.values[kept] == e.values["lattice"] == want[e.h]
+        if e.h == h0:
+            assert e.values[moved] == want[e.h] + 1
+            assert e.errors == {"polypart": swcore._POLYPART_MISMATCH}
+            assert not e.agree
+        else:
+            assert e.values[moved] == e.values["polypart"] == want[e.h]
+            assert e.agree and not e.errors
+    assert sw_norm_via_duality(g)[h0] == want[h0] + (moved == "duality")
+    assert sw_norm_via_division(g)[h0] == want[h0] + (moved == "division")
+    with pytest.raises(RouteDisagreement, match=re.escape(f"h={h0}: ")):
+        sw_norm_via_polypart(g)
+
+
+def test_polypart_route_names_the_first_class_that_differs(monkeypatch):
+    # star(-2; -3,-5,-7), |H| = 139, four classes of non-zero P+: against an
+    # empty division table each differs, and the smallest key is named,
+    # which is not the first of the set of classes
+    g = support.star(-2, (-3, -5, -7))
+    first = min(decomp.polypart_dual(g, duality_cut_vertices(g)))
+    monkeypatch.setattr(swcore, "polypart_division", lambda g, subset: {})
+    with pytest.raises(RouteDisagreement, match=re.escape(f"h={first}: ")):
+        sw_norm_via_polypart(g)
 
 
 def test_report_divides_once_per_class(monkeypatch, two_nodes):
@@ -372,8 +433,8 @@ def test_route_agreement_on_high_valency_nodes():
 def test_report_runs_its_routes_when_called(monkeypatch, two_nodes):
     # the routes run in the call, and each entry is built when it is reached
     ran = []
-    monkeypatch.setattr(swcore, "sw_norm_via_duality",
-                        lambda g: ran.append(g) or dict.fromkeys(all_classes(g), 4))
+    monkeypatch.setattr(swcore, "polypart_dual", lambda g, subset: ran.append(g) or {
+        h: {(0, 0): 4} for h in all_classes(g)})
     monkeypatch.setattr(swcore, "sw_raw", lambda g, h, norm: ran.append(h) or norm)
     entries = sw_report(two_nodes, ("duality",))
     assert ran == [two_nodes]
