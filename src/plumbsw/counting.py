@@ -13,7 +13,7 @@ from math import comb, gcd, lcm
 from operator import add, floordiv
 
 from .graph import PlumbingGraph
-from .lattice import HClass, LatticeError, all_classes, class_of, lattice_of
+from .lattice import HClass, LatticeError, class_of, lattice_of
 from .series import _zeta_factors, live_indices
 
 
@@ -107,12 +107,13 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     closed form at its leaves depend only on the factor level, the point's
     slack t (its live coordinates, as x is fixed) and its class.  So the
     walk is a recursion over that state returning the sum of its subtree,
-    and the class is an index into ``all_classes``, advanced by a step
-    table per factor built once per walk.  It memoizes the levels deeper
-    than the number m of live coordinates, where distinct prefixes meet in
-    one state.  A prefix of at most m factors has no more step counts than
-    there are live coordinates, so distinct prefixes seldom meet there, and
-    a memo would mostly hold entries never read.  The full-variable cut
+    and the class is an index into ``all_classes``, advanced by the step
+    table of each factor, ``Lattice.class_moves``, built once per walk.  It
+    memoizes the levels deeper than the number m of live coordinates, where
+    distinct prefixes meet in one state.  A prefix of at most m factors has
+    no more step counts than there are live coordinates, so distinct
+    prefixes seldom meet there, and a memo would mostly hold entries never
+    read.  The full-variable cut
     walks fewer than m = n factors, so it memoizes nothing and keeps memory
     linear in the walk depth.
 
@@ -125,21 +126,17 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     if class_of(g, x) != h:
         raise LatticeError("cut vector does not represent the requested class")
     sx, hkey = lat.scaled(x), h.key
-    d = lat.h_order
     factors = _zeta_factors(lat)
     a, mult = factors.pop()
     factors += [(a, 1)] * (mult - 1)
     b = factors.pop()[0]
-
-    def step(key, col, k=1):
-        return tuple((c + k * y) % d for c, y in zip(key, col))
 
     zero = (0,) * lat.n
     first_a: dict[tuple[int, ...], int] = {}
     offset = zero
     while offset not in first_a:
         first_a[offset] = len(first_a)
-        offset = step(offset, a)
+        offset = lat.class_move(offset, a)
     o = len(first_a)
     # table: class of a leaf e -> the least (r0, j0) with
     # h - [e] = r0 [b] + j0 [a]
@@ -147,9 +144,9 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     r, offset = 0, zero
     while True:
         for jkey, j in first_a.items():
-            table[step(hkey, step(offset, jkey), -1)] = (r, j)
+            table[lat.class_move(hkey, lat.class_move(offset, jkey), -1)] = (r, j)
         r += 1
-        offset = step(offset, b)
+        offset = lat.class_move(offset, b)
         if offset in first_a:
             break
     ob, s = r, first_a[offset]
@@ -170,10 +167,8 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     overtakers = [[s2 - s1 for s2 in slopes if s2 > s1] for s1 in slopes]
     # class index -> the table's (r0, j0) or None, and per walked factor
     # -> the class index one step along it
-    keys = [c.key for c in all_classes(g)]
-    index = {key: i for i, key in enumerate(keys)}
-    hits = [table.get(key) for key in keys]
-    moves = [[index[step(key, col)] for key in keys] for col, _ in factors]
+    classes, index, moves = lat.class_moves([col for col, _ in factors])
+    hits = [table.get(c.key) for c in classes]
     walked = [(tuple(col[i] for i in live), info) for col, info in factors]
     last = len(factors)
     memo: dict[tuple, int] = {}

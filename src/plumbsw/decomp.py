@@ -43,7 +43,7 @@ from operator import lt, sub
 from typing import NamedTuple
 
 from .graph import PlumbingGraph
-from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of
+from .lattice import HClass, Lattice, Vec, format_vec, lattice_of
 from .series import RatFunc, _infinity_tally, _tally, live_indices, zeta
 
 
@@ -94,9 +94,8 @@ def _live(e, active) -> tuple[int, ...]:
 
 
 def _check_in_l(lat: Lattice, denominator):
-    d = lat.h_order
     for a in denominator:
-        if any(x % d for x in a):
+        if any(lat.class_key(a)):
             raise DivisionError(f"denominator exponent {format_vec(lat.unscaled(a))} "
                                 "is not in L")
 
@@ -199,8 +198,10 @@ def euclid_divide(R: RatFunc) -> Decomposition:
     _check_in_l(lat, R.denominator)
     h = R.htag or lat.class_at(next(iter(R.numerator), (0,) * lat.n))
     terms: Poly = {}
+    off = [i for i in range(lat.n) if i not in active]
     for b, c in R.numerator.items():
-        if any(b[i] % lat.h_order != h.key[i] for i in range(lat.n) if i not in active):
+        bkey = lat.class_key(b)
+        if any(bkey[i] != h.key[i] for i in off):
             raise DivisionError(f"numerator exponent {format_vec(lat.unscaled(b))} is off "
                                 f"the H-component h={h}")
         key = _live(b, active)
@@ -216,11 +217,9 @@ def polypart_division(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     Holds the classes whose P+ is non-zero only."""
     lat = lattice_of(g)
     active = live_indices(g, subset)
-    classes = all_classes(g)
-    index = {h.key: i for i, h in enumerate(classes)}
     num, denominator = zeta(g).expanded()
     denom = _pivot_order(denominator, active)
-    moves = [[index[lat.class_key(map(sub, h.key, a))] for h in classes] for a in denom]
+    classes, index, moves = lat.class_moves(denom, -1)
     terms = _tally(num.items(), (), ((), all),
                    lambda e: (index[lat.class_key(e)], _live(e, active)))
     buckets: dict[HClass, Poly] = {}

@@ -10,6 +10,17 @@ public accessors: ``e_star``, ``canonical_cycle``, ``l_top``,
 ``intersection_data``, ``pairing``, ``HClass.rep`` and
 ``Lattice.unscaled``.  No floating point is used anywhere.
 
+``Lattice`` owns the lattice arithmetic the other modules read:
+
+* the form: ``image`` is I x, summed over the tree's edges, and ``form``
+  is x . I y, exact on ``int`` and ``Fraction`` vectors.  ``pairing``,
+  ``in_dual_lattice`` and the quadratic shift of the raw invariant read it;
+* the class key: ``class_key`` reduces a scaled vector mod d, and
+  ``class_move`` is the key of key + k col, the one class step;
+* the class tables: ``class_moves`` indexes ``all_classes`` and gives, per
+  column, the index of the class one step along it, for the walks that
+  move classes by index.
+
 H is enumerated in key order from an echelon (Hermite) basis of the class
 keys, built once per lattice (``Lattice.class_levels``): ``iter_classes``
 walks it and keeps no table of the classes, and ``all_classes`` caches the
@@ -80,7 +91,8 @@ class Lattice:
     Every L' coordinate has denominator dividing d, so an L' vector x is
     held as the integer vector d*x: ``sestar[i]`` is the anti-dual of
     vertex i (column i of the adjugate of -I), ``sz_k`` is Z_K and
-    ``szkme`` is Z_K - E, E the sum of the vertex classes.
+    ``szkme`` is Z_K - E, E the sum of the vertex classes.  ``edge_idx``
+    holds the tree's edges as pairs of vertex indices, for ``image``.
     """
 
     def __init__(self, g: PlumbingGraph):
@@ -89,6 +101,7 @@ class Lattice:
         self.n = g.n
         self.idx = {v: i for i, v in enumerate(g.ids)}
         self.imat = intersection_matrix(g)
+        self.edge_idx = tuple(sorted((self.idx[a], self.idx[b]) for a, b in g.edges))
         neg = [[-x for x in row] for row in self.imat]
         elim = definite_adjugate(neg)
         if isinstance(elim, str):
@@ -174,9 +187,41 @@ class Lattice:
         d = self.h_order
         return tuple(Fraction(x, d) for x in scaled)
 
+    def image(self, x) -> list:
+        """I x: each entry times its Euler number, plus the entries of its
+        neighbours in the tree."""
+        out = list(map(mul, self.graph.eulers, x))
+        for i, j in self.edge_idx:
+            out[i] += x[j]
+            out[j] += x[i]
+        return out
+
+    def form(self, x, y):
+        """The intersection form x . I y, exact on ``int`` and ``Fraction``
+        entries."""
+        return sum(map(mul, x, self.image(y)))
+
     def class_key(self, scaled) -> tuple[int, ...]:
         d = self.h_order
         return tuple([c % d for c in scaled])
+
+    def class_move(self, key, col, k: int = 1) -> tuple[int, ...]:
+        """The class key of key + k col."""
+        d = self.h_order
+        # a tuple of a list: one of a generator is allocated at 10 slots and
+        # shrunk, and each such tuple, once freed, is kept on the
+        # interpreter's free list (up to 2,000 per size)
+        return tuple([(c + k * y) % d for c, y in zip(key, col)])
+
+    def class_moves(self, cols, k: int = 1):
+        """(classes, index, moves): the classes of ``all_classes``, the index
+        of each class by key, and for each column the list that maps the
+        index of a class to the index of the class one step of k along it."""
+        classes = all_classes(self.graph)
+        index = {h.key: i for i, h in enumerate(classes)}
+        move = self.class_move
+        moves = [[index[move(h.key, col, k)] for h in classes] for col in cols]
+        return classes, index, moves
 
     def class_at(self, scaled) -> HClass:
         """The class in H of the L' vector whose scaled copy is ``scaled``."""
@@ -218,15 +263,7 @@ def pairing(g: PlumbingGraph, x, y) -> Fraction:
     lat = lattice_of(g)
     if len(x) != lat.n or len(y) != lat.n:
         raise LatticeError("vector dimension does not match the vertex count")
-    total = Fraction(0)
-    for i in range(lat.n):
-        xi = Fraction(x[i])
-        if not xi:
-            continue
-        row = lat.imat[i]
-        total += xi * sum((Fraction(y[j]) * row[j] for j in range(lat.n) if row[j]),
-                          Fraction(0))
-    return total
+    return lat.form(vec(x), vec(y))
 
 
 def in_dual_lattice(g: PlumbingGraph, x) -> bool:
@@ -234,12 +271,11 @@ def in_dual_lattice(g: PlumbingGraph, x) -> bool:
     every vertex v.  L' lies in (1/d)Z^n, d = |H|, so x is in L' exactly
     when sx = d x is integral and I sx = 0 mod d."""
     lat = lattice_of(g)
-    d = lat.h_order
     try:
         sx = lat.scaled(x)
     except LatticeError:
         return False
-    return len(sx) == lat.n and all(sum(map(mul, row, sx)) % d == 0 for row in lat.imat)
+    return len(sx) == lat.n and not any(lat.class_key(lat.image(sx)))
 
 
 def class_of(g: PlumbingGraph, x) -> HClass:
@@ -275,7 +311,7 @@ def iter_classes(g: PlumbingGraph) -> Iterator[HClass]:
     no level are fixed by the levels before it.  So keys come out in
     increasing order."""
     lat = lattice_of(g)
-    d, levels = lat.h_order, lat.class_levels
+    d, levels, move = lat.h_order, lat.class_levels, lat.class_move
 
     def walk(k, c):
         if k == len(levels):
@@ -285,11 +321,7 @@ def iter_classes(g: PlumbingGraph) -> Iterator[HClass]:
         size = d // step
         lo = c[j] // step
         for t in range(size):
-            m = (t - lo) % size
-            # a tuple of a list: one of a generator is allocated at 10
-            # slots and shrunk, and each such tuple, once freed, is kept on
-            # the interpreter's free list (up to 2,000 per size)
-            yield from walk(k + 1, tuple([(x + m * y) % d for x, y in zip(c, b)]))
+            yield from walk(k + 1, move(c, b, (t - lo) % size))
 
     return walk(0, lat.zero_class.key)
 

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from operator import sub
 
 from .graph import PlumbingGraph
 from .lattice import HClass, Vec, lattice_of
@@ -139,7 +138,7 @@ def sw_via_lattice(g: PlumbingGraph) -> Counter[HClass]:
         cut = [(i, sdil[i] + 1) for i, k in zip(lat.node_idx, ks) if k]
         tally = fiber_counts(g, "concave", cut, "positive")
         for fk, r_count in tally.items():
-            totals[lat.class_key(map(sub, sdil, fk))] += sign * r_count
+            totals[lat.class_move(sdil, fk, -1)] += sign * r_count
     d = lat.h_order
     return Counter({HClass(key, d): v for key, v in totals.items() if v})
 

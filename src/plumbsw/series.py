@@ -43,11 +43,12 @@ over the t_i // a_i.  They stop two factors early and sum those two in
 closed form, from one envelope of lines per leaf shared by all its
 residues.
 
-Three loops stay hand-written: ``_grow``, which moves class keys and live
-exponents apart for the equivariant split of ``equivariant_split`` and
-``plumbsw polypart`` (``plumbsw sw`` splits nothing), ``counting._cut_sum``
-(a memoized fold with a closed-form sum) and ``decomp.euclid_divide``'s
-regrouping of its numerator, which validates each term.
+Three loops stay hand-written: ``_grow``, which moves class keys (each
+step by ``Lattice.class_move``) and live exponents apart for the
+equivariant split of ``equivariant_split`` and ``plumbsw polypart``
+(``plumbsw sw`` splits nothing), ``counting._cut_sum`` (a memoized fold
+with a closed-form sum) and ``decomp.euclid_divide``'s regrouping of its
+numerator, which validates each term.
 """
 from __future__ import annotations
 
@@ -335,12 +336,12 @@ def _split_classes(lat: Lattice, active, num, denom):
         bucket[live] = bucket.get(live, 0) + c
     last = orders.pop() if orders else (1, (0,) * lat.n, (0,) * len(active))
     for factor in orders:
-        reached, terms = _grow(parts, factor, d)
+        reached, terms = _grow(lat, parts, factor)
         parts = {key: terms(key) for key in reached}
-    return _grow(parts, last, d)[1], tuple(denominator)
+    return _grow(lat, parts, last)[1], tuple(denominator)
 
 
-def _grow(parts, factor, d: int):
+def _grow(lat: Lattice, parts, factor):
     """``parts`` times sum_{j<k} t^{ja} for a factor (k, class step, live
     step) of [a]: the classes reached, and a function from a class key to
     its terms.  Each orbit of the class step is walked once and gives every
@@ -354,7 +355,7 @@ def _grow(parts, factor, d: int):
             cur = key
             for i in range(k):
                 place[cur] = (key, i)
-                cur = tuple((x + y) % d for x, y in zip(cur, step))
+                cur = lat.class_move(cur, step)
         orbit, i = place[key]
         on_orbit.setdefault(orbit, []).append((key, i))
 

@@ -30,9 +30,11 @@ reached, so a caller that prints and drops each entry holds one at a time.
 With the duality and lattice routes nothing holds a table of every class.
 
 The raw invariant is recovered from the agreed normalized value by the
-exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, and the quadratic
-consistency check samples the full-variable counting function deep in the
-shifted Lipman cone against that quadratic.
+exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, whose square is
+``Lattice.form`` on the scaled integer vector d (K + 2 r_h), and the
+quadratic consistency check samples the full-variable counting function
+deep in the shifted Lipman cone against that quadratic, read off the same
+form.
 """
 from __future__ import annotations
 
@@ -102,27 +104,16 @@ def sw_norm_via_division(g: PlumbingGraph) -> Counter[HClass]:
     return _at_one(polypart_division(g, duality_cut_vertices(g)))
 
 
-def _eightfold_shift(lat, sv) -> int:
-    """8 d^2 ((v, v) + |V|)/8 for v = sv/d, from the scaled integer vector
-    sv: (sv, sv) sums the Euler numbers on the diagonal and 1 per tree edge."""
-    g, d = lat.graph, lat.h_order
-    square = sum(e * x * x for e, x in zip(g.eulers, sv))
-    square += 2 * sum(sv[lat.idx[a]] * sv[lat.idx[b]] for a, b in g.edges)
-    return square + lat.n * d * d
-
-
-def _class_shift(lat, h: HClass) -> int:
-    """8 d^2 ((K + 2 r_h)^2 + |V|)/8 with K = -Z_K, from the class key."""
-    return _eightfold_shift(lat, [2 * k - z for k, z in zip(h.key, lat.sz_k)])
-
-
 def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> Fraction:
     """Raw Seiberg-Witten invariant of the structure indexed by h, from the
-    agreed normalized value: sw_norm - ((K + 2 r_h)^2 + |V|)/8, built as
-    one ``Fraction`` from integers."""
+    agreed normalized value: sw_norm - ((K + 2 r_h)^2 + |V|)/8, K = -Z_K,
+    built as one ``Fraction`` from integers: sv = d (K + 2 r_h) is read off
+    the class key, and its square is ``Lattice.form``."""
     lat = lattice_of(g)
-    den = 8 * lat.h_order ** 2
-    return Fraction(-(den * sw_norm_neg + _class_shift(lat, h)), den)
+    d = lat.h_order
+    sv = [2 * k - z for k, z in zip(h.key, lat.sz_k)]
+    den = 8 * d * d
+    return Fraction(-(den * sw_norm_neg + lat.form(sv, sv) + lat.n * d * d), den)
 
 
 ROUTES = ("duality", "polypart", "division", "lattice")
@@ -217,6 +208,7 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
     full-variable count -Q_{[l']}(l') with the quadratic
     ((K + 2 l')^2 + |V|)/8 + raw invariant of the matching class."""
     lat = lattice_of(g)
+    d = lat.h_order
     rng = random.Random(seed)
     duality = sw_norm_via_duality(g)
     out = []
@@ -226,7 +218,6 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
         h, lp = lat.class_at(slp), lat.unscaled(slp)
         lhs = -Q(g, h, g.ids, lp)
         sv = tuple(2 * x - z for x, z in zip(slp, lat.sz_k))
-        rhs = (Fraction(_eightfold_shift(lat, sv), 8 * lat.h_order ** 2)
-               + sw_raw(g, h, duality[h]))
+        rhs = Fraction(lat.form(sv, sv) + lat.n * d * d, 8 * d * d) + sw_raw(g, h, duality[h])
         out.append(QuadraticSample(lp, lhs == rhs))
     return QuadraticReport(tuple(out))

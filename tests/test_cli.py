@@ -15,13 +15,18 @@ import support
 from plumbsw import counting
 from plumbsw.cli import main
 from plumbsw.graph import classify_vertices, parse_graph
-from plumbsw.lattice import all_classes, e_star, format_vec
+from plumbsw.lattice import all_classes, e_star, format_vec, lattice_of
 
 GRAPHS = support.GRAPH_DIR
-HUB33 = Path(__file__).resolve().parent / "data" / "hub_tree_33.graph"
+ROOT = Path(__file__).resolve().parents[1]
+HUB33 = ROOT / "tests" / "data" / "hub_tree_33.graph"
+D4 = ROOT / "tests" / "data" / "d4.graph"
 
 # Exact stdout and exit code of the printing commands on the shipped graphs,
-# in both formats.  Regenerate, only for an intended output change, with
+# in both formats, and of sw and polypart on two test graphs whose H takes
+# class steps: hub_tree_33 (|H| = 36) and D4 (H = (Z/2)^2, not cyclic).  A
+# graph is named by its file name under graphs/ or by its path from the root
+# of the checkout.  Regenerate, only for an intended output change, with
 # ``PYTHONPATH=src python tests/test_cli.py``.
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.txt"
 GOLDEN_COMMANDS = (("invariants",), ("zeta",), ("zeta", "--box", "30"),
@@ -49,6 +54,8 @@ GOLDEN_EXTRA = (
      "--dilation", "171,342,56,162,24,150,114,81,75,50"),
     # a reduction on which two live exponents of the numerator coincide
     ("zeta", "three_nodes_h1.graph", "--reduce", "u3"),
+    *((command, name) for name in ("tests/data/hub_tree_33.graph", "tests/data/d4.graph")
+      for command in ("sw", "polypart")),
 )
 
 
@@ -584,7 +591,8 @@ def golden_transcript() -> str:
         argv = [command, name, *options, "--format", fmt]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([command, str(GRAPHS / name), *options, "--format", fmt])
+            path = ROOT / name if "/" in name else GRAPHS / name
+            code = main([command, str(path), *options, "--format", fmt])
         blocks.append(f"$ plumbsw {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
     return "".join(blocks)
 
@@ -592,6 +600,13 @@ def golden_transcript() -> str:
 def test_hub_tree_33_file_is_the_support_tree():
     # the graph that CI runs the installed `plumbsw sw` and `polypart` on
     assert parse_graph(HUB33.read_text()) == support.hub_tree(33)
+
+
+def test_d4_file_is_the_support_graph():
+    g = parse_graph(D4.read_text())
+    assert g == support.star(-2, (-2, -2, -2))
+    # H = (Z/2)^2: two levels of the echelon basis, each of order 2
+    assert [step for _, step, _ in lattice_of(g).class_levels] == [2, 2]
 
 
 def test_golden_cli_output():

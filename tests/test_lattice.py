@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import support
 from plumbsw import lattice
-from plumbsw.graph import definite_adjugate, parse_graph, validate
+from plumbsw.graph import definite_adjugate, intersection_matrix, parse_graph, validate
 from plumbsw.lattice import (Lattice, LatticeError, all_classes, canonical_cycle, class_of,
                              e_star, format_vec, in_dual_lattice, intersection_data,
                              iter_classes, l_top, lattice_of, pairing)
@@ -457,3 +459,90 @@ def test_class_levels_refuse_anti_duals_that_span_too_few(monkeypatch):
         expected = f"^anti-duals span {spanned} classes, expected {lat.h_order}$"
         with pytest.raises(LatticeError, match=expected):
             iter_classes(g)
+
+
+# Trees with a high-valency node or several nodes for the lattice
+# arithmetic, which ``support.random_graph`` seldom draws: the hub trees (a
+# node of valency 4 to 6), caterpillar(2) (two nodes, |H| = 133) and D4,
+# whose H = (Z/2)^2 is not cyclic.
+ARITHMETIC_GRAPHS = (*support.HUB_SEEDS, "caterpillar2", "d4")
+
+
+@lru_cache(maxsize=None)
+def arithmetic_graph(name):
+    if name == "caterpillar2":
+        return support.caterpillar(2)
+    if name == "d4":
+        return support.star(-2, (-2, -2, -2))
+    return support.hub_tree(name)
+
+
+def draw_graph(data):
+    return arithmetic_graph(data.draw(st.sampled_from(ARITHMETIC_GRAPHS), label="graph"))
+
+
+def draw_columns(data, lat):
+    """Scaled L' vectors: anti-duals and integer combinations of them."""
+    combinations = st.lists(st.integers(-5, 5), min_size=lat.n, max_size=lat.n).map(
+        lambda cs: lat.combination(enumerate(cs)))
+    return data.draw(st.lists(st.sampled_from(lat.sestar) | combinations, min_size=1,
+                              max_size=4), label="cols")
+
+
+def reference_class_moves(g, cols, sign):
+    """The class-step tables as the counting walk (sign 1) and the division
+    (sign -1) built them by hand."""
+    lat = lattice_of(g)
+    d = lat.h_order
+    if sign == 1:
+        def step(key, col, k=1):
+            return tuple((c + k * y) % d for c, y in zip(key, col))
+
+        keys = [c.key for c in all_classes(g)]
+        index = {key: i for i, key in enumerate(keys)}
+        moves = [[index[step(key, col)] for key in keys] for col in cols]
+    else:
+        classes = all_classes(g)
+        index = {h.key: i for i, h in enumerate(classes)}
+        moves = [[index[lat.class_key(map(sub, h.key, a))] for h in classes] for a in cols]
+    return index, moves
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_form_equals_the_dense_intersection_product(data):
+    g = draw_graph(data)
+    lat, m, n = lattice_of(g), intersection_matrix(g), g.n
+    entries = data.draw(st.sampled_from(
+        (st.integers(-60, 60), st.fractions(-60, 60, max_denominator=lat.h_order))))
+    x, y = (data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2))
+    assert lat.image(y) == [sum(m[i][j] * y[j] for j in range(n)) for i in range(n)]
+    want = sum(x[i] * m[i][j] * y[j] for i in range(n) for j in range(n))
+    got = lat.form(x, y)
+    assert got == want
+    assert type(got) is (Fraction if isinstance(x[0], Fraction) else int)
+    assert pairing(g, x, y) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_class_move_is_the_key_of_the_moved_vector(data):
+    g = draw_graph(data)
+    lat = lattice_of(g)
+    key = data.draw(st.sampled_from(all_classes(g))).key
+    for col in draw_columns(data, lat):
+        assert lat.class_move(key, col) == lat.class_key(map(add, key, col))
+        for k in (-1, 1, data.draw(st.integers(-3 * lat.h_order, 3 * lat.h_order))):
+            moved = [c + k * y for c, y in zip(key, col)]
+            assert lat.class_move(key, col, k) == lat.class_key(moved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_class_moves_equal_the_hand_built_tables(data):
+    g = draw_graph(data)
+    cols = draw_columns(data, lattice_of(g))
+    for sign in (1, -1):
+        classes, index, moves = lattice_of(g).class_moves(cols, sign)
+        assert classes == all_classes(g)
+        assert (index, moves) == reference_class_moves(g, cols, sign)
