@@ -7,7 +7,6 @@ text, or one JSON object per line with --format json-lines.  Exit codes:
 """
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -276,26 +275,33 @@ def cmd_verify(g, args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
+# The choices are written out rather than read from swcore.ROUTES and the
+# polytopes tuples, so that building the parser executes neither module;
+# the tests hold them equal.
 FLAGS = {
     "--h": {"help": "dual lattice representative, comma separated rationals; "
                     "write --h=VALUE when it starts with a minus sign"},
     "--reduce": {"help": "comma separated vertex ids to keep live"},
     "--box": {"type": int, "help": "window bound for series output"},
-    "--method": {"default": "all", "choices": [*swcore.ROUTES, "all"]},
+    "--method": {"default": "all",
+                 "choices": ("duality", "polypart", "division", "lattice", "all")},
     "--samples": {"type": int, "default": 5},
     "--seed": {"type": int, "default": DEFAULT_SEED},
-    "--shape": {"default": "concave", "choices": polytopes.SHAPES},
-    "--boundary": {"default": "closed", "choices": polytopes.BOUNDARIES},
-    "--positivity": {"default": "nonneg", "choices": polytopes.POSITIVITIES},
+    "--shape": {"default": "concave", "choices": ("convex", "concave")},
+    "--boundary": {"default": "closed", "choices": ("closed", "open")},
+    "--positivity": {"default": "nonneg", "choices": ("nonneg", "positive")},
     "--dilation": {"required": True,
                    "help": "dilation vector, comma separated rationals; "
                            "write --dilation=VALUE when it starts with a minus sign"},
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, with only the ``FLAGS`` it reads.  No
-    abbreviations: with them, ``sw --h abc`` would read as ``--help``."""
+def build_parser():
+    """The ``argparse`` parser: one subparser per command, with only the
+    ``FLAGS`` it reads.  No abbreviations: with them, ``sw --h abc`` would
+    read as ``--help``."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("graph", help="path to a graph file")
     common.add_argument("--format", default="text", choices=["text", "json-lines"])
@@ -321,7 +327,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The commands that run the route modules; validate and invariants run only
+# graph and lattice.
+ROUTE_COMMANDS = ("zeta", "polypart", "sw", "count", "verify")
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] and argv[0] in ROUTE_COMMANDS:
+        # Executes swcore and every route module it imports.  Compiled from
+        # source, a module briefly takes some fifty times its source size in
+        # memory: compiled before argparse is imported and the parser built,
+        # that memory is reused by them; compiled after, it adds to the peak.
+        swcore.ROUTES
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -219,8 +219,12 @@ class Lattice:
         index of a class to the index of the class one step of k along it."""
         classes = all_classes(self.graph)
         index = {h.key: i for i, h in enumerate(classes)}
-        move = self.class_move
-        moves = [[index[move(h.key, col, k)] for h in classes] for col in cols]
+        d = self.h_order
+        # class_move inlined, with each column reduced mod d once: a method
+        # call per (column, class) pair costs more than the step itself
+        steps = [[k * y % d for y in col] for col in cols]
+        moves = [[index[tuple([(c + y) % d for c, y in zip(h.key, step)])] for h in classes]
+                 for step in steps]
         return classes, index, moves
 
     def class_at(self, scaled) -> HClass:
