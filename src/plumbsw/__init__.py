@@ -23,8 +23,7 @@ _EXPORTS = {
     "graph": ("GraphFormatError", "PlumbingGraph", "classify_vertices",
               "parse_graph", "validate"),
     "lattice": ("HClass", "LatticeError", "all_classes", "canonical_cycle",
-                "class_of", "e_star", "intersection_data", "iter_classes",
-                "l_top", "pairing"),
+                "class_of", "e_star", "iter_classes", "l_top", "pairing"),
     "series": ("Box", "Cobox", "FactoredRatFunc", "RatFunc", "TruncatedSeries",
                "WindowError", "coeff", "equivariant_split", "reduce", "taylor",
                "taylor_infinity", "zeta"),
@@ -38,20 +37,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Box", "Cobox", "Decomposition", "FactoredRatFunc", "GraphFormatError",
-    "HClass", "InapplicableError", "LatticeError", "PlumbingGraph",
-    "PolytopeQuery", "Q", "QuadraticReport", "RatFunc", "TruncatedSeries",
-    "WindowError", "all_classes", "canonical_cycle", "class_of",
-    "classify_vertices", "coeff", "count", "counting", "decomp", "e_star",
-    "equivariant_split", "euclid_divide", "evaluate_at_one", "graph",
-    "inclusion_exclusion_check", "intersection_data", "iter_classes", "l_top",
-    "lattice", "pairing", "parse_graph", "polypart_dual", "polytopes", "q",
-    "quadratic_check", "reduce", "series", "sw_norm_via_duality",
-    "sw_norm_via_polypart", "sw_raw", "sw_report", "sw_via_lattice",
-    "sw_via_topological_polytope", "swcore", "taylor", "taylor_infinity",
-    "validate", "zeta",
-]
+__all__ = sorted([*_EXPORTS, *_HOME])
 
 
 def _register(module: str):

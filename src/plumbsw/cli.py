@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import counting, decomp, polytopes, series, swcore
 from .graph import GraphFormatError, classify_vertices, parse_graph, validate
-from .lattice import (HClass, LatticeError, canonical_cycle, class_of, e_star,
-                      format_frac, format_vec, l_top, lattice_of)
+from .lattice import (HClass, LatticeError, canonical_cycle, class_of, format_frac,
+                      format_scaled, format_vec, l_top, lattice_of)
 
 DEFAULT_SEED = 20240914
 
@@ -84,8 +84,8 @@ def cmd_invariants(g, args) -> int:
         {"key": "nodes", "value": list(nodes), "_text": "nodes = " + (",".join(nodes) or "-")},
         {"key": "ends", "value": list(ends), "_text": "ends = " + (",".join(ends) or "-")},
     ]
-    for v in g.ids:
-        col = format_vec(e_star(g, v))
+    for v, row in zip(g.ids, lat.sestar):
+        col = format_scaled(row, lat.h_order)
         recs.append({"key": f"E*[{v}]", "value": col, "_text": f"E*[{v}] = {col}"})
     _emit(recs, args.format)
     return 0

@@ -1,16 +1,26 @@
-"""Plumbing trees: parsing, validation and basic combinatorics.
+"""Plumbing trees: parsing, validation, basic combinatorics and the
+elimination of the intersection form along the tree.
 
 A plumbing graph is a finite tree whose vertices are decorated by integer
-Euler numbers.  The intersection matrix has the Euler numbers on the
+Euler numbers.  The intersection form I has the Euler numbers on the
 diagonal and a 1 for every edge; only graphs with a negative definite
-intersection matrix describe the manifolds this package computes with.
-All genus decorations are implicitly zero, so the link is a rational
-homology sphere.
+form describe the manifolds this package computes with.  All genus
+decorations are implicitly zero, so the link is a rational homology
+sphere.
+
+No dense matrix of the form is built.  ``rooting`` orders the vertices
+breadth-first from the first declared one, which also tells whether the
+graph is connected.  On a tree, ``tree_elimination`` eliminates -I leaves
+first along that rooting: -I has no fill-in in that order, so one pass up
+and one pass down give the determinant of -I on every branch, and with
+them definiteness, det(-I) and the adjugate of -I, a product of branch
+determinants in every entry (``tree_adjugate``).
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -58,18 +68,6 @@ def adjacency(g: PlumbingGraph) -> dict[str, tuple[str, ...]]:
 
 def valency(g: PlumbingGraph, v: str) -> int:
     return len(adjacency(g)[v])
-
-
-def intersection_matrix(g: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
-    """Euler numbers on the diagonal, 1 per edge, 0 otherwise."""
-    pos = {v: i for i, v in enumerate(g.ids)}
-    m = [[0] * g.n for _ in range(g.n)]
-    for i, e in enumerate(g.eulers):
-        m[i][i] = e
-    for a, b in g.edges:
-        i, j = pos[a], pos[b]
-        m[i][j] = m[j][i] = 1
-    return tuple(tuple(row) for row in m)
 
 
 def parse_graph(text: str) -> PlumbingGraph:
@@ -143,54 +141,97 @@ class ValidationReport(NamedTuple):
         return all(passed for _, passed, _ in self.checks)
 
 
-def _connected(g: PlumbingGraph) -> bool:
-    nbrs = adjacency(g)
-    stack, reached = [g.ids[0]], {g.ids[0]}
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return len(reached) == g.n
+def rooting(g: PlumbingGraph) -> tuple[list[int], list[list[int]]]:
+    """The vertices reached from the first declared vertex, as indices in
+    breadth-first order, and the children of each vertex in that search.
+    The graph is connected exactly when the order holds every vertex."""
+    nbrs, pos = adjacency(g), {v: i for i, v in enumerate(g.ids)}
+    kids: list[list[int]] = [[] for _ in g.ids]
+    order, seen = [0], {0}
+    for v in order:
+        for w in map(pos.__getitem__, nbrs[g.ids[v]]):
+            if w not in seen:
+                seen.add(w)
+                kids[v].append(w)
+                order.append(w)
+    return order, kids
 
 
-def definite_adjugate(m):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of [m | 1] over the
-    big integers.  The pivot of step k is the (k+1)-th leading principal
-    minor of m, and every entry stays an integer minor of [m | 1], so the
-    elimination ends at [det(m) 1 | adj(m)].
+def tree_elimination(g: PlumbingGraph, order, kids):
+    """-I of the tree g eliminated leaves first along its ``rooting``.
 
-    Returns (det(m), adj(m)) when every leading principal minor is positive
-    (m is positive definite), else the message naming the first that is not.
-    """
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        pivot_row = a[k]
-        p = pivot_row[k]
-        if p <= 0:
-            return f"leading principal minor {k + 1} is not positive"
-        for i in range(n):
-            if i != k:
-                row = a[i]
-                f = row[k]
-                a[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = p
-    return prev, tuple(tuple(row[n:]) for row in a)
+    The branch at a vertex v is v and the vertices beyond it, seen from the
+    root (the whole tree at the root).  D(a->b) is the determinant of -I on
+    the part of the tree on b's side of the edge a-b, and G(a->b) that
+    part's determinant without b: the product of D(b->c) over b's
+    neighbours c other than a.  With m_b = -e_b and c running over b's
+    children, the pass up gives
+    D(parent->b) = m_b G(parent->b) - sum_c G(b->c) G(parent->b) / D(b->c),
+    and d = det(-I) at the root.  Cutting the edge p-c splits det(-I) into
+    d = D(p->c) D(c->p) - G(p->c) G(c->p), which gives D(c->p) in the pass
+    down.
+
+    The prefixes of the pass up are unions of whole branches, so its
+    leading principal minors are products of D(parent->b): -I is
+    positive definite exactly when every D(parent->b) and d are positive.
+    Returns (d, steps), where steps[a] lists the triple (b, D(a->b),
+    G(a->b)) for each neighbour b of a, or the message naming the first
+    vertex, leaves first, whose branch is not definite."""
+    up, low = [0] * g.n, [0] * g.n  # D(parent->v) and G(parent->v)
+    for v in reversed(order):
+        low[v] = prod(up[c] for c in kids[v])
+        up[v] = -g.eulers[v] * low[v] - sum(low[c] * (low[v] // up[c]) for c in kids[v])
+        if up[v] <= 0:
+            return f"not negative definite on the branch at vertex {g.ids[v]}"
+    d = up[0]
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in g.ids]
+    down = [1] * g.n  # D(v->parent); 1 at the root, the empty determinant
+    for v in order:
+        whole = low[v] * down[v]  # the product of D(v->b) over every neighbour b
+        for c in kids[v]:
+            rest = whole // up[c]  # G(c->v)
+            down[c] = (d + low[c] * rest) // up[c]
+            steps[v].append((c, up[c], low[c]))
+            steps[c].append((v, down[c], rest))
+    return d, steps
+
+
+def tree_adjugate(steps) -> tuple[tuple[int, ...], ...]:
+    """The adjugate of -I from the ``steps`` of ``tree_elimination``.
+
+    Entry (u, v) is the product of D(w->y) over the vertices w of the path
+    from u to v and their neighbours y off that path, so all entries are
+    positive.  Row u is one walk from u: its entry at u is the product of
+    every D(u->y), and a step from w to a neighbour b, away from u, divides
+    D(w->b) out of w's entry and multiplies in G(w->b)."""
+    rows = []
+    for u, out in enumerate(steps):
+        row = [0] * len(steps)
+        row[u] = prod(db for _, db, _ in out)
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            x = row[w]
+            for b, db, gb in steps[w]:
+                if not row[b]:
+                    row[b] = x // db * gb
+                    stack.append(b)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def validate(g: PlumbingGraph) -> ValidationReport:
     """Report pass/fail for connectedness, tree shape and exact negative
-    definiteness.  Failures are reported, never raised."""
+    definiteness; definiteness is checked on trees only.  Failures are
+    reported, never raised."""
     checks = []
-    connected = _connected(g)
+    order, kids = rooting(g)
+    connected = len(order) == g.n
     checks.append(("connected", connected, "" if connected else "graph is disconnected"))
     tree = len(g.edges) == g.n - 1
     checks.append(("tree", tree and connected,
                    "" if tree else f"{len(g.edges)} edges for {g.n} vertices"))
-    neg = [[-x for x in row] for row in intersection_matrix(g)]
-    elim = definite_adjugate(neg)
+    elim = tree_elimination(g, order, kids) if tree and connected else "not checked"
     definite = not isinstance(elim, str)
     checks.append(("negative definite", definite, "" if definite else elim))
     return ValidationReport(tuple(checks))

@@ -1,14 +1,16 @@
 """Exact lattice invariants of a plumbing tree.
 
-The form data comes from one fraction-free elimination over the big
-integers: det(-I) and the adjugate of -I, whose columns are the anti-duals
-scaled by det(-I).  ``Lattice`` holds integer data only: the intersection
-matrix, d = |H|, and every L' vector scaled by d (anti-duals, Z_K).  A
-class of H is held as a scaled integer key, its representative in [0,1)
-times d.  ``fractions.Fraction`` vectors are built on read, and only in the
-public accessors: ``e_star``, ``canonical_cycle``, ``l_top``,
-``intersection_data``, ``pairing``, ``HClass.rep`` and
-``Lattice.unscaled``.  No floating point is used anywhere.
+The form data comes from one elimination of -I along the tree over the big
+integers (``graph.tree_elimination``): det(-I) and the adjugate of -I,
+whose rows are the anti-duals scaled by det(-I).  ``Lattice`` holds
+integer data only: the Euler numbers and edges of the form, d = |H|, and
+every L' vector scaled by d (anti-duals, Z_K); it keeps no dense matrix of
+the form.  A class of H is held as a scaled integer key, its
+representative in [0,1) times d, and printed by ``format_scaled``.
+``fractions.Fraction`` vectors are built on read, and only in the public
+accessors: ``e_star``, ``canonical_cycle``, ``l_top``, ``pairing``,
+``HClass.rep`` and ``Lattice.unscaled``.  No floating point is used
+anywhere.
 
 ``Lattice`` owns the lattice arithmetic the other modules read:
 
@@ -40,8 +42,8 @@ from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from .graph import (PlumbingGraph, classify_vertices, definite_adjugate,
-                    intersection_matrix)
+from .graph import (PlumbingGraph, classify_vertices, rooting, tree_adjugate,
+                    tree_elimination)
 
 Vec = tuple[Fraction, ...]
 
@@ -62,6 +64,15 @@ def format_vec(a) -> str:
     return "(" + ",".join(format_frac(Fraction(x)) for x in a) + ")"
 
 
+def format_scaled(scaled, d: int) -> str:
+    """``format_vec`` of the vector scaled / d, one gcd per entry."""
+    parts = []
+    for k in scaled:
+        c = gcd(k, d)
+        parts.append(str(k // c) if c == d else f"{k // c}/{d // c}")
+    return "(" + ",".join(parts) + ")"
+
+
 class HClass(NamedTuple):
     """Element of H = L'/L, held by its scaled key: the unique
     representative with all coordinates in [0,1), times d = |H|, so every
@@ -77,22 +88,19 @@ class HClass(NamedTuple):
         return tuple(Fraction(k, self.d) for k in self.key)
 
     def __str__(self) -> str:
-        d, parts = self.d, []
-        for k in self.key:
-            c = gcd(k, d)
-            parts.append(str(k // c) if c == d else f"{k // c}/{d // c}")
-        return "(" + ",".join(parts) + ")"
+        return format_scaled(self.key, self.d)
 
 
 class Lattice:
-    """Cached per-graph bundle of integer data: intersection matrix,
-    d = det(-I) = |H|, anti-dual basis and canonical cycle.
+    """Cached per-graph bundle of integer data: d = det(-I) = |H|,
+    anti-dual basis and canonical cycle.
 
     Every L' coordinate has denominator dividing d, so an L' vector x is
     held as the integer vector d*x: ``sestar[i]`` is the anti-dual of
-    vertex i (column i of the adjugate of -I), ``sz_k`` is Z_K and
+    vertex i (row i of the symmetric adjugate of -I), ``sz_k`` is Z_K and
     ``szkme`` is Z_K - E, E the sum of the vertex classes.  ``edge_idx``
-    holds the tree's edges as pairs of vertex indices, for ``image``.
+    holds the tree's edges as pairs of vertex indices; with the Euler
+    numbers they are the form, which ``image`` reads.
     """
 
     def __init__(self, g: PlumbingGraph):
@@ -100,25 +108,22 @@ class Lattice:
         self.ids = g.ids
         self.n = g.n
         self.idx = {v: i for i, v in enumerate(g.ids)}
-        self.imat = intersection_matrix(g)
         self.edge_idx = tuple(sorted((self.idx[a], self.idx[b]) for a, b in g.edges))
-        neg = [[-x for x in row] for row in self.imat]
-        elim = definite_adjugate(neg)
-        if isinstance(elim, str):
-            raise LatticeError(f"intersection matrix is not negative definite: {elim}")
-        d, adj = elim
-        self.h_order = d
-        # sestar[i] is column i of adj(-I) = d (-I)^{-1}; the matrix is
-        # symmetric but we read columns to match the defining property
-        # (E*_v, E_w) = -delta.
-        self.sestar = tuple(tuple(adj[r][i] for r in range(self.n)) for i in range(self.n))
-        # Every enumeration terminates only because these entries are
-        # strictly positive; a disconnected graph has zero entries here.
-        if any(x <= 0 for col in self.sestar for x in col):
-            raise LatticeError("anti-dual entries are not all strictly positive "
-                               "(the graph is not connected)")
+        order, kids = rooting(g)
+        if len(order) != g.n:
+            raise LatticeError("graph is disconnected")
         if len(g.edges) != g.n - 1:
             raise LatticeError(f"graph is not a tree: {len(g.edges)} edges for {g.n} vertices")
+        elim = tree_elimination(g, order, kids)
+        if isinstance(elim, str):
+            raise LatticeError(f"intersection matrix is {elim}")
+        d, steps = elim
+        self.h_order = d
+        # sestar[i] is row i of adj(-I) = d (-I)^{-1}, and (E*_v, E_w) =
+        # -delta.  Every enumeration terminates only because these entries
+        # are strictly positive: each is a product of branch determinants,
+        # all of which tree_elimination checked to be positive.
+        self.sestar = tree_adjugate(steps)
         nodes, ends, val = classify_vertices(g)
         self.node_idx = tuple(self.idx[v] for v in nodes)
         self.end_idx = tuple(self.idx[v] for v in ends)
@@ -126,7 +131,7 @@ class Lattice:
         self.mults = tuple(dv - 2 for dv in self.deltas)
         # (Z_K, E_v) = e_v + 2 for all v, i.e. Z_K = -(-I)^{-1} (euler + 2).
         rhs = [e + 2 for e in g.eulers]
-        self.sz_k = tuple(-sum(x * y for x, y in zip(row, rhs)) for row in adj)
+        self.sz_k = tuple(-sum(x * y for x, y in zip(row, rhs)) for row in self.sestar)
         self.szkme = tuple(z - d for z in self.sz_k)
         self.zero_class = HClass((0,) * self.n, d)
 
@@ -249,14 +254,8 @@ def lattice_of(g: PlumbingGraph) -> Lattice:
 
 # -- lattice operations on graphs -------------------------------------------
 
-def intersection_data(g: PlumbingGraph):
-    """(I, -I^{-1}, det(-I)); the determinant is the order of H."""
-    lat = lattice_of(g)
-    return lat.imat, tuple(map(lat.unscaled, zip(*lat.sestar))), lat.h_order
-
-
 def e_star(g: PlumbingGraph, v: str) -> Vec:
-    """Anti-dual class of a vertex: column v of -I^{-1}.  All entries are
+    """Anti-dual class of a vertex: row v of -I^{-1}.  All entries are
     strictly positive for a negative definite tree."""
     lat = lattice_of(g)
     return lat.unscaled(lat.sestar[g.index(v)])

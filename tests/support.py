@@ -213,6 +213,54 @@ def corpus(seed: int = CORPUS_SEED, count: int = CORPUS_SIZE, max_n: int = 8,
     return with_nodes + without
 
 
+def intersection_matrix(g: PlumbingGraph) -> tuple[tuple[int, ...], ...]:
+    """The dense intersection matrix: Euler numbers on the diagonal, 1 per
+    edge, 0 otherwise.  The package keeps the form only as the Euler
+    numbers and the edges."""
+    pos = {v: i for i, v in enumerate(g.ids)}
+    m = [[0] * g.n for _ in range(g.n)]
+    for i, e in enumerate(g.eulers):
+        m[i][i] = e
+    for a, b in g.edges:
+        i, j = pos[a], pos[b]
+        m[i][j] = m[j][i] = 1
+    return tuple(tuple(row) for row in m)
+
+
+def definite_adjugate(m):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of [m | 1] over the
+    big integers, the reference for the package's elimination along the
+    tree.  The pivot of step k is the (k+1)-th leading principal minor of
+    m, and every entry stays an integer minor of [m | 1], so the
+    elimination ends at [det(m) 1 | adj(m)].
+
+    Returns (det(m), adj(m)) when every leading principal minor is positive
+    (m is positive definite), else the message naming the first that is not.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        p = pivot_row[k]
+        if p <= 0:
+            return f"leading principal minor {k + 1} is not positive"
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in a)
+
+
+def neg_intersection_matrix(g: PlumbingGraph, vertices=None):
+    """-I, or its principal submatrix on ``vertices`` (ids, in basis order)."""
+    m = intersection_matrix(g)
+    keep = range(g.n) if vertices is None else sorted(map(g.index, vertices))
+    return [[-m[i][j] for j in keep] for i in keep]
+
+
 # ``Fraction`` vectors for the tests, read through the public accessors; the
 # package itself holds every lattice vector as a scaled integer tuple.
 
@@ -337,10 +385,10 @@ def reference_divide(lat, active, numerator, denominator):
 # representative.
 
 def reference_in_dual_lattice(g, x):
-    lat = lattice_of(g)
+    m = intersection_matrix(g)
     return all(
-        sum((Fraction(x[j]) * lat.imat[i][j] for j in range(lat.n)), Fraction(0)).denominator == 1
-        for i in range(lat.n)
+        sum((Fraction(x[j]) * m[i][j] for j in range(g.n)), Fraction(0)).denominator == 1
+        for i in range(g.n)
     )
 
 

@@ -9,8 +9,7 @@ import support
 from support import anti_duals, vec_add, vec_scale, z_k_minus_e
 from plumbsw.counting import inclusion_exclusion_check
 from plumbsw.decomp import euclid_divide, evaluate_at_one, poly_live, polypart_dual
-from plumbsw.lattice import (all_classes, canonical_cycle, class_of, e_star, intersection_data, l_top,
-                             lattice_of)
+from plumbsw.lattice import all_classes, canonical_cycle, class_of, e_star, l_top, lattice_of
 from plumbsw.polytopes import (PolytopeQuery, count, sw_via_lattice,
                                sw_via_topological_polytope)
 from plumbsw.series import Cobox, equivariant_split, reduce, taylor_infinity, zeta
@@ -52,8 +51,7 @@ def ilive(m):
 def test_criterion_1_sigma_2_5_7():
     with budget("1 sigma(2,5,7)", 1.0):
         g = support.sigma257()
-        _, neg_inv, _ = intersection_data(g)
-        assert [[int(x) for x in row] for row in neg_inv] == SIGMA257_NEG_INV
+        assert [[int(x) for x in e_star(g, v)] for v in g.ids] == SIGMA257_NEG_INV
         assert tuple(int(x) for x in canonical_cycle(g)) == (12, 6, 3, 4, 2)
 
         R = reduce(zeta(g), ["E1"])

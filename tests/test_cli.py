@@ -433,6 +433,32 @@ def test_validate_fails_a_graph_with_a_cycle(capsys, tmp_path):
     assert "check tree: FAIL (3 edges for 3 vertices)" in out.splitlines()
 
 
+NOT_VALIDATED = "graph is not a valid negative definite plumbing tree\n"
+
+
+# validate checks definiteness on trees only, and names the vertex whose
+# branch is not definite; invariants rejects the graph at the first check
+# it fails.
+@pytest.mark.parametrize("text, checks, error", [
+    (TRIANGLE, ("connected: pass", "tree: FAIL (3 edges for 3 vertices)",
+                "negative definite: FAIL (not checked)"),
+     "graph is not a tree: 3 edges for 3 vertices"),
+    ("vertex a -2\nvertex b -2\n",
+     ("connected: FAIL (graph is disconnected)", "tree: FAIL (0 edges for 2 vertices)",
+      "negative definite: FAIL (not checked)"),
+     "graph is disconnected"),
+    ("vertex a 0\n", ("connected: pass", "tree: pass",
+                      "negative definite: FAIL (not negative definite on the branch at vertex a)"),
+     "intersection matrix is not negative definite on the branch at vertex a"),
+], ids=["triangle", "forest", "zero"])
+def test_validate_and_invariants_on_invalid_graphs(capsys, tmp_path, text, checks, error):
+    path = tmp_path / "invalid.graph"
+    path.write_text(text)
+    assert run(capsys, "validate", path) == (
+        1, "".join(f"check {c}\n" for c in checks), NOT_VALIDATED)
+    assert run(capsys, "invariants", path) == (2, "", f"error: {error}\n")
+
+
 def test_reduce_unknown_vertex(capsys):
     code, _, err = run(capsys, "zeta", GRAPHS / "two_nodes_h3.graph", "--reduce", "ZZ")
     assert code == 2

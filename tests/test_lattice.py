@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 import support
 from plumbsw import lattice
-from plumbsw.graph import definite_adjugate, intersection_matrix, parse_graph, validate
+from plumbsw.graph import (PlumbingGraph, adjacency, parse_graph, rooting, tree_adjugate,
+                           tree_elimination, validate)
 from plumbsw.lattice import (Lattice, LatticeError, all_classes, canonical_cycle, class_of,
-                             e_star, format_vec, in_dual_lattice, intersection_data,
-                             iter_classes, l_top, lattice_of, pairing)
-from support import anti_duals, end_combination, vec_add, vec_scale, z_k_minus_e
+                             e_star, format_vec, in_dual_lattice, iter_classes, l_top,
+                             lattice_of, pairing)
+from support import (anti_duals, definite_adjugate, end_combination, intersection_matrix,
+                     neg_intersection_matrix, vec_add, vec_scale, z_k_minus_e)
 
 SIGMA257_NEG_INV = [
     [70, 35, 14, 20, 10],
@@ -72,28 +75,81 @@ def test_definite_adjugate_names_first_bad_minor():
             seen.add(bad)
             assert result == f"leading principal minor {bad} is not positive"
     assert len(seen) >= 3
-    # validate prints the same text for a graph whose -I fails at minor 1 or 2
-    for text, k in (("vertex a 2\nvertex b 2\nedge a b\n", 1),
-                    ("vertex a -1\nvertex b -1\nedge a b\n", 2)):
+    # validate names the vertex whose branch fails, seen from the first
+    # vertex: b's alone (minor 1 above), or a's, the whole tree (minor 2)
+    for text, v in (("vertex a 2\nvertex b 2\nedge a b\n", "b"),
+                    ("vertex a -1\nvertex b -1\nedge a b\n", "a")):
         check = dict((name, (ok, detail)) for name, ok, detail in
                      validate(parse_graph(text)).checks)["negative definite"]
-        assert check == (False, f"leading principal minor {k} is not positive")
+        assert check == (False, f"not negative definite on the branch at vertex {v}")
+
+
+def branch(g, v):
+    """v and the vertices beyond it, seen from the first declared vertex."""
+    if v == g.ids[0]:
+        return set(g.ids)
+    nbrs, reached = adjacency(g), {g.ids[0]}
+    stack = [g.ids[0]]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w != v and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return set(g.ids) - reached
+
+
+@st.composite
+def long_leg_trees(draw):
+    """A random tree of up to 8 vertices with up to four legs (chains) of
+    up to 50 vertices hung from it, at most 60 vertices in all, declared
+    in a shuffled order.  Euler numbers are -2 to -4, but for up to three
+    vertices of -1 or 0, which make some of the trees not negative
+    definite."""
+    core = draw(st.integers(1, 8))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, core)]
+    for at, length in draw(st.lists(st.tuples(st.integers(0, core - 1),
+                                              st.integers(1, 50)), max_size=4)):
+        for _ in range(min(length, 60 - len(parent))):
+            parent.append(at)
+            at = len(parent) - 1
+    n = len(parent)
+    eulers = draw(st.lists(st.sampled_from((-2, -2, -2, -3, -4)), min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        eulers[i] = draw(st.sampled_from((-1, -1, 0)))
+    perm = draw(st.permutations(range(n)))
+    ids = tuple(f"v{i}" for i in perm)
+    return PlumbingGraph(ids, tuple(eulers[i] for i in perm), frozenset(
+        (f"v{p}", f"v{i}") for i, p in enumerate(parent) if p is not None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_leg_trees())
+def test_tree_elimination_equals_bareiss(g):
+    ref = definite_adjugate(neg_intersection_matrix(g))
+    elim = tree_elimination(g, *rooting(g))
+    if isinstance(ref, str):
+        v = re.fullmatch(r"not negative definite on the branch at vertex (\w+)", elim)[1]
+        assert isinstance(definite_adjugate(neg_intersection_matrix(g, branch(g, v))), str)
+        with pytest.raises(LatticeError, match=f"^intersection matrix is {elim}$"):
+            Lattice(g)
+    else:
+        d, steps = elim
+        assert (d, tree_adjugate(steps)) == ref
+        lat = Lattice(g)
+        assert (lat.h_order, lat.sestar) == ref
 
 
 def test_neg_inverse_matches_printed_matrix(sigma257):
-    _, neg_inv, _ = intersection_data(sigma257)
-    assert [[int(x) for x in row] for row in neg_inv] == SIGMA257_NEG_INV
+    assert [[int(x) for x in e_star(sigma257, v)] for v in sigma257.ids] == SIGMA257_NEG_INV
 
 
 def test_h_order_sigma257_via_determinant_oracle(sigma257):
-    imat, _, h_order = intersection_data(sigma257)
-    neg = [[-x for x in row] for row in imat]
-    assert _det_oracle(neg) == 1
-    assert h_order == 1
+    assert _det_oracle(neg_intersection_matrix(sigma257)) == 1
+    assert lattice_of(sigma257).h_order == 1
 
 
 def test_h_order_two_nodes(two_nodes):
-    assert intersection_data(two_nodes)[2] == 3
+    assert lattice_of(two_nodes).h_order == 3
 
 
 def test_e_star_column_and_duality(sigma257):
@@ -127,7 +183,7 @@ def test_pairing_dimension_mismatch(sigma257):
 
 def test_pairing_zk_regression(sigma257):
     zk = canonical_cycle(sigma257)
-    imat = intersection_data(sigma257)[0]
+    imat = intersection_matrix(sigma257)
     # oracle: plain matrix product x^T I x
     ix = [sum(imat[i][j] * zk[j] for j in range(5)) for i in range(5)]
     byhand = sum(zk[i] * ix[i] for i in range(5))
@@ -312,19 +368,21 @@ def test_class_rep_in_unit_box(xs):
 
 def test_lattice_rejects_indefinite_and_disconnected():
     # det(-I) = 3 > 0 without -I being positive definite, and two
-    # components whose anti-duals vanish on each other
+    # components, each negative definite
     for text in ("vertex a 2\nvertex b 2\nedge a b\n", "vertex a -2\nvertex b -2\n"):
         with pytest.raises(LatticeError):
             lattice_of(parse_graph(text))
 
 
 def test_lattice_rejects_a_graph_with_a_cycle():
-    # connected and negative definite, with 3 edges for 3 vertices: only the
-    # tree check of validate fails, and the lattice refuses it
+    # connected and negative definite, with 3 edges for 3 vertices: the tree
+    # check of validate fails, definiteness is checked on trees only, and
+    # the lattice refuses it
     g = parse_graph("vertex a -3\nvertex b -3\nvertex c -3\n"
                     "edge a b\nedge b c\nedge a c\n")
-    assert [(name, ok) for name, ok, _ in validate(g).checks] == [
-        ("connected", True), ("tree", False), ("negative definite", True)]
+    assert validate(g).checks == (
+        ("connected", True, ""), ("tree", False, "3 edges for 3 vertices"),
+        ("negative definite", False, "not checked"))
     with pytest.raises(LatticeError, match="^graph is not a tree: 3 edges for 3 vertices$"):
         lattice_of(g)
 
