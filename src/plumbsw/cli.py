@@ -3,17 +3,19 @@
 Commands operate on a graph file (grammar: ``# comment``,
 ``vertex <id> <integer>``, ``edge <id> <id>``) and print deterministic
 text, or one JSON object per line with --format json-lines.  Exit codes:
-0 success, 1 a verification failed, 2 usage or input error.
+0 success, 1 a verification failed, 2 usage or input error, or standard
+output closed by its reader.
 """
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
 from . import counting, decomp, polytopes, series, swcore
-from .graph import GraphFormatError, classify_vertices, parse_graph, validate
+from .graph import GraphFormatError, parse_graph, validate
 from .lattice import (HClass, LatticeError, canonical_cycle, class_of, format_frac,
                       format_scaled, format_vec, l_top, lattice_of)
 
@@ -75,14 +77,14 @@ def cmd_validate(g, args) -> int:
 
 def cmd_invariants(g, args) -> int:
     lat = lattice_of(g)
-    nodes, ends, _ = classify_vertices(g)
+    nodes, ends = ([g.ids[i] for i in idx] for idx in (lat.node_idx, lat.end_idx))
     zk, top = format_vec(canonical_cycle(g)), format_vec(l_top(g))
     recs = [
         {"key": "hOrder", "value": lat.h_order, "_text": f"|H| = {lat.h_order}"},
         {"key": "Z_K", "value": zk, "_text": f"Z_K = {zk}"},
         {"key": "l_top", "value": top, "_text": f"l_top = {top}"},
-        {"key": "nodes", "value": list(nodes), "_text": "nodes = " + (",".join(nodes) or "-")},
-        {"key": "ends", "value": list(ends), "_text": "ends = " + (",".join(ends) or "-")},
+        {"key": "nodes", "value": nodes, "_text": "nodes = " + (",".join(nodes) or "-")},
+        {"key": "ends", "value": ends, "_text": "ends = " + (",".join(ends) or "-")},
     ]
     for v, row in zip(g.ids, lat.sestar):
         col = format_scaled(row, lat.h_order)
@@ -351,9 +353,19 @@ def main(argv=None) -> int:
     except (GraphFormatError, UnicodeDecodeError) as exc:
         return _fail_usage(f"bad graph file: {exc}")
     try:
-        return args.run(g, args)
+        code = args.run(g, args)
+        # flushed here, so that a pipe its reader closed is caught below and
+        # not at interpreter shutdown; print, unlike sys.stdout.flush, does
+        # nothing in a process started without a standard output
+        print(end="", flush=True)
+        return code
     except (LatticeError, ValueError) as exc:
         return _fail_usage(str(exc))
+    except BrokenPipeError:
+        # the reader closed standard output: point it at the null device, so
+        # the flush at interpreter shutdown cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,12 +14,15 @@ graph is connected.  On a tree, ``tree_elimination`` eliminates -I leaves
 first along that rooting: -I has no fill-in in that order, so one pass up
 and one pass down give the determinant of -I on every branch, and with
 them definiteness, det(-I) and the adjugate of -I, a product of branch
-determinants in every entry (``tree_adjugate``).
+determinants in every entry (``tree_adjugate``).  The elimination's steps
+list each vertex's neighbours once, and the rooting's (parent, child) pairs
+are the edges, so ``lattice.Lattice`` reads the tree's shape off them; the
+neighbour lists of ``adjacency`` are built on each call, once by
+``rooting`` and once by ``classify_vertices``.
 """
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -55,7 +58,6 @@ class PlumbingGraph(NamedTuple):
         return self.eulers[self.index(v)]
 
 
-@lru_cache(maxsize=None)
 def adjacency(g: PlumbingGraph) -> dict[str, tuple[str, ...]]:
     """Neighbour lists, each sorted by basis position."""
     nbrs: dict[str, list[str]] = {v: [] for v in g.ids}
@@ -64,10 +66,6 @@ def adjacency(g: PlumbingGraph) -> dict[str, tuple[str, ...]]:
         nbrs[b].append(a)
     pos = {v: i for i, v in enumerate(g.ids)}
     return {v: tuple(sorted(ws, key=pos.__getitem__)) for v, ws in nbrs.items()}
-
-
-def valency(g: PlumbingGraph, v: str) -> int:
-    return len(adjacency(g)[v])
 
 
 def parse_graph(text: str) -> PlumbingGraph:
@@ -242,7 +240,7 @@ def classify_vertices(g: PlumbingGraph):
 
     Returns (nodes, ends, valency map); the id tuples follow basis order.
     """
-    val = {v: valency(g, v) for v in g.ids}
+    val = {v: len(ws) for v, ws in adjacency(g).items()}
     nodes = tuple(v for v in g.ids if val[v] >= 3)
     ends = tuple(v for v in g.ids if val[v] == 1)
     return nodes, ends, val

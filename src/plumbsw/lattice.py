@@ -1,16 +1,19 @@
 """Exact lattice invariants of a plumbing tree.
 
-The form data comes from one elimination of -I along the tree over the big
-integers (``graph.tree_elimination``): det(-I) and the adjugate of -I,
-whose rows are the anti-duals scaled by det(-I).  ``Lattice`` holds
-integer data only: the Euler numbers and edges of the form, d = |H|, and
-every L' vector scaled by d (anti-duals, Z_K); it keeps no dense matrix of
-the form.  A class of H is held as a scaled integer key, its
-representative in [0,1) times d, and printed by ``format_scaled``.
-``fractions.Fraction`` vectors are built on read, and only in the public
-accessors: ``e_star``, ``canonical_cycle``, ``l_top``, ``pairing``,
-``HClass.rep`` and ``Lattice.unscaled``.  No floating point is used
-anywhere.
+Everything comes from one elimination of -I along the tree over the big
+integers (``graph.tree_elimination``): det(-I), the adjugate of -I, whose
+rows are the anti-duals scaled by det(-I), and the tree's shape.  The
+valencies are the lengths of the elimination's steps, and the edges are
+the rooting's (parent, child) pairs.  Z_K is the combination
+-sum (e_v + 2) E*_v over the vertices with e_v != -2, which reads only
+their anti-duals.  ``Lattice`` holds integer data only: the Euler numbers
+and edges of the form, d = |H|, and every L' vector scaled by d
+(anti-duals, Z_K); it keeps no dense matrix of the form.  A class of H is
+held as a scaled integer key, its representative in [0,1) times d, and
+printed by ``format_scaled``.  ``fractions.Fraction`` vectors are built
+on read, and only in the public accessors: ``e_star``, ``canonical_cycle``,
+``l_top``, ``pairing``, ``HClass.rep`` and ``Lattice.unscaled``.  No
+floating point is used anywhere.
 
 ``Lattice`` owns the lattice arithmetic the other modules read:
 
@@ -42,8 +45,7 @@ from math import gcd
 from operator import add, mul
 from typing import NamedTuple
 
-from .graph import (PlumbingGraph, classify_vertices, rooting, tree_adjugate,
-                    tree_elimination)
+from .graph import PlumbingGraph, rooting, tree_adjugate, tree_elimination
 
 Vec = tuple[Fraction, ...]
 
@@ -99,21 +101,23 @@ class Lattice:
     held as the integer vector d*x: ``sestar[i]`` is the anti-dual of
     vertex i (row i of the symmetric adjugate of -I), ``sz_k`` is Z_K and
     ``szkme`` is Z_K - E, E the sum of the vertex classes.  ``edge_idx``
-    holds the tree's edges as pairs of vertex indices; with the Euler
-    numbers they are the form, which ``image`` reads.
+    holds the tree's edges as (parent, child) pairs of vertex indices in
+    the rooting; with the Euler numbers they are the form, which ``image``
+    reads.  ``deltas`` holds the valencies, read off the elimination's
+    steps, ``mults`` the valencies minus 2, and ``node_idx`` and
+    ``end_idx`` the vertices of valency >= 3 and 1, ascending.
     """
 
     def __init__(self, g: PlumbingGraph):
         self.graph = g
         self.ids = g.ids
         self.n = g.n
-        self.idx = {v: i for i, v in enumerate(g.ids)}
-        self.edge_idx = tuple(sorted((self.idx[a], self.idx[b]) for a, b in g.edges))
         order, kids = rooting(g)
         if len(order) != g.n:
             raise LatticeError("graph is disconnected")
         if len(g.edges) != g.n - 1:
             raise LatticeError(f"graph is not a tree: {len(g.edges)} edges for {g.n} vertices")
+        self.edge_idx = tuple((v, c) for v in order for c in kids[v])
         elim = tree_elimination(g, order, kids)
         if isinstance(elim, str):
             raise LatticeError(f"intersection matrix is {elim}")
@@ -124,14 +128,14 @@ class Lattice:
         # are strictly positive: each is a product of branch determinants,
         # all of which tree_elimination checked to be positive.
         self.sestar = tree_adjugate(steps)
-        nodes, ends, val = classify_vertices(g)
-        self.node_idx = tuple(self.idx[v] for v in nodes)
-        self.end_idx = tuple(self.idx[v] for v in ends)
-        self.deltas = tuple(val[v] for v in g.ids)
+        # steps[v] lists each neighbour of v once
+        self.deltas = tuple(map(len, steps))
+        self.node_idx = tuple(i for i, dv in enumerate(self.deltas) if dv >= 3)
+        self.end_idx = tuple(i for i, dv in enumerate(self.deltas) if dv == 1)
         self.mults = tuple(dv - 2 for dv in self.deltas)
-        # (Z_K, E_v) = e_v + 2 for all v, i.e. Z_K = -(-I)^{-1} (euler + 2).
-        rhs = [e + 2 for e in g.eulers]
-        self.sz_k = tuple(-sum(x * y for x, y in zip(row, rhs)) for row in self.sestar)
+        # (Z_K, E_v) = e_v + 2 for all v, i.e. Z_K = -(-I)^{-1} (euler + 2),
+        # and the adjugate is symmetric: -sz_k = sum (e_v + 2) E*_v
+        self.sz_k = self.combination((i, -e - 2) for i, e in enumerate(g.eulers) if e != -2)
         self.szkme = tuple(z - d for z in self.sz_k)
         self.zero_class = HClass((0,) * self.n, d)
 

@@ -52,6 +52,7 @@ numerator, which validates each term.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, inf
@@ -402,7 +403,8 @@ def taylor(R: RatFunc, window: Box) -> TruncatedSeries:
     lat, active = R.lat, R.active
     sbound = _scaled_bound(window, lat.h_order, active)
     cut = (tuple(zip(active, sbound)), all)
-    terms = _tally(R.numerator.items(), [(a, 1) for a in R.denominator], cut,
+    # each distinct a once, as the series 1/(1 - t^a)^m of its m copies
+    terms = _tally(R.numerator.items(), list(Counter(R.denominator).items()), cut,
                    lambda e: tuple(e[i] for i in active))
     return TruncatedSeries(terms, window, active, lat.h_order)
 
@@ -434,9 +436,10 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
     else:
         # Expanded downward from t^{b - sum a}; the walk runs on the negated
         # exponent, upward by the a, and "some live e_i >= bound_i" becomes
-        # "some live -e_i < 1 - bound_i".
-        factors = [(a, 1) for a in obj.denominator]
-        sign = (-1) ** len(factors)
+        # "some live -e_i < 1 - bound_i".  Each distinct a is walked once,
+        # as the series of its copies.
+        factors = list(Counter(obj.denominator).items())
+        sign = (-1) ** len(obj.denominator)
         shift = tuple(map(sum, zip((0,) * lat.n, *obj.denominator)))
         cut = (tuple((i, 1 - b) for i, b in zip(active, sbound)), any)
         starts = ((tuple(map(sub, shift, b)), sign * c) for b, c in obj.numerator.items())

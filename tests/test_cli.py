@@ -4,6 +4,7 @@ import io
 import json
 import os
 import runpy
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -602,6 +603,39 @@ def test_python_m_plumbsw_exits_with_the_cli_code(capsys, monkeypatch, tmp_path)
         with pytest.raises(SystemExit) as exit_info:
             runpy.run_module("plumbsw", run_name="__main__")
         assert exit_info.value.code == want
+
+
+@pytest.mark.parametrize("graph, argv", [
+    (support.brieskorn(2, 3, 1201), ("invariants",)),
+    (parse_graph("vertex a -20000"), ("sw", "--method", "duality")),
+], ids=["invariants", "sw-duality"])
+def test_closed_standard_output_exits_2_without_a_traceback(tmp_path, graph, argv):
+    # each command prints well over the 64 KB a pipe buffers, so it is still
+    # writing when the reader closes its end
+    path = tmp_path / "big.graph"
+    path.write_text("".join(f"vertex {v} {e}\n" for v, e in zip(graph.ids, graph.eulers))
+                    + "".join(f"edge {a} {b}\n" for a, b in sorted(graph.edges)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.Popen([sys.executable, "-m", "plumbsw", argv[0], str(path), *argv[1:]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_a_process_with_no_standard_output_exits_0():
+    # with file descriptor 1 closed, sys.stdout is None and print writes nothing
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-m", "plumbsw", "invariants",
+                          str(GRAPHS / "sigma_2_5_7.graph")],
+                         preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                         env=env, timeout=60)
+    assert (out.returncode, out.stderr) == (0, b"")
 
 
 def golden_transcript() -> str:

@@ -2,7 +2,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import support
 from plumbsw import lattice
-from plumbsw.graph import (PlumbingGraph, adjacency, parse_graph, rooting, tree_adjugate,
-                           tree_elimination, validate)
+from plumbsw.graph import (PlumbingGraph, adjacency, classify_vertices, parse_graph, rooting,
+                           tree_adjugate, tree_elimination, validate)
 from plumbsw.lattice import (Lattice, LatticeError, all_classes, canonical_cycle, class_of,
                              e_star, format_vec, in_dual_lattice, iter_classes, l_top,
                              lattice_of, pairing)
@@ -137,6 +137,25 @@ def test_tree_elimination_equals_bareiss(g):
         assert (d, tree_adjugate(steps)) == ref
         lat = Lattice(g)
         assert (lat.h_order, lat.sestar) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_leg_trees())
+def test_lattice_reads_the_tree_and_z_k_off_the_elimination(g):
+    # the valencies against a second reader of the graph, Z_K against the
+    # dense product -adj(-I) (e + 2), and the edges against the graph's own
+    ref = definite_adjugate(neg_intersection_matrix(g))
+    assume(not isinstance(ref, str))
+    lat = Lattice(g)
+    nodes, ends, val = classify_vertices(g)
+    assert lat.deltas == tuple(val[v] for v in g.ids)
+    assert lat.mults == tuple(val[v] - 2 for v in g.ids)
+    assert lat.node_idx == tuple(map(g.index, nodes))
+    assert lat.end_idx == tuple(map(g.index, ends))
+    rhs = [e + 2 for e in g.eulers]
+    assert lat.sz_k == tuple(-sum(map(mul, row, rhs)) for row in ref[1])
+    assert len(lat.edge_idx) == len(g.edges)
+    assert {frozenset(g.ids[i] for i in e) for e in lat.edge_idx} == set(map(frozenset, g.edges))
 
 
 def test_neg_inverse_matches_printed_matrix(sigma257):

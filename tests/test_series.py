@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import support
 from support import neg, z_k_minus_e
+from plumbsw import series
 from plumbsw.decomp import euclid_divide
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, lattice_of
@@ -260,6 +261,29 @@ def test_taylor_infinity_sigma257_both_routes(sigma257):
     rewritten = taylor_infinity(reduce(zeta(sigma257), ["E1"]), w)
     assert live_map(closed) == {(11,): 1, (1,): 1, (-3,): 1}
     assert closed.terms == rewritten.terms
+
+
+def test_repeated_denominator_is_walked_once_per_term(monkeypatch):
+    # one vertex of Euler number -400: the reduced function is 1/(1 - t^a)^2,
+    # a = E* = 1/400, with a twice in its denominator.  Walked as one series
+    # with binomial weights, each expansion reaches each of its terms once;
+    # walked once per copy of a, they took 721,801 and 321,201 leaves.
+    R = reduce(zeta(parse_graph("vertex a -400")), ["a"])
+    walked = []
+    tally = series._tally
+
+    def counted(starts, factors, cut, key):
+        return tally(starts, factors, cut, lambda e: walked.append(e) or key(e))
+
+    monkeypatch.setattr(series, "_tally", counted)
+    ts = taylor(R, Box((Fraction(3),)))
+    assert ts.terms == {(k,): k + 1 for k in range(1201)}
+    assert len(walked) == len(ts.terms)
+    walked.clear()
+    # the window of verify's Gorenstein check: Z_K - 3 = -802/400
+    ti = taylor_infinity(R, Cobox((Fraction(-802, 400),)))
+    assert ti.terms == {(-k - 2,): k + 1 for k in range(801)}
+    assert len(walked) == len(ti.terms)
 
 
 def test_taylor_constant_term_is_one(corpus30):
