@@ -5,6 +5,14 @@ Commands operate on a graph file (grammar: ``# comment``,
 text, or one JSON object per line with --format json-lines.  Exit codes:
 0 success, 1 a verification failed, 2 usage or input error, or standard
 output closed by its reader.
+
+Everything printed is formatted from scaled integers: vectors by
+``lattice.format_scaled``, the raw invariant by ``lattice.format_ratio``.
+``fractions.Fraction`` is imported only inside the functions that read a
+rational as the user gives it (``_parse_vector``, and ``series.strict_cut``
+for ``zeta --box``) or that pass one to a library function (``verify``'s
+window bounds and sampled vectors), so ``sw``, ``invariants`` and
+``validate`` never import it.
 """
 from __future__ import annotations
 
@@ -12,12 +20,11 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import counting, decomp, polytopes, series, swcore
 from .graph import GraphFormatError, parse_graph, validate
-from .lattice import (HClass, LatticeError, canonical_cycle, class_of, format_frac,
-                      format_scaled, format_vec, l_top, lattice_of)
+from .lattice import (HClass, LatticeError, class_of, format_ratio, format_scaled, format_vec,
+                      lattice_of)
 
 DEFAULT_SEED = 20240914
 
@@ -33,6 +40,7 @@ def _load_graph(path: str):
 
 
 def _parse_vector(text: str, n: int, what: str):
+    from fractions import Fraction
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{what} needs {n} comma separated rationals")
@@ -51,14 +59,20 @@ def _emit(records, fmt: str):
             print(rec.pop("_text"))
 
 
-def _poly_str(poly: dict) -> str:
+def _poly_str(poly: dict, d: int) -> str:
+    """A polynomial on scaled exponents (coordinates times d)."""
     if not poly:
         return "0"
     parts = []
     for e in sorted(poly):
-        c = poly[e]
-        parts.append(f"{c}*t^{format_vec(e)}" if c != 1 else f"t^{format_vec(e)}")
+        c, t = poly[e], format_scaled(e, d)
+        parts.append(f"{c}*t^{t}" if c != 1 else f"t^{t}")
     return " + ".join(parts)
+
+
+def _poly_record(poly: dict, d: int) -> dict:
+    """A polynomial on scaled exponents as a json-lines value."""
+    return {format_scaled(e, d): c for e, c in sorted(poly.items())}
 
 
 def cmd_validate(g, args) -> int:
@@ -78,7 +92,7 @@ def cmd_validate(g, args) -> int:
 def cmd_invariants(g, args) -> int:
     lat = lattice_of(g)
     nodes, ends = ([g.ids[i] for i in idx] for idx in (lat.node_idx, lat.end_idx))
-    zk, top = format_vec(canonical_cycle(g)), format_vec(l_top(g))
+    zk, top = (format_scaled(x, lat.h_order) for x in (lat.sz_k, lat.sl_top))
     recs = [
         {"key": "hOrder", "value": lat.h_order, "_text": f"|H| = {lat.h_order}"},
         {"key": "Z_K", "value": zk, "_text": f"Z_K = {zk}"},
@@ -106,26 +120,27 @@ def _live_set(g, args):
 def cmd_zeta(g, args) -> int:
     F = series.zeta(g)
     lat = F.lat
-    recs = [{"factor": format_vec(lat.unscaled(a)), "multiplicity": m,
-             "_text": f"factor (1 - t^{format_vec(lat.unscaled(a))})^{m}"} for a, m in F.factors]
+    d = lat.h_order
+    recs = [{"factor": format_scaled(a, d), "multiplicity": m,
+             "_text": f"factor (1 - t^{format_scaled(a, d)})^{m}"} for a, m in F.factors]
     live = _live_set(g, args)
     R = series.reduce(F, live)
 
     def project(e):
-        return lat.unscaled(e[i] for i in R.active)
+        return tuple(e[i] for i in R.active)
 
     # terms of equal live exponent are one monomial of the reduced function
     numerator = series._tally(R.numerator.items(), (), ((), all), project)
+    denominator = [format_scaled(project(a), d) for a in sorted(R.denominator)]
     recs.append({"live": list(live),
-                 "numerator": {format_vec(e): c for e, c in sorted(numerator.items())},
-                 "denominator": [format_vec(project(a)) for a in sorted(R.denominator)],
+                 "numerator": _poly_record(numerator, d),
+                 "denominator": denominator,
                  "_text": "reduced to {" + ",".join(live) + "}: numerator "
-                          + _poly_str(numerator)
+                          + _poly_str(numerator, d)
                           + "  denominator "
-                          + " ".join(f"(1 - t^{format_vec(project(a))})"
-                                     for a in sorted(R.denominator))})
+                          + " ".join(f"(1 - t^{a})" for a in denominator)})
     if args.box is not None:
-        ts = series.taylor(R, series.Box(tuple(Fraction(args.box) for _ in live)))
+        ts = series.taylor(R, series.Box((args.box,) * len(live)))
         for line in ts.lines():
             recs.append({"series": line, "_text": line})
     _emit(recs, args.format)
@@ -143,28 +158,26 @@ def cmd_polypart(g, args) -> int:
     lat = lattice_of(g)
     h = _class_from_args(g, args) or lat.zero_class
     live = _live_set(g, args)
-    dual = decomp.poly_live(lat, decomp.polypart_dual(g, live).get(h, {}))
+    d = lat.h_order
+    dual = decomp.polypart_dual(g, live).get(h, {})
     active = series.live_indices(g, live)
     terms, denom = series._split_classes(lat, active, *series.zeta(g).expanded())
     div = decomp.divide_component(lat, active, terms(h.key), denom, h)
-    div_poly = decomp.poly_live(lat, div.poly)
-    agree = dual == div_poly
+    agree = dual == div.poly
     recs = [
-        {"route": "duality", "poly": {format_vec(e): c for e, c in sorted(dual.items())},
-         "_text": "P+ (duality) = " + _poly_str(dual)},
-        {"route": "division", "poly": {format_vec(e): c for e, c in sorted(div_poly.items())},
-         "_text": "P+ (division) = " + _poly_str(div_poly)},
+        {"route": "duality", "poly": _poly_record(dual, d),
+         "_text": "P+ (duality) = " + _poly_str(dual, d)},
+        {"route": "division", "poly": _poly_record(div.poly, d),
+         "_text": "P+ (division) = " + _poly_str(div.poly, d)},
         {"agree": agree, "value_at_one": decomp.evaluate_at_one(dual),
          "_text": f"agree = {'true' if agree else 'false'}  P+(1) = "
                   f"{decomp.evaluate_at_one(dual)}"},
     ]
     for S in sorted((s for s in div.by_s if s), key=sorted):
-        names = [format_vec(lat.unscaled(div.denominator[i][j] for j in div.active))
+        names = [format_scaled([div.denominator[i][j] for j in div.active], d)
                  for i in sorted(S)]
-        bucket = {lat.unscaled(b): c for b, c in div.by_s[S].items()}
-        recs.append({"S": names,
-                     "numerator": {format_vec(e): c for e, c in sorted(bucket.items())},
-                     "_text": "S={" + ",".join(names) + "}: " + _poly_str(bucket)})
+        recs.append({"S": names, "numerator": _poly_record(div.by_s[S], d),
+                     "_text": "S={" + ",".join(names) + "}: " + _poly_str(div.by_s[S], d)})
     _emit(recs, args.format)
     return 0 if agree else 1
 
@@ -194,7 +207,7 @@ def _sw_record(e) -> dict:
         text += " " + _routes_text(e)
     return {"h": h, "sw_norm_neg": e.sw_norm_neg,
             "agree": e.agree, "routes": e.values,
-            "raw": format_frac(e.raw) if e.raw is not None else None,
+            "raw": format_ratio(e.raw, 8 * e.h.d ** 2) if e.raw is not None else None,
             "errors": e.errors, "_text": text}
 
 
@@ -223,6 +236,7 @@ def cmd_count(g, args) -> int:
 def cmd_verify(g, args) -> int:
     if args.samples < 1:
         return _fail_usage("--samples must be at least 1")
+    from fractions import Fraction
     lat = lattice_of(g)
     d = lat.h_order
     rng = random.Random(args.seed)
@@ -253,7 +267,7 @@ def cmd_verify(g, args) -> int:
         sx = lat.combination((i, rng.randint(0, 2)) for i in range(lat.n))
         h, x = lat.class_at(sx), lat.unscaled(sx)
         if not ie_fail and not counting.inclusion_exclusion_check(g, h, subset, x):
-            ie_fail = f"subset={','.join(subset)} x={format_vec(x)}"
+            ie_fail = f"subset={','.join(subset)} x={format_scaled(sx, d)}"
     record("inclusion-exclusion", not ie_fail, ie_fail)
 
     mismatch = disagree = None

@@ -33,8 +33,11 @@ function is the sum over h of its h-component times [h], an element of
 Z[H](t), and a step on 1 - t^a moves the class by -[a].  The class key
 and the live exponent rebuild every full exponent mod L.  A split
 component has every denominator exponent in L, so its class never moves;
-``divide_component`` checks that.  Exponents become ``Fraction`` only in
-``poly_live``.
+``divide_component`` checks that.  Exponents are printed, in the
+``DivisionError`` messages too, by ``lattice.format_scaled``; they become
+``Fraction`` only in ``poly_live``, the accessor for callers that want
+rational exponents, through ``Lattice.unscaled``.  This module does not
+import ``fractions``.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from operator import lt, sub
 from typing import NamedTuple
 
 from .graph import PlumbingGraph
-from .lattice import HClass, Lattice, Vec, format_vec, lattice_of
+from .lattice import HClass, Lattice, Vec, format_scaled, lattice_of
 from .series import RatFunc, _infinity_tally, _tally, live_indices, zeta
 
 
@@ -96,7 +99,7 @@ def _live(e, active) -> tuple[int, ...]:
 def _check_in_l(lat: Lattice, denominator):
     for a in denominator:
         if any(lat.class_key(a)):
-            raise DivisionError(f"denominator exponent {format_vec(lat.unscaled(a))} "
+            raise DivisionError(f"denominator exponent {format_scaled(a, lat.h_order)} "
                                 "is not in L")
 
 
@@ -154,7 +157,7 @@ def _divide(lat: Lattice, active, terms, denom, classes, moves):
                     full = list(classes[h].key)
                     for i, x in zip(active, sb):
                         full[i] = x
-                    raise DivisionError(f"certificate exponent {format_vec(lat.unscaled(full))}"
+                    raise DivisionError(f"certificate exponent {format_scaled(full, lat.h_order)}"
                                         " strictly negative")
                 yield S, h, sb, c
             continue
@@ -202,7 +205,7 @@ def euclid_divide(R: RatFunc) -> Decomposition:
     for b, c in R.numerator.items():
         bkey = lat.class_key(b)
         if any(bkey[i] != h.key[i] for i in off):
-            raise DivisionError(f"numerator exponent {format_vec(lat.unscaled(b))} is off "
+            raise DivisionError(f"numerator exponent {format_scaled(b, lat.h_order)} is off "
                                 f"the H-component h={h}")
         key = _live(b, active)
         terms[key] = terms.get(key, 0) + c

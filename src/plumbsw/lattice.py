@@ -10,10 +10,16 @@ their anti-duals.  ``Lattice`` holds integer data only: the Euler numbers
 and edges of the form, d = |H|, and every L' vector scaled by d
 (anti-duals, Z_K); it keeps no dense matrix of the form.  A class of H is
 held as a scaled integer key, its representative in [0,1) times d, and
-printed by ``format_scaled``.  ``fractions.Fraction`` vectors are built
-on read, and only in the public accessors: ``e_star``, ``canonical_cycle``,
-``l_top``, ``pairing``, ``HClass.rep`` and ``Lattice.unscaled``.  No
-floating point is used anywhere.
+printed by ``format_scaled``, as every scaled vector is, and a scaled
+scalar by ``format_ratio``.  ``fractions.Fraction`` enters only where a
+rational crosses the program's edge, each time by an import inside the
+function: the accessors that return rationals (``vec``, ``e_star``,
+``canonical_cycle``, ``l_top``, ``pairing``, ``HClass.rep`` and
+``Lattice.unscaled``), ``format_vec`` and ``Lattice.scaled``, which read
+vectors as the user gives them.  So this module does not import
+``fractions`` (nor, through it, ``decimal``), and neither do the commands
+that read only its scaled data (``plumbsw invariants``, ``validate``,
+``sw``).  No floating point is used anywhere.
 
 ``Lattice`` owns the lattice arithmetic the other modules read:
 
@@ -39,15 +45,18 @@ of order det(-I).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import add, mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import PlumbingGraph, rooting, tree_adjugate, tree_elimination
 
-Vec = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# A vector of rationals, as the public accessors return it.
+Vec = tuple["Fraction", ...]
 
 
 class LatticeError(ValueError):
@@ -55,24 +64,26 @@ class LatticeError(ValueError):
 
 
 def vec(values) -> Vec:
+    from fractions import Fraction
     return tuple(Fraction(x) for x in values)
 
 
-def format_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def format_ratio(k: int, d: int) -> str:
+    """The rational k / d, d > 0, as ``str`` of its ``Fraction``: "k" when
+    d divides k, "p/q" in lowest terms otherwise; one gcd."""
+    c = gcd(k, d)
+    return str(k // c) if c == d else f"{k // c}/{d // c}"
 
 
 def format_vec(a) -> str:
-    return "(" + ",".join(format_frac(Fraction(x)) for x in a) + ")"
+    """A vector of rationals, each given as anything ``Fraction`` reads."""
+    from fractions import Fraction
+    return "(" + ",".join(format_ratio(*Fraction(x).as_integer_ratio()) for x in a) + ")"
 
 
 def format_scaled(scaled, d: int) -> str:
     """``format_vec`` of the vector scaled / d, one gcd per entry."""
-    parts = []
-    for k in scaled:
-        c = gcd(k, d)
-        parts.append(str(k // c) if c == d else f"{k // c}/{d // c}")
-    return "(" + ",".join(parts) + ")"
+    return "(" + ",".join([format_ratio(k, d) for k in scaled]) + ")"
 
 
 class HClass(NamedTuple):
@@ -87,6 +98,7 @@ class HClass(NamedTuple):
     @property
     def rep(self) -> Vec:
         """The representative in [0,1)^n, built on each read."""
+        from fractions import Fraction
         return tuple(Fraction(k, self.d) for k in self.key)
 
     def __str__(self) -> str:
@@ -182,6 +194,9 @@ class Lattice:
 
     # -- scaled helpers ----------------------------------------------------
     def scaled(self, x) -> tuple[int, ...]:
+        """d x for a vector x of rationals; ``LatticeError`` unless every
+        entry lies on the 1/d grid."""
+        from fractions import Fraction
         d = self.h_order
         out = []
         for c in x:
@@ -193,6 +208,7 @@ class Lattice:
 
     def unscaled(self, scaled) -> Vec:
         """The vector whose scaled copy is ``scaled``; inverse of ``scaled``."""
+        from fractions import Fraction
         d = self.h_order
         return tuple(Fraction(x, d) for x in scaled)
 
@@ -250,6 +266,12 @@ class Lattice:
                 out[r] += c * col[r]
         return tuple(out)
 
+    @property
+    def sl_top(self) -> tuple[int, ...]:
+        """l_top, scaled: Z_K - E plus the sum of the end anti-duals."""
+        ends = self.combination((i, 1) for i in self.end_idx)
+        return tuple(map(add, self.szkme, ends))
+
 
 @lru_cache(maxsize=None)
 def lattice_of(g: PlumbingGraph) -> Lattice:
@@ -303,8 +325,7 @@ def l_top(g: PlumbingGraph) -> Vec:
     """Z_K - E plus the sum of the end anti-duals; equivalently the
     node-supported combination sum_{nodes} (valency - 2) E*_v."""
     lat = lattice_of(g)
-    ends = lat.combination((i, 1) for i in lat.end_idx)
-    return lat.unscaled(map(add, lat.szkme, ends))
+    return lat.unscaled(lat.sl_top)
 
 
 def iter_classes(g: PlumbingGraph) -> Iterator[HClass]:

@@ -18,9 +18,13 @@ times d = det(-I) = |H|, integers since L' lies in (1/d)Z^n.  That holds
 for the factors of ``FactoredRatFunc``, the numerator and denominator of
 ``RatFunc`` and the keys of ``TruncatedSeries.terms``.  A window bound,
 given in coordinates, is turned once per expansion into a cut on scaled
-exponents by ``strict_cut``, the rounding rule polytope dilations share;
-``fractions.Fraction`` appears only there, in ``TruncatedSeries.coeff_at``
-and ``lines`` and in ``coeff``'s argument.
+exponents by ``strict_cut``, the rounding rule polytope dilations share.
+``fractions.Fraction`` enters only where a rational crosses the program's
+edge, by an import inside the function: in ``strict_cut``, which reads a
+bound as the user gives it, and through ``lattice.vec`` and
+``Lattice.scaled`` in ``TruncatedSeries.coeff_at`` and ``coeff``, which
+read a user's exponent.  Exponents are printed by
+``lattice.format_scaled``.  This module does not import ``fractions``.
 
 Every enumeration walks the factors of a product and prunes with a
 coordinate cut: strict upper bounds on some coordinates, passed on any or
@@ -54,13 +58,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, comb, floor, gcd, inf
 from operator import add, sub
 from typing import NamedTuple
 
 from .graph import PlumbingGraph
-from .lattice import HClass, Lattice, Vec, all_classes, format_vec, lattice_of, vec
+from .lattice import (HClass, Lattice, Vec, all_classes, format_scaled, format_vec, lattice_of,
+                      vec)
 
 
 class WindowError(ValueError):
@@ -138,11 +142,11 @@ class RatFunc:
         self.numerator = {e: c for e, c in self.numerator.items() if c}
         for a in self.denominator:
             if not all(a[i] > 0 for i in self.active):
-                raise ValueError(f"denominator exponent {format_vec(self.lat.unscaled(a))} "
+                raise ValueError(f"denominator exponent {format_scaled(a, self.lat.h_order)} "
                                  "not strictly positive on live coordinates")
         for b in self.numerator:
             if all(b[i] < 0 for i in self.active):
-                raise ValueError(f"numerator exponent {format_vec(self.lat.unscaled(b))} "
+                raise ValueError(f"numerator exponent {format_scaled(b, self.lat.h_order)} "
                                  "strictly negative on all live coordinates")
 
 
@@ -167,7 +171,7 @@ class TruncatedSeries(NamedTuple):
     def lines(self) -> list[str]:
         out = []
         for e in sorted(self.terms):
-            out.append(f"{self.terms[e]} * t^{format_vec(Fraction(x, self.d) for x in e)}")
+            out.append(f"{self.terms[e]} * t^{format_scaled(e, self.d)}")
         return out
 
 
@@ -253,7 +257,8 @@ def _tally(starts, factors, cut, key) -> dict:
         finite = isinstance(info, tuple)
         for k in range(min(n, len(info)) if finite else n):
             rec(fi + 1, cur, weight * (info[k] if finite else comb(k + info - 1, info - 1)))
-            cur = tuple(map(add, cur, a))
+            # a tuple of a list, as in Lattice.class_move, which says why
+            cur = tuple(list(map(add, cur, a)))
 
     for start, c in starts:
         if quantifier(start[i] < bound for i, bound in bounds):
@@ -381,6 +386,7 @@ def strict_cut(bound, d: int, closed: bool) -> int:
     coordinates, any rational: an integer s has s/d <= b (closed) or
     s/d < b (open) exactly when s < strict_cut.  That is floor(d b) + 1
     closed and ceil(d b) open."""
+    from fractions import Fraction
     db = Fraction(bound) * d
     return floor(db) + 1 if closed else ceil(db)
 

@@ -34,14 +34,19 @@ exact quadratic shift ((K + 2 r_h)^2 + |V|)/8, whose square is
 ``Lattice.form`` on the scaled integer vector d (K + 2 r_h), and the
 quadratic consistency check samples the full-variable counting function
 deep in the shifted Lipman cone against that quadratic, read off the same
-form.
+form.  The raw invariant has denominator dividing 8 d^2, d = |H|, and is
+held as the integer 8 d^2 times it, as a class is held as its key, d
+times its representative; ``lattice.format_ratio(raw, 8 * d * d)`` prints
+it.  This module does not import ``fractions``: ``Fraction`` enters only
+through ``Lattice.unscaled`` and ``Lattice.scaled``, for the sampled
+vectors of ``quadratic_check`` and the counting function they are given
+to, so ``plumbsw sw`` never builds one.
 """
 from __future__ import annotations
 
 import random
 from collections import Counter
 from collections.abc import Iterator
-from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
@@ -104,16 +109,16 @@ def sw_norm_via_division(g: PlumbingGraph) -> Counter[HClass]:
     return _at_one(polypart_division(g, duality_cut_vertices(g)))
 
 
-def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> Fraction:
+def sw_raw(g: PlumbingGraph, h: HClass, sw_norm_neg: int) -> int:
     """Raw Seiberg-Witten invariant of the structure indexed by h, from the
     agreed normalized value: sw_norm - ((K + 2 r_h)^2 + |V|)/8, K = -Z_K,
-    built as one ``Fraction`` from integers: sv = d (K + 2 r_h) is read off
+    scaled by 8 d^2, d = |H|, to the integer
+    -(8 d^2 sw_norm_neg + sv^2 + |V| d^2): sv = d (K + 2 r_h) is read off
     the class key, and its square is ``Lattice.form``."""
     lat = lattice_of(g)
     d = lat.h_order
     sv = [2 * k - z for k, z in zip(h.key, lat.sz_k)]
-    den = 8 * d * d
-    return Fraction(-(den * sw_norm_neg + lat.form(sv, sv) + lat.n * d * d), den)
+    return -(8 * d * d * sw_norm_neg + lat.form(sv, sv) + lat.n * d * d)
 
 
 ROUTES = ("duality", "polypart", "division", "lattice")
@@ -125,7 +130,8 @@ class SWEntry(NamedTuple):
     errors: dict[str, str]
     agree: bool
     sw_norm_neg: int | None
-    raw: Fraction | None
+    # the raw invariant times 8 |H|^2, as sw_raw returns it
+    raw: int | None
 
 
 def sw_report(g: PlumbingGraph, methods=ROUTES) -> Iterator[SWEntry]:
@@ -206,7 +212,8 @@ class QuadraticReport(NamedTuple):
 def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> QuadraticReport:
     """Sample l' = Z_K + (positive anti-dual combination) and compare the
     full-variable count -Q_{[l']}(l') with the quadratic
-    ((K + 2 l')^2 + |V|)/8 + raw invariant of the matching class."""
+    ((K + 2 l')^2 + |V|)/8 + raw invariant of the matching class, both
+    times 8 d^2, d = |H|, in integers: sv = d (K + 2 l') and ``sw_raw``."""
     lat = lattice_of(g)
     d = lat.h_order
     rng = random.Random(seed)
@@ -216,8 +223,8 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
         shift = lat.combination((i, rng.randint(1, 2)) for i in range(lat.n))
         slp = tuple(map(add, lat.sz_k, shift))
         h, lp = lat.class_at(slp), lat.unscaled(slp)
-        lhs = -Q(g, h, g.ids, lp)
+        lhs = -8 * d * d * Q(g, h, g.ids, lp)
         sv = tuple(2 * x - z for x, z in zip(slp, lat.sz_k))
-        rhs = Fraction(lat.form(sv, sv) + lat.n * d * d, 8 * d * d) + sw_raw(g, h, duality[h])
+        rhs = lat.form(sv, sv) + lat.n * d * d + sw_raw(g, h, duality[h])
         out.append(QuadraticSample(lp, lhs == rhs))
     return QuadraticReport(tuple(out))

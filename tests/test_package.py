@@ -21,6 +21,8 @@ from plumbsw import cli, polytopes, swcore
 ROOT = Path(__file__).resolve().parents[1]
 CHILD = ROOT / "perfbench" / "child.py"
 GRAPH = ROOT / "graphs" / "three_nodes_h1.graph"
+# |H| = 3: its raw invariants are not integers
+GRAPH_H3 = ROOT / "graphs" / "two_nodes_h3.graph"
 
 ROUTE_MODULES = ("counting", "decomp", "polytopes", "series", "swcore")
 
@@ -43,7 +45,8 @@ PUBLIC = [
 
 # In a fresh interpreter: record every plumbsw source file compiled, and
 # whether argparse had been imported by then, import the command line as
-# perfbench/child.py does, and run one command.  The
+# perfbench/child.py does, run one command, and report which of the
+# modules in ``stdlib`` are loaded when it ends.  The
 # bytecode cache points at an empty directory, so every module executed is
 # compiled from source, as on a host that writes no __pycache__.
 LOADING_SCRIPT = """
@@ -65,7 +68,9 @@ from plumbsw import cli
 registered = sorted(name for name in sys.modules if name.startswith("plumbsw."))
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[2:])
-print(json.dumps({"registered": registered, "compiled": compiled, "code": code}))
+stdlib = {name: name in sys.modules for name in ("fractions", "decimal")}
+print(json.dumps({"registered": registered, "compiled": compiled, "code": code,
+                  "stdlib": stdlib}))
 """
 
 
@@ -105,6 +110,17 @@ def test_route_commands_compile_every_module_before_the_parser(command, tmp_path
     # compiled before argparse is imported, a module's compile memory is
     # reused by the parser rather than added to the process's peak
     assert not any(after_argparse for _, after_argparse in run["compiled"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sw"], *(["sw", "--method", m] for m in swcore.ROUTES), ["invariants"], ["validate"],
+    ["sw", "--format", "json-lines"], ["invariants", "--format", "json-lines"]], ids=" ".join)
+def test_commands_on_scaled_integers_load_no_fractions(argv, tmp_path):
+    # sw, invariants and validate print scaled integers only: neither
+    # fractions nor the decimal module it imports is loaded in the process
+    run = run_fresh(tmp_path, argv[0], str(GRAPH_H3), *argv[1:])
+    assert run["code"] == 0
+    assert run["stdlib"] == {"fractions": False, "decimal": False}
 
 
 def test_each_command_is_a_route_command_or_runs_only_the_lattice():

@@ -23,8 +23,13 @@ from plumbsw.swcore import (QuadraticReport, RouteDisagreement, duality_cut_vert
                             sw_norm_via_polypart, sw_raw, sw_report)
 
 
+def raw_scale(g):
+    """8 |H|^2: sw_raw returns the raw invariant times it, an integer."""
+    return 8 * lattice_of(g).h_order ** 2
+
+
 def shift(g, h):
-    """((K + 2 r_h)^2 + |V|)/8, read off sw_raw at sw_norm = 0."""
+    """((K + 2 r_h)^2 + |V|)/8 times 8 |H|^2, read off sw_raw at sw_norm = 0."""
     return -sw_raw(g, h, 0)
 
 
@@ -82,7 +87,9 @@ def test_sw_raw_shift_sigma257(sigma257):
     # oracle: K = -Z_K, (K^2 + 5)/8 with K^2 = (Z_K, Z_K) = -5
     assert pairing(sigma257, zk, zk) == -5
     assert shift(sigma257, h0) == 0
-    assert sw_raw(sigma257, h0, 2) == -2
+    assert raw_scale(sigma257) == 8
+    assert type(sw_raw(sigma257, h0, 2)) is int
+    assert sw_raw(sigma257, h0, 2) == -2 * 8
 
 
 def test_sw_raw_shift_with_nontrivial_rep(two_nodes):
@@ -90,13 +97,16 @@ def test_sw_raw_shift_with_nontrivial_rep(two_nodes):
     # oracle: direct pairing arithmetic on K + 2 r_h
     v = vec_add(vec_scale(-1, canonical_cycle(two_nodes)), vec_scale(2, h1.rep))
     expected = (pairing(two_nodes, v, v) + 10) / 8
-    assert shift(two_nodes, h1) == expected
-    assert sw_raw(two_nodes, h1, 3) == -3 - expected
+    scale = raw_scale(two_nodes)
+    assert scale == 8 * 3 ** 2
+    assert type(shift(two_nodes, h1)) is int
+    assert shift(two_nodes, h1) == expected * scale
+    assert sw_raw(two_nodes, h1, 3) == (-3 - expected) * scale
     for g in (two_nodes, support.star(-2, (-3, -5, -7))):
         zk = canonical_cycle(g)
         for h in all_classes(g):
             v = vec_add(vec_scale(-1, zk), vec_scale(2, h.rep))
-            assert shift(g, h) == (pairing(g, v, v) + g.n) / 8
+            assert shift(g, h) == (pairing(g, v, v) + g.n) / 8 * raw_scale(g)
 
 
 def test_quadratic_check_examples(sigma257, two_nodes):
@@ -118,10 +128,11 @@ def test_quadratic_identity_per_class(two_nodes):
         if want[h] is None:
             want[h] = tuple(lp)
     duality = sw_norm_via_duality(g)
+    scale = raw_scale(g)
     for h, lp in want.items():
-        lhs = -Q(g, h, g.ids, lp)
+        lhs = -Q(g, h, g.ids, lp) * scale
         v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
-        rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, duality[h])
+        rhs = (pairing(g, v, v) + g.n) / 8 * scale + sw_raw(g, h, duality[h])
         assert lhs == rhs
 
 
@@ -132,9 +143,10 @@ def test_quadratic_minimal_sample_random_tree(corpus30):
     for i in range(g.n):
         lp = vec_add(lp, vec_scale(1, estar[i]))
     h = class_of(g, tuple(lp))
-    lhs = -Q(g, h, g.ids, lp)
+    scale = raw_scale(g)
+    lhs = -Q(g, h, g.ids, lp) * scale
     v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
-    rhs = (pairing(g, v, v) + g.n) / 8 + sw_raw(g, h, sw_norm_via_duality(g)[h])
+    rhs = (pairing(g, v, v) + g.n) / 8 * scale + sw_raw(g, h, sw_norm_via_duality(g)[h])
     assert lhs == rhs
 
 
@@ -145,7 +157,8 @@ def test_report_all_routes_agree(sigma257, two_nodes):
         assert [e.sw_norm_neg for e in entries] == values
         for e in entries:
             assert set(e.values) == {"duality", "polypart", "division", "lattice"}
-            assert e.raw == Fraction(-e.sw_norm_neg) - shift(g, e.h)
+            assert type(e.raw) is int
+            assert e.raw == -e.sw_norm_neg * raw_scale(g) - shift(g, e.h)
 
 
 def test_report_marks_lattice_not_applicable():
@@ -324,29 +337,12 @@ def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
     assert built == []
 
 
-def test_report_builds_one_fraction_per_class(monkeypatch):
-    # Classes are scaled integer keys; the raw invariant is the one Fraction
-    # each class needs.  |H| = 1155.
-    g = support.star(-2, (-6, -9, -13))
-    classes = all_classes(g)
-    real = Fraction.__new__
-    built = 0
-
-    def counted(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return real(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    assert all(e.agree for e in sw_report(g, ("duality",)))
-    monkeypatch.undo()
-    assert 0 < built <= len(classes)
-
-
 def test_lattice_and_routes_build_no_fraction(monkeypatch):
     # The lattice holds scaled integers only, and the duality and lattice
     # routes cut and tally on them: no Fraction in the build, nor in either
-    # all-classes route once the lattice is built.
+    # all-classes route once the lattice is built.  sw_report holds classes
+    # as keys and the raw invariant as an integer over 8 |H|^2, so it builds
+    # none either, lattice included, over the |H| = 1155 classes of a star.
     real = Fraction.__new__
     built = 0
 
@@ -372,6 +368,10 @@ def test_lattice_and_routes_build_no_fraction(monkeypatch):
         lattice_of(g)
         assert fractions_in(sw_via_lattice, g) == 0
         assert fractions_in(sw_norm_via_duality, g) == 0
+    star = support.star(-2, (-6, -9, -13))
+    entries = []
+    assert fractions_in(lambda g: entries.extend(sw_report(g, ("duality",))), star) == 0
+    assert len(entries) == 1155 and all(e.agree for e in entries)
 
 
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
