@@ -337,12 +337,30 @@ def test_report_builds_no_ratfunc(monkeypatch, two_nodes):
     assert built == []
 
 
+def test_report_builds_one_fraction_per_class(monkeypatch):
+    # Classes are scaled integer keys and the raw invariant is an integer
+    # over 8 |H|^2, so sw_report builds fewer Fractions than one per class:
+    # none at all, lattice included.  |H| = 1155.
+    g = support.star(-2, (-6, -9, -13))
+    real = Fraction.__new__
+    built = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    entries = list(sw_report(g, ("duality",)))
+    monkeypatch.undo()
+    assert len(entries) == 1155 and all(e.agree for e in entries)
+    assert built == 0
+
+
 def test_lattice_and_routes_build_no_fraction(monkeypatch):
     # The lattice holds scaled integers only, and the duality and lattice
     # routes cut and tally on them: no Fraction in the build, nor in either
-    # all-classes route once the lattice is built.  sw_report holds classes
-    # as keys and the raw invariant as an integer over 8 |H|^2, so it builds
-    # none either, lattice included, over the |H| = 1155 classes of a star.
+    # all-classes route once the lattice is built.
     real = Fraction.__new__
     built = 0
 
@@ -368,10 +386,6 @@ def test_lattice_and_routes_build_no_fraction(monkeypatch):
         lattice_of(g)
         assert fractions_in(sw_via_lattice, g) == 0
         assert fractions_in(sw_norm_via_duality, g) == 0
-    star = support.star(-2, (-6, -9, -13))
-    entries = []
-    assert fractions_in(lambda g: entries.extend(sw_report(g, ("duality",))), star) == 0
-    assert len(entries) == 1155 and all(e.agree for e in entries)
 
 
 def test_polypart_route_detects_division_mismatch(monkeypatch, sigma257):
