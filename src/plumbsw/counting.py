@@ -5,6 +5,12 @@ l' >= x on at least one live coordinate; q ("modified") sums over those
 strictly below the cut on every live coordinate.  Both are finite exact
 sums and satisfy the inclusion-exclusion relation tying Q to the q's of
 the non-empty sub-cuts.
+
+The cut is a vector of L', held scaled, as sx = d x, d = |H|, by the one
+core ``_cut_sum`` and by ``_inclusion_exclusion``.  ``Q``, ``q`` and
+``inclusion_exclusion_check`` take x as rationals and scale it once, by
+``Lattice.scaled``; ``plumbsw verify`` and ``swcore.quadratic_check`` call
+the cores with their scaled samples, and build no ``Fraction``.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from math import comb, gcd, lcm
 from operator import add, floordiv
 
 from .graph import PlumbingGraph
-from .lattice import HClass, LatticeError, class_of, lattice_of
+from .lattice import HClass, LatticeError, format_scaled, lattice_of
 from .series import _zeta_factors, live_indices
 
 
@@ -63,9 +69,10 @@ def _envelope(starts, slopes, overtakers, k: int, n: int) -> list:
     return pieces
 
 
-def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
+def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
     """Sum of z(l') over [l'] = h with l'_v < x_v for ``quantifier`` (any
-    or all) of the live v.
+    or all) of the live v, the cut x given scaled, as sx = d x, d = |H|.
+    ``LatticeError`` unless sx is in the dual lattice and of class h.
 
     The slack walk.  The walk holds a point e by its negative slack
     t = e - x on the live coordinates (scaled).  From e, the points e + k y
@@ -101,7 +108,9 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     once per walk, by decreasing slope: the first of tied values is then the
     line that stays widest, and a piece ends where one of the lines of wider
     slope, listed once per walk, becomes strictly wider.  A leaf looks only
-    at residues r < K, and builds no piece before r0.
+    at residues r < K, and builds no piece before r0.  The level above the
+    leaves calls a leaf only when its class is in the table and r0 < K, so
+    a leaf that counts nothing costs no call.
 
     The walk state.  Below a point, both the rest of the walk and the
     closed form at its leaves depend only on the factor level, the point's
@@ -123,9 +132,11 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     ``floor_sum``."""
     lat = lattice_of(g)
     active = live_indices(g, subset)
-    if class_of(g, x) != h:
+    if not lat.in_dual(sx):
+        raise LatticeError(f"{format_scaled(sx, lat.h_order)} is not in the dual lattice")
+    if lat.class_at(sx) != h:
         raise LatticeError("cut vector does not represent the requested class")
-    sx, hkey = lat.scaled(x), h.key
+    hkey = h.key
     factors = _zeta_factors(lat)
     a, mult = factors.pop()
     factors += [(a, 1)] * (mult - 1)
@@ -174,13 +185,13 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
     memo: dict[tuple, int] = {}
 
     def leaf(t, cls):
+        # the level above calls a leaf only when it counts; a walk with no
+        # walked factor is one leaf, which may not
         hit = hits[cls]
         if hit is None:
             return 0
         r, j = hit
         K = -fold(map(floordiv, t, b_live))
-        if r >= K:
-            return 0
         pieces = _envelope([(ti + 1) * up for ti, up in zip(t, ups)],
                            slopes, overtakers, r, K)
         count = 0
@@ -213,10 +224,15 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
         move = moves[fi]
         n = -fold(map(floordiv, t, col))
         finite = isinstance(info, tuple)
+        final = fi + 1 == last
         total = 0
         for k in range(min(n, len(info)) if finite else n):
-            w = info[k] if finite else comb(k + info - 1, info - 1)
-            total += w * rec(fi + 1, t, cls)
+            # one level above the leaves, step past each leaf that counts
+            # nothing: its class is not met (no hit), or r0 >= K
+            if not final or (hit := hits[cls]) is not None and hit[0] < -fold(
+                    map(floordiv, t, b_live)):
+                w = info[k] if finite else comb(k + info - 1, info - 1)
+                total += w * rec(fi + 1, t, cls)
             t = tuple(map(add, t, col))
             cls = move[cls]
         return total
@@ -231,19 +247,24 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, x, quantifier) -> int:
 
 def Q(g: PlumbingGraph, h: HClass, subset, x) -> int:
     """Sum of z(l') over [l'] = h with l'_v < x_v for at least one live v."""
-    return _cut_sum(g, h, subset, x, any)
+    return _cut_sum(g, h, subset, lattice_of(g).scaled(x), any)
 
 
 def q(g: PlumbingGraph, h: HClass, subset, x) -> int:
     """Sum of z(l') over [l'] = h with l'_v < x_v for every live v."""
-    return _cut_sum(g, h, subset, x, all)
+    return _cut_sum(g, h, subset, lattice_of(g).scaled(x), all)
 
 
 def inclusion_exclusion_check(g: PlumbingGraph, h: HClass, subset, x) -> bool:
     """Q equals the alternating sum of q over the non-empty sub-cuts."""
+    return _inclusion_exclusion(g, h, subset, lattice_of(g).scaled(x))
+
+
+def _inclusion_exclusion(g: PlumbingGraph, h: HClass, subset, sx) -> bool:
+    """``inclusion_exclusion_check`` at the cut given scaled, sx = d x."""
     ids = tuple(subset)
     rhs = 0
     for size in range(1, len(ids) + 1):
         for sub in combinations(ids, size):
-            rhs += (-1) ** (size + 1) * q(g, h, sub, x)
-    return Q(g, h, ids, x) == rhs
+            rhs += (-1) ** (size + 1) * _cut_sum(g, h, sub, sx, all)
+    return _cut_sum(g, h, ids, sx, any) == rhs

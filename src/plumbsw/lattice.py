@@ -19,13 +19,14 @@ function: the accessors that return rationals (``vec``, ``e_star``,
 vectors as the user gives them.  So this module does not import
 ``fractions`` (nor, through it, ``decimal``), and neither do the commands
 that read only its scaled data (``plumbsw invariants``, ``validate``,
-``sw``).  No floating point is used anywhere.
+``sw``, ``verify``).  No floating point is used anywhere.
 
 ``Lattice`` owns the lattice arithmetic the other modules read:
 
 * the form: ``image`` is I x, summed over the tree's edges, and ``form``
   is x . I y, exact on ``int`` and ``Fraction`` vectors.  ``pairing``,
-  ``in_dual_lattice`` and the quadratic shift of the raw invariant read it;
+  ``in_dual`` (the L' test of ``in_dual_lattice`` and of the counting
+  functions' cut) and the quadratic shift of the raw invariant read it;
 * the class key: ``class_key`` reduces a scaled vector mod d, and
   ``class_move`` is the key of key + k col, the one class step;
 * the class tables: ``class_moves`` indexes ``all_classes`` and gives, per
@@ -226,6 +227,11 @@ class Lattice:
         entries."""
         return sum(map(mul, x, self.image(y)))
 
+    def in_dual(self, scaled) -> bool:
+        """Whether ``scaled`` is d x for an x in L': one entry per vertex,
+        and I (d x) = 0 mod d."""
+        return len(scaled) == self.n and not any(self.class_key(self.image(scaled)))
+
     def class_key(self, scaled) -> tuple[int, ...]:
         d = self.h_order
         return tuple([c % d for c in scaled])
@@ -304,7 +310,7 @@ def in_dual_lattice(g: PlumbingGraph, x) -> bool:
         sx = lat.scaled(x)
     except LatticeError:
         return False
-    return len(sx) == lat.n and not any(lat.class_key(lat.image(sx)))
+    return lat.in_dual(sx)
 
 
 def class_of(g: PlumbingGraph, x) -> HClass:

@@ -18,7 +18,9 @@ times d = det(-I) = |H|, integers since L' lies in (1/d)Z^n.  That holds
 for the factors of ``FactoredRatFunc``, the numerator and denominator of
 ``RatFunc`` and the keys of ``TruncatedSeries.terms``.  A window bound,
 given in coordinates, is turned once per expansion into a cut on scaled
-exponents by ``strict_cut``, the rounding rule polytope dilations share.
+exponents by ``strict_cut``, the rounding rule polytope dilations share;
+``taylor_infinity`` turns it so and runs its scaled core,
+``_infinity_terms``, which ``plumbsw verify`` calls with its cut directly.
 ``fractions.Fraction`` enters only where a rational crosses the program's
 edge, by an import inside the function: in ``strict_cut``, which reads a
 bound as the user gives it, and through ``lattice.vec`` and
@@ -416,17 +418,12 @@ def taylor(R: RatFunc, window: Box) -> TruncatedSeries:
 
 
 def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
-    """Expansion at infinity, complete for the given cobox window.
-
-    For a factored zeta function the closed form is used: the coefficient
-    at Z_K - E - l' is z(l').  For a generic reduced function each factor
-    1/(1 - t^a) is rewritten as -t^{-a}/(1 - t^{-a}) and expanded, an
-    independent route the tests play against the closed form.
-    """
+    """Expansion at infinity, complete for the given cobox window: the
+    window's bound is turned once, by ``_scaled_bound``, into the cut of
+    ``_infinity_terms``."""
     if not isinstance(window, Cobox):
         raise WindowError("infinity expansion needs a cobox window")
     lat = obj.lat
-    d = lat.h_order
     if isinstance(obj, FactoredRatFunc):
         active = (tuple(range(lat.n)) if subset is None
                   else live_indices(lat.graph, subset))
@@ -434,20 +431,33 @@ def taylor_infinity(obj, window: Cobox, subset=None) -> TruncatedSeries:
         if subset is not None:
             raise ValueError("reduced functions carry their own live set")
         active = obj.active
-    sbound = _scaled_bound(window, d, active)
+    d = lat.h_order
+    terms = _infinity_terms(obj, active, _scaled_bound(window, d, active))
+    return TruncatedSeries(terms, window, active, d)
+
+
+def _infinity_terms(obj, active, sbound) -> dict:
+    """The terms of the expansion at infinity of a factored or reduced
+    function on the live coordinates ``active``, keyed by live scaled
+    exponent e, that have e_i >= b_i on some live i, for the scaled bounds
+    b of ``sbound``.
+
+    For a factored zeta function the closed form is used: the coefficient
+    at Z_K - E - l' is z(l').  For a generic reduced function each factor
+    1/(1 - t^a) is rewritten as -t^{-a}/(1 - t^{-a}) and expanded, an
+    independent route the tests play against the closed form."""
+    lat = obj.lat
     if isinstance(obj, FactoredRatFunc):
         szkme = lat.szkme
-        terms = _infinity_tally(lat, active, sbound,
-                                lambda e: tuple(szkme[i] - e[i] for i in active))
-    else:
-        # Expanded downward from t^{b - sum a}; the walk runs on the negated
-        # exponent, upward by the a, and "some live e_i >= bound_i" becomes
-        # "some live -e_i < 1 - bound_i".  Each distinct a is walked once,
-        # as the series of its copies.
-        factors = list(Counter(obj.denominator).items())
-        sign = (-1) ** len(obj.denominator)
-        shift = tuple(map(sum, zip((0,) * lat.n, *obj.denominator)))
-        cut = (tuple((i, 1 - b) for i, b in zip(active, sbound)), any)
-        starts = ((tuple(map(sub, shift, b)), sign * c) for b, c in obj.numerator.items())
-        terms = _tally(starts, factors, cut, lambda e: tuple(-e[i] for i in active))
-    return TruncatedSeries(terms, window, active, d)
+        return _infinity_tally(lat, active, sbound,
+                               lambda e: tuple(szkme[i] - e[i] for i in active))
+    # Expanded downward from t^{b - sum a}; the walk runs on the negated
+    # exponent, upward by the a, and "some live e_i >= bound_i" becomes
+    # "some live -e_i < 1 - bound_i".  Each distinct a is walked once, as
+    # the series of its copies.
+    factors = list(Counter(obj.denominator).items())
+    sign = (-1) ** len(obj.denominator)
+    shift = tuple(map(sum, zip((0,) * lat.n, *obj.denominator)))
+    cut = (tuple((i, 1 - b) for i, b in zip(active, sbound)), any)
+    starts = ((tuple(map(sub, shift, b)), sign * c) for b, c in obj.numerator.items())
+    return _tally(starts, factors, cut, lambda e: tuple(-e[i] for i in active))

@@ -37,10 +37,10 @@ deep in the shifted Lipman cone against that quadratic, read off the same
 form.  The raw invariant has denominator dividing 8 d^2, d = |H|, and is
 held as the integer 8 d^2 times it, as a class is held as its key, d
 times its representative; ``lattice.format_ratio(raw, 8 * d * d)`` prints
-it.  This module does not import ``fractions``: ``Fraction`` enters only
-through ``Lattice.unscaled`` and ``Lattice.scaled``, for the sampled
-vectors of ``quadratic_check`` and the counting function they are given
-to, so ``plumbsw sw`` never builds one.
+it.  ``quadratic_check`` keeps each sampled l' scaled, in
+``QuadraticSample.slprime``, and hands it to the counting core
+``counting._cut_sum``.  This module does not import ``fractions``, and
+neither ``plumbsw sw`` nor ``verify`` builds a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ from collections.abc import Iterator
 from operator import add
 from typing import NamedTuple
 
-from .counting import Q
+from .counting import _cut_sum
 from .decomp import Poly, evaluate_at_one, polypart_division, polypart_dual
 from .graph import PlumbingGraph
 from .lattice import HClass, iter_classes, lattice_of
@@ -197,7 +197,9 @@ def sw_report(g: PlumbingGraph, methods=ROUTES) -> Iterator[SWEntry]:
 
 
 class QuadraticSample(NamedTuple):
-    lprime: tuple
+    """One sampled l', held scaled, as ``HClass`` holds its key: slprime
+    is d l', d = |H|."""
+    slprime: tuple[int, ...]
     ok: bool
 
 
@@ -222,9 +224,9 @@ def quadratic_check(g: PlumbingGraph, samples: int = 3, seed: int = 0) -> Quadra
     for _ in range(samples):
         shift = lat.combination((i, rng.randint(1, 2)) for i in range(lat.n))
         slp = tuple(map(add, lat.sz_k, shift))
-        h, lp = lat.class_at(slp), lat.unscaled(slp)
-        lhs = -8 * d * d * Q(g, h, g.ids, lp)
+        h = lat.class_at(slp)
+        lhs = -8 * d * d * _cut_sum(g, h, g.ids, slp, any)
         sv = tuple(2 * x - z for x, z in zip(slp, lat.sz_k))
         rhs = lat.form(sv, sv) + lat.n * d * d + sw_raw(g, h, duality[h])
-        out.append(QuadraticSample(lp, lhs == rhs))
+        out.append(QuadraticSample(slp, lhs == rhs))
     return QuadraticReport(tuple(out))

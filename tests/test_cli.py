@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import support
-from plumbsw import counting
+from plumbsw import counting, swcore
 from plumbsw.cli import main
 from plumbsw.graph import classify_vertices, parse_graph
 from plumbsw.lattice import all_classes, e_star, format_vec, lattice_of
@@ -289,6 +289,17 @@ def test_flag_the_command_does_not_read_exits_2(capsys, command, flag, value):
 ])
 def test_bad_flag_value_exits_2_with_its_message(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    # a command that exhausts memory ends as an input error, not with a
+    # traceback and the exit code of a failed verification
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(swcore, "quadratic_check", exhausted)
+    assert run(capsys, "verify", GRAPHS / "two_nodes_h3.graph", "--samples", "1") == (
+        2, "", "error: out of memory in verify\n")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -581,18 +592,18 @@ def test_verify_names_failure_witness(capsys, monkeypatch, tmp_path):
         return dict.fromkeys(real(*args), {})
 
     monkeypatch.setattr(swcore, "polypart_division", crooked)
-    monkeypatch.setattr(counting, "inclusion_exclusion_check", lambda *args: False)
-    monkeypatch.setattr(swcore, "Q", lambda *args: 10 ** 6)
+    # verify runs the scaled cores of inclusion_exclusion_check and Q
+    monkeypatch.setattr(counting, "_inclusion_exclusion", lambda *args: False)
+    monkeypatch.setattr(swcore, "_cut_sum", lambda *args: 10 ** 6)
     code, out, _ = run(capsys, "verify", star, "--samples", "2", "--seed", "3")
     lines = out.splitlines()
     assert code == 1
-    assert lines[2].startswith("FAIL inclusion-exclusion: subset=")
-    assert " x=(" in lines[2] and lines[2].endswith(")")
+    assert lines[2] == "FAIL inclusion-exclusion: subset=l3 x=(171,57,43,173/5,172/5)"
     mismatch = ("h=(0,0,0,0,0) duality=17 polypart=? "
                 f"({swcore._POLYPART_MISMATCH}) division=0 lattice=18")
     assert lines[3] == "FAIL division-vs-duality: " + mismatch
     assert lines[4] == "FAIL route-agreement: " + mismatch
-    assert lines[5].startswith("FAIL quadratic-consistency: l'=(")
+    assert lines[5] == "FAIL quadratic-consistency: l'=(208,70,53,213/5,212/5)"
 
 
 def test_python_m_plumbsw_exits_with_the_cli_code(capsys, monkeypatch, tmp_path):

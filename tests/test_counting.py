@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import support
 from support import anti_duals, vec_add, vec_scale
-from plumbsw.counting import (Q, _envelope, floor_sum,
+from plumbsw.counting import (Q, _cut_sum, _envelope, _inclusion_exclusion, floor_sum,
                               inclusion_exclusion_check, q)
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (LatticeError, all_classes, canonical_cycle,
@@ -114,6 +114,30 @@ def test_class_mismatch_raises(two_nodes):
         Q(two_nodes, h1, ("v1",), zk)
     with pytest.raises(LatticeError):
         q(two_nodes, h1, ("v1",), zk)
+    # the scaled core checks its cut: in L', then of the requested class
+    lat = lattice_of(two_nodes)
+    off = (1,) + (0,) * (lat.n - 1)  # on the 1/|H| grid, not in L'
+    with pytest.raises(LatticeError, match=r"^\(1/3,0,0,0,0,0,0,0,0,0\) is not in the dual"):
+        _cut_sum(two_nodes, h1, ("v1",), off, any)
+    with pytest.raises(LatticeError, match="is not in the dual"):
+        _cut_sum(two_nodes, h1, ("v1",), lat.sz_k[1:], any)
+    with pytest.raises(LatticeError, match="does not represent the requested class"):
+        _cut_sum(two_nodes, h1, ("v1",), lat.sz_k, all)
+
+
+def test_scaled_core_equals_the_rational_wrappers(corpus30):
+    # Q, q and inclusion_exclusion_check scale their cut once and run the
+    # core on it, which verify calls with the scaled cut directly
+    rng = random.Random(36)
+    for g in [*corpus30, support.hub_tree(33)]:
+        lat = lattice_of(g)
+        sx = lat.combination((i, rng.randint(0, 2)) for i in range(g.n))
+        h, x = lat.class_at(sx), lat.unscaled(sx)
+        for subset in (duality_cut_vertices(g), (rng.choice(g.ids),)):
+            assert _cut_sum(g, h, subset, sx, any) == Q(g, h, subset, x)
+            assert _cut_sum(g, h, subset, sx, all) == q(g, h, subset, x)
+            assert _inclusion_exclusion(g, h, subset, sx)
+            assert inclusion_exclusion_check(g, h, subset, x)
 
 
 def test_inclusion_exclusion_single_vertex_trivial(corpus30):

@@ -114,10 +114,13 @@ def test_route_commands_compile_every_module_before_the_parser(command, tmp_path
 
 @pytest.mark.parametrize("argv", [
     ["sw"], *(["sw", "--method", m] for m in swcore.ROUTES), ["invariants"], ["validate"],
-    ["sw", "--format", "json-lines"], ["invariants", "--format", "json-lines"]], ids=" ".join)
+    ["sw", "--format", "json-lines"], ["invariants", "--format", "json-lines"],
+    ["verify"], ["verify", "--format", "json-lines"], ["verify", "--samples", "2"]],
+    ids=" ".join)
 def test_commands_on_scaled_integers_load_no_fractions(argv, tmp_path):
-    # sw, invariants and validate print scaled integers only: neither
-    # fractions nor the decimal module it imports is loaded in the process
+    # sw, invariants, validate and verify run and print scaled integers
+    # only: neither fractions nor the decimal module it imports is loaded in
+    # the process
     run = run_fresh(tmp_path, argv[0], str(GRAPH_H3), *argv[1:])
     assert run["code"] == 0
     assert run["stdlib"] == {"fractions": False, "decimal": False}

@@ -470,26 +470,27 @@ def test_report_rejects_unknown_or_no_route(two_nodes):
 def test_quadratic_check_deterministic(sigma257):
     r1 = quadratic_check(sigma257, samples=4, seed=9)
     r2 = quadratic_check(sigma257, samples=4, seed=9)
-    assert [s.lprime for s in r1.samples] == [s.lprime for s in r2.samples]
+    assert [s.slprime for s in r1.samples] == [s.slprime for s in r2.samples]
     assert isinstance(r1, QuadraticReport)
 
 
 def test_full_variable_count_keeps_memory_flat(three_nodes, monkeypatch):
     # The counting walk memoizes only levels deeper than the number of live
-    # coordinates, so the full-variable Q of quadratic_check stores no walk
-    # state: about 10 KB here, where memoizing every level takes megabytes.
+    # coordinates, so the full-variable Q of quadratic_check, its scaled
+    # core, stores no walk state: about 10 KB here, where memoizing every
+    # level takes megabytes.
     peaks = []
 
     def traced(*args):
         tracemalloc.start()
         try:
-            value = counting.Q(*args)
+            value = counting._cut_sum(*args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         return value
 
-    monkeypatch.setattr(swcore, "Q", traced)
+    monkeypatch.setattr(swcore, "_cut_sum", traced)
     assert quadratic_check(three_nodes, samples=1, seed=DEFAULT_SEED).ok
     assert len(peaks) == 1 and peaks[0] < 100_000
 
