@@ -11,6 +11,12 @@ core ``_cut_sum`` and by ``_inclusion_exclusion``.  ``Q``, ``q`` and
 ``inclusion_exclusion_check`` take x as rationals and scale it once, by
 ``Lattice.scaled``; ``plumbsw verify`` and ``swcore.quadratic_check`` call
 the cores with their scaled samples, and build no ``Fraction``.
+
+``_cut_sum`` walks the cone by one recursion over (level, slack, class),
+the class an index into ``all_classes``.  One class-step table,
+``Lattice.class_moves``, moves that index along each walked factor and,
+stepping back along the last two, gives each leaf class its first step in
+closed form; the walk keys no table by class key.
 """
 from __future__ import annotations
 
@@ -89,9 +95,11 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
     steps along a.  Such a point is in class h when k [b] + j [a] = h - [e].
 
     Let o be the order of [a], ob the least r > 0 with r [b] in <[a]>, and
-    ob [b] = s [a].  A per-walk table of the o * ob <= |H| classes
-    h - r [b] - j [a] (r < ob, j < o) gives each leaf class its least
-    solution (r0, j0).  The residues r = r0 + i ob below the order of [b]
+    ob [b] = s [a].  The o * ob <= |H| classes h - r [b] - j [a] (r < ob,
+    j < o) are distinct, and ``hits`` gives each its least solution
+    (r0, j0), filled by walking back from h: o steps along -a per row, rows
+    along -b, until a row starts on a class already met, h - ob [b] =
+    h - s [a] of row 0.  The residues r = r0 + i ob below the order of [b]
     meet the class with j = j0 - i s (mod o), fixed along the residue.  So
     at step k = r + m ord[b] the count is floor((run(k) - 1 - j)/o) + 1,
     never negative as run(k) >= 1 and j < o.  With the lines
@@ -109,22 +117,24 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
     line that stays widest, and a piece ends where one of the lines of wider
     slope, listed once per walk, becomes strictly wider.  A leaf looks only
     at residues r < K, and builds no piece before r0.  The level above the
-    leaves calls a leaf only when its class is in the table and r0 < K, so
-    a leaf that counts nothing costs no call.
+    leaves calls a leaf only when its class has a hit and r0 < K, so a leaf
+    that counts nothing costs no call.
 
     The walk state.  Below a point, both the rest of the walk and the
     closed form at its leaves depend only on the factor level, the point's
     slack t (its live coordinates, as x is fixed) and its class.  So the
-    walk is a recursion over that state returning the sum of its subtree,
-    and the class is an index into ``all_classes``, advanced by the step
-    table of each factor, ``Lattice.class_moves``, built once per walk.  It
-    memoizes the levels deeper than the number m of live coordinates, where
-    distinct prefixes meet in one state.  A prefix of at most m factors has
-    no more step counts than there are live coordinates, so distinct
-    prefixes seldom meet there, and a memo would mostly hold entries never
-    read.  The full-variable cut
-    walks fewer than m = n factors, so it memoizes nothing and keeps memory
-    linear in the walk depth.
+    walk is one recursion, ``walk``, over that state returning the sum of
+    its subtree, and the class is an index into ``all_classes``.  One step
+    table, ``Lattice.class_moves`` over the walked factors and the back
+    steps -a and -b, built once per walk, advances the index along each
+    factor and fills ``hits``; no table is keyed by class key.  The walk
+    memoizes the levels deeper than the number m of live coordinates,
+    leaves included, where distinct prefixes meet in one state.  A prefix
+    of at most m factors has no more step counts than there are live
+    coordinates, so distinct prefixes seldom meet there, and a memo would
+    mostly hold entries never read.  The full-variable cut walks fewer than
+    m = n factors, so it memoizes nothing and keeps memory linear in the
+    walk depth.
 
     Everything is finite because a and b are strictly positive on the
     bounded coordinates: K and every run are finite ceiling divisions, the
@@ -136,32 +146,10 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
         raise LatticeError(f"{format_scaled(sx, lat.h_order)} is not in the dual lattice")
     if lat.class_at(sx) != h:
         raise LatticeError("cut vector does not represent the requested class")
-    hkey = h.key
     factors = _zeta_factors(lat)
     a, mult = factors.pop()
     factors += [(a, 1)] * (mult - 1)
     b = factors.pop()[0]
-
-    zero = (0,) * lat.n
-    first_a: dict[tuple[int, ...], int] = {}
-    offset = zero
-    while offset not in first_a:
-        first_a[offset] = len(first_a)
-        offset = lat.class_move(offset, a)
-    o = len(first_a)
-    # table: class of a leaf e -> the least (r0, j0) with
-    # h - [e] = r0 [b] + j0 [a]
-    table: dict[tuple[int, ...], tuple[int, int]] = {}
-    r, offset = 0, zero
-    while True:
-        for jkey, j in first_a.items():
-            table[lat.class_move(hkey, lat.class_move(offset, jkey), -1)] = (r, j)
-        r += 1
-        offset = lat.class_move(offset, b)
-        if offset in first_a:
-            break
-    ob, s = r, first_a[offset]
-    order_b = ob * (o // gcd(o, s))
 
     # The walk runs on the live coordinates only, in the tie order of their
     # lines.  At a leaf of slack t, line i is (t_i + 1 + k b_i) * ups_i:
@@ -176,21 +164,27 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
     ups = [-sgn * (denom // ai) for ai in a_live]
     slopes = [bi * up for bi, up in zip(b_live, ups)]
     overtakers = [[s2 - s1 for s2 in slopes if s2 > s1] for s1 in slopes]
-    # class index -> the table's (r0, j0) or None, and per walked factor
-    # -> the class index one step along it
-    classes, index, moves = lat.class_moves([col for col, _ in factors])
-    hits = [table.get(c.key) for c in classes]
+    # the step table of the walked factors and of the back steps -a and -b
+    classes, index, moves = lat.class_moves(
+        [col for col, _ in factors] + [[-y for y in a], [-y for y in b]])
+    back_a, back_b = moves[-2:]
+    # hits: class index -> the least (r0, j0) with h - c = r0 [b] + j0 [a],
+    # or None when the two last factors do not reach h from c
+    hits = [None] * len(classes)
+    r, row = 0, index[h.key]
+    while hits[row] is None:
+        c, j = row, 0
+        while hits[c] is None:
+            hits[c] = (r, j)
+            c, j = back_a[c], j + 1
+        r, row = r + 1, back_b[row]
+    o, ob, s = j, r, hits[row][1]
+    order_b = ob * (o // gcd(o, s))
     walked = [(tuple(col[i] for i in live), info) for col, info in factors]
     last = len(factors)
     memo: dict[tuple, int] = {}
 
-    def leaf(t, cls):
-        # the level above calls a leaf only when it counts; a walk with no
-        # walked factor is one leaf, which may not
-        hit = hits[cls]
-        if hit is None:
-            return 0
-        r, j = hit
+    def leaf(t, r, j):
         K = -fold(map(floordiv, t, b_live))
         pieces = _envelope([(ti + 1) * up for ti, up in zip(t, ups)],
                            slopes, overtakers, r, K)
@@ -208,40 +202,39 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
             j = (j - s) % o
         return count
 
-    def rec(fi, t, cls):
-        if fi > m:
-            state = (fi, t, cls)
-            total = memo.get(state)
-            if total is None:
-                total = memo[state] = subtree(fi, t, cls)
+    def walk(fi, t, cls):
+        if fi > m and (total := memo.get((fi, t, cls))) is not None:
             return total
-        return subtree(fi, t, cls)
-
-    def subtree(fi, t, cls):
         if fi == last:
-            return leaf(t, cls)
-        col, info = walked[fi]
-        move = moves[fi]
-        n = -fold(map(floordiv, t, col))
-        finite = isinstance(info, tuple)
-        final = fi + 1 == last
-        total = 0
-        for k in range(min(n, len(info)) if finite else n):
-            # one level above the leaves, step past each leaf that counts
-            # nothing: its class is not met (no hit), or r0 >= K
-            if not final or (hit := hits[cls]) is not None and hit[0] < -fold(
-                    map(floordiv, t, b_live)):
-                w = info[k] if finite else comb(k + info - 1, info - 1)
-                total += w * rec(fi + 1, t, cls)
-            t = tuple(map(add, t, col))
-            cls = move[cls]
+            # the level above calls a leaf only when it counts; a walk with
+            # no walked factor is one leaf, which may not
+            hit = hits[cls]
+            total = 0 if hit is None else leaf(t, *hit)
+        else:
+            col, info = walked[fi]
+            move = moves[fi]
+            n = -fold(map(floordiv, t, col))
+            finite = isinstance(info, tuple)
+            final = fi + 1 == last
+            total, u, c = 0, t, cls
+            for k in range(min(n, len(info)) if finite else n):
+                # one level above the leaves, step past each leaf that counts
+                # nothing: its class is not met (no hit), or r0 >= K
+                if not final or (hit := hits[c]) is not None and hit[0] < -fold(
+                        map(floordiv, u, b_live)):
+                    w = info[k] if finite else comb(k + info - 1, info - 1)
+                    total += w * walk(fi + 1, u, c)
+                u = tuple(map(add, u, col))
+                c = move[c]
+        if fi > m:
+            memo[fi, t, cls] = total
         return total
 
-    total = rec(0, tuple(-sx[i] for i in live), index[zero])
-    # rec and subtree hold each other through their closures: empty rec's
-    # cell, so the memo and the step tables are freed on return, not at the
-    # next full collection
-    del rec
+    # all_classes is sorted by key, so the zero class is index 0
+    total = walk(0, tuple(-sx[i] for i in live), 0)
+    # walk holds itself through its closure: empty its cell, so the memo and
+    # the step tables are freed on return, not at the next full collection
+    del walk
     return total
 
 

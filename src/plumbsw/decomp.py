@@ -34,10 +34,8 @@ Z[H](t), and a step on 1 - t^a moves the class by -[a].  The class key
 and the live exponent rebuild every full exponent mod L.  A split
 component has every denominator exponent in L, so its class never moves;
 ``divide_component`` checks that.  Exponents are printed, in the
-``DivisionError`` messages too, by ``lattice.format_scaled``; they become
-``Fraction`` only in ``poly_live``, the accessor for callers that want
-rational exponents, through ``Lattice.unscaled``.  This module does not
-import ``fractions``.
+``DivisionError`` messages too, by ``lattice.format_scaled``, and never
+become ``Fraction``: this module does not import ``fractions``.
 """
 from __future__ import annotations
 
@@ -46,7 +44,7 @@ from operator import lt, sub
 from typing import NamedTuple
 
 from .graph import PlumbingGraph
-from .lattice import HClass, Lattice, Vec, format_scaled, lattice_of
+from .lattice import HClass, Lattice, format_scaled, lattice_of
 from .series import RatFunc, _infinity_tally, _tally, live_indices, zeta
 
 
@@ -71,20 +69,9 @@ class Decomposition(NamedTuple):
     htag: HClass
 
     @property
-    def residue(self) -> tuple[int, ...]:
-        """The class key off the live coordinates, which every exponent of
-        the component shares mod |H| there, and zeros on them."""
-        return tuple(0 if i in self.active else k for i, k in enumerate(self.htag.key))
-
-    @property
     def poly(self) -> Poly:
         """P+: the S = {} bucket."""
         return self.by_s.get(frozenset(), {})
-
-
-def poly_live(lat: Lattice, poly: Poly) -> dict[Vec, int]:
-    """A P+ on live ``Fraction`` exponents: each scaled key divided by |H|."""
-    return {lat.unscaled(e): c for e, c in poly.items()}
 
 
 def evaluate_at_one(poly: dict) -> int:

@@ -25,8 +25,9 @@ that read only its scaled data (``plumbsw invariants``, ``validate``,
 
 * the form: ``image`` is I x, summed over the tree's edges, and ``form``
   is x . I y, exact on ``int`` and ``Fraction`` vectors.  ``pairing``,
-  ``in_dual`` (the L' test of ``in_dual_lattice`` and of the counting
-  functions' cut) and the quadratic shift of the raw invariant read it;
+  ``in_dual`` (the L' test of ``in_dual_lattice``, ``class_of`` and the
+  counting functions' cut) and the quadratic shift of the raw invariant
+  read it;
 * the class key: ``class_key`` reduces a scaled vector mod d, and
   ``class_move`` is the key of key + k col, the one class step;
 * the class tables: ``class_moves`` indexes ``all_classes`` and gives, per
@@ -123,7 +124,6 @@ class Lattice:
 
     def __init__(self, g: PlumbingGraph):
         self.graph = g
-        self.ids = g.ids
         self.n = g.n
         order, kids = rooting(g)
         if len(order) != g.n:
@@ -314,11 +314,13 @@ def in_dual_lattice(g: PlumbingGraph, x) -> bool:
 
 
 def class_of(g: PlumbingGraph, x) -> HClass:
-    """Class [x] in H.  x must lie in the dual lattice."""
-    if not in_dual_lattice(g, x):
-        raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
+    """Class [x] in H.  x must lie in the dual lattice: ``Lattice.scaled``
+    checks that x lies on the 1/d grid, ``Lattice.in_dual`` the rest."""
     lat = lattice_of(g)
-    return lat.class_at(lat.scaled(x))
+    sx = lat.scaled(x)
+    if not lat.in_dual(sx):
+        raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
+    return lat.class_at(sx)
 
 
 def canonical_cycle(g: PlumbingGraph) -> Vec:

@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from plumbsw.decomp import poly_live, polypart_dual
+from plumbsw.decomp import polypart_dual
 from plumbsw.graph import PlumbingGraph, parse_graph, validate
 from plumbsw.lattice import LatticeError, canonical_cycle, e_star, format_vec, lattice_of
 from plumbsw.series import RatFunc, _tally
@@ -296,6 +296,18 @@ def z_k_minus_e(g):
     return tuple(z - 1 for z in canonical_cycle(g))
 
 
+def poly_live(lat, poly):
+    """A P+ on live ``Fraction`` exponents: each scaled key divided by |H|."""
+    return {lat.unscaled(e): c for e, c in poly.items()}
+
+
+def residue(dec):
+    """The class key of a division certificate off its live coordinates,
+    which every exponent of the component shares mod |H| there, and zeros
+    on them."""
+    return tuple(0 if i in dec.active else k for i, k in enumerate(dec.htag.key))
+
+
 def reflected_polypart(g, h, subset):
     """The dual polynomial part of h: the truncation of the series of class
     [Z_K] - h at exponents not above Z_K - E everywhere on the live
@@ -315,7 +327,7 @@ def neg(dec):
     num: dict = {}
 
     def full(e):
-        out = list(dec.residue)
+        out = list(residue(dec))
         for i, x in zip(active, e):
             out[i] = x
         return tuple(out)

@@ -6,9 +6,9 @@ import time
 from fractions import Fraction
 
 import support
-from support import anti_duals, vec_add, vec_scale, z_k_minus_e
+from support import anti_duals, poly_live, vec_add, vec_scale, z_k_minus_e
 from plumbsw.counting import inclusion_exclusion_check
-from plumbsw.decomp import euclid_divide, evaluate_at_one, poly_live, polypart_dual
+from plumbsw.decomp import euclid_divide, evaluate_at_one, polypart_dual
 from plumbsw.lattice import all_classes, canonical_cycle, class_of, e_star, l_top, lattice_of
 from plumbsw.polytopes import (PolytopeQuery, count, sw_via_lattice,
                                sw_via_topological_polytope)

@@ -14,7 +14,7 @@ from support import anti_duals, vec_add, vec_scale
 from plumbsw.counting import (Q, _cut_sum, _envelope, _inclusion_exclusion, floor_sum,
                               inclusion_exclusion_check, q)
 from plumbsw.graph import parse_graph
-from plumbsw.lattice import (LatticeError, all_classes, canonical_cycle,
+from plumbsw.lattice import (Lattice, LatticeError, all_classes, canonical_cycle,
                              class_of, e_star, lattice_of)
 from plumbsw.series import (Box, _zeta_factors, equivariant_split, reduce,
                             taylor, zeta)
@@ -408,6 +408,31 @@ def test_counts_match_brute_force_on_every_live_set_size(cut):
     assert Q(g, h, subset, x) == _brute_cut_sum(g, h, subset, x, any)
     assert q(g, h, subset, x) == _brute_cut_sum(g, h, subset, x, all)
 
+
+def test_counting_walk_reads_its_classes_off_one_step_table(monkeypatch):
+    # The walk moves classes by index through Lattice.class_moves, which also
+    # gives each leaf class its first step by stepping back along the last two
+    # factors.  Once all_classes is cached (iter_classes steps with
+    # class_move), Q and q build no class key of their own: with class_move
+    # raising they still equal the brute force, on the Z2 x Z2 star, the
+    # |H| = 27 star, one vertex and the chain.
+    graphs = (Z2_Z2_STAR, support.star(-2, (-3, -3, -3)), parse_graph("vertex a -2"),
+              support.chain((-2, -3, -2)))
+    for g in graphs:
+        all_classes(g)
+
+    def no_class_move(*args):
+        raise AssertionError("Lattice.class_move called")
+
+    monkeypatch.setattr(Lattice, "class_move", no_class_move)
+    checked = 0
+    for g in graphs:
+        zk = canonical_cycle(g)
+        estar = anti_duals(g)
+        for h in all_classes(g):
+            checked += _check_against_brute(
+                g, tuple(z + r + e for z, r, e in zip(zk, h.rep, estar[0])))
+    assert checked == 2 * (4 + 27 + 2 + 8)
 
 def test_floor_sum_matches_loop():
     rng = random.Random(83)

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 import support
-from support import neg
+from support import neg, poly_live, residue
 from plumbsw import decomp
 from plumbsw.decomp import (DivisionError, divide_component, euclid_divide, evaluate_at_one,
-                            poly_live, polypart_division, polypart_dual)
+                            polypart_division, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
 from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
 from plumbsw.series import (Box, RatFunc, _split_classes, equivariant_split, live_indices,
@@ -198,7 +198,7 @@ def test_division_resums_exactly_on_corpus(corpus30):
 
             total, want = {}, {}
             for e, c in dec.poly.items():
-                full = list(dec.residue)
+                full = list(residue(dec))
                 for i, x in zip(dec.active, e):
                     full[i] = x
                 part = {tuple(full): c}
@@ -253,7 +253,7 @@ def test_live_division_matches_full_vector_reference(corpus30):
                 for S, bucket in dec.by_s.items():
                     full[S] = {}
                     for b, c in bucket.items():
-                        e = list(dec.residue)
+                        e = list(residue(dec))
                         for i, x in zip(active, b):
                             e[i] = x
                         full[S][lat.unscaled(e)] = c

@@ -15,7 +15,7 @@ def test_records_are_immutable():
         (next(sw_report(g)), ("h", "values", "errors", "agree", "sw_norm_neg", "raw")),
         (quadratic_check(g, samples=1), ("samples",)),
         (taylor(f, Box((15,))), ("terms", "window", "active", "d")),
-        (euclid_divide(f), ("lat", "active", "by_s", "denominator", "residue", "htag")),
+        (euclid_divide(f), ("lat", "active", "by_s", "denominator", "poly", "htag")),
         (zeta(g), ("lat",)),
     ]
     for record, names in fields:
