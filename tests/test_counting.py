@@ -434,6 +434,7 @@ def test_counting_walk_reads_its_classes_off_one_step_table(monkeypatch):
                 g, tuple(z + r + e for z, r, e in zip(zk, h.rep, estar[0])))
     assert checked == 2 * (4 + 27 + 2 + 8)
 
+
 def test_floor_sum_matches_loop():
     rng = random.Random(83)
     cases = [(0, 5, 3, -7), (1, 1, 0, 0), (7, 1, -4, 9), (5, 3, 0, -1)]
