@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -23,12 +24,17 @@ ROOT = Path(__file__).resolve().parents[1]
 HUB33 = ROOT / "tests" / "data" / "hub_tree_33.graph"
 D4 = ROOT / "tests" / "data" / "d4.graph"
 
-# Exact stdout and exit code of the printing commands on the shipped graphs,
-# in both formats, and of sw and polypart on two test graphs whose H takes
-# class steps: hub_tree_33 (|H| = 36) and D4 (H = (Z/2)^2, not cyclic).  A
-# graph is named by its file name under graphs/ or by its path from the root
-# of the checkout.  Regenerate, only for an intended output change, with
-# ``PYTHONPATH=src python tests/test_cli.py``.
+# Exact stdout, stderr and exit code of the printing commands on the shipped
+# graphs, in both formats, and of sw and polypart on two test graphs whose H
+# takes class steps: hub_tree_33 (|H| = 36) and D4 (H = (Z/2)^2, not
+# cyclic); then of every command but count on the 30-graph corpus, of sw
+# and invariants on two larger graphs, and of the invalid graphs.  A graph
+# is named by its file name under graphs/, by its path from the root of the
+# checkout, or, for a graph built by ``tests/support.py`` and written to a
+# temporary file, by a name of GOLDEN_BUILT.  Each stderr line is printed
+# after stdout, prefixed "stderr: ".  Regenerate, only for an intended
+# output change, with ``PYTHONPATH=src python tests/test_cli.py``.
+TRIANGLE_TEXT = "vertex a -3\nvertex b -3\nvertex c -3\nedge a b\nedge b c\nedge a c\n"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.txt"
 GOLDEN_COMMANDS = (("invariants",), ("zeta",), ("zeta", "--box", "30"),
                    ("polypart",), ("sw",))
@@ -57,6 +63,51 @@ GOLDEN_EXTRA = (
     ("zeta", "three_nodes_h1.graph", "--reduce", "u3"),
     *((command, name) for name in ("tests/data/hub_tree_33.graph", "tests/data/d4.graph")
       for command in ("sw", "polypart")),
+)
+# Invalid graphs: a cycle, forests, and trees that are not negative definite,
+# each named by the vertex whose branch fails.
+INVALID = {
+    "triangle_-3": TRIANGLE_TEXT,
+    "triangle_-1": "vertex a -1\nvertex b -1\nvertex c -1\nedge a b\nedge b c\nedge a c\n",
+    "forest_2": "vertex a -2\nvertex b -2\n",
+    "forest_3": "vertex a -2\nvertex b -2\nvertex c 1\nedge a b\n",
+    "vertex_a_0": "vertex a 0\n",
+    "chain_2_2": "vertex a 2\nvertex b 2\nedge a b\n",
+    "chain_-1_-1": "vertex a -1\nvertex b -1\nedge a b\n",
+    "chain_-2_-1_-2_-2": "vertex a -2\nvertex b -1\nvertex c -2\nvertex d -2\n"
+                         "edge a b\nedge b c\nedge c d\n",
+}
+CORPUS_COMMANDS = (("invariants",), ("validate",), ("zeta",), ("polypart",), ("sw",),
+                   ("verify", "--samples", "1"))
+
+
+def graph_text(g) -> str:
+    return "".join([*(f"vertex {v} {e}\n" for v, e in zip(g.ids, g.eulers)),
+                    *(f"edge {a} {b}\n" for a, b in sorted(g.edges))])
+
+
+def golden_built():
+    """The graphs the transcript builds, by name: the corpus, caterpillar(2),
+    brieskorn(2,3,301), one vertex of Euler number -400 and the invalid
+    graphs, each as the text of its file."""
+    built = {f"corpus_{i:02}.graph": graph_text(g) for i, g in enumerate(support.corpus())}
+    built["caterpillar_2.graph"] = graph_text(support.caterpillar(2))
+    built["brieskorn_2_3_301.graph"] = graph_text(support.brieskorn(2, 3, 301))
+    built["vertex_a_-400.graph"] = "vertex a -400\n"
+    built.update((f"invalid_{name}.graph", text) for name, text in INVALID.items())
+    return built
+
+
+# Runs on the built graphs, as (command, name, *options, formats).
+GOLDEN_BUILT = (
+    *((command, f"corpus_{i:02}.graph", *options, ("text", "json-lines"))
+      for i in range(support.CORPUS_SIZE) for command, *options in CORPUS_COMMANDS),
+    *((command, name, ("text", "json-lines"))
+      for name in ("caterpillar_2.graph", "brieskorn_2_3_301.graph")
+      for command in ("sw", "invariants")),
+    ("sw", "vertex_a_-400.graph", ("text",)),
+    *((command, f"invalid_{name}.graph", ("text",))
+      for name in INVALID for command in ("validate", "invariants", "sw")),
 )
 
 
@@ -423,7 +474,7 @@ def test_non_definite_graph_is_rejected(capsys, tmp_path):
 
 
 # Connected and negative definite, but a-b-c-a is a cycle.
-TRIANGLE = "vertex a -3\nvertex b -3\nvertex c -3\nedge a b\nedge b c\nedge a c\n"
+TRIANGLE = TRIANGLE_TEXT
 
 
 @pytest.mark.parametrize("argv", [
@@ -649,6 +700,14 @@ def test_a_process_with_no_standard_output_exits_0():
     assert (out.returncode, out.stderr) == (0, b"")
 
 
+def golden_block(argv, path) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[2:]])
+    stderr = "".join(f"stderr: {line}\n" for line in err.getvalue().splitlines())
+    return f"$ plumbsw {' '.join(argv)}\n{out.getvalue()}{stderr}exit {code}\n"
+
+
 def golden_transcript() -> str:
     runs = [(command, name, fmt, options)
             for name in SHIPPED
@@ -659,13 +718,24 @@ def golden_transcript() -> str:
              for fmt in ("text", "json-lines")]
     blocks = []
     for command, name, fmt, options in runs:
-        argv = [command, name, *options, "--format", fmt]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            path = ROOT / name if "/" in name else GRAPHS / name
-            code = main([command, str(path), *options, "--format", fmt])
-        blocks.append(f"$ plumbsw {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
+        path = ROOT / name if "/" in name else GRAPHS / name
+        blocks.append(golden_block([command, name, *options, "--format", fmt], path))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in golden_built().items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        for command, name, *options, formats in GOLDEN_BUILT:
+            for fmt in formats:
+                blocks.append(golden_block([command, name, *options, "--format", fmt],
+                                           Path(tmp) / name))
     return "".join(blocks)
+
+
+def test_golden_graph_texts_parse_to_their_graphs():
+    built = golden_built()
+    for i, g in enumerate(support.corpus()):
+        assert parse_graph(built[f"corpus_{i:02}.graph"]) == g
+    assert parse_graph(built["caterpillar_2.graph"]) == support.caterpillar(2)
+    assert parse_graph(built["brieskorn_2_3_301.graph"]) == support.brieskorn(2, 3, 301)
 
 
 def test_hub_tree_33_file_is_the_support_tree():
