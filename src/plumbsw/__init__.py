@@ -20,12 +20,11 @@ import importlib.util
 import sys
 
 _EXPORTS = {
-    "graph": ("GraphFormatError", "PlumbingGraph", "classify_vertices",
-              "parse_graph", "validate"),
+    "graph": ("GraphFormatError", "PlumbingGraph", "parse_graph", "validate"),
     "lattice": ("HClass", "LatticeError", "all_classes", "canonical_cycle",
-                "class_of", "e_star", "iter_classes", "l_top", "pairing"),
+                "class_of", "e_star", "iter_classes", "l_top"),
     "series": ("Box", "Cobox", "FactoredRatFunc", "RatFunc", "TruncatedSeries",
-               "WindowError", "coeff", "equivariant_split", "reduce", "taylor",
+               "WindowError", "equivariant_split", "reduce", "taylor",
                "taylor_infinity", "zeta"),
     "counting": ("Q", "inclusion_exclusion_check", "q"),
     "decomp": ("Decomposition", "euclid_divide", "evaluate_at_one",

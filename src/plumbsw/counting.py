@@ -117,17 +117,19 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
     line that stays widest, and a piece ends where one of the lines of wider
     slope, listed once per walk, becomes strictly wider.  A leaf looks only
     at residues r < K, and builds no piece before r0.  The level above the
-    leaves calls a leaf only when its class has a hit and r0 < K, so a leaf
-    that counts nothing costs no call.
+    leaves computes each leaf's K once, and calls the leaf, with its K, only
+    when its class has a hit and r0 < K, so a leaf that counts nothing costs
+    no call.
 
     The walk state.  Below a point, both the rest of the walk and the
     closed form at its leaves depend only on the factor level, the point's
     slack t (its live coordinates, as x is fixed) and its class.  So the
     walk is one recursion, ``walk``, over that state returning the sum of
-    its subtree, and the class is an index into ``all_classes``.  One step
-    table, ``Lattice.class_moves`` over the walked factors and the back
-    steps -a and -b, built once per walk, advances the index along each
-    factor and fills ``hits``; no table is keyed by class key.  The walk
+    its subtree, with the closed form at its leaves in ``leaf``, and the
+    class is an index into ``all_classes``.  One step table,
+    ``Lattice.class_moves`` over the walked factors and the back steps -a
+    and -b, built once per walk, advances the index along each factor and
+    fills ``hits``; no table is keyed by class key.  The walk
     memoizes the levels deeper than the number m of live coordinates,
     leaves included, where distinct prefixes meet in one state.  A prefix
     of at most m factors has no more step counts than there are live
@@ -184,8 +186,13 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
     last = len(factors)
     memo: dict[tuple, int] = {}
 
-    def leaf(t, r, j):
-        K = -fold(map(floordiv, t, b_live))
+    def leaf(t, cls, K):
+        """The closed form at the leaf of slack t and class index cls, whose
+        class has a hit, given its K.  Memoized as the walk's levels deeper
+        than m are."""
+        if last > m and (count := memo.get((last, t, cls))) is not None:
+            return count
+        r, j = hits[cls]
         pieces = _envelope([(ti + 1) * up for ti, up in zip(t, ups)],
                            slopes, overtakers, r, K)
         count = 0
@@ -200,38 +207,39 @@ def _cut_sum(g: PlumbingGraph, h: HClass, subset, sx, quantifier) -> int:
                               else 1 + first // (ai * o))
             r += ob
             j = (j - s) % o
+        if last > m:
+            memo[last, t, cls] = count
         return count
 
     def walk(fi, t, cls):
         if fi > m and (total := memo.get((fi, t, cls))) is not None:
             return total
-        if fi == last:
-            # the level above calls a leaf only when it counts; a walk with
-            # no walked factor is one leaf, which may not
-            hit = hits[cls]
-            total = 0 if hit is None else leaf(t, *hit)
-        else:
-            col, info = walked[fi]
-            move = moves[fi]
-            n = -fold(map(floordiv, t, col))
-            finite = isinstance(info, tuple)
-            final = fi + 1 == last
-            total, u, c = 0, t, cls
-            for k in range(min(n, len(info)) if finite else n):
-                # one level above the leaves, step past each leaf that counts
-                # nothing: its class is not met (no hit), or r0 >= K
-                if not final or (hit := hits[c]) is not None and hit[0] < -fold(
-                        map(floordiv, u, b_live)):
-                    w = info[k] if finite else comb(k + info - 1, info - 1)
-                    total += w * walk(fi + 1, u, c)
-                u = tuple(map(add, u, col))
-                c = move[c]
+        col, info = walked[fi]
+        move = moves[fi]
+        n = -fold(map(floordiv, t, col))
+        finite = isinstance(info, tuple)
+        final = fi + 1 == last
+        total, u, c = 0, t, cls
+        for k in range(min(n, len(info)) if finite else n):
+            # one level above the leaves, step past each leaf that counts
+            # nothing: its class is not met (no hit), or r0 >= K
+            if not final or (hit := hits[c]) is not None and hit[0] < (
+                    K := -fold(map(floordiv, u, b_live))):
+                w = info[k] if finite else comb(k + info - 1, info - 1)
+                total += w * (leaf(u, c, K) if final else walk(fi + 1, u, c))
+            u = tuple(map(add, u, col))
+            c = move[c]
         if fi > m:
             memo[fi, t, cls] = total
         return total
 
     # all_classes is sorted by key, so the zero class is index 0
-    total = walk(0, tuple(-sx[i] for i in live), 0)
+    t = tuple(-sx[i] for i in live)
+    if last:
+        total = walk(0, t, 0)
+    else:
+        # a walk with no walked factor is one leaf, which may count nothing
+        total = 0 if hits[0] is None else leaf(t, 0, -fold(map(floordiv, t, b_live)))
     # walk holds itself through its closure: empty its cell, so the memo and
     # the step tables are freed on return, not at the next full collection
     del walk

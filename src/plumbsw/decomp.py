@@ -209,7 +209,7 @@ def polypart_division(g: PlumbingGraph, subset) -> dict[HClass, Poly]:
     active = live_indices(g, subset)
     num, denominator = zeta(g).expanded()
     denom = _pivot_order(denominator, active)
-    classes, index, moves = lat.class_moves(denom, -1)
+    classes, index, moves = lat.class_moves([[-y for y in a] for a in denom])
     terms = _tally(num.items(), (), ((), all),
                    lambda e: (index[lat.class_key(e)], _live(e, active)))
     buckets: dict[HClass, Poly] = {}

@@ -16,9 +16,7 @@ and one pass down give the determinant of -I on every branch, and with
 them definiteness, det(-I) and the adjugate of -I, a product of branch
 determinants in every entry (``tree_adjugate``).  The elimination's steps
 list each vertex's neighbours once, and the rooting's (parent, child) pairs
-are the edges, so ``lattice.Lattice`` reads the tree's shape off them; the
-neighbour lists of ``adjacency`` are built on each call, once by
-``rooting`` and once by ``classify_vertices``.
+are the edges, so ``lattice.Lattice`` reads the tree's shape off them.
 """
 from __future__ import annotations
 
@@ -53,19 +51,6 @@ class PlumbingGraph(NamedTuple):
             return self.ids.index(v)
         except ValueError:
             raise KeyError(f"unknown vertex {v!r}") from None
-
-    def euler(self, v: str) -> int:
-        return self.eulers[self.index(v)]
-
-
-def adjacency(g: PlumbingGraph) -> dict[str, tuple[str, ...]]:
-    """Neighbour lists, each sorted by basis position."""
-    nbrs: dict[str, list[str]] = {v: [] for v in g.ids}
-    for a, b in g.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    pos = {v: i for i, v in enumerate(g.ids)}
-    return {v: tuple(sorted(ws, key=pos.__getitem__)) for v, ws in nbrs.items()}
 
 
 def parse_graph(text: str) -> PlumbingGraph:
@@ -142,12 +127,17 @@ class ValidationReport(NamedTuple):
 def rooting(g: PlumbingGraph) -> tuple[list[int], list[list[int]]]:
     """The vertices reached from the first declared vertex, as indices in
     breadth-first order, and the children of each vertex in that search.
-    The graph is connected exactly when the order holds every vertex."""
-    nbrs, pos = adjacency(g), {v: i for i, v in enumerate(g.ids)}
+    The graph is connected exactly when the order holds every vertex.  A
+    vertex's neighbours are visited by basis position."""
+    pos = {v: i for i, v in enumerate(g.ids)}
+    nbrs: list[list[int]] = [[] for _ in g.ids]
+    for a, b in g.edges:
+        nbrs[pos[a]].append(pos[b])
+        nbrs[pos[b]].append(pos[a])
     kids: list[list[int]] = [[] for _ in g.ids]
     order, seen = [0], {0}
     for v in order:
-        for w in map(pos.__getitem__, nbrs[g.ids[v]]):
+        for w in sorted(nbrs[v]):
             if w not in seen:
                 seen.add(w)
                 kids[v].append(w)
@@ -234,13 +224,3 @@ def validate(g: PlumbingGraph) -> ValidationReport:
     checks.append(("negative definite", definite, "" if definite else elim))
     return ValidationReport(tuple(checks))
 
-
-def classify_vertices(g: PlumbingGraph):
-    """Split vertices into nodes (valency >= 3) and ends (valency 1).
-
-    Returns (nodes, ends, valency map); the id tuples follow basis order.
-    """
-    val = {v: len(ws) for v, ws in adjacency(g).items()}
-    nodes = tuple(v for v in g.ids if val[v] >= 3)
-    ends = tuple(v for v in g.ids if val[v] == 1)
-    return nodes, ends, val

@@ -13,10 +13,10 @@ held as a scaled integer key, its representative in [0,1) times d, and
 printed by ``format_scaled``, as every scaled vector is, and a scaled
 scalar by ``format_ratio``.  ``fractions.Fraction`` enters only where a
 rational crosses the program's edge, each time by an import inside the
-function: the accessors that return rationals (``vec``, ``e_star``,
-``canonical_cycle``, ``l_top``, ``pairing``, ``HClass.rep`` and
-``Lattice.unscaled``), ``format_vec`` and ``Lattice.scaled``, which read
-vectors as the user gives them.  So this module does not import
+function: the accessors that return rationals (``e_star``,
+``canonical_cycle``, ``l_top``, ``HClass.rep`` and ``Lattice.unscaled``),
+``format_vec`` and ``Lattice.scaled``, which read vectors as the user
+gives them.  So this module does not import
 ``fractions`` (nor, through it, ``decimal``), and neither do the commands
 that read only its scaled data (``plumbsw invariants``, ``validate``,
 ``sw``, ``verify``).  No floating point is used anywhere.
@@ -24,15 +24,14 @@ that read only its scaled data (``plumbsw invariants``, ``validate``,
 ``Lattice`` owns the lattice arithmetic the other modules read:
 
 * the form: ``image`` is I x, summed over the tree's edges, and ``form``
-  is x . I y, exact on ``int`` and ``Fraction`` vectors.  ``pairing``,
-  ``in_dual`` (the L' test of ``in_dual_lattice``, ``class_of`` and the
-  counting functions' cut) and the quadratic shift of the raw invariant
-  read it;
+  is x . I y, exact on ``int`` and ``Fraction`` vectors.  ``in_dual``
+  (the L' test of ``class_of`` and of the counting functions' cut) reads
+  ``image``, and the quadratic shift of the raw invariant reads ``form``;
 * the class key: ``class_key`` reduces a scaled vector mod d, and
   ``class_move`` is the key of key + k col, the one class step;
 * the class tables: ``class_moves`` indexes ``all_classes`` and gives, per
   column, the index of the class one step along it, for the walks that
-  move classes by index.
+  move classes by index; a walk that steps back passes negated columns.
 
 H is enumerated in key order from an echelon (Hermite) basis of the class
 keys, built once per lattice (``Lattice.class_levels``): ``iter_classes``
@@ -63,11 +62,6 @@ Vec = tuple["Fraction", ...]
 
 class LatticeError(ValueError):
     pass
-
-
-def vec(values) -> Vec:
-    from fractions import Fraction
-    return tuple(Fraction(x) for x in values)
 
 
 def format_ratio(k: int, d: int) -> str:
@@ -244,16 +238,16 @@ class Lattice:
         # interpreter's free list (up to 2,000 per size)
         return tuple([(c + k * y) % d for c, y in zip(key, col)])
 
-    def class_moves(self, cols, k: int = 1):
+    def class_moves(self, cols):
         """(classes, index, moves): the classes of ``all_classes``, the index
         of each class by key, and for each column the list that maps the
-        index of a class to the index of the class one step of k along it."""
+        index of a class to the index of the class one step along it."""
         classes = all_classes(self.graph)
         index = {h.key: i for i, h in enumerate(classes)}
         d = self.h_order
         # class_move inlined, with each column reduced mod d once: a method
         # call per (column, class) pair costs more than the step itself
-        steps = [[k * y % d for y in col] for col in cols]
+        steps = [[y % d for y in col] for col in cols]
         moves = [[index[tuple([(c + y) % d for c, y in zip(h.key, step)])] for h in classes]
                  for step in steps]
         return classes, index, moves
@@ -291,26 +285,6 @@ def e_star(g: PlumbingGraph, v: str) -> Vec:
     strictly positive for a negative definite tree."""
     lat = lattice_of(g)
     return lat.unscaled(lat.sestar[g.index(v)])
-
-
-def pairing(g: PlumbingGraph, x, y) -> Fraction:
-    """Intersection pairing x^T I y (negative definite)."""
-    lat = lattice_of(g)
-    if len(x) != lat.n or len(y) != lat.n:
-        raise LatticeError("vector dimension does not match the vertex count")
-    return lat.form(vec(x), vec(y))
-
-
-def in_dual_lattice(g: PlumbingGraph, x) -> bool:
-    """Whether x has one entry per vertex and (E_v, x) is an integer for
-    every vertex v.  L' lies in (1/d)Z^n, d = |H|, so x is in L' exactly
-    when sx = d x is integral and I sx = 0 mod d."""
-    lat = lattice_of(g)
-    try:
-        sx = lat.scaled(x)
-    except LatticeError:
-        return False
-    return lat.in_dual(sx)
 
 
 def class_of(g: PlumbingGraph, x) -> HClass:

@@ -7,11 +7,9 @@ function in exact factored / numerator-denominator form and provides
 
 * reduction (setting variables outside a live set to 1),
 * the equivariant splitting over H = L'/L,
-* a coefficient oracle for single exponents,
 * windowed Taylor expansions at the origin and at infinity.
 
-Windows are explicit values carried by every truncated series; asking for
-a coefficient outside the window raises instead of returning 0.
+Windows are explicit values carried by every truncated series.
 
 Every exponent in this module is a scaled integer vector: its coordinates
 times d = det(-I) = |H|, integers since L' lies in (1/d)Z^n.  That holds
@@ -23,9 +21,7 @@ exponents by ``strict_cut``, the rounding rule polytope dilations share;
 ``_infinity_terms``, which ``plumbsw verify`` calls with its cut directly.
 ``fractions.Fraction`` enters only where a rational crosses the program's
 edge, by an import inside the function: in ``strict_cut``, which reads a
-bound as the user gives it, and through ``lattice.vec`` and
-``Lattice.scaled`` in ``TruncatedSeries.coeff_at`` and ``coeff``, which
-read a user's exponent.  Exponents are printed by
+bound as the user gives it.  Exponents are printed by
 ``lattice.format_scaled``.  This module does not import ``fractions``.
 
 Every enumeration walks the factors of a product and prunes with a
@@ -36,10 +32,9 @@ strictly positive on the bounded coordinates.  The one push walker is
 ``_tally``: it walks every point that passes and adds its weight into a
 dict under a key, dropping the zero sums.  Every multiplied-out sum goes
 through it, and every sum over the zeta function's cone through
-``_cone_tally``, its walk from the origin: ``coeff`` and
-``_infinity_tally``.  That one builds the cut of every walk at infinity,
-l' <= Z_K - E - b on some live coordinate, for the closed form of
-``taylor_infinity`` (b the window) and, with b = 0, for
+``_infinity_tally``, its walk from the origin.  That one builds the cut of
+every walk at infinity, l' <= Z_K - E - b on some live coordinate, for the
+closed form of ``taylor_infinity`` (b the window) and, with b = 0, for
 ``decomp.polypart_dual``, the one walk of the duality and polypart
 routes.  The counting functions (``counting.Q`` and ``q``) walk the zeta
 factors as a fold that sums each walk state (level, slack, class) once.
@@ -65,26 +60,17 @@ from operator import add, sub
 from typing import NamedTuple
 
 from .graph import PlumbingGraph
-from .lattice import (HClass, Lattice, Vec, all_classes, format_scaled, format_vec, lattice_of,
-                      vec)
+from .lattice import HClass, Lattice, Vec, all_classes, format_scaled, lattice_of
 
 
 class WindowError(ValueError):
-    """A coefficient was requested outside a series' window."""
-
-
-def _paired(live_exp, bound):
-    if len(live_exp) != len(bound):
-        raise WindowError("exponent must match the live coordinate count")
-    return zip(live_exp, bound)
+    """A window does not fit its expansion: a window of the wrong kind, or
+    a bound of the wrong length."""
 
 
 class Box(NamedTuple):
     """Origin window: keeps exponents <= bound on every live coordinate."""
     bound: Vec
-
-    def contains(self, live_exp) -> bool:
-        return all(x <= b for x, b in _paired(live_exp, self.bound))
 
 
 class Cobox(NamedTuple):
@@ -92,9 +78,6 @@ class Cobox(NamedTuple):
     coordinate.  Expansions at infinity march downward, so this cuts a
     finite corner."""
     bound: Vec
-
-    def contains(self, live_exp) -> bool:
-        return any(x >= b for x, b in _paired(live_exp, self.bound))
 
 
 class FactoredRatFunc(NamedTuple):
@@ -160,15 +143,6 @@ class TruncatedSeries(NamedTuple):
     window: Box | Cobox
     active: tuple[int, ...]
     d: int
-
-    def coeff_at(self, live_exp) -> int:
-        """Coefficient at a live exponent in coordinates; 0 off the 1/d
-        grid.  An exponent of the wrong length raises ``WindowError``."""
-        e = vec(live_exp)
-        if not self.window.contains(e):
-            raise WindowError(f"exponent {format_vec(e)} outside window")
-        # An integral Fraction equals and hashes as its integer.
-        return self.terms.get(tuple(x * self.d for x in e), 0)
 
     def lines(self) -> list[str]:
         out = []
@@ -271,29 +245,15 @@ def _tally(starts, factors, cut, key) -> dict:
     return {k: v for k, v in tally.items() if v}
 
 
-def _cone_tally(lat: Lattice, cut, key) -> dict:
-    """``_tally`` of the zeta product from the origin: the sum of z(l') over
-    the scaled l' that pass ``cut``, by key(l')."""
-    return _tally((((0,) * lat.n, 1),), _zeta_factors(lat), cut, key)
-
-
 def _infinity_tally(lat: Lattice, active, sbound, key) -> dict:
-    """``_cone_tally`` at the cut of the expansion at infinity: the scaled
-    l' with Z_K - E - l' >= b on some live coordinate, b the scaled bounds
-    ``sbound`` paired with ``active``, that is l'_i < (Z_K - E)_i - b_i + 1."""
+    """``_tally`` of the zeta product from the origin at the cut of the
+    expansion at infinity: the sum of z(l') over the scaled l' with
+    Z_K - E - l' >= b on some live coordinate, b the scaled bounds
+    ``sbound`` paired with ``active``, that is l'_i < (Z_K - E)_i - b_i + 1,
+    by key(l')."""
     szkme = lat.szkme
     cut = tuple((i, szkme[i] - b + 1) for i, b in zip(active, sbound))
-    return _cone_tally(lat, (cut, any), key)
-
-
-def coeff(g: PlumbingGraph, lprime) -> int:
-    """Coefficient z(l') of the full Poincare series.  Zero off the Lipman
-    cone; the enumeration of decompositions is finite because every
-    anti-dual entry is strictly positive."""
-    lat = lattice_of(g)
-    target = lat.scaled(lprime)
-    cut = (tuple((i, t + 1) for i, t in enumerate(target)), all)
-    return _cone_tally(lat, cut, target.__eq__).get(True, 0)
+    return _tally((((0,) * lat.n, 1),), _zeta_factors(lat), (cut, any), key)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import heapq
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from plumbsw.decomp import polypart_dual
@@ -261,6 +262,20 @@ def neg_intersection_matrix(g: PlumbingGraph, vertices=None):
     return [[-m[i][j] for j in keep] for i in keep]
 
 
+def classify_vertices(g: PlumbingGraph):
+    """Split vertices into nodes (valency >= 3) and ends (valency 1), with
+    the valencies counted off the graph's edges, apart from the package,
+    which reads them off its elimination along the tree.
+
+    Returns (nodes, ends, valency map); the id tuples follow basis order.
+    """
+    counted = Counter(v for edge in g.edges for v in edge)
+    val = {v: counted[v] for v in g.ids}
+    nodes = tuple(v for v in g.ids if val[v] >= 3)
+    ends = tuple(v for v in g.ids if val[v] == 1)
+    return nodes, ends, val
+
+
 # ``Fraction`` vectors for the tests, read through the public accessors; the
 # package itself holds every lattice vector as a scaled integer tuple.
 
@@ -275,6 +290,32 @@ def vec_sub(a, b):
 def vec_scale(c, a):
     c = Fraction(c)
     return tuple(c * x for x in a)
+
+
+def zeta_coeff(g, lprime) -> int:
+    """z(l'), the coefficient of t^l' in the zeta function
+    prod_v (1 - t^{E*_v})^{valency(v) - 2}, by brute force over every way
+    of writing l' as sum_v x_v E*_v over the vertices of valency != 2.  A
+    vertex with mu = valency - 2 > 0 takes x_v <= mu with weight
+    (-1)^x_v C(mu, x_v), one with mu < 0 any x_v with weight
+    C(x_v - mu - 1, -mu - 1).  Every anti-dual entry is positive, so the
+    remainder l' - sum x_v E*_v turns negative after finitely many steps,
+    and z(l') = 0 off the Lipman cone."""
+    _, _, val = classify_vertices(g)
+    factors = [(e_star(g, v), val[v] - 2) for v in g.ids if val[v] != 2]
+
+    def count(i, rest):
+        if i == len(factors):
+            return int(not any(rest))
+        col, mu = factors[i]
+        total, x = 0, 0
+        while all(r >= 0 for r in rest) and (mu < 0 or x <= mu):
+            weight = (-1) ** x * comb(mu, x) if mu > 0 else comb(x - mu - 1, -mu - 1)
+            total += weight * count(i + 1, rest)
+            rest, x = vec_sub(rest, col), x + 1
+        return total
+
+    return count(0, tuple(map(Fraction, lprime)))
 
 
 def end_combination(g, x):

@@ -16,7 +16,7 @@ import pytest
 import support
 from plumbsw import counting, swcore
 from plumbsw.cli import main
-from plumbsw.graph import classify_vertices, parse_graph
+from plumbsw.graph import parse_graph
 from plumbsw.lattice import all_classes, e_star, format_vec, lattice_of
 
 GRAPHS = support.GRAPH_DIR
@@ -34,7 +34,6 @@ D4 = ROOT / "tests" / "data" / "d4.graph"
 # temporary file, by a name of GOLDEN_BUILT.  Each stderr line is printed
 # after stdout, prefixed "stderr: ".  Regenerate, only for an intended
 # output change, with ``PYTHONPATH=src python tests/test_cli.py``.
-TRIANGLE_TEXT = "vertex a -3\nvertex b -3\nvertex c -3\nedge a b\nedge b c\nedge a c\n"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_cli.txt"
 GOLDEN_COMMANDS = (("invariants",), ("zeta",), ("zeta", "--box", "30"),
                    ("polypart",), ("sw",))
@@ -64,10 +63,12 @@ GOLDEN_EXTRA = (
     *((command, name) for name in ("tests/data/hub_tree_33.graph", "tests/data/d4.graph")
       for command in ("sw", "polypart")),
 )
-# Invalid graphs: a cycle, forests, and trees that are not negative definite,
-# each named by the vertex whose branch fails.
+# Connected and negative definite, but a-b-c-a is a cycle.
+TRIANGLE = "vertex a -3\nvertex b -3\nvertex c -3\nedge a b\nedge b c\nedge a c\n"
+# Invalid graphs, named by shape and Euler numbers: two cycles, two forests,
+# and four trees that are not negative definite.
 INVALID = {
-    "triangle_-3": TRIANGLE_TEXT,
+    "triangle_-3": TRIANGLE,
     "triangle_-1": "vertex a -1\nvertex b -1\nvertex c -1\nedge a b\nedge b c\nedge a c\n",
     "forest_2": "vertex a -2\nvertex b -2\n",
     "forest_3": "vertex a -2\nvertex b -2\nvertex c 1\nedge a b\n",
@@ -195,7 +196,7 @@ def product_of_node_factors(g, active):
     """prod (1 - t^{E*_v on the live coordinates})^{mu_v} over the vertices
     with mu_v = valency - 2 > 0, multiplied out by dict convolution on
     Fraction exponents, zero terms dropped."""
-    _, _, val = classify_vertices(g)
+    _, _, val = support.classify_vertices(g)
     product = {(Fraction(0),) * len(active): 1}
     for v in g.ids:
         col = e_star(g, v)
@@ -216,9 +217,8 @@ def test_reduced_numerator_is_the_product_of_node_factors(capsys, tmp_path, corp
     graphs = [support.sigma257(), support.two_nodes(), support.three_nodes(), *corpus30]
     for k, g in enumerate(graphs):
         path = tmp_path / f"g{k}.graph"
-        path.write_text("".join(f"vertex {v} {e}\n" for v, e in zip(g.ids, g.eulers))
-                        + "".join(f"edge {a} {b}\n" for a, b in sorted(g.edges)))
-        nodes, _, _ = classify_vertices(g)
+        path.write_text(graph_text(g))
+        nodes, _, _ = support.classify_vertices(g)
         for live in [(v,) for v in g.ids] + ([nodes] if nodes else []):
             code, out, _ = run(capsys, "zeta", path, "--reduce", ",".join(live),
                                "--format", "json-lines")
@@ -471,10 +471,6 @@ def test_non_definite_graph_is_rejected(capsys, tmp_path):
         code, out, err = run(capsys, command, bad)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "not negative definite" in err
-
-
-# Connected and negative definite, but a-b-c-a is a cycle.
-TRIANGLE = TRIANGLE_TEXT
 
 
 @pytest.mark.parametrize("argv", [

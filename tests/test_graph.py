@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from plumbsw.graph import (GraphFormatError, PlumbingGraph, classify_vertices,
-                           parse_graph, validate)
+from plumbsw.graph import GraphFormatError, PlumbingGraph, parse_graph, validate
+from plumbsw.lattice import Lattice
 
 SIGMA = """
 vertex E1 -1
@@ -97,26 +97,30 @@ def test_validate_order_independent():
         assert [(name, ok) for name, ok, _ in validate(permuted).checks] == base
 
 
+# Nodes (valency >= 3), ends (valency 1) and valencies as the lattice reads
+# them off the elimination along the tree.
+
+def nodes_and_ends(g):
+    lat = Lattice(g)
+    return tuple(g.ids[i] for i in lat.node_idx), tuple(g.ids[i] for i in lat.end_idx)
+
+
 def test_classify_sigma257():
     g = parse_graph(SIGMA)
-    nodes, ends, val = classify_vertices(g)
-    assert nodes == ("E1",)
-    assert ends == ("E2", "E3", "E5")
-    assert val["E4"] == 2
+    assert nodes_and_ends(g) == (("E1",), ("E2", "E3", "E5"))
+    assert Lattice(g).deltas[g.index("E4")] == 2
 
 
 def test_classify_single_vertex():
-    nodes, ends, val = classify_vertices(parse_graph("vertex a -2"))
-    assert nodes == () and ends == () and val["a"] == 0
+    g = parse_graph("vertex a -2")
+    assert nodes_and_ends(g) == ((), ())
+    assert Lattice(g).deltas == (0,)
 
 
 def test_classify_two_node_example(two_nodes):
-    nodes, ends, _ = classify_vertices(two_nodes)
-    assert nodes == ("v1", "v2")
-    assert ends == ("w1", "w2", "w3", "w4")
+    assert nodes_and_ends(two_nodes) == (("v1", "v2"), ("w1", "w2", "w3", "w4"))
 
 
 def test_tree_valency_identity(corpus30, sigma257, two_nodes, three_nodes):
     for g in list(corpus30) + [sigma257, two_nodes, three_nodes]:
-        _, _, val = classify_vertices(g)
-        assert sum(val[v] - 2 for v in g.ids) == -2
+        assert sum(Lattice(g).mults) == -2

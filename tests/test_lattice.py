@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import support
 from plumbsw import lattice
-from plumbsw.graph import (PlumbingGraph, adjacency, classify_vertices, parse_graph, rooting,
-                           tree_adjugate, tree_elimination, validate)
+from plumbsw.graph import (PlumbingGraph, parse_graph, rooting, tree_adjugate, tree_elimination,
+                           validate)
 from plumbsw.lattice import (Lattice, LatticeError, all_classes, canonical_cycle, class_of,
-                             e_star, format_vec, in_dual_lattice, iter_classes, l_top,
-                             lattice_of, pairing)
+                             e_star, format_vec, iter_classes, l_top, lattice_of)
 from support import (anti_duals, definite_adjugate, end_combination, intersection_matrix,
                      neg_intersection_matrix, vec_add, vec_scale, z_k_minus_e)
 
@@ -88,10 +87,11 @@ def branch(g, v):
     """v and the vertices beyond it, seen from the first declared vertex."""
     if v == g.ids[0]:
         return set(g.ids)
-    nbrs, reached = adjacency(g), {g.ids[0]}
+    reached = {g.ids[0]}
     stack = [g.ids[0]]
     while stack:
-        for w in nbrs[stack.pop()]:
+        u = stack.pop()
+        for w in (b if a == u else a for a, b in g.edges if u in (a, b)):
             if w != v and w not in reached:
                 reached.add(w)
                 stack.append(w)
@@ -147,7 +147,7 @@ def test_lattice_reads_the_tree_and_z_k_off_the_elimination(g):
     ref = definite_adjugate(neg_intersection_matrix(g))
     assume(not isinstance(ref, str))
     lat = Lattice(g)
-    nodes, ends, val = classify_vertices(g)
+    nodes, ends, val = support.classify_vertices(g)
     assert lat.deltas == tuple(val[v] for v in g.ids)
     assert lat.mults == tuple(val[v] - 2 for v in g.ids)
     assert lat.node_idx == tuple(map(g.index, nodes))
@@ -173,14 +173,14 @@ def test_h_order_two_nodes(two_nodes):
 
 def test_e_star_column_and_duality(sigma257):
     assert tuple(int(x) for x in e_star(sigma257, "E1")) == (70, 35, 14, 20, 10)
-    n = sigma257.n
+    n, lat = sigma257.n, lattice_of(sigma257)
     for v in sigma257.ids:
         col = e_star(sigma257, v)
         assert all(x > 0 for x in col)
         for j, w in enumerate(sigma257.ids):
             unit = tuple(Fraction(int(k == j)) for k in range(n))
             expected = -1 if v == w else 0
-            assert pairing(sigma257, col, unit) == expected
+            assert lat.form(col, unit) == expected
 
 
 def test_e_star_unknown_vertex(sigma257):
@@ -190,14 +190,9 @@ def test_e_star_unknown_vertex(sigma257):
 
 def test_pairing_diagonal_is_euler(sigma257, two_nodes):
     for g in (sigma257, two_nodes):
-        for j, v in enumerate(g.ids):
+        for j, e in enumerate(g.eulers):
             unit = tuple(Fraction(int(k == j)) for k in range(g.n))
-            assert pairing(g, unit, unit) == g.euler(v)
-
-
-def test_pairing_dimension_mismatch(sigma257):
-    with pytest.raises(LatticeError):
-        pairing(sigma257, (1, 2), (1, 2, 3, 4, 5))
+            assert lattice_of(g).form(unit, unit) == e
 
 
 def test_pairing_zk_regression(sigma257):
@@ -207,7 +202,7 @@ def test_pairing_zk_regression(sigma257):
     ix = [sum(imat[i][j] * zk[j] for j in range(5)) for i in range(5)]
     byhand = sum(zk[i] * ix[i] for i in range(5))
     assert byhand == -5
-    assert pairing(sigma257, zk, zk) == -5
+    assert lattice_of(sigma257).form(zk, zk) == -5
 
 
 def test_canonical_cycle_values(sigma257, two_nodes):
@@ -229,9 +224,9 @@ def test_canonical_cycle_single_minus_two():
 def test_adjunction_relations(corpus30):
     for g in corpus30[:8]:
         zk = canonical_cycle(g)
-        for j, v in enumerate(g.ids):
+        for j, e in enumerate(g.eulers):
             unit = tuple(Fraction(int(k == j)) for k in range(g.n))
-            assert pairing(g, zk, unit) == g.euler(v) + 2
+            assert lattice_of(g).form(zk, unit) == e + 2
 
 
 def test_zk_identity_everywhere(corpus30, sigma257, two_nodes, three_nodes):
@@ -452,6 +447,16 @@ def test_key_classes_match_fraction_reference(corpus30):
                     classify(g, x)
 
 
+def in_dual_lattice(g, x) -> bool:
+    """Whether ``class_of`` takes x: x lies on the 1/|H| grid
+    (``Lattice.scaled``) and in L' (``Lattice.in_dual``)."""
+    try:
+        class_of(g, x)
+    except LatticeError:
+        return False
+    return True
+
+
 def test_in_dual_lattice_matches_fraction_reference(corpus30):
     """The integer L' test against the Fraction formula it replaced, on
     vectors on and off the 1/|H| grid: anti-dual combinations shifted by
@@ -480,7 +485,6 @@ def test_in_dual_lattice_matches_fraction_reference(corpus30):
     assert verdicts == {(True, True), (False, True), (False, False)}
     g = support.sigma257()
     for x in ((0,) * 4, (0,) * 6):
-        assert not in_dual_lattice(g, x)
         with pytest.raises(LatticeError, match="is not in the dual lattice"):
             class_of(g, x)
 
@@ -566,23 +570,18 @@ def draw_columns(data, lat):
                               max_size=4), label="cols")
 
 
-def reference_class_moves(g, cols, sign):
-    """The class-step tables as the counting walk (sign 1) and the division
-    (sign -1) built them by hand."""
+def reference_class_moves(g, cols):
+    """The class-step tables as the counting walk and the division built
+    them by hand: the index of each class by key, and for each column a
+    the index of h + a, and of h - a, by the index of h."""
     lat = lattice_of(g)
     d = lat.h_order
-    if sign == 1:
-        def step(key, col, k=1):
-            return tuple((c + k * y) % d for c, y in zip(key, col))
-
-        keys = [c.key for c in all_classes(g)]
-        index = {key: i for i, key in enumerate(keys)}
-        moves = [[index[step(key, col)] for key in keys] for col in cols]
-    else:
-        classes = all_classes(g)
-        index = {h.key: i for i, h in enumerate(classes)}
-        moves = [[index[lat.class_key(map(sub, h.key, a))] for h in classes] for a in cols]
-    return index, moves
+    classes = all_classes(g)
+    index = {h.key: i for i, h in enumerate(classes)}
+    ahead = [[index[tuple((c + y) % d for c, y in zip(h.key, a))] for h in classes]
+             for a in cols]
+    back = [[index[lat.class_key(map(sub, h.key, a))] for h in classes] for a in cols]
+    return index, ahead, back
 
 
 @settings(max_examples=80, deadline=None)
@@ -598,7 +597,6 @@ def test_form_equals_the_dense_intersection_product(data):
     got = lat.form(x, y)
     assert got == want
     assert type(got) is (Fraction if isinstance(x[0], Fraction) else int)
-    assert pairing(g, x, y) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -619,7 +617,9 @@ def test_class_move_is_the_key_of_the_moved_vector(data):
 def test_class_moves_equal_the_hand_built_tables(data):
     g = draw_graph(data)
     cols = draw_columns(data, lattice_of(g))
-    for sign in (1, -1):
-        classes, index, moves = lattice_of(g).class_moves(cols, sign)
+    index, ahead, back = reference_class_moves(g, cols)
+    # a walk that steps back passes the negated columns
+    for steps, want in ((cols, ahead), ([[-y for y in a] for a in cols], back)):
+        classes, got, moves = lattice_of(g).class_moves(steps)
         assert classes == all_classes(g)
-        assert (index, moves) == reference_class_moves(g, cols, sign)
+        assert (got, moves) == (index, want)

@@ -33,10 +33,10 @@ PUBLIC = [
     "HClass", "InapplicableError", "LatticeError", "PlumbingGraph",
     "PolytopeQuery", "Q", "QuadraticReport", "RatFunc", "TruncatedSeries",
     "WindowError", "all_classes", "canonical_cycle", "class_of",
-    "classify_vertices", "coeff", "count", "counting", "decomp", "e_star",
+    "count", "counting", "decomp", "e_star",
     "equivariant_split", "euclid_divide", "evaluate_at_one", "graph",
     "inclusion_exclusion_check", "iter_classes", "l_top",
-    "lattice", "pairing", "parse_graph", "polypart_dual", "polytopes", "q",
+    "lattice", "parse_graph", "polypart_dual", "polytopes", "q",
     "quadratic_check", "reduce", "series", "sw_norm_via_duality",
     "sw_norm_via_polypart", "sw_raw", "sw_report", "sw_via_lattice",
     "sw_via_topological_polytope", "swcore", "taylor", "taylor_infinity",

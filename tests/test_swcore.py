@@ -15,7 +15,7 @@ from plumbsw.counting import Q
 from plumbsw.decomp import evaluate_at_one
 from plumbsw.graph import parse_graph
 from plumbsw.lattice import (Lattice, all_classes, canonical_cycle, class_of,
-                             e_star, lattice_of, pairing)
+                             e_star, lattice_of)
 from plumbsw.polytopes import sw_via_lattice
 from plumbsw.series import RatFunc, _split_classes, live_indices, zeta
 from plumbsw.swcore import (QuadraticReport, RouteDisagreement, duality_cut_vertices,
@@ -85,7 +85,7 @@ def test_sw_raw_shift_sigma257(sigma257):
     h0 = lat.zero_class
     zk = canonical_cycle(sigma257)
     # oracle: K = -Z_K, (K^2 + 5)/8 with K^2 = (Z_K, Z_K) = -5
-    assert pairing(sigma257, zk, zk) == -5
+    assert lat.form(zk, zk) == -5
     assert shift(sigma257, h0) == 0
     assert raw_scale(sigma257) == 8
     assert type(sw_raw(sigma257, h0, 2)) is int
@@ -96,7 +96,7 @@ def test_sw_raw_shift_with_nontrivial_rep(two_nodes):
     h1 = class_of(two_nodes, e_star(two_nodes, "w3"))
     # oracle: direct pairing arithmetic on K + 2 r_h
     v = vec_add(vec_scale(-1, canonical_cycle(two_nodes)), vec_scale(2, h1.rep))
-    expected = (pairing(two_nodes, v, v) + 10) / 8
+    expected = (lattice_of(two_nodes).form(v, v) + 10) / 8
     scale = raw_scale(two_nodes)
     assert scale == 8 * 3 ** 2
     assert type(shift(two_nodes, h1)) is int
@@ -106,7 +106,7 @@ def test_sw_raw_shift_with_nontrivial_rep(two_nodes):
         zk = canonical_cycle(g)
         for h in all_classes(g):
             v = vec_add(vec_scale(-1, zk), vec_scale(2, h.rep))
-            assert shift(g, h) == (pairing(g, v, v) + g.n) / 8 * raw_scale(g)
+            assert shift(g, h) == (lattice_of(g).form(v, v) + g.n) / 8 * raw_scale(g)
 
 
 def test_quadratic_check_examples(sigma257, two_nodes):
@@ -132,7 +132,7 @@ def test_quadratic_identity_per_class(two_nodes):
     for h, lp in want.items():
         lhs = -Q(g, h, g.ids, lp) * scale
         v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
-        rhs = (pairing(g, v, v) + g.n) / 8 * scale + sw_raw(g, h, duality[h])
+        rhs = (lattice_of(g).form(v, v) + g.n) / 8 * scale + sw_raw(g, h, duality[h])
         assert lhs == rhs
 
 
@@ -146,7 +146,7 @@ def test_quadratic_minimal_sample_random_tree(corpus30):
     scale = raw_scale(g)
     lhs = -Q(g, h, g.ids, lp) * scale
     v = vec_add(vec_scale(-1, zk), vec_scale(2, lp))
-    rhs = (pairing(g, v, v) + g.n) / 8 * scale + sw_raw(g, h, sw_norm_via_duality(g)[h])
+    rhs = (lattice_of(g).form(v, v) + g.n) / 8 * scale + sw_raw(g, h, sw_norm_via_duality(g)[h])
     assert lhs == rhs
 
 
