@@ -182,8 +182,10 @@ def divide_component(lat: Lattice, active, terms, denominator, htag: HClass) -> 
 def euclid_divide(R: RatFunc) -> Decomposition:
     """Euclidean division of R, which must be one H-component, as a value of
     ``equivariant_split`` is: of the class of its tag, or else of its first
-    numerator exponent.  A denominator exponent outside L, or a numerator
-    exponent off that class, raises ``DivisionError`` naming it."""
+    numerator exponent, which ``Lattice.class_at`` refuses with
+    ``LatticeError`` if it is not in L'.  A denominator exponent outside L,
+    or a numerator exponent off that class, raises ``DivisionError`` naming
+    it."""
     lat, active = R.lat, R.active
     _check_in_l(lat, R.denominator)
     h = R.htag or lat.class_at(next(iter(R.numerator), (0,) * lat.n))

@@ -17,6 +17,12 @@ them definiteness, det(-I) and the adjugate of -I, a product of branch
 determinants in every entry (``tree_adjugate``).  The elimination's steps
 list each vertex's neighbours once, and the rooting's (parent, child) pairs
 are the edges, so ``lattice.Lattice`` reads the tree's shape off them.
+
+``validate`` is the one judge of a tree.  It roots the graph, counts its
+edges and eliminates -I once, gives every failing check a detail, and
+keeps the rooting and the elimination of a graph that passes.
+``lattice.Lattice`` builds from those, and refuses any other graph with
+the first failing check's text, ``ValidationReport.error``.
 """
 from __future__ import annotations
 
@@ -117,11 +123,24 @@ def parse_graph(text: str) -> PlumbingGraph:
 
 
 class ValidationReport(NamedTuple):
+    """The checks of ``validate``, each (name, passed, detail), and for a
+    graph that passes them all its ``rooting``, (order, kids), and its
+    ``tree_elimination``, (d, steps); both are None for one that fails."""
+
     checks: tuple[tuple[str, bool, str], ...]
+    rooting: tuple[list[int], list[list[int]]] | None = None
+    elimination: tuple[int, list[list[tuple[int, int, int]]]] | None = None
 
     @property
     def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
+        return self.elimination is not None
+
+    @property
+    def error(self) -> str:
+        """The first failing check as the text a graph is refused with."""
+        name, _, detail = next(check for check in self.checks if not check[1])
+        prefix = {"tree": "graph is not a tree: ", "negative definite": "intersection matrix is "}
+        return prefix.get(name, "") + detail
 
 
 def rooting(g: PlumbingGraph) -> tuple[list[int], list[list[int]]]:
@@ -209,18 +228,22 @@ def tree_adjugate(steps) -> tuple[tuple[int, ...], ...]:
 
 
 def validate(g: PlumbingGraph) -> ValidationReport:
-    """Report pass/fail for connectedness, tree shape and exact negative
-    definiteness; definiteness is checked on trees only.  Failures are
+    """The one judge of a plumbing tree: connectedness, tree shape and
+    exact negative definiteness, checked on trees only.  The graph is
+    rooted once and, if it is a tree, eliminated once; each failing check
+    carries a detail saying why, and a graph that passes keeps its rooting
+    and elimination, which ``lattice.Lattice`` builds from.  Failures are
     reported, never raised."""
-    checks = []
     order, kids = rooting(g)
     connected = len(order) == g.n
-    checks.append(("connected", connected, "" if connected else "graph is disconnected"))
-    tree = len(g.edges) == g.n - 1
-    checks.append(("tree", tree and connected,
-                   "" if tree else f"{len(g.edges)} edges for {g.n} vertices"))
-    elim = tree_elimination(g, order, kids) if tree and connected else "not checked"
-    definite = not isinstance(elim, str)
-    checks.append(("negative definite", definite, "" if definite else elim))
-    return ValidationReport(tuple(checks))
-
+    m = len(g.edges)
+    shape = f"{m} edge{'s' * (m != 1)} for {g.n} vertices"
+    if m == g.n - 1:
+        # with n - 1 edges, a graph of c components has c - 1 independent cycles
+        shape = "" if connected else shape + " on a disconnected graph, so it has a cycle"
+    elim = "not checked" if shape else tree_elimination(g, order, kids)
+    failed = isinstance(elim, str)
+    checks = (("connected", connected, "" if connected else "graph is disconnected"),
+              ("tree", not shape, shape),
+              ("negative definite", not failed, elim if failed else ""))
+    return ValidationReport(checks) if failed else ValidationReport(checks, (order, kids), elim)

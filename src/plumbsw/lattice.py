@@ -1,33 +1,38 @@
 """Exact lattice invariants of a plumbing tree.
 
 Everything comes from one elimination of -I along the tree over the big
-integers (``graph.tree_elimination``): det(-I), the adjugate of -I, whose
-rows are the anti-duals scaled by det(-I), and the tree's shape.  The
-valencies are the lengths of the elimination's steps, and the edges are
-the rooting's (parent, child) pairs.  Z_K is the combination
--sum (e_v + 2) E*_v over the vertices with e_v != -2, which reads only
-their anti-duals.  ``Lattice`` holds integer data only: the Euler numbers
-and edges of the form, d = |H|, and every L' vector scaled by d
-(anti-duals, Z_K); it keeps no dense matrix of the form.  A class of H is
-held as a scaled integer key, its representative in [0,1) times d, and
-printed by ``format_scaled``, as every scaled vector is, and a scaled
-scalar by ``format_ratio``.  ``fractions.Fraction`` enters only where a
-rational crosses the program's edge, each time by an import inside the
-function: the accessors that return rationals (``e_star``,
-``canonical_cycle``, ``l_top``, ``HClass.rep`` and ``Lattice.unscaled``),
-``format_vec`` and ``Lattice.scaled``, which read vectors as the user
-gives them.  So this module does not import
-``fractions`` (nor, through it, ``decimal``), and neither do the commands
-that read only its scaled data (``plumbsw invariants``, ``validate``,
-``sw``, ``verify``).  No floating point is used anywhere.
+integers, which ``graph.validate``, the one judge of a tree, makes and
+keeps: det(-I), the adjugate of -I, whose rows are the anti-duals scaled
+by det(-I), and the tree's shape.  ``Lattice`` refuses a graph that fails
+a check with that check's text.  The valencies are the lengths of the
+elimination's steps, and the edges are the rooting's (parent, child)
+pairs.  Z_K is the combination -sum (e_v + 2) E*_v over the vertices
+with e_v != -2, which reads only their anti-duals.  ``Lattice`` holds
+integer data only: the Euler numbers and edges of the form, d = |H|, and
+every L' vector scaled by d (anti-duals, Z_K); it keeps no dense matrix
+of the form.  A class of H is held as a scaled integer key, its
+representative in [0,1) times d, and printed by ``format_scaled``, as
+every scaled vector is, and a scaled scalar by ``format_ratio``.
+``fractions.Fraction`` enters only where a rational crosses the
+program's edge, each time by an import inside the function: the
+accessors that return rationals (``e_star``, ``canonical_cycle``,
+``l_top``, ``HClass.rep`` and ``Lattice.unscaled``), ``format_vec`` and
+``Lattice.scaled``, which read vectors as the user gives them.  So this
+module does not import ``fractions`` (nor, through it, ``decimal``), and
+neither do the commands that read only its scaled data (``plumbsw
+invariants``, ``validate``, ``sw``, ``verify``).  No floating point is
+used anywhere.
 
 ``Lattice`` owns the lattice arithmetic the other modules read:
 
 * the form: ``image`` is I x, summed over the tree's edges, and ``form``
-  is x . I y, exact on ``int`` and ``Fraction`` vectors.  ``in_dual``
-  (the L' test of ``class_of`` and of the counting functions' cut) reads
-  ``image``, and the quadratic shift of the raw invariant reads ``form``;
-* the class key: ``class_key`` reduces a scaled vector mod d, and
+  is x . I y, exact on ``int`` and ``Fraction`` vectors of n entries (a
+  vector of another length raises ``LatticeError``).  The quadratic shift
+  of the raw invariant reads ``form``;
+* the class key: ``class_at`` is the one judge of a scaled vector: it
+  gives the class of d x for x in L' and raises ``LatticeError`` for any
+  other vector, reading ``image`` (``class_of`` and the counting
+  functions' cut ask it); ``class_key`` reduces a scaled vector mod d, and
   ``class_move`` is the key of key + k col, the one class step;
 * the class tables: ``class_moves`` indexes ``all_classes`` and gives, per
   column, the index of the class one step along it, for the walks that
@@ -51,7 +56,7 @@ from math import gcd
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import PlumbingGraph, rooting, tree_adjugate, tree_elimination
+from .graph import PlumbingGraph, tree_adjugate, validate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -119,21 +124,16 @@ class Lattice:
     def __init__(self, g: PlumbingGraph):
         self.graph = g
         self.n = g.n
-        order, kids = rooting(g)
-        if len(order) != g.n:
-            raise LatticeError("graph is disconnected")
-        if len(g.edges) != g.n - 1:
-            raise LatticeError(f"graph is not a tree: {len(g.edges)} edges for {g.n} vertices")
+        report = validate(g)
+        if not report.ok:
+            raise LatticeError(report.error)
+        (order, kids), (d, steps) = report.rooting, report.elimination
         self.edge_idx = tuple((v, c) for v in order for c in kids[v])
-        elim = tree_elimination(g, order, kids)
-        if isinstance(elim, str):
-            raise LatticeError(f"intersection matrix is {elim}")
-        d, steps = elim
         self.h_order = d
         # sestar[i] is row i of adj(-I) = d (-I)^{-1}, and (E*_v, E_w) =
         # -delta.  Every enumeration terminates only because these entries
         # are strictly positive: each is a product of branch determinants,
-        # all of which tree_elimination checked to be positive.
+        # all of which the elimination checked to be positive.
         self.sestar = tree_adjugate(steps)
         # steps[v] lists each neighbour of v once
         self.deltas = tuple(map(len, steps))
@@ -192,14 +192,10 @@ class Lattice:
         """d x for a vector x of rationals; ``LatticeError`` unless every
         entry lies on the 1/d grid."""
         from fractions import Fraction
-        d = self.h_order
-        out = []
-        for c in x:
-            s = Fraction(c) * d
-            if s.denominator != 1:
-                raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
-            out.append(s.numerator)
-        return tuple(out)
+        out = [Fraction(c) * self.h_order for c in x]
+        if any(s.denominator != 1 for s in out):
+            raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
+        return tuple(s.numerator for s in out)
 
     def unscaled(self, scaled) -> Vec:
         """The vector whose scaled copy is ``scaled``; inverse of ``scaled``."""
@@ -209,8 +205,8 @@ class Lattice:
 
     def image(self, x) -> list:
         """I x: each entry times its Euler number, plus the entries of its
-        neighbours in the tree."""
-        out = list(map(mul, self.graph.eulers, x))
+        neighbours in the tree; ``LatticeError`` unless x has n entries."""
+        out = list(map(mul, self.graph.eulers, self._sized(x)))
         for i, j in self.edge_idx:
             out[i] += x[j]
             out[j] += x[i]
@@ -218,13 +214,13 @@ class Lattice:
 
     def form(self, x, y):
         """The intersection form x . I y, exact on ``int`` and ``Fraction``
-        entries."""
-        return sum(map(mul, x, self.image(y)))
+        entries; ``LatticeError`` unless x and y have n entries."""
+        return sum(map(mul, self._sized(x), self.image(y)))
 
-    def in_dual(self, scaled) -> bool:
-        """Whether ``scaled`` is d x for an x in L': one entry per vertex,
-        and I (d x) = 0 mod d."""
-        return len(scaled) == self.n and not any(self.class_key(self.image(scaled)))
+    def _sized(self, x):
+        if len(x) != self.n:
+            raise LatticeError(f"a vector of {len(x)} entries for {self.n} vertices")
+        return x
 
     def class_key(self, scaled) -> tuple[int, ...]:
         d = self.h_order
@@ -253,7 +249,11 @@ class Lattice:
         return classes, index, moves
 
     def class_at(self, scaled) -> HClass:
-        """The class in H of the L' vector whose scaled copy is ``scaled``."""
+        """The class in H of the L' vector x whose scaled copy is
+        ``scaled`` = d x, the one test of L': ``LatticeError`` unless it
+        has one entry per vertex and I (d x) = 0 mod d."""
+        if len(scaled) != self.n or any(self.class_key(self.image(scaled))):
+            raise LatticeError(f"{format_scaled(scaled, self.h_order)} is not in the dual lattice")
         return HClass(self.class_key(scaled), self.h_order)
 
     def combination(self, terms) -> tuple[int, ...]:
@@ -289,12 +289,9 @@ def e_star(g: PlumbingGraph, v: str) -> Vec:
 
 def class_of(g: PlumbingGraph, x) -> HClass:
     """Class [x] in H.  x must lie in the dual lattice: ``Lattice.scaled``
-    checks that x lies on the 1/d grid, ``Lattice.in_dual`` the rest."""
+    checks that x lies on the 1/d grid, ``Lattice.class_at`` the rest."""
     lat = lattice_of(g)
-    sx = lat.scaled(x)
-    if not lat.in_dual(sx):
-        raise LatticeError(f"{format_vec(x)} is not in the dual lattice")
-    return lat.class_at(sx)
+    return lat.class_at(lat.scaled(x))
 
 
 def canonical_cycle(g: PlumbingGraph) -> Vec:

@@ -66,7 +66,8 @@ GOLDEN_EXTRA = (
 # Connected and negative definite, but a-b-c-a is a cycle.
 TRIANGLE = "vertex a -3\nvertex b -3\nvertex c -3\nedge a b\nedge b c\nedge a c\n"
 # Invalid graphs, named by shape and Euler numbers: two cycles, two forests,
-# and four trees that are not negative definite.
+# four trees that are not negative definite, and a cycle beside an isolated
+# vertex, which has n - 1 edges but is no tree.
 INVALID = {
     "triangle_-3": TRIANGLE,
     "triangle_-1": "vertex a -1\nvertex b -1\nvertex c -1\nedge a b\nedge b c\nedge a c\n",
@@ -77,6 +78,7 @@ INVALID = {
     "chain_-1_-1": "vertex a -1\nvertex b -1\nedge a b\n",
     "chain_-2_-1_-2_-2": "vertex a -2\nvertex b -1\nvertex c -2\nvertex d -2\n"
                          "edge a b\nedge b c\nedge c d\n",
+    "triangle_-3_and_d_-2": TRIANGLE + "vertex d -2\n",
 }
 CORPUS_COMMANDS = (("invariants",), ("validate",), ("zeta",), ("polypart",), ("sw",),
                    ("verify", "--samples", "1"))

@@ -11,7 +11,7 @@ from plumbsw import decomp
 from plumbsw.decomp import (DivisionError, divide_component, euclid_divide, evaluate_at_one,
                             polypart_division, polypart_dual)
 from plumbsw.graph import PlumbingGraph, parse_graph
-from plumbsw.lattice import all_classes, class_of, e_star, format_vec, lattice_of
+from plumbsw.lattice import LatticeError, all_classes, class_of, e_star, format_vec, lattice_of
 from plumbsw.series import (Box, RatFunc, _split_classes, equivariant_split, live_indices,
                             reduce, taylor, zeta)
 from plumbsw.swcore import duality_cut_vertices
@@ -276,6 +276,10 @@ def test_division_needs_one_component(two_nodes):
         euclid_divide(mixed)
     for b in (b0, b1):
         euclid_divide(RatFunc(R.lat, {b: 1}, parts[zero].denominator, R.active))
+    # an untagged numerator whose first exponent is not in L' has no class
+    off = (1,) + (0,) * (lat.n - 1)
+    with pytest.raises(LatticeError, match=r"^\(1/3,0,0,0,0,0,0,0,0,0\) is not in the dual"):
+        euclid_divide(RatFunc(R.lat, {off: 1}, parts[zero].denominator, R.active))
 
 
 def test_polypart_division_rejects_what_the_certificate_rejects(two_nodes, monkeypatch):

@@ -79,10 +79,21 @@ def test_validate_degenerate_pair_fails_definiteness():
 
 
 def test_validate_disconnected_fails():
-    g = parse_graph("vertex a -2\nvertex b -2\n")
-    rep = validate(g)
-    assert not rep.ok
-    assert "connected" in {name for name, ok, _ in rep.checks if not ok}
+    # every failing check says why: a triangle beside an isolated vertex has
+    # n - 1 = 3 edges, so its one extra component costs a cycle; the forest
+    # a-b, c has one edge too few
+    for text, detail in (
+            ("vertex a -2\nvertex b -2\n", "0 edges for 2 vertices"),
+            ("vertex a -3\nvertex b -3\nvertex c -3\nvertex d -2\n"
+             "edge a b\nedge b c\nedge a c\n",
+             "3 edges for 4 vertices on a disconnected graph, so it has a cycle"),
+            ("vertex a -2\nvertex b -2\nvertex c 1\nedge a b\n", "1 edge for 3 vertices")):
+        rep = validate(parse_graph(text))
+        assert not rep.ok
+        assert rep.checks == (("connected", False, "graph is disconnected"),
+                              ("tree", False, detail),
+                              ("negative definite", False, "not checked"))
+        assert (rep.error, rep.rooting, rep.elimination) == ("graph is disconnected", None, None)
 
 
 def test_validate_order_independent():
